@@ -143,14 +143,23 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
                   name: str = "", observed_mask: Array | None = None) -> Dataset:
     """Type columns, normalize to [0, 1], and one-hot encode labels.
 
-    raw is the unnormalized (n, d) feature matrix. If observed_mask is given,
-    column statistics and the binary check use observed entries only
-    (missing cells of raw are ignored).
+    raw is the unnormalized (n, d) feature matrix; every observed cell must
+    be finite. If observed_mask is given, column statistics and the binary
+    check use observed entries only (missing cells of raw are ignored).
     """
     raw = np.asarray(raw, dtype=np.float64)
     n, d = raw.shape
     if n < 1 or d < 1:
         raise ValueError(f"need at least one row and one feature column, got {raw.shape}")
+    finite = np.isfinite(raw)
+    if observed_mask is not None:
+        finite |= observed_mask == 0
+    bad = np.flatnonzero(~finite.all(axis=0))
+    if bad.size:
+        j = int(bad[0])
+        value = raw[np.argmin(finite[:, j]), j]
+        raise ValueError(f"column {feature_names[j]!r} holds a non-finite value ({value}); "
+                         "feature cells must be finite numbers")
     overrides = dict(schema_overrides or {})
     for key in overrides:
         if key not in feature_names:

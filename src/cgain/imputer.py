@@ -15,6 +15,7 @@ the pipeline is exactly the unconditional one.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import time
@@ -230,10 +231,11 @@ def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_ti
         adv = -adv
 
     binary_cols = _binary_columns(column_kinds, m_hat.shape[1])
-    xb = _clamped(x_bar)
-    sq = (x_bar - x_tilde) ** 2
-    ce = -x_tilde * np.log(xb)
-    recon_cells = mask * np.where(binary_cols, ce, sq)
+    recon_cells = (x_bar - x_tilde) ** 2
+    if binary_cols is not None:
+        ce = -x_tilde * np.log(_clamped(x_bar))
+        recon_cells = np.where(binary_cols, ce, recon_cells)
+    recon_cells *= mask
     recon = float(recon_cells.sum() / n)
     return adv, recon
 
@@ -251,13 +253,24 @@ def loss_generator(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: A
     return adv + alpha * recon
 
 
-def _binary_columns(column_kinds: list[str], d: int) -> Array:
+def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
+    """(1, d) row flagging binary columns, or None when there is none."""
     if len(column_kinds) != d:
         raise ValueError(f"{len(column_kinds)} column kinds for {d} columns")
+    return _binary_row(tuple(column_kinds))
+
+
+@functools.lru_cache(maxsize=32)
+def _binary_row(column_kinds: tuple[str, ...]) -> Array | None:
+    # validated once per distinct list of kinds; the row is shared, so read-only
     for k in column_kinds:
         if k not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown column kind {k!r}")
-    return np.array([k == BINARY for k in column_kinds])[None, :]
+    row = np.array([k == BINARY for k in column_kinds])[None, :]
+    if not row.any():
+        return None
+    row.flags.writeable = False
+    return row
 
 
 def _adv_grad_mhat(m_hat: Array, mask: Array, b: Array, sign: str) -> Array:
@@ -271,11 +284,14 @@ def _adv_grad_mhat(m_hat: Array, mask: Array, b: Array, sign: str) -> Array:
 def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, column_kinds: list[str]) -> Array:
     n = x_bar.shape[0]
     binary_cols = _binary_columns(column_kinds, x_bar.shape[1])
-    xb = _clamped(x_bar)
-    live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
-    d_sq = 2.0 * (x_bar - x_tilde)
-    d_ce = -x_tilde / xb * live
-    return mask * np.where(binary_cols, d_ce, d_sq) / n
+    grad = 2.0 * (x_bar - x_tilde)
+    if binary_cols is not None:
+        live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
+        d_ce = -x_tilde / _clamped(x_bar) * live
+        grad = np.where(binary_cols, d_ce, grad)
+    grad *= mask
+    grad /= n
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +334,7 @@ def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array
     _, x_hat, _ = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
     d_loss = loss_discriminator(m_hat, m, b)
-    d_grads, _ = dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, b))
+    d_grads = dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, b), wrt="params")
     return d_grads, d_loss
 
 
@@ -335,11 +351,15 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
     m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
     adv, recon = generator_loss_parts(m_hat, m, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
 
-    _, d_input_grad = dense_backward(model.discriminator, d_cache,
-                                     _adv_grad_mhat(m_hat, m, b, cfg.adversarial_sign))
-    dx_hat = d_input_grad[:, :model.n_features]
-    dx_bar = dx_hat * (1.0 - m) + cfg.alpha * _recon_grad_xbar(x_bar, x_t, m, model.column_kinds)
-    g_grads, _ = dense_backward(model.generator, g_cache, dx_bar)
+    # the full input-gradient product, then the x_hat block: a product over
+    # w1[:d] alone would round differently
+    d_input_grad = dense_backward(model.discriminator, d_cache,
+                                  _adv_grad_mhat(m_hat, m, b, cfg.adversarial_sign), wrt="input")
+    dx_bar = d_input_grad[:, :model.n_features] * (1.0 - m)
+    recon_grad = _recon_grad_xbar(x_bar, x_t, m, model.column_kinds)
+    recon_grad *= cfg.alpha
+    dx_bar += recon_grad
+    g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, adv, recon
 
 

@@ -71,17 +71,17 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array
 # ---------------------------------------------------------------------------
 
 def sigmoid(z: Array) -> Array:
-    """Numerically stable sigmoid; output strictly inside (0, 1)."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Numerically stable sigmoid: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z))
+    below, both evaluated on exp(-|z|) without branching. Rounds to exactly
+    1.0 above z of about 37 and to 0.0 below about -745."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
-
-
-def relu(z: Array) -> Array:
-    return np.maximum(z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,49 +152,56 @@ def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_width:
         raise ValueError(f"input shape {x.shape} does not match net input width {net.input_width}")
-    act = relu if net.hidden_activation == "relu" else (lambda z: z)
-    z1 = x @ net.w1 + net.b1
-    a1 = act(z1)
-    z2 = a1 @ net.w2 + net.b2
-    a2 = act(z2)
-    z3 = a2 @ net.w3 + net.b3
+    relu_hidden = net.hidden_activation == "relu"
+    a1 = x @ net.w1
+    a1 += net.b1
+    if relu_hidden:
+        np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ net.w2
+    a2 += net.b2
+    if relu_hidden:
+        np.maximum(a2, 0.0, out=a2)
+    z3 = a2 @ net.w3
+    z3 += net.b3
     out = sigmoid(z3) if net.output_activation == "sigmoid" else z3
-    return out, (x, z1, a1, z2, a2, out)
+    return out, (x, a1, a2, out)
 
 
-def dense_backward(net: DenseNet, cache: tuple, grad_out: Array) -> tuple[list[Array], Array]:
+BACKWARD_TARGETS = ("params", "input")
+
+
+def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) -> list[Array] | Array:
     """Backprop through a cached forward pass.
 
-    grad_out is dLoss/dOutput. Returns (parameter gradients in params()
-    order, gradient w.r.t. the input batch).
+    grad_out is dLoss/dOutput. wrt="params" returns the parameter gradients
+    in params() order; wrt="input" returns the gradient w.r.t. the input
+    batch. Only the requested products are computed.
     """
+    if wrt not in BACKWARD_TARGETS:
+        raise ValueError(f"wrt must be one of {BACKWARD_TARGETS}, got {wrt!r}")
     if cache is None:
         raise ValueError("missing forward cache")
-    x, z1, a1, z2, a2, out = cache
+    x, a1, a2, out = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != out.shape:
         raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
+    # a relu unit is active exactly where its output is positive
+    relu_hidden = net.hidden_activation == "relu"
 
     if net.output_activation == "sigmoid":
-        dz3 = grad_out * out * (1.0 - out)
+        dz3 = grad_out * out
+        dz3 *= 1.0 - out
     else:
         dz3 = grad_out
-    dw3 = a2.T @ dz3
-    db3 = dz3.sum(axis=0)
-    da2 = dz3 @ net.w3.T
-
-    hidden_relu = net.hidden_activation == "relu"
-    dz2 = da2 * (z2 > 0) if hidden_relu else da2
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    da1 = dz2 @ net.w2.T
-
-    dz1 = da1 * (z1 > 0) if hidden_relu else da1
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    dx = dz1 @ net.w1.T
-
-    return [dw1, db1, dw2, db2, dw3, db3], dx
+    dz2 = dz3 @ net.w3.T
+    if relu_hidden:
+        dz2 *= a2 > 0
+    dz1 = dz2 @ net.w2.T
+    if relu_hidden:
+        dz1 *= a1 > 0
+    if wrt == "input":
+        return dz1 @ net.w1.T
+    return [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +210,11 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array) -> tuple[list[A
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected Adam over a fixed list of parameters."""
+    """Plain SGD or bias-corrected Adam over a fixed list of parameters.
+
+    scratch holds two work arrays per parameter so Adam updates allocate
+    nothing.
+    """
 
     kind: str
     learning_rate: float
@@ -213,6 +224,7 @@ class OptimizerState:
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
+    scratch: list[tuple[Array, Array]] = field(default_factory=list)
 
 
 def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> OptimizerState:
@@ -224,11 +236,13 @@ def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> Opti
     if kind == "adam":
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     return state
 
 
 def optimizer_step(state: OptimizerState, params: list[Array], grads: list[Array]) -> None:
-    """Update params in place. SGD is exactly p -= lr * g."""
+    """Update params in place. SGD is exactly p -= lr * g; Adam is
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded in that order."""
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} gradients")
     for p, g in zip(params, grads):
@@ -242,12 +256,21 @@ def optimizer_step(state: OptimizerState, params: list[Array], grads: list[Array
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch, strict=True):
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=step)
+        m += step
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(1.0 - state.beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.learning_rate
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,16 @@ def toy_dataset(n=12, d=4, seed=0, binary_col=True, n_classes=2, name="toy") -> 
     return build_dataset(raw, labels, names, name=name)
 
 
+def assert_same_bits(actual, expected):
+    """Identical float64 bit patterns (so 0.0 and -0.0 differ); NaN cells
+    only need to be NaN in both."""
+    actual, expected = np.asarray(actual, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
 @pytest.fixture
 def dataset() -> Dataset:
     return toy_dataset()

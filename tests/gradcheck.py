@@ -44,6 +44,6 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
         grad_out = _recon_grad_xbar(out, x_t, mask, kinds)
     else:
         raise ValueError(loss_form)
-    analytic, _ = dense_backward(net, cache, grad_out)
+    analytic = dense_backward(net, cache, grad_out, wrt="params")
     numeric = finite_difference_gradients(loss, net.params(), step=step)
     return max_relative_error(analytic, numeric)

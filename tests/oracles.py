@@ -1,11 +1,16 @@
-"""Independent scalar-loop reference implementations.
+"""Independent reference implementations.
 
-Everything here is written with plain Python loops and math only, straight
+The scalar part is written with plain Python loops and math only, straight
 from the definitions, so the vectorized library paths can be checked
-against an implementation that shares none of their code.
+against an implementation that shares none of their code. The vectorized
+part at the end keeps the straightforward NumPy formulas, with every
+product computed and every operation in its textbook order, so the lean
+library paths can be required to match them bit for bit.
 """
 
 import math
+
+import numpy as np
 
 EPS = 1e-8
 
@@ -120,3 +125,57 @@ def scalar_rmse(truth, imputed, mask, classes=None):
         return overall, count
     per_class = {k: (math.sqrt(s / c), c) for k, (s, c) in by_class.items()}
     return overall, count, per_class
+
+
+# ---------------------------------------------------------------------------
+# vectorized references for bit-exact checks
+# ---------------------------------------------------------------------------
+
+def ref_sigmoid(z):
+    """Two-branch stable sigmoid through boolean indexing."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_forward(net, x):
+    """Forward pass keeping every pre-activation: (out, (x, z1, a1, z2, a2, out))."""
+    act = (lambda z: np.maximum(z, 0.0)) if net.hidden_activation == "relu" else (lambda z: z)
+    z1 = x @ net.w1 + net.b1
+    a1 = act(z1)
+    z2 = a1 @ net.w2 + net.b2
+    a2 = act(z2)
+    z3 = a2 @ net.w3 + net.b3
+    out = ref_sigmoid(z3) if net.output_activation == "sigmoid" else z3
+    return out, (x, z1, a1, z2, a2, out)
+
+
+def ref_backward(net, cache, grad_out):
+    """Full backward pass: (parameter gradients in params() order, input gradient)."""
+    x, z1, a1, z2, a2, out = cache
+    relu = net.hidden_activation == "relu"
+    dz3 = grad_out * out * (1.0 - out) if net.output_activation == "sigmoid" else grad_out
+    da2 = dz3 @ net.w3.T
+    dz2 = da2 * (z2 > 0) if relu else da2
+    da1 = dz2 @ net.w2.T
+    dz1 = da1 * (z1 > 0) if relu else da1
+    grads = [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
+    return grads, dz1 @ net.w1.T
+
+
+def ref_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam; updates p, m and v in place."""
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+
+
+def ref_recon_grad(x_bar, x_tilde, mask, kinds):
+    """Gradient of the reconstruction part w.r.t. the generator output."""
+    binary = np.array([k == "binary" for k in kinds])[None, :]
+    live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
+    d_ce = -x_tilde / np.clip(x_bar, EPS, 1.0 - EPS) * live
+    return mask * np.where(binary, d_ce, 2.0 * (x_bar - x_tilde)) / x_bar.shape[0]

@@ -77,6 +77,19 @@ def test_complete_loader_rejects_empty_cells(tmp_path):
         load_csv(p, "y")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_loaders_reject_non_finite_cells(tmp_path, cell):
+    p = write_csv(tmp_path / "t.csv", f"a,b,y\n1,2,0\n3,{cell},1\n5,6,0\n")
+    with pytest.raises(ValueError, match="column 'b' holds a non-finite value"):
+        load_csv(p, "y")
+    with pytest.raises(ValueError, match="column 'b' holds a non-finite value"):
+        load_incomplete_csv(p, "y")
+    # a missing cell beside the bad one does not hide it
+    p = write_csv(tmp_path / "t.csv", f"a,b,y\n1,,0\n3,{cell},1\n5,6,0\n")
+    with pytest.raises(ValueError, match="column 'b' holds a non-finite value"):
+        load_incomplete_csv(p, "y")
+
+
 def test_label_column_by_index_and_missing_column(tmp_path):
     p = write_csv(tmp_path / "t.csv", "y,a\n0,1\n1,2\n")
     ds = load_csv(p, 0)

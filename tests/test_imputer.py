@@ -11,12 +11,13 @@ from cgain.imputer import (MODEL_MAGIC, TrainConfig, build_model, discriminate,
                            discriminator_forward, discriminator_step_grads, generate,
                            generator_forward, generator_step_grads, hint_from_b,
                            hint_to_b, impute, load_model, loss_discriminator,
-                           loss_generator, sample_hint, sample_hint_b, save_model, train)
+                           loss_generator, sample_hint, sample_hint_b, save_model, train,
+                           _adv_grad_mhat, _loss_d_grad)
 from cgain.nn import (dense_forward, finite_difference_gradients, make_rng,
                       max_relative_error, uniform)
-from conftest import toy_dataset, random_incomplete
-from oracles import (scalar_forward, scalar_loss_d, scalar_loss_g, scalar_loss_g_parts,
-                     scalar_recombine)
+from conftest import assert_same_bits, toy_dataset, random_incomplete
+from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, scalar_loss_d,
+                     scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
 
 
 def small_model(d=3, m=2, seed=0, conditional=True, **cfg_kwargs):
@@ -288,6 +289,35 @@ def test_discriminator_gradients_with_fixed_generator():
     assert d_loss() == pytest.approx(loss, abs=1e-12)
     numeric = finite_difference_gradients(d_loss, model.discriminator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("sign", ["gain", "literal"])
+@pytest.mark.parametrize("binary", [False, True])
+def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
+    # the generator step must take the x_hat block of the full discriminator
+    # input gradient; both steps must match a backward pass that computes
+    # every product
+    model = small_model(d=5, m=3, seed=23, alpha=7.5, adversarial_sign=sign)
+    if binary:
+        model.column_kinds[2] = "binary"
+    x_t, mask, y, z, b, hint = random_batch(model, n=9, seed=24)
+    x_t[:, 2] = np.round(x_t[:, 2])
+    x_bar, g_cache = ref_forward(model.generator, np.concatenate([x_t, mask, (1.0 - mask) * z, y], axis=1))
+    x_hat = mask * x_t + (1.0 - mask) * x_bar
+    m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
+
+    ref_d, _ = ref_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, mask, b))
+    d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    for g, ref in zip(d_grads, ref_d, strict=True):
+        assert_same_bits(g, ref)
+
+    _, d_input_grad = ref_backward(model.discriminator, d_cache, _adv_grad_mhat(m_hat, mask, b, sign))
+    dx_bar = (d_input_grad[:, :model.n_features] * (1.0 - mask)
+              + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
+    ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
+    g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    for g, ref in zip(g_grads, ref_g, strict=True):
+        assert_same_bits(g, ref)
 
 
 # ---------------------------------------------------------------------------

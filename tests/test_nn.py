@@ -9,8 +9,9 @@ from cgain.nn import (DenseNet, bernoulli, dense_backward, dense_forward,
                       finite_difference_gradients, init_dense, make_rng,
                       make_optimizer, max_relative_error, optimizer_step, sigmoid,
                       uniform, xavier_uniform)
+from conftest import assert_same_bits
 from gradcheck import LOSS_FORMS, check_net_loss_gradients
-from oracles import scalar_forward
+from oracles import ref_adam_step, ref_backward, ref_forward, ref_sigmoid, scalar_forward
 
 
 def zero_net(d_in, h, d_out, hidden="relu", output="sigmoid"):
@@ -85,7 +86,8 @@ def test_zero_output_gradient_gives_zero_param_gradients():
     net = init_dense(rng, 4, 6, 3)
     x = rng.uniform(size=(5, 4))
     _, cache = dense_forward(net, x)
-    grads, dx = dense_backward(net, cache, np.zeros((5, 3)))
+    grads = dense_backward(net, cache, np.zeros((5, 3)), wrt="params")
+    dx = dense_backward(net, cache, np.zeros((5, 3)), wrt="input")
     for g in grads:
         assert_array_equal(g, np.zeros_like(g))
     assert_array_equal(dx, np.zeros_like(x))
@@ -102,7 +104,7 @@ def test_backward_matches_finite_differences_on_3_9_9_1_net():
         return float(((out - y) ** 2).sum())
 
     out, cache = dense_forward(net, x)
-    analytic, _ = dense_backward(net, cache, 2.0 * (out - y))
+    analytic = dense_backward(net, cache, 2.0 * (out - y), wrt="params")
     numeric = finite_difference_gradients(loss, net.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -115,7 +117,7 @@ def test_single_linear_neuron_squared_error_gradient():
                    hidden_activation="identity", output_activation="identity")
     x, y = np.array([[2.0]]), 0.5
     out, cache = dense_forward(net, x)
-    grads, _ = dense_backward(net, cache, 2.0 * (out - y))
+    grads = dense_backward(net, cache, 2.0 * (out - y), wrt="params")
     assert_allclose(grads[0][0, 0], 2.0 * (out[0, 0] - y) * 2.0, rtol=1e-12)
 
 
@@ -123,9 +125,11 @@ def test_backward_rejects_bad_gradient_shape():
     net = init_dense(make_rng(0), 3, 4, 2)
     _, cache = dense_forward(net, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="grad shape"):
-        dense_backward(net, cache, np.zeros((2, 3)))
+        dense_backward(net, cache, np.zeros((2, 3)), wrt="params")
     with pytest.raises(ValueError, match="cache"):
-        dense_backward(net, None, np.zeros((2, 2)))
+        dense_backward(net, None, np.zeros((2, 2)), wrt="input")
+    with pytest.raises(ValueError, match="wrt"):
+        dense_backward(net, cache, np.zeros((2, 2)), wrt="both")
 
 
 @pytest.mark.parametrize("loss_form", LOSS_FORMS)
@@ -174,6 +178,13 @@ def test_optimizer_rejects_bad_inputs():
         optimizer_step(state, p, [np.zeros(4)])
 
 
+def test_adam_rejects_params_it_was_not_made_for():
+    # a shorter state must not leave the extra parameters silently untouched
+    state = make_optimizer("adam", 0.1, [np.zeros(3)])
+    with pytest.raises(ValueError):
+        optimizer_step(state, [np.zeros(3), np.zeros(2)], [np.ones(3), np.ones(2)])
+
+
 @settings(max_examples=50, deadline=None)
 @given(arrays(np.float64, st.integers(1, 8),
               elements=st.floats(-1e6, 1e6, allow_nan=False)),
@@ -187,6 +198,62 @@ def test_sgd_update_property(p0, g, lr):
     state = make_optimizer("sgd", lr, p)
     optimizer_step(state, p, [g])
     assert_array_equal(p[0], p0 - lr * g)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness against the reference formulas
+# ---------------------------------------------------------------------------
+
+def test_sigmoid_bits_equal_two_branch_reference():
+    rng = make_rng(21)
+    for shape in [(1,), (7,), (33, 5), (128, 57)]:
+        for scale in (1.0, 30.0, 400.0):
+            z = rng.normal(scale=scale, size=shape)
+            assert_same_bits(sigmoid(z), ref_sigmoid(z))
+    z = np.array([800.0, -800.0, 0.0, -0.0, np.nan, np.inf, -np.inf, 745.2, -745.2, 1e-300, -5e-324])
+    s = sigmoid(z)
+    assert_same_bits(s, ref_sigmoid(z))
+    assert s[0] == 1.0 and s[1] == 0.0 and s[2] == s[3] == 0.5 and np.isnan(s[4])
+
+
+@pytest.mark.parametrize("hidden", ["relu", "identity"])
+@pytest.mark.parametrize("output", ["sigmoid", "identity"])
+def test_forward_and_backward_bits_equal_full_reference(hidden, output):
+    rng = make_rng(31)
+    for _ in range(25):
+        n_in, width, n_out, rows = (int(v) for v in rng.integers(1, 40, size=4))
+        net = init_dense(rng, n_in, width, n_out, hidden, output)
+        for p in (net.b1, net.b2, net.b3):
+            p += rng.normal(scale=0.3, size=p.shape)
+        x = rng.normal(size=(rows, n_in))
+        grad_out = rng.normal(size=(rows, n_out))
+        out, cache = dense_forward(net, x)
+        ref_out, ref_cache = ref_forward(net, x)
+        assert_same_bits(out, ref_out)
+        ref_grads, ref_dx = ref_backward(net, ref_cache, grad_out)
+        for g, ref in zip(dense_backward(net, cache, grad_out, wrt="params"), ref_grads, strict=True):
+            assert_same_bits(g, ref)
+        assert_same_bits(dense_backward(net, cache, grad_out, wrt="input"), ref_dx)
+
+
+def test_adam_bits_equal_textbook_reference_over_many_steps():
+    rng = make_rng(41)
+    shapes = [tuple(int(v) for v in rng.integers(1, 30, size=2)) for _ in range(4)] + [(7,), (1,)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_p = [p.copy() for p in params]
+    ref_m = [np.zeros_like(p) for p in params]
+    ref_v = [np.zeros_like(p) for p in params]
+    state = make_optimizer("adam", 1e-3, params)
+    for t in range(1, 31):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 4), size=s) for s in shapes]
+        kept = [g.copy() for g in grads]
+        optimizer_step(state, params, grads)
+        for i, g in enumerate(grads):
+            assert_same_bits(g, kept[i])
+            ref_adam_step(ref_p[i], g, ref_m[i], ref_v[i], t, 1e-3)
+            assert_same_bits(params[i], ref_p[i])
+            assert_same_bits(state.m[i], ref_m[i])
+            assert_same_bits(state.v[i], ref_v[i])
 
 
 # ---------------------------------------------------------------------------
