@@ -13,14 +13,15 @@ cgain-error: {validation|runtime}: <message>.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .nn import make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
-                   read_csv_table, write_mask_csv)
+                   read_csv_table, write_csv, write_mask_csv)
 from .imputer import TrainConfig, impute, load_model, save_model, train
 from .evaluate import (METHODS, mean_std, run_benchmark, run_imbalance_benchmark,
                        time_methods, write_report_csv, write_report_json, write_timing_csv)
@@ -145,21 +146,16 @@ def cmd_corrupt(cfg: RunConfig) -> int:
     rates = _parse_floats(cfg.rate, "rate")
     if len(rates) != 1:
         raise ValueError(f"corrupt needs exactly one --rate, got {cfg.rate!r}")
-    dataset = load_csv(cfg.data, _label_col(cfg))
+    header, rows = read_csv_table(cfg.data)
+    dataset = load_csv(cfg.data, _label_col(cfg), table=(header, rows))
     inc = corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
 
-    header, rows = read_csv_table(cfg.data)
-    label_idx = header.index(dataset.label_column)
-    feature_cols = [j for j in range(len(header)) if j != label_idx]
-    for i, row in enumerate(rows):
-        for k, j in enumerate(feature_cols):
-            if inc.mask[i, k] == 0:
-                row[j] = ""
+    feature_cols = np.delete(np.arange(len(header)), header.index(dataset.label_column))
+    hidden_rows, hidden_cols = np.nonzero(inc.mask == 0)
+    for i, j in zip(hidden_rows.tolist(), feature_cols[hidden_cols].tolist()):
+        rows[i][j] = ""
     data_path, mask_path = f"{cfg.out}.data.csv", f"{cfg.out}.mask.csv"
-    with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(data_path, header, rows)
     write_mask_csv(mask_path, inc.mask, [c.name for c in dataset.schema])
 
     achieved = 1.0 - float(inc.mask.mean())
@@ -189,13 +185,9 @@ def cmd_train(cfg: RunConfig) -> int:
     model, trace = train(inc, tc)
     model_path, trace_path = f"{cfg.out}.model", f"{cfg.out}.trace.csv"
     save_model(model_path, model)
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "d_loss", "g_adversarial", "g_reconstruction", "seconds"])
-        for i in range(len(trace.iterations)):
-            writer.writerow([trace.iterations[i], repr(trace.d_loss[i]),
-                             repr(trace.g_adversarial[i]), repr(trace.g_reconstruction[i]),
-                             repr(trace.seconds[i])])
+    write_csv(trace_path, ["iteration", "d_loss", "g_adversarial", "g_reconstruction", "seconds"],
+              zip(map(str, trace.iterations), map(repr, trace.d_loss), map(repr, trace.g_adversarial),
+                  map(repr, trace.g_reconstruction), map(repr, trace.seconds)))
     print(f"wrote {model_path}")
     print(f"wrote {trace_path}")
     if trace.g_reconstruction:
@@ -206,7 +198,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_impute(cfg: RunConfig) -> int:
     _require(cfg, "data", "out", "model")
     model = load_model(cfg.model)
-    inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None)
+    header, rows = read_csv_table(cfg.data)
+    inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None,
+                              table=(header, rows))
     if inc.dataset.n_features != model.n_features:
         raise ValueError(f"data has {inc.dataset.n_features} features, model expects {model.n_features}")
     if inc.dataset.column_kinds != model.column_kinds:
@@ -215,23 +209,17 @@ def cmd_impute(cfg: RunConfig) -> int:
     completed = impute(model, inc, make_rng(cfg.seed))
     raw = denormalize(inc.dataset.schema, completed.features, round_binary=True)
 
-    header, rows = read_csv_table(cfg.data)
-    label_idx = header.index(inc.dataset.label_column)
-    feature_cols = [j for j in range(len(header)) if j != label_idx]
-    binary = [spec.kind == BINARY for spec in inc.dataset.schema]
-    filled = 0
-    for i, row in enumerate(rows):
-        for k, j in enumerate(feature_cols):
-            if row[j].strip() == "":
-                row[j] = str(int(raw[i, k])) if binary[k] else repr(float(raw[i, k]))
-                filled += 1
+    feature_cols = np.delete(np.arange(len(header)), header.index(inc.dataset.label_column))
+    binary = np.array([spec.kind == BINARY for spec in inc.dataset.schema])
+    hidden_rows, hidden_cols = np.nonzero(inc.mask == 0)
+    values = raw[hidden_rows, hidden_cols].tolist()
+    for i, j, v, is_binary in zip(hidden_rows.tolist(), feature_cols[hidden_cols].tolist(),
+                                  values, binary[hidden_cols].tolist()):
+        rows[i][j] = str(int(v)) if is_binary else repr(v)
     out_path = f"{cfg.out}.imputed.csv"
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(out_path, header, rows)
     print(f"wrote {out_path}")
-    print(f"filled_cells={filled}")
+    print(f"filled_cells={hidden_rows.size}")
     return 0
 
 

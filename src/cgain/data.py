@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .nn import Array
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
+WRITE_BLOCK_ROWS = 512     # rows per block in write_csv
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,35 @@ def read_csv_table(path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         rows = [row for row in reader if row]
+    seen = set()
+    for column in header:
+        if column in seen:
+            raise ValueError(f"{path}: duplicate column name {column!r} in the header; "
+                             "header names must be distinct")
+        seen.add(column)
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
     return header, rows
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and rows of strings, byte for byte as csv.writer does.
+
+    Rows go out in blocks. A block that holds no quote, no delimiter or line
+    break inside a cell and no lone empty cell needs no quoting, so it is
+    joined directly; any other block is written by csv.writer.
+    """
+    lines = chain([header], rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        while block := list(islice(lines, WRITE_BLOCK_ROWS)):
+            text = "\r\n".join(map(",".join, block)) + "\r\n"
+            n = len(block)
+            if ('"' in text or text.count(",") != sum(map(len, block)) - n
+                    or text.count("\r") != n or text.count("\n") != n or [""] in block):
+                csv.writer(fh).writerows(block)
+            else:
+                fh.write(text)
 
 
 def _resolve_label_column(header: list[str], label_column) -> int:
@@ -128,14 +155,6 @@ def _sorted_class_names(values: list[str]) -> list[str]:
         return sorted(distinct, key=float)
     except ValueError:
         return distinct
-
-
-def _parse_cell(text: str, row: int, col_name: str, path="") -> float:
-    try:
-        return float(text)
-    except ValueError:
-        where = f"{path}: " if path else ""
-        raise ValueError(f"{where}row {row}, column {col_name!r}: cannot parse {text!r} as a number") from None
 
 
 def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
@@ -202,29 +221,73 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
                    class_names=class_names, label_column=label_column, name=name)
 
 
-def load_csv(path, label_column, schema_overrides: dict | None = None, name: str | None = None) -> Dataset:
-    """Load a fully observed labeled CSV.
-
-    Every non-label cell must parse as a number; corruption is injected
-    separately, so empty cells are a load error here.
-    """
-    header, rows = read_csv_table(path)
-    label_idx = _resolve_label_column(header, label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-    raw = np.zeros((len(rows), len(feature_names)))
-    label_values = []
-    for i, row in enumerate(rows):
-        label_values.append(row[label_idx].strip())
-        k = 0
+def _first_bad_cell(path, header: list[str], rows: list[list[str]], label_idx: int,
+                    allow_missing: bool) -> ValueError:
+    """The error for the first bad cell in row-major order: a missing label
+    (when cells may be missing), an empty feature cell (when none may be) or
+    a feature cell that does not parse."""
+    for i, row in enumerate(rows, 2):
+        if allow_missing and row[label_idx].strip() == "":
+            return ValueError(f"{path}: row {i}: missing label; labels must be fully observed")
         for j, cell in enumerate(row):
             if j == label_idx:
                 continue
             text = cell.strip()
             if text == "":
-                raise ValueError(f"{path}: row {i + 2}, column {header[j]!r}: empty cell in a complete dataset")
-            raw[i, k] = _parse_cell(text, i + 2, header[j], path=str(path))
-            k += 1
+                if not allow_missing:
+                    return ValueError(f"{path}: row {i}, column {header[j]!r}: "
+                                      "empty cell in a complete dataset")
+                continue
+            try:
+                float(text)
+            except ValueError:
+                return ValueError(f"{path}: row {i}, column {header[j]!r}: "
+                                  f"cannot parse {text!r} as a number")
+    raise AssertionError("no bad cell found")
+
+
+def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
+                allow_missing: bool) -> tuple[Array, Array, list[str]]:
+    """Parse the cells of a table into (raw features, mask, stripped labels).
+
+    Feature cells are stripped; an empty one is missing (mask 0, raw 0.0)
+    when allow_missing, and an error otherwise. Every other feature cell is
+    converted with float(). On failure the error names the first bad cell
+    in row-major order.
+    """
+    n, width = len(rows), len(header)
+    cells = list(map(str.strip, chain.from_iterable(rows)))
+    labels = cells[label_idx::width]
+    del cells[label_idx::width]
+    observed = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    values = None
+    if (allow_missing and all(labels)) or (not allow_missing and observed.all()):
+        try:
+            values = np.fromiter(map(float, filter(None, cells)), dtype=np.float64,
+                                 count=int(observed.sum()))
+        except ValueError:
+            pass
+    if values is None:
+        raise _first_bad_cell(path, header, rows, label_idx, allow_missing)
+    raw = np.zeros(len(cells))
+    raw[observed] = values
+    shape = (n, width - 1)
+    return raw.reshape(shape), observed.reshape(shape).astype(np.float64), labels
+
+
+def load_csv(path, label_column, schema_overrides: dict | None = None, name: str | None = None,
+             *, table: tuple[list[str], list[list[str]]] | None = None) -> Dataset:
+    """Load a fully observed labeled CSV.
+
+    Every non-label cell must parse as a number; corruption is injected
+    separately, so empty cells are a load error here. table, when given, is
+    the file's (header, rows) as read_csv_table returned them; path then
+    only names the file in messages and the dataset.
+    """
+    header, rows = table if table is not None else read_csv_table(path)
+    label_idx = _resolve_label_column(header, label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    raw, _, label_values = parse_table(path, header, rows, label_idx, allow_missing=False)
 
     stem = name if name is not None else os.path.splitext(os.path.basename(str(path)))[0]
     return build_dataset(raw, label_values, feature_names, label_column=header[label_idx],
@@ -232,34 +295,18 @@ def load_csv(path, label_column, schema_overrides: dict | None = None, name: str
 
 
 def load_incomplete_csv(path, label_column, schema_overrides: dict | None = None,
-                        mask_path=None, name: str | None = None) -> IncompleteDataset:
+                        mask_path=None, name: str | None = None,
+                        *, table: tuple[list[str], list[list[str]]] | None = None) -> IncompleteDataset:
     """Load a labeled CSV where empty feature cells mean missing.
 
     Column statistics come from observed entries only. If mask_path is given
-    the 0/1 mask file must agree with the empty-cell pattern.
+    the 0/1 mask file must agree with the empty-cell pattern. table is as
+    for load_csv.
     """
-    header, rows = read_csv_table(path)
+    header, rows = table if table is not None else read_csv_table(path)
     label_idx = _resolve_label_column(header, label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-    raw = np.zeros((len(rows), len(feature_names)))
-    mask = np.ones((len(rows), len(feature_names)))
-    label_values = []
-    for i, row in enumerate(rows):
-        text = row[label_idx].strip()
-        if text == "":
-            raise ValueError(f"{path}: row {i + 2}: missing label; labels must be fully observed")
-        label_values.append(text)
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            text = cell.strip()
-            if text == "":
-                mask[i, k] = 0.0
-            else:
-                raw[i, k] = _parse_cell(text, i + 2, header[j], path=str(path))
-            k += 1
+    raw, mask, label_values = parse_table(path, header, rows, label_idx, allow_missing=True)
 
     if mask_path is not None:
         file_mask = load_mask_csv(mask_path, expected_columns=feature_names)
@@ -278,22 +325,22 @@ def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
     header, rows = read_csv_table(path)
     if expected_columns is not None and header != expected_columns:
         raise ValueError(f"{path}: mask columns {header} do not match data feature columns {expected_columns}")
-    mask = np.zeros((len(rows), len(header)))
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            v = cell.strip()
-            if v not in ("0", "1"):
-                raise ValueError(f"{path}: row {i + 2}, column {header[j]!r}: mask cells must be 0 or 1, got {v!r}")
-            mask[i, j] = float(v)
-    return mask
+    cells = list(map(str.strip, chain.from_iterable(rows)))
+    ones = np.fromiter(map("1".__eq__, cells), dtype=bool, count=len(cells))
+    valid = ones | np.fromiter(map("0".__eq__, cells), dtype=bool, count=len(cells))
+    if not valid.all():
+        k = int(np.argmin(valid))
+        raise ValueError(f"{path}: row {k // len(header) + 2}, column {header[k % len(header)]!r}: "
+                         f"mask cells must be 0 or 1, got {cells[k]!r}")
+    return ones.reshape(len(rows), len(header)).astype(np.float64)
 
 
 def write_mask_csv(path, mask: Array, feature_names: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(feature_names)
-        for row in np.asarray(mask, dtype=int):
-            writer.writerow(list(row))
+    mask = np.asarray(mask, dtype=int)
+    values, codes = np.unique(mask, return_inverse=True)   # format each distinct value once
+    texts = list(map(str, values.tolist()))
+    rows = ([*map(texts.__getitem__, row)] for row in codes.reshape(mask.shape).tolist())
+    write_csv(path, feature_names, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,10 @@ conditioned on labels is supposed to exploit.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .nn import make_rng
-from .data import Dataset, build_dataset, denormalize
+from .data import Dataset, build_dataset, denormalize, write_csv
 
 
 def load_breast_cancer_dataset() -> Dataset:
@@ -107,9 +105,6 @@ def letter_like(n_rows: int = 2000, seed: int = 13) -> Dataset:
 def write_dataset_csv(path, dataset: Dataset) -> None:
     """Write a dataset on raw scale with its label column appended."""
     raw = denormalize(dataset.schema, dataset.features, round_binary=True)
-    cls = dataset.class_index()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([c.name for c in dataset.schema] + [dataset.label_column])
-        for i in range(dataset.n_rows):
-            writer.writerow([repr(float(v)) for v in raw[i]] + [dataset.class_names[cls[i]]])
+    labels = [dataset.class_names[c] for c in dataset.class_index()]
+    rows = ([*map(repr, values), label] for values, label in zip(raw.tolist(), labels))
+    write_csv(path, [c.name for c in dataset.schema] + [dataset.label_column], rows)

@@ -179,3 +179,52 @@ def ref_recon_grad(x_bar, x_tilde, mask, kinds):
     live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
     d_ce = -x_tilde / np.clip(x_bar, EPS, 1.0 - EPS) * live
     return mask * np.where(binary, d_ce, 2.0 * (x_bar - x_tilde)) / x_bar.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# per-cell CSV parsing, the reference for the bulk parser
+# ---------------------------------------------------------------------------
+
+def ref_parse_table(path, header, rows, label_idx, allow_missing):
+    """(raw, mask, labels) parsed one cell at a time, raising at the first
+    bad cell: the loop of load_csv (allow_missing=False) and of
+    load_incomplete_csv (allow_missing=True)."""
+    raw = np.zeros((len(rows), len(header) - 1))
+    mask = np.ones((len(rows), len(header) - 1))
+    labels = []
+    for i, row in enumerate(rows):
+        text = row[label_idx].strip()
+        if allow_missing and text == "":
+            raise ValueError(f"{path}: row {i + 2}: missing label; labels must be fully observed")
+        labels.append(text)
+        k = 0
+        for j, cell in enumerate(row):
+            if j == label_idx:
+                continue
+            text = cell.strip()
+            if text == "":
+                if not allow_missing:
+                    raise ValueError(f"{path}: row {i + 2}, column {header[j]!r}: "
+                                     "empty cell in a complete dataset")
+                mask[i, k] = 0.0
+            else:
+                try:
+                    raw[i, k] = float(text)
+                except ValueError:
+                    raise ValueError(f"{path}: row {i + 2}, column {header[j]!r}: "
+                                     f"cannot parse {text!r} as a number") from None
+            k += 1
+    return raw, mask, labels
+
+
+def ref_parse_mask(path, header, rows):
+    """A 0/1 mask table parsed one cell at a time."""
+    mask = np.zeros((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            v = cell.strip()
+            if v not in ("0", "1"):
+                raise ValueError(f"{path}: row {i + 2}, column {header[j]!r}: "
+                                 f"mask cells must be 0 or 1, got {v!r}")
+            mask[i, j] = float(v)
+    return mask

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cgain import cli, data as data_module
 from cgain.cli import DEFAULT_METHODS, DEFAULT_RATES, RunConfig, main
 from cgain.data import load_csv, read_csv_table
 from cgain.evaluate import load_report_json, report_csv_rows
@@ -80,6 +81,49 @@ def test_corrupt_rejects_rate_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("cgain-error: validation:")
+
+
+def test_corrupt_rejects_duplicate_header_names(tmp_path, capsys):
+    # with `--label-col 2` the label resolved by name would be the first `x`
+    path = tmp_path / "dup.csv"
+    rng = np.random.default_rng(3)
+    path.write_text("x,y,x\n" + "".join(f"{a:.3f},{b:.3f},{i % 2}\n"
+                                        for i, (a, b) in enumerate(rng.uniform(size=(30, 2)))))
+    rc = run("corrupt", "--data", path, "--label-col", "2", "--rate", "0.3",
+             "--seed", "1", "--out", tmp_path / "c")
+    assert rc == 1
+    assert "duplicate column name 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "c.data.csv").exists()
+
+
+def count_reads(monkeypatch) -> list:
+    """Record the path of every read_csv_table call, whichever module makes it."""
+    paths = []
+    real = data_module.read_csv_table
+
+    def counting(path):
+        paths.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_csv_table", counting)
+    monkeypatch.setattr(data_module, "read_csv_table", counting)
+    return paths
+
+
+def test_corrupt_and_impute_read_data_once(tmp_path, monkeypatch):
+    data = write_toy_csv(tmp_path / "d.csv", n=50, seed=7)
+    paths = count_reads(monkeypatch)
+    assert run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.3",
+               "--seed", "8", "--out", tmp_path / "c") == 0
+    assert paths == [str(data)]
+    corrupted = tmp_path / "c.data.csv"
+    assert run("train", "--data", corrupted, "--label-col", "y", "--iters", "10",
+               "--batch", "16", "--seed", "9", "--out", tmp_path / "m") == 0
+    paths.clear()
+    assert run("impute", "--model", tmp_path / "m.model", "--data", corrupted, "--label-col", "y",
+               "--mask", tmp_path / "c.mask.csv", "--seed", "10", "--out", tmp_path / "i") == 0
+    assert paths.count(str(corrupted)) == 1
+    assert paths.count(str(tmp_path / "c.mask.csv")) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from cgain import data
 from cgain.data import (BINARY, CONTINUOUS, build_dataset, corrupt_mcar, denormalize,
-                        load_csv, load_incomplete_csv, load_mask_csv, normalize,
-                        split_folds, subsample_imbalance, uncorrupted, write_mask_csv)
+                        load_csv, load_incomplete_csv, load_mask_csv, normalize, parse_table,
+                        read_csv_table, split_folds, subsample_imbalance, uncorrupted,
+                        write_mask_csv)
 from cgain.nn import make_rng
 
-from conftest import toy_dataset
+from conftest import assert_same_bits, toy_dataset
+from oracles import ref_parse_mask, ref_parse_table
 
 
 def write_csv(path, text):
@@ -133,6 +142,188 @@ def test_mask_csv_round_trip_and_mismatch(tmp_path):
     bad = write_csv(tmp_path / "bad.csv", "a,b\n1,1\n1,1\n")
     with pytest.raises(ValueError, match="disagrees"):
         load_incomplete_csv(p, "y", mask_path=bad)
+
+
+def test_duplicate_header_names_rejected(tmp_path):
+    p = write_csv(tmp_path / "t.csv", "x,y,x\n1,2,0\n3,4,1\n")
+    with pytest.raises(ValueError, match="duplicate column name 'x'"):
+        read_csv_table(p)
+    with pytest.raises(ValueError, match="duplicate column name 'x'"):
+        load_csv(p, 2)
+
+
+# ---------------------------------------------------------------------------
+# bulk parsing against the per-cell reference
+# ---------------------------------------------------------------------------
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e3", "-2.5E-3", "+7", "-0", ".5", "5.", "1_0", "1_000.5", "\u0661\u0662"]),
+)
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+CELL_KINDS = {
+    "number": st.tuples(PADDING, NUMBER_TEXT, PADDING).map("".join),
+    "empty": st.sampled_from(["", " ", "\t ", "\u00a0"]),       # empty or whitespace only
+    "non-finite": st.sampled_from(["nan", " -inf", "Infinity"]),
+    "bad": st.sampled_from(["1__0", "_1", "0x1f", "1.2.3", "abc"]),
+}
+FEATURE_CELL = st.sampled_from(["number"] * 16 + ["empty"] * 3 + ["non-finite", "bad"]).flatmap(
+    CELL_KINDS.__getitem__)
+LABEL_CELL = st.sampled_from(["0", "1", " 1 ", "a"] * 4 + ["", " "])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def cell_tables(draw):
+    width = draw(st.integers(2, 5))
+    label_idx = draw(st.integers(0, width - 1))
+    rows = draw(st.lists(st.lists(FEATURE_CELL, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    for row in rows:
+        row[label_idx] = draw(LABEL_CELL)
+    return [f"c{j}" for j in range(width)], rows, label_idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=cell_tables(), allow_missing=st.booleans())
+def test_bulk_parse_matches_per_cell_reference(table, allow_missing):
+    header, rows, label_idx = table
+    expected = _outcome(lambda: ref_parse_table("t.csv", header, rows, label_idx, allow_missing))
+    actual = _outcome(lambda: parse_table("t.csv", header, rows, label_idx, allow_missing))
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert not isinstance(actual, str), actual
+        for got, want in zip(actual[:2], expected[:2]):
+            assert_same_bits(got, want)
+        assert actual[2] == expected[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=cell_tables(), allow_missing=st.booleans())
+def test_loaders_match_per_cell_reference(table, allow_missing):
+    """The whole loader, typing and non-finite checks included."""
+    header, rows, label_idx = table
+    names = [h for j, h in enumerate(header) if j != label_idx]
+
+    def reference():
+        raw, mask, labels = ref_parse_table("t.csv", header, rows, label_idx, allow_missing)
+        ds = build_dataset(raw, labels, names, label_column=header[label_idx], name="t",
+                           observed_mask=mask if allow_missing else None)
+        return ds, mask
+
+    def bulk():
+        if allow_missing:
+            inc = load_incomplete_csv("t.csv", label_idx, table=(header, rows))
+            return inc.dataset, inc.mask
+        return load_csv("t.csv", label_idx, table=(header, rows)), None
+
+    expected, actual = _outcome(reference), _outcome(bulk)
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    assert not isinstance(actual, str), actual
+    assert_same_bits(actual[0].features, expected[0].features)
+    assert_array_equal(actual[0].labels, expected[0].labels)
+    assert actual[0].schema == expected[0].schema
+    assert actual[0].class_names == expected[0].class_names
+    if allow_missing:
+        assert_same_bits(actual[1], expected[1])
+
+
+MISSING_LABEL = "missing label; labels must be fully observed"
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    # an unparseable cell in row 2 beats an empty cell in row 3, and the reverse
+    (load_csv, "a,b,y\n1,x,0\n,2,1\n", "row 2, column 'b': cannot parse 'x' as a number"),
+    (load_csv, "a,b,y\n1,,0\nx,2,1\n", "row 2, column 'b': empty cell in a complete dataset"),
+    (load_incomplete_csv, "a,b,y\n,x,0\n,2,1\n", "row 2, column 'b': cannot parse 'x' as a number"),
+    # a missing label beats a later bad cell, in a later row or earlier in its own row
+    (load_incomplete_csv, "a,b,y\n1,2,\nx,2,1\n", f"row 2: {MISSING_LABEL}"),
+    (load_incomplete_csv, "a,y,b\nx, ,1\n1,0,2\n", f"row 2: {MISSING_LABEL}"),
+    (load_incomplete_csv, "a,b,y\n1,x,1\n1,2,\n", "row 2, column 'b': cannot parse 'x' as a number"),
+    # the complete loader does not check labels, so the bad cell is reported
+    (load_csv, "a,y,b\nx,,1\n1,0,2\n", "row 2, column 'a': cannot parse 'x' as a number"),
+    # a parse error comes before a non-finite value in an earlier row
+    (load_csv, "a,b,y\n1,inf,0\n1,z,1\n", "row 3, column 'b': cannot parse 'z' as a number"),
+])
+def test_first_bad_cell_in_row_major_order(tmp_path, loader, text, message):
+    p = write_csv(tmp_path / "t.csv", text)
+    with pytest.raises(ValueError) as info:
+        loader(p, "y")
+    assert str(info.value) == f"{p}: {message}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 4),
+       cells=st.lists(st.sampled_from(["0", "1", " 1", "0 ", "", "2", "01", "1.0", "x"]),
+                      min_size=0, max_size=24))
+def test_mask_loader_matches_per_cell_reference(width, cells):
+    header = [f"m{j}" for j in range(width)]
+    rows = [cells[i:i + width] for i in range(0, len(cells) - len(cells) % width, width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        _, read_rows = read_csv_table(path)
+        expected = _outcome(lambda: ref_parse_mask(path, header, read_rows))
+        actual = _outcome(lambda: load_mask_csv(path))
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert_same_bits(actual, expected)
+
+
+# ---------------------------------------------------------------------------
+# block writer against csv.writer
+# ---------------------------------------------------------------------------
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header] + rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _write_csv_bytes(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        data.write_csv(path, header, iter(rows))
+        return path.read_bytes()
+
+
+WRITER_CELL = st.text(alphabet=st.sampled_from(list('a1., "\r\n\t-é')), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(st.lists(WRITER_CELL, min_size=1, max_size=4), st.just([""])),
+                     max_size=12),
+       block=st.integers(1, 4))
+def test_block_writer_matches_csv_writer(rows, block):
+    header = ["h0", "h 1"]
+    with mock.patch.object(data, "WRITE_BLOCK_ROWS", block):
+        assert _write_csv_bytes(header, rows) == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("dirty", [["1", "x,y"], ["1", 'q"'], ["1", "a\nb"], ["1", "a\rb"], [""]])
+def test_block_writer_hands_only_blocks_needing_quotes_to_csv_writer(monkeypatch, dirty):
+    header = ["a", "b"]
+    clean = [[repr(0.1 * i), ""] for i in range(4)]
+    rows = clean + [dirty] + clean[:3]
+    expected = _csv_writer_text(header, rows)
+    calls = []
+    real_writer = csv.writer
+    monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(data.csv, "writer", lambda fh: calls.append(fh) or real_writer(fh))
+    assert _write_csv_bytes(header, rows) == expected
+    assert len(calls) == 1   # blocks: header + 3 clean | 1 clean, dirty, 2 clean | 1 clean
 
 
 # ---------------------------------------------------------------------------
