@@ -135,7 +135,7 @@ class BenchmarkCell:
     missing_rate: float
     minority_fraction: float | None = None
     reps: list[RepResult] = field(default_factory=list)
-    error: str | None = None
+    error: str | None = None        # "rep k: <message>" per failed repetition, joined by "; "
 
 
 @dataclass
@@ -236,13 +236,14 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         by_cell.setdefault(cidx, {})[rep] = record
     for cidx, cell in enumerate(cells):
         records = by_cell.get(cidx, {})
+        errors = []
         for rep in sorted(records):
             rec = records[rep]
             if "error" in rec:
-                if cell.error is None:
-                    cell.error = f"rep {rep}: {rec['error']}"
+                errors.append(f"rep {rep}: {rec['error']}")
                 continue
             cell.reps.append(RepResult(**rec))
+        cell.error = "; ".join(errors) or None
 
     config = {
         "dataset": dataset.name, "methods": list(methods),

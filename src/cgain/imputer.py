@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 import time
 import warnings
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .nn import (Array, DenseNet, dense_backward, dense_forward, init_dense,
+from .nn import (Array, DenseNet, FlatArrays, dense_backward, dense_forward, init_dense,
                  make_optimizer, make_rng, optimizer_step, uniform)
 from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
@@ -329,27 +330,30 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
 
 
 def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
-                             z: Array, hint: Array, b: Array) -> tuple[list[Array], float]:
-    """Discriminator gradients on one batch, generator held fixed."""
+                             z: Array, hint: Array, b: Array) -> tuple[FlatArrays, Array]:
+    """Discriminator gradients on one batch, generator held fixed.
+
+    Returns (gradients, m_hat); loss_discriminator(m_hat, m, b) is the
+    step's loss.
+    """
     _, x_hat, _ = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
-    d_loss = loss_discriminator(m_hat, m, b)
     d_grads = dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, b), wrt="params")
-    return d_grads, d_loss
+    return d_grads, m_hat
 
 
 def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
-                         z: Array, hint: Array, b: Array) -> tuple[list[Array], float, float]:
+                         z: Array, hint: Array, b: Array) -> tuple[FlatArrays, Array, Array]:
     """Generator gradients on one batch, discriminator held fixed.
 
-    The adversarial signal flows through the discriminator's input gradient
-    at the completed-data block, masked to missing cells (observed cells of
-    x_hat do not depend on the generator).
+    Returns (gradients, m_hat, x_bar); generator_loss_parts on them gives
+    the step's loss parts. The adversarial signal flows through the
+    discriminator's input gradient at the completed-data block, masked to
+    missing cells (observed cells of x_hat do not depend on the generator).
     """
     cfg = model.config
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
-    adv, recon = generator_loss_parts(m_hat, m, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
 
     # the full input-gradient product, then the x_hat block: a product over
     # w1[:d] alone would round differently
@@ -360,7 +364,11 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
     recon_grad *= cfg.alpha
     dx_bar += recon_grad
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
-    return g_grads, adv, recon
+    return g_grads, m_hat, x_bar
+
+
+def _in_unit_interval(a: Array) -> bool:
+    return bool(np.all((a >= 0.0) & (a <= 1.0)))   # false at NaN
 
 
 def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerModel, TrainingTrace]:
@@ -368,7 +376,8 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
 
     Each step draws a fresh mini-batch (uniform with replacement, or
     stratified by class when configured), fresh noise and fresh hint flags.
-    Fully determined by (config.seed, data, config).
+    Fully determined by (config.seed, data, config). Raises
+    FloatingPointError at the first iteration with a non-finite loss.
     """
     config.validate()
     ds = incomplete.dataset
@@ -385,43 +394,65 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     d_opt = make_optimizer(config.optimizer, config.learning_rate, model.discriminator.params())
     g_opt = make_optimizer(config.optimizer, config.learning_rate, model.generator.params())
 
-    x_all, m_all, y_all = ds.features, incomplete.mask, ds.labels
-    draw_batch = _batch_sampler(ds, batch, config.stratified_batches)
+    columns = (ds.features, incomplete.mask, ds.labels)
+    rows = [np.empty((batch,) + a.shape[1:], dtype=a.dtype) for a in columns]
+    sample_rows = _batch_sampler(ds, batch, config.stratified_batches)
+
+    def draw() -> tuple[Array, ...]:
+        """(x_t, m, y, z, hint, b) for one step; x_t, m and y are overwritten
+        by the next draw."""
+        idx = sample_rows(rng)
+        # the sampler's indices are in range, and mode="raise" would buffer
+        x_t, m, y = (np.take(a, idx, axis=0, out=out, mode="clip") for a, out in zip(columns, rows))
+        z = uniform(rng, 0.0, config.noise_high, (batch, d))
+        b = sample_hint_b(m, rng)
+        return x_t, m, y, z, hint_from_b(b, m), b
+
+    # m_hat and x_bar are sigmoid outputs, in [0, 1] or NaN, and m_hat enters
+    # the losses through a clamped log. With features and mask in [0, 1] every
+    # loss term is then bounded, so a loss is non-finite exactly when the
+    # step's m_hat or x_bar holds a NaN, and the losses are needed only on
+    # logged iterations. With other data they are computed and tested on
+    # every iteration.
+    every_iteration = config.early_stop or not all(map(_in_unit_interval, columns[:2]))
     trace = TrainingTrace()
     recon_hist: list[float] = []
     t0 = time.perf_counter()
 
-    for it in range(config.iterations):
+    for it in range(1, config.iterations + 1):
+        logged = it % config.log_every == 0
+        with_losses = logged or every_iteration
         # (A) discriminator update
-        idx = draw_batch(rng)
-        x_t, m, y = x_all[idx], m_all[idx], y_all[idx]
-        z = uniform(rng, 0.0, config.noise_high, (batch, d))
-        b = sample_hint_b(m, rng)
-        hint = hint_from_b(b, m)
-        d_grads, d_loss = discriminator_step_grads(model, x_t, m, y, z, hint, b)
+        x_t, m, y, z, hint, b = draw()
+        d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, hint, b)
         optimizer_step(d_opt, model.discriminator.params(), d_grads)
+        if with_losses:
+            d_loss = loss_discriminator(d_m_hat, m, b)
 
         # (B) generator update, discriminator fixed
-        idx = draw_batch(rng)
-        x_t, m, y = x_all[idx], m_all[idx], y_all[idx]
-        z = uniform(rng, 0.0, config.noise_high, (batch, d))
-        b = sample_hint_b(m, rng)
-        hint = hint_from_b(b, m)
-        g_grads, g_adv, g_recon = generator_step_grads(model, x_t, m, y, z, hint, b)
+        x_t, m, y, z, hint, b = draw()
+        g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, hint, b)
         optimizer_step(g_opt, model.generator.params(), g_grads)
-
-        if not (np.isfinite(d_loss) and np.isfinite(g_adv) and np.isfinite(g_recon)):
-            raise FloatingPointError(f"non-finite training loss at iteration {it + 1}")
-        recon_hist.append(g_recon)
-        if (it + 1) % config.log_every == 0:
-            trace.iterations.append(it + 1)
+        if with_losses:
+            g_adv, g_recon = generator_loss_parts(g_m_hat, m, b, x_bar, x_t, model.column_kinds,
+                                                  config.adversarial_sign)
+            finite = math.isfinite(d_loss) and math.isfinite(g_adv) and math.isfinite(g_recon)
+        else:
+            # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
+            finite = not math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum())
+        if not finite:
+            raise FloatingPointError(f"non-finite training loss at iteration {it}")
+        if logged:
+            trace.iterations.append(it)
             trace.d_loss.append(d_loss)
             trace.g_adversarial.append(g_adv)
             trace.g_reconstruction.append(g_recon)
             trace.seconds.append(time.perf_counter() - t0)
-        if (config.early_stop and len(recon_hist) > config.early_stop_window
-                and recon_hist[-config.early_stop_window - 1] - recon_hist[-1] < config.early_stop_tol):
-            break
+        if config.early_stop:
+            recon_hist.append(g_recon)
+            if (len(recon_hist) > config.early_stop_window
+                    and recon_hist[-config.early_stop_window - 1] - recon_hist[-1] < config.early_stop_tol):
+                break
 
     return model, trace
 
@@ -502,7 +533,7 @@ def load_model(path) -> ImputerModel:
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape)
 
     def rebuild(net_name: str, acts: list[str]) -> DenseNet:
         fields = {f: arrays[f"{net_name}.{f}"] for f in _NET_FIELDS}

@@ -9,7 +9,8 @@ and verified against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,38 +86,80 @@ def sigmoid(z: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# flat buffers
+# ---------------------------------------------------------------------------
+
+class FlatArrays(tuple):
+    """Arrays that are consecutive views, in order, of one contiguous
+    float64 buffer, `flat`.
+
+    Only `FlatArrays.zeros` builds one, so holding a FlatArrays certifies
+    that layout, and as a tuple its views cannot be swapped out. An
+    elementwise update of `flat` is the same update of every view, rounded
+    the same.
+    """
+
+    flat: Array
+    shapes: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def zeros(cls, shapes) -> "FlatArrays":
+        shapes = tuple(tuple(s) for s in shapes)
+        return _tile(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+
+    def __reduce__(self):
+        # views do not survive pickling, so rebuild them on the unpickled buffer
+        return _tile, (self.flat, self.shapes)
+
+
+def _tile(flat: Array, shapes: tuple) -> FlatArrays:
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    out = tuple.__new__(FlatArrays, (flat[e - math.prod(s):e].reshape(s) for e, s in zip(ends, shapes)))
+    out.flat, out.shapes = flat, shapes
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense networks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DenseNet:
     """Fully connected net with exactly two hidden layers.
 
     Weight matrices are (fan_in, fan_out); matmul convention is
-    batch (n, fan_in) @ w -> (n, fan_out).
+    batch (n, fan_in) @ w -> (n, fan_out). The net copies the arrays it is
+    given into one float64 buffer: w1, b1, ..., b3 are views of it, in
+    params() order, and are updated in place. `grads` has the same layout
+    and holds the parameter gradients dense_backward last computed.
     """
 
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
-    w3: Array
-    b3: Array
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
-
-    def __post_init__(self):
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
-        widths = [self.w1.shape, self.w2.shape, self.w3.shape]
+    def __init__(self, w1: Array, b1: Array, w2: Array, b2: Array, w3: Array, b3: Array,
+                 hidden_activation: str = "relu", output_activation: str = "sigmoid"):
+        if hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"unknown hidden activation {hidden_activation!r}")
+        if output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {output_activation!r}")
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, w3, b3)]
+        widths = [a.shape for a in arrays[::2]]
         for (a, b), (c, _) in zip(widths, widths[1:]):
             if b != c:
                 raise ValueError(f"layer widths do not chain: {widths}")
-        for w, b in ((self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)):
+        for w, b in zip(arrays[::2], arrays[1::2]):
             if b.shape != (w.shape[1],):
                 raise ValueError(f"bias shape {b.shape} does not match weight {w.shape}")
+        self._params = FlatArrays.zeros(a.shape for a in arrays)
+        for view, a in zip(self._params, arrays):
+            view[...] = a
+        self.grads = FlatArrays.zeros(self._params.shapes)
+        self.hidden_activation = hidden_activation
+        self.output_activation = output_activation
+
+    w1 = property(lambda self: self._params[0])
+    b1 = property(lambda self: self._params[1])
+    w2 = property(lambda self: self._params[2])
+    b2 = property(lambda self: self._params[3])
+    w3 = property(lambda self: self._params[4])
+    b3 = property(lambda self: self._params[5])
 
     @property
     def input_width(self) -> int:
@@ -126,14 +169,14 @@ class DenseNet:
     def output_width(self) -> int:
         return self.w3.shape[1]
 
-    def params(self) -> list[Array]:
-        """Parameter arrays in a fixed order; mutated in place by optimizers."""
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+    def params(self) -> FlatArrays:
+        """The six parameter arrays (w1, b1, w2, b2, w3, b3), the same
+        objects on every call; mutated in place by optimizers."""
+        return self._params
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-                        self.w3.copy(), self.b3.copy(),
-                        self.hidden_activation, self.output_activation)
+        """An equal net with buffers of its own."""
+        return DenseNet(*self._params, self.hidden_activation, self.output_activation)
 
 
 def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int,
@@ -170,12 +213,14 @@ def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
 BACKWARD_TARGETS = ("params", "input")
 
 
-def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) -> list[Array] | Array:
+def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) -> FlatArrays | Array:
     """Backprop through a cached forward pass.
 
-    grad_out is dLoss/dOutput. wrt="params" returns the parameter gradients
-    in params() order; wrt="input" returns the gradient w.r.t. the input
-    batch. Only the requested products are computed.
+    grad_out is dLoss/dOutput. wrt="params" writes the parameter gradients,
+    in params() order, into net.grads and returns it: the views it holds
+    are overwritten by the net's next wrt="params" call. wrt="input" returns
+    the gradient w.r.t. the input batch as a new array. Only the requested
+    products are computed.
     """
     if wrt not in BACKWARD_TARGETS:
         raise ValueError(f"wrt must be one of {BACKWARD_TARGETS}, got {wrt!r}")
@@ -201,7 +246,14 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
         dz1 *= a1 > 0
     if wrt == "input":
         return dz1 @ net.w1.T
-    return [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
+    gw1, gb1, gw2, gb2, gw3, gb3 = net.grads
+    np.matmul(x.T, dz1, out=gw1)
+    dz1.sum(axis=0, out=gb1)
+    np.matmul(a1.T, dz2, out=gw2)
+    dz2.sum(axis=0, out=gb2)
+    np.matmul(a2.T, dz3, out=gw3)
+    dz3.sum(axis=0, out=gb3)
+    return net.grads
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +264,9 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
 class OptimizerState:
     """Plain SGD or bias-corrected Adam over a fixed list of parameters.
 
-    scratch holds two work arrays per parameter so Adam updates allocate
-    nothing.
+    For Adam, m and v hold one moment array per parameter and scratch two
+    work arrays per parameter, so updates allocate nothing; each of the four
+    is a FlatArrays laid out like the parameters.
     """
 
     kind: str
@@ -222,9 +275,9 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
-    scratch: list[tuple[Array, Array]] = field(default_factory=list)
+    m: FlatArrays | tuple = ()
+    v: FlatArrays | tuple = ()
+    scratch: tuple[FlatArrays, ...] = ()
 
 
 def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> OptimizerState:
@@ -234,29 +287,41 @@ def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> Opti
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     state = OptimizerState(kind=kind, learning_rate=learning_rate)
     if kind == "adam":
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        shapes = [p.shape for p in params]
+        state.m, state.v = FlatArrays.zeros(shapes), FlatArrays.zeros(shapes)
+        state.scratch = (FlatArrays.zeros(shapes), FlatArrays.zeros(shapes))
     return state
 
 
 def optimizer_step(state: OptimizerState, params: list[Array], grads: list[Array]) -> None:
     """Update params in place. SGD is exactly p -= lr * g; Adam is
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded in that order."""
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded in that order.
+
+    When params and grads are both FlatArrays (a net's params() and the
+    gradients dense_backward returns) each operation runs once over the
+    whole buffer instead of once per array; the result is the same bits.
+    """
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} params but {len(grads)} gradients")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+    # equal shapes pairwise, so two FlatArrays have buffers of one size
+    flat = type(params) is FlatArrays and type(grads) is FlatArrays
     state.step_count += 1
     if state.kind == "sgd":
-        for p, g in zip(params, grads):
+        for p, g in ([(params.flat, grads.flat)] if flat else zip(params, grads)):
             p -= state.learning_rate * g
         return
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch, strict=True):
+    steps, denoms = state.scratch
+    if flat and state.m.shapes == params.shapes:
+        groups = [(params.flat, grads.flat, state.m.flat, state.v.flat, steps.flat, denoms.flat)]
+    else:
+        groups = zip(params, grads, state.m, state.v, steps, denoms, strict=True)
+    for p, g, m, v, step, denom in groups:
         m *= state.beta1
         np.multiply(1.0 - state.beta1, g, out=step)
         m += step
@@ -271,39 +336,3 @@ def optimizer_step(state: OptimizerState, params: list[Array], grads: list[Array
         denom += state.eps
         step /= denom
         p -= step
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def finite_difference_gradients(loss_fn, params: list[Array], step: float = 1e-5) -> list[Array]:
-    """Central finite differences of loss_fn() w.r.t. each entry of params.
-
-    loss_fn takes no arguments and must read the (mutated-in-place) params.
-    Slow; for verification only.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            plus = loss_fn()
-            flat_p[i] = orig - step
-            minus = loss_fn()
-            flat_p[i] = orig
-            flat_g[i] = (plus - minus) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic: list[Array], numeric: list[Array], floor: float = 1e-6) -> float:
-    """Worst-case |a - n| / max(|a|, |n|, floor) over all parameter entries."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst

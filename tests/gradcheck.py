@@ -1,15 +1,47 @@
-"""Finite-difference gradient checks for random nets under each of the
-three loss forms the imputer uses (discriminator cross entropy, generator
-adversarial term, observed-cell reconstruction)."""
+"""Finite-difference gradient checks: central differences, the worst
+relative error, and checks for random nets under each of the three loss
+forms the imputer uses (discriminator cross entropy, generator adversarial
+term, observed-cell reconstruction)."""
 
 import numpy as np
 
-from cgain.nn import (dense_backward, dense_forward, finite_difference_gradients,
-                      init_dense, make_rng, max_relative_error)
+from cgain.nn import dense_backward, dense_forward, init_dense, make_rng
 from cgain.imputer import (generator_loss_parts, loss_discriminator,
                            _adv_grad_mhat, _loss_d_grad, _recon_grad_xbar)
 
 LOSS_FORMS = ("d_xent", "g_adv", "recon")
+
+
+def finite_difference_gradients(loss_fn, params: list, step: float = 1e-5) -> list:
+    """Central finite differences of loss_fn() w.r.t. each entry of params.
+
+    loss_fn takes no arguments and must read the (mutated-in-place) params.
+    Slow; for verification only.
+    """
+    grads = []
+    for p in params:
+        g = np.zeros_like(p)
+        flat_p = p.ravel()
+        flat_g = g.ravel()
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + step
+            plus = loss_fn()
+            flat_p[i] = orig - step
+            minus = loss_fn()
+            flat_p[i] = orig
+            flat_g[i] = (plus - minus) / (2.0 * step)
+        grads.append(g)
+    return grads
+
+
+def max_relative_error(analytic: list, numeric: list, floor: float = 1e-6) -> float:
+    """Worst-case |a - n| / max(|a|, |n|, floor) over all parameter entries."""
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    return worst
 
 
 def check_net_loss_gradients(seed: int, width: int, loss_form: str,

@@ -138,10 +138,12 @@ def test_method_failure_is_recorded_not_fatal(monkeypatch):
     ds = balanced_binary(n=40, d=3, seed=15)
 
     real = ev.run_method
+    failures = []
 
     def flaky(method, *args, **kwargs):
         if method == "mice_lite":
-            raise RuntimeError("boom")
+            failures.append(method)
+            raise RuntimeError(f"boom {len(failures)}")
         return real(method, *args, **kwargs)
 
     monkeypatch.setattr(ev, "run_method", flaky)
@@ -150,6 +152,8 @@ def test_method_failure_is_recorded_not_fatal(monkeypatch):
     assert by_method["mean"].error is None and len(by_method["mean"].reps) == 2
     assert "boom" in by_method["mice_lite"].error
     assert len(by_method["mice_lite"].reps) == 0
+    # every failed repetition is kept, in repetition order
+    assert by_method["mice_lite"].error == "rep 0: RuntimeError: boom 1; rep 1: RuntimeError: boom 2"
 
 
 def test_benchmark_validation():

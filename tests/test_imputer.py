@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.data import CONTINUOUS, Dataset, IncompleteDataset, corrupt_mcar, uncorrupted
+import cgain.imputer as imputer_module
+from cgain.data import (CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
+                         uncorrupted)
 from cgain.imputer import (MODEL_MAGIC, TrainConfig, build_model, discriminate,
                            discriminator_forward, discriminator_step_grads, generate,
-                           generator_forward, generator_step_grads, hint_from_b,
-                           hint_to_b, impute, load_model, loss_discriminator,
+                           generator_forward, generator_loss_parts, generator_step_grads,
+                           hint_from_b, hint_to_b, impute, load_model, loss_discriminator,
                            loss_generator, sample_hint, sample_hint_b, save_model, train,
                            _adv_grad_mhat, _loss_d_grad)
-from cgain.nn import (dense_forward, finite_difference_gradients, make_rng,
-                      max_relative_error, uniform)
+from cgain.nn import dense_forward, make_rng, uniform
 from conftest import assert_same_bits, toy_dataset, random_incomplete
+from gradcheck import finite_difference_gradients, max_relative_error
 from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, scalar_loss_d,
                      scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
 
@@ -270,7 +272,8 @@ def test_generator_gradients_through_fixed_discriminator(sign):
         return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds,
                               cfg.alpha, cfg.adversarial_sign)
 
-    analytic, adv, recon = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    analytic, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
     assert g_loss() == pytest.approx(adv + cfg.alpha * recon, abs=1e-12)
     numeric = finite_difference_gradients(g_loss, model.generator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
@@ -285,8 +288,8 @@ def test_discriminator_gradients_with_fixed_generator():
         m_hat, _ = discriminator_forward(model, x_hat, hint, y)
         return loss_discriminator(m_hat, mask, b)
 
-    analytic, loss = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
-    assert d_loss() == pytest.approx(loss, abs=1e-12)
+    analytic, m_hat = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    assert d_loss() == pytest.approx(loss_discriminator(m_hat, mask, b), abs=1e-12)
     numeric = finite_difference_gradients(d_loss, model.discriminator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -353,6 +356,25 @@ def test_trace_row_count_is_budget_over_interval():
     assert len(trace.d_loss) == len(trace.g_adversarial) == len(trace.g_reconstruction) == 3
 
 
+@pytest.mark.parametrize("early_stop, out_of_range, calls", [(False, False, 3), (True, False, 60),
+                                                            (False, True, 60)])
+def test_losses_are_computed_only_when_read(monkeypatch, early_stop, out_of_range, calls):
+    # logged iterations read them, and so does early stopping; data outside
+    # [0, 1] needs them to test every iteration for a non-finite loss
+    inc = random_incomplete(toy_dataset(n=30, d=3, seed=53, binary_col=False), rate=0.2, seed=54)
+    if out_of_range:
+        inc.dataset.features[0, 0] = 1.5
+    seen = []
+    real = imputer_module.loss_discriminator
+    monkeypatch.setattr(imputer_module, "loss_discriminator",
+                        lambda *args: seen.append(1) or real(*args))
+    cfg = TrainConfig(iterations=60, batch_size=16, seed=55, log_every=20, early_stop=early_stop,
+                      early_stop_window=1000)
+    _, trace = train(inc, cfg)
+    assert len(seen) == calls
+    assert trace.iterations == [20, 40, 60]
+
+
 def test_training_is_deterministic():
     ds = toy_dataset(n=40, d=4, seed=60)
     inc = random_incomplete(ds, rate=0.3, seed=61)
@@ -401,6 +423,40 @@ def test_early_stop_cuts_training_short():
                       early_stop=True, early_stop_window=50, early_stop_tol=1e9)
     _, trace = train(inc, cfg)   # absurd tolerance stops at the first check
     assert trace.iterations[-1] < 5000
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch, early_stop):
+    # iteration 1 is not a log iteration, so without early stopping the
+    # guard must find the NaN without the losses
+    ds = toy_dataset(n=40, d=4, seed=80)
+    inc = corrupt_mcar(ds, 0.2, make_rng(81))
+    real = imputer_module.build_model
+
+    def poisoned(*args, **kwargs):
+        model = real(*args, **kwargs)
+        model.generator.w2[3, 1] = np.nan
+        return model
+
+    monkeypatch.setattr(imputer_module, "build_model", poisoned)
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 1$"):
+        train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, early_stop=early_stop))
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_inf_feature_row_stops_training_when_first_drawn(early_stop):
+    # Dataset itself accepts a non-finite feature; the iteration is the
+    # first whose batches draw row 137
+    rng = np.random.default_rng(90)
+    n, d = 200, 3
+    features = rng.uniform(size=(n, d))
+    features[137, 1] = np.inf
+    labels = np.zeros((n, 2))
+    labels[np.arange(n), rng.integers(0, 2, n)] = 1.0
+    schema = [ColumnSpec(f"c{j}", CONTINUOUS, 0.0, 1.0) for j in range(d)]
+    hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), np.ones((n, d)))
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 13$"):
+        train(hand, TrainConfig(iterations=500, batch_size=4, seed=91, early_stop=early_stop))
 
 
 # ---------------------------------------------------------------------------

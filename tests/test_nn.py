@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.nn import (DenseNet, bernoulli, dense_backward, dense_forward,
-                      finite_difference_gradients, init_dense, make_rng,
-                      make_optimizer, max_relative_error, optimizer_step, sigmoid,
-                      uniform, xavier_uniform)
+from cgain.nn import (DenseNet, FlatArrays, bernoulli, dense_backward, dense_forward,
+                      init_dense, make_optimizer, make_rng, optimizer_step, sigmoid, uniform,
+                      xavier_uniform)
 from conftest import assert_same_bits
-from gradcheck import LOSS_FORMS, check_net_loss_gradients
+from gradcheck import (LOSS_FORMS, check_net_loss_gradients, finite_difference_gradients,
+                       max_relative_error)
 from oracles import ref_adam_step, ref_backward, ref_forward, ref_sigmoid, scalar_forward
 
 
@@ -254,6 +256,104 @@ def test_adam_bits_equal_textbook_reference_over_many_steps():
             assert_same_bits(params[i], ref_p[i])
             assert_same_bits(state.m[i], ref_m[i])
             assert_same_bits(state.v[i], ref_v[i])
+
+
+# ---------------------------------------------------------------------------
+# flat parameter and gradient buffers
+# ---------------------------------------------------------------------------
+
+def assert_tiles_one_buffer(arrays):
+    assert type(arrays) is FlatArrays and len(arrays) == 6
+    offset = 0
+    for a in arrays:
+        assert a.base is arrays.flat
+        assert np.shares_memory(a, arrays.flat[offset:offset + a.size])
+        offset += a.size
+    assert offset == arrays.flat.size
+
+
+def test_params_are_the_same_views_of_one_buffer_on_every_call():
+    net = init_dense(make_rng(51), 4, 7, 3)
+    first, second = net.params(), net.params()
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert first[0] is net.w1 and first[5] is net.b3
+    assert_tiles_one_buffer(first)
+    assert_tiles_one_buffer(net.grads)
+    assert [a.shape for a in net.grads] == [a.shape for a in first]
+    first.flat[:] = 2.0
+    assert np.all(net.w2 == 2.0) and np.all(net.b3 == 2.0)
+
+
+def test_copy_and_pickle_own_separate_buffers():
+    net = init_dense(make_rng(52), 3, 5, 2)
+    for other in (net.copy(), pickle.loads(pickle.dumps(net))):
+        assert_tiles_one_buffer(other.params())
+        assert not np.shares_memory(other.params().flat, net.params().flat)
+        assert not np.shares_memory(other.grads.flat, net.grads.flat)
+        assert_array_equal(other.params().flat, net.params().flat)
+        other.w1[0, 0] += 1.0
+        assert other.w1[0, 0] != net.w1[0, 0]
+    state = make_optimizer("adam", 1e-3, net.params())
+    assert_tiles_one_buffer(pickle.loads(pickle.dumps(state.m)))
+
+
+def test_net_from_separate_arrays_holds_their_values():
+    rng = make_rng(53)
+    arrays = [rng.normal(size=s) for s in [(3, 4), (4,), (4, 4), (4,), (4, 2), (2,)]]
+    kept = [a.copy() for a in arrays]
+    net = DenseNet(*arrays)
+    for p, a in zip(net.params(), kept, strict=True):
+        assert_same_bits(p, a)
+    for a in arrays:
+        a += 1.0   # the net holds copies
+    for p, a in zip(net.params(), kept, strict=True):
+        assert_same_bits(p, a)
+
+
+def test_optimizers_over_a_net_buffer_bit_equal_per_array_references():
+    rng = make_rng(54)
+    adam_net = init_dense(rng, 6, 11, 4)
+    sgd_net = adam_net.copy()
+    ref_p = [p.copy() for p in adam_net.params()]
+    ref_m = [np.zeros_like(p) for p in ref_p]
+    ref_v = [np.zeros_like(p) for p in ref_p]
+    sgd_p = [p.copy() for p in ref_p]
+    adam = make_optimizer("adam", 1e-3, adam_net.params())
+    sgd = make_optimizer("sgd", 0.05, sgd_net.params())
+    for t in range(1, 31):
+        for g in adam_net.grads:
+            g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 4), size=g.shape)
+        for g, h in zip(sgd_net.grads, adam_net.grads):
+            g[...] = h
+        kept = [g.copy() for g in adam_net.grads]
+        optimizer_step(adam, adam_net.params(), adam_net.grads)
+        optimizer_step(sgd, sgd_net.params(), sgd_net.grads)
+        for i, g in enumerate(kept):
+            assert_same_bits(adam_net.grads[i], g)
+            ref_adam_step(ref_p[i], g, ref_m[i], ref_v[i], t, 1e-3)
+            assert_same_bits(adam_net.params()[i], ref_p[i])
+            assert_same_bits(adam.m[i], ref_m[i])
+            assert_same_bits(adam.v[i], ref_v[i])
+            sgd_p[i] -= 0.05 * g
+            assert_same_bits(sgd_net.params()[i], sgd_p[i])
+
+
+def test_param_backward_overwrites_the_views_it_returned_before():
+    rng = make_rng(55)
+    net = init_dense(rng, 5, 8, 3)
+    x = rng.normal(size=(6, 5))
+    out, cache = dense_forward(net, x)
+    _, ref_cache = ref_forward(net, x)
+    first_out, second_out = rng.normal(size=out.shape), rng.normal(size=out.shape)
+    first = dense_backward(net, cache, first_out, wrt="params")
+    assert first is net.grads
+    dense_backward(net, cache, second_out, wrt="input")   # leaves the gradient buffer alone
+    for g, ref in zip(first, ref_backward(net, ref_cache, first_out)[0], strict=True):
+        assert_same_bits(g, ref)
+    second = dense_backward(net, cache, second_out, wrt="params")
+    assert second is first
+    for g, ref in zip(first, ref_backward(net, ref_cache, second_out)[0], strict=True):
+        assert_same_bits(g, ref)
 
 
 # ---------------------------------------------------------------------------
