@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Print one sha256 per training configuration, to check that a change
-keeps training numerics bit for bit.
+"""Print one sha256 per training configuration and per benchmark grid, to
+check that a change keeps training numerics and benchmark reports bit for
+bit.
 
-Each digest covers the trained generator and discriminator weights, the
-logged trace losses and two imputations (the model's default noise stream
-and a second seed). The 32 configurations are conditional/unconditional x
-adam/sgd x gain/literal sign x uniform/stratified batches, on a 2-class
-table with three binary columns and on a 3-class table with none.
+Each training digest covers the trained generator and discriminator
+weights, the logged trace losses and two imputations (the model's default
+noise stream and a second seed). The 32 configurations are
+conditional/unconditional x adam/sgd x gain/literal sign x
+uniform/stratified batches, on a 2-class table with three binary columns
+and on a 3-class table with none.
+
+Each report digest covers the result rows of the report CSV and the report
+JSON with every repetition's wall-clock seconds set to 0. The three grids
+run all four methods: repetition mode and strict fold mode on a small
+letter-like table, and the class-imbalance grid on a credit-like table.
 
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
@@ -22,15 +29,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
+import json  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from cgain.data import build_dataset, corrupt_mcar  # noqa: E402
+from cgain.datasets import credit_like, letter_like  # noqa: E402
+from cgain.evaluate import (METHODS, report_csv_rows, report_to_json_dict,  # noqa: E402
+                            run_benchmark, run_imbalance_benchmark)
 from cgain.imputer import TrainConfig, impute, train  # noqa: E402
 from cgain.nn import make_rng  # noqa: E402
 
 ITERATIONS = 300
 LOG_EVERY = 25
+GRID_TRAIN = TrainConfig(iterations=60, batch_size=32)
 
 
 def make_table(seed: int, n_classes: int, n_binary: int, n_rows: int = 150, n_continuous: int = 5):
@@ -57,6 +69,16 @@ def digest(incomplete, config: TrainConfig) -> str:
     return h.hexdigest()
 
 
+def report_digest(report) -> str:
+    payload = report_to_json_dict(report)
+    for cell in payload["cells"]:
+        for rep in cell["reps"]:
+            rep["seconds"] = 0.0
+    h = hashlib.sha256(json.dumps(report_csv_rows(report)).encode())
+    h.update(json.dumps(payload).encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     tables = {
         "2class-binary": corrupt_mcar(make_table(101, n_classes=2, n_binary=3), 0.25, make_rng(102)),
@@ -71,6 +93,20 @@ def main() -> None:
         name = (f"{table} {'cgain' if conditional else 'gain'} {optimizer} {sign} "
                 f"{'stratified' if stratified else 'uniform'}")
         print(f"{digest(incomplete, config)}  {name}")
+
+    letter = letter_like(n_rows=312, seed=301)
+    grids = {
+        "report letter_like repetition": run_benchmark(
+            letter, list(METHODS), [0.1, 0.25], 2, root_seed=302, train_config=GRID_TRAIN),
+        "report letter_like strict": run_benchmark(
+            letter, list(METHODS), [0.2], 2, root_seed=303, train_config=GRID_TRAIN,
+            eval_mode="strict"),
+        "report credit_like imbalance": run_imbalance_benchmark(
+            credit_like(n_rows=600, seed=304), [0.1, 0.15], list(METHODS), 0.2, 2,
+            root_seed=305, train_config=GRID_TRAIN),
+    }
+    for name, report in grids.items():
+        print(f"{report_digest(report)}  {name}")
 
 
 if __name__ == "__main__":

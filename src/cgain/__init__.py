@@ -13,7 +13,7 @@ from .data import (ColumnSpec, Dataset, IncompleteDataset, build_dataset, corrup
 from .imputer import (ImputerModel, TrainConfig, TrainingTrace, discriminate, generate,
                       impute, load_model, loss_discriminator, loss_generator,
                       sample_hint, save_model, train)
-from .baselines import MeanImputer, MiceLiteImputer, baseline_mean_impute, baseline_mice_lite
+from .baselines import MeanImputer, MiceLiteImputer
 from .evaluate import (BenchmarkReport, RmseResult, rmse_missing, run_benchmark,
                        run_imbalance_benchmark, time_methods)
 

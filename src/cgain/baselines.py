@@ -9,12 +9,10 @@ completion, which is the plain single-dataset imputation path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .nn import Array
-from .data import Dataset, IncompleteDataset
+from .data import IncompleteDataset
 
 MICE_LITE_SWEEPS = 5
 RIDGE_LAMBDA = 1e-6     # damping on the normal equations for collinear columns
@@ -29,6 +27,14 @@ def _column_means(inc: IncompleteDataset) -> Array:
     return (inc.dataset.features * inc.mask).sum(axis=0) / obs_counts
 
 
+def _mean_filled(inc: IncompleteDataset, means: Array) -> Array:
+    """A copy of the features with each missing cell set to its column mean."""
+    x = inc.dataset.features.copy()
+    miss = inc.mask == 0
+    x[miss] = np.broadcast_to(means, x.shape)[miss]
+    return x
+
+
 class MeanImputer:
     """Fill each missing cell with its column's observed mean."""
 
@@ -38,19 +44,13 @@ class MeanImputer:
 
     def fit(self, inc: IncompleteDataset) -> "MeanImputer":
         self.means_ = _column_means(inc)
-        self.completed_ = self._fill(inc)
+        self.completed_ = _mean_filled(inc, self.means_)
         return self
 
     def transform(self, inc: IncompleteDataset) -> Array:
         if self.means_ is None:
             raise ValueError("imputer is not fitted")
-        return self._fill(inc)
-
-    def _fill(self, inc: IncompleteDataset) -> Array:
-        x = inc.dataset.features.copy()
-        miss = inc.mask == 0
-        x[miss] = np.broadcast_to(self.means_, x.shape)[miss]
-        return x
+        return _mean_filled(inc, self.means_)
 
 
 class MiceLiteImputer:
@@ -73,11 +73,9 @@ class MiceLiteImputer:
 
     def fit(self, inc: IncompleteDataset) -> "MiceLiteImputer":
         self.means_ = _column_means(inc)
-        x = inc.dataset.features.copy()
+        x = _mean_filled(inc, self.means_)
         mask = inc.mask
         d = x.shape[1]
-        miss = mask == 0
-        x[miss] = np.broadcast_to(self.means_, x.shape)[miss]
 
         self.betas_ = []
         for _ in range(self.sweeps):
@@ -97,11 +95,9 @@ class MiceLiteImputer:
     def transform(self, inc: IncompleteDataset) -> Array:
         if self.betas_ is None:
             raise ValueError("imputer is not fitted")
-        x = inc.dataset.features.copy()
+        x = _mean_filled(inc, self.means_)
         mask = inc.mask
         d = x.shape[1]
-        miss = mask == 0
-        x[miss] = np.broadcast_to(self.means_, x.shape)[miss]
         for sweep_betas in self.betas_:
             for j in range(d):
                 others = [k for k in range(d) if k != j]
@@ -120,19 +116,3 @@ class MiceLiteImputer:
         pred = a @ beta[:-1] + beta[-1]
         return np.clip(pred, 0.0, 1.0)
 
-
-def baseline_mean_impute(incomplete: IncompleteDataset) -> Dataset:
-    """Completed dataset with missing cells replaced by column means."""
-    completed = MeanImputer().fit(incomplete).completed_
-    return replace(incomplete.dataset, features=completed)
-
-
-def baseline_mice_lite(incomplete: IncompleteDataset, sweeps: int = MICE_LITE_SWEEPS,
-                       rng=None) -> Dataset:
-    """Completed dataset from the chained-regression sweeps.
-
-    rng is accepted for interface uniformity with the other imputers; the
-    sweep itself is deterministic.
-    """
-    completed = MiceLiteImputer(sweeps=sweeps).fit(incomplete).completed_
-    return replace(incomplete.dataset, features=completed)

@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .nn import make_rng
+from .nn import OPTIMIZERS, make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
-from .imputer import TrainConfig, impute, load_model, save_model, train
-from .evaluate import (METHODS, mean_std, run_benchmark, run_imbalance_benchmark,
+from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
+from .evaluate import (EVAL_MODES, METHODS, mean_std, run_benchmark, run_imbalance_benchmark,
                        time_methods, write_report_csv, write_report_json, write_timing_csv)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
@@ -32,46 +32,52 @@ DEFAULT_IMBALANCE_RATE = 0.2
 SEED_ENV = "CGAIN_SEED"
 
 
+def _flag(default, help: str, choices=None):
+    """A RunConfig field with the help text and choices of its --flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    """Every knob the toolkit exposes, with benchmark-grid defaults."""
+    """Every knob the toolkit exposes, each declared once: the field name is
+    the config-file key and, with '-' for '_', the command-line flag.
+    Training knobs default to TrainConfig's values."""
 
-    data: str = ""
-    label_col: str = ""
-    method: str = ""            # single for train; comma list for benchmark
-    rate: str = ""              # single or comma list of missing rates
-    reps: int = 10
-    seed: int | None = None     # None -> CGAIN_SEED env var -> 0
-    alpha: float = 100.0
-    batch: int = 128
-    iters: int = 10000
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    hidden_mult: int = 3
-    imbalance: str = ""         # comma list of minority fractions
-    out: str = ""
-    adv_sign: str = "gain"
-    eval_mode: str = "repetition"
-    jobs: int = 0               # 0 -> number of logical processors
-    model: str = ""             # input model file (impute)
-    mask: str = ""              # optional mask CSV accompanying --data
+    data: str = _flag("", "input CSV (header row, one label column)")
+    label_col: str = _flag("", "label column name or index")
+    method: str = _flag("", "cgain | gain | mean | mice_lite (comma list for benchmark)")
+    rate: str = _flag("", "missing rate, or comma list for benchmark")
+    reps: int = _flag(10, "repetitions (strict mode: fold count)")
+    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)")
+    alpha: float = _flag(TrainConfig.alpha, "reconstruction loss weight")
+    batch: int = _flag(TrainConfig.batch_size, "mini-batch size")
+    iters: int = _flag(TrainConfig.iterations, "training iteration budget")
+    optimizer: str = _flag(TrainConfig.optimizer, "optimizer kind", OPTIMIZERS)
+    lr: float = _flag(TrainConfig.learning_rate, "learning rate")
+    hidden_mult: int = _flag(TrainConfig.hidden_multiplier,
+                             "hidden width as a multiple of feature count")
+    imbalance: str = _flag("", "comma list of minority fractions (benchmark)")
+    out: str = _flag("", "output path stem")
+    adv_sign: str = _flag(TrainConfig.adversarial_sign,
+                          "generator adversarial-term sign convention", ADV_SIGNS)
+    eval_mode: str = _flag("repetition", "benchmark evaluation mode", EVAL_MODES)
+    jobs: int = _flag(0, "parallel benchmark workers (0 = all cores)")
+    model: str = _flag("", "model file (impute input)")
+    mask: str = _flag("", "mask CSV accompanying --data")
 
 
-_INT_FIELDS = {"reps", "seed", "batch", "iters", "hidden_mult", "jobs"}
-_FLOAT_FIELDS = {"alpha", "lr"}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    return value
+# RunConfig field -> the TrainConfig field it sets
+_TRAIN_FIELDS = {"alpha": "alpha", "batch": "batch_size", "iters": "iterations",
+                 "optimizer": "optimizer", "lr": "learning_rate",
+                 "hidden_mult": "hidden_multiplier", "adv_sign": "adversarial_sign",
+                 "seed": "seed"}
+# parses a flag or config-file value by the field's annotation
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": int}
 
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE pairs; '#' starts a comment; unknown keys are errors."""
-    known = {f.name for f in fields(RunConfig)}
+    parsers = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -81,9 +87,9 @@ def parse_config_file(path) -> dict:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key not in known:
+            if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, value)
+            values[key] = parsers[key](value)
     return values
 
 
@@ -131,10 +137,8 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:
-    return TrainConfig(alpha=cfg.alpha, batch_size=cfg.batch, iterations=cfg.iters,
-                       optimizer=cfg.optimizer, learning_rate=cfg.lr,
-                       hidden_multiplier=cfg.hidden_mult, conditional=conditional,
-                       adversarial_sign=cfg.adv_sign, seed=cfg.seed)
+    return TrainConfig(conditional=conditional,
+                       **{train: getattr(cfg, run) for run, train in _TRAIN_FIELDS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +285,8 @@ def cmd_benchmark(cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", help="input CSV (header row, one label column)")
-    common.add_argument("--label-col", dest="label_col", help="label column name or index")
-    common.add_argument("--method", help="cgain | gain | mean | mice_lite (comma list for benchmark)")
-    common.add_argument("--rate", help="missing rate, or comma list for benchmark")
-    common.add_argument("--reps", type=int, help="repetitions (strict mode: fold count)")
-    common.add_argument("--seed", type=int, help=f"root seed (fallback: ${SEED_ENV}, then 0)")
-    common.add_argument("--alpha", type=float, help="reconstruction loss weight")
-    common.add_argument("--batch", type=int, help="mini-batch size")
-    common.add_argument("--iters", type=int, help="training iteration budget")
-    common.add_argument("--optimizer", choices=["adam", "sgd"], help="optimizer kind")
-    common.add_argument("--lr", type=float, help="learning rate")
-    common.add_argument("--hidden-mult", dest="hidden_mult", type=int,
-                        help="hidden width as a multiple of feature count")
-    common.add_argument("--imbalance", help="comma list of minority fractions (benchmark)")
-    common.add_argument("--out", help="output path stem")
-    common.add_argument("--adv-sign", dest="adv_sign", choices=["gain", "literal"],
-                        help="generator adversarial-term sign convention")
-    common.add_argument("--eval-mode", dest="eval_mode", choices=["repetition", "strict"],
-                        help="benchmark evaluation mode")
-    common.add_argument("--jobs", type=int, help="parallel benchmark workers (0 = all cores)")
-    common.add_argument("--model", help="model file (impute input)")
-    common.add_argument("--mask", help="mask CSV accompanying --data")
+    for f in fields(RunConfig):
+        common.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type], **f.metadata)
     common.add_argument("--config", help="KEY=VALUE config file; flags override it")
 
     parser = argparse.ArgumentParser(prog="cgain",

@@ -84,6 +84,14 @@ class IncompleteDataset:
         if self.mask.shape != self.dataset.features.shape:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match features {self.dataset.features.shape}")
+        features, mask = self.dataset.features, self.mask
+        for what, cells, bad in (("feature", features, ~np.isfinite(features)),
+                                 ("mask", mask, (mask != 0) & (mask != 1))):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(f"{what} cell in column {self.dataset.schema[j].name!r}, row {i}, "
+                                 f"is {float(cells[i, j])!r}; features must be finite and "
+                                 "mask cells 0 or 1")
 
     @property
     def x_tilde(self) -> Array:

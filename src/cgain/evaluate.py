@@ -24,7 +24,6 @@ the separate timing summary.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +32,8 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .nn import Array, spawn_rng, spawn_seed
-from .data import Dataset, IncompleteDataset, corrupt_mcar, split_folds, subsample_imbalance
+from .data import (Dataset, IncompleteDataset, corrupt_mcar, split_folds, subsample_imbalance,
+                   write_csv)
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from .imputer import TrainConfig, impute, train
 
@@ -118,11 +118,9 @@ def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDa
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RepResult:
-    overall: float
-    per_class: dict[str, float]
-    n_missing: int
-    per_class_missing: dict[str, int]
+class RepResult(RmseResult):
+    """One scored repetition: its RMSE, wall-clock seconds and seeds."""
+
     seconds: float
     corrupt_seed: int
     method_seed: int
@@ -158,31 +156,22 @@ def _rep_task(args) -> tuple[int, int, dict]:
     try:
         inc = corrupt_mcar(dataset, rate, spawn_rng(root_seed, 1, rate_idx, corrupt_rep))
         impute_rng = spawn_rng(root_seed, 5, rate_idx, rep, method_idx)
+        train_inc = eval_inc = inc
+        truth = dataset
         if eval_mode == "strict":
-            folds = split_folds(dataset, repetitions, spawn_rng(root_seed, 4, rate_idx))
-            held_out = folds[rep]
-            train_rows = np.setdiff1d(np.arange(dataset.n_rows), held_out)
-            train_inc = inc.take_rows(train_rows)
+            held_out = split_folds(dataset, repetitions, spawn_rng(root_seed, 4, rate_idx))[rep]
+            train_inc = inc.take_rows(np.setdiff1d(np.arange(dataset.n_rows), held_out))
             eval_inc = inc.take_rows(held_out)
             truth = dataset.take_rows(held_out)
-            t0 = time.perf_counter()
-            imputed = run_method(method, train_inc, eval_inc, train_config,
-                                 method_seed, impute_rng, mice_sweeps)
-            seconds = time.perf_counter() - t0
-            result = rmse_missing(truth, imputed, eval_inc.mask)
-        else:
-            t0 = time.perf_counter()
-            imputed = run_method(method, inc, inc, train_config,
-                                 method_seed, impute_rng, mice_sweeps)
-            seconds = time.perf_counter() - t0
-            result = rmse_missing(dataset, imputed, inc.mask)
+        t0 = time.perf_counter()
+        imputed = run_method(method, train_inc, eval_inc, train_config,
+                             method_seed, impute_rng, mice_sweeps)
+        seconds = time.perf_counter() - t0
+        result = rmse_missing(truth, imputed, eval_inc.mask)
     except Exception as exc:   # recorded per cell, never fatal to the grid
         return cell_idx, rep, {"error": f"{type(exc).__name__}: {exc}"}
-    return cell_idx, rep, {
-        "overall": result.overall, "per_class": result.per_class,
-        "n_missing": result.n_missing, "per_class_missing": result.per_class_missing,
-        "seconds": seconds, "corrupt_seed": corrupt_seed, "method_seed": method_seed,
-    }
+    return cell_idx, rep, {**asdict(result), "seconds": seconds,
+                           "corrupt_seed": corrupt_seed, "method_seed": method_seed}
 
 
 def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
@@ -349,18 +338,14 @@ def report_csv_rows(report: BenchmarkReport) -> list[list[str]]:
 
 
 def write_report_csv(path, report: BenchmarkReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(report_csv_rows(report))
+    header, *rows = report_csv_rows(report)
+    write_csv(path, header, rows)
 
 
 def write_timing_csv(path, report: BenchmarkReport) -> None:
-    summary = time_methods(report)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "reps", "total_seconds", "mean_seconds"])
-        for method, entry in summary.items():
-            writer.writerow([method, str(entry["reps"]),
-                             _fmt(entry["total_seconds"]), _fmt(entry["mean_seconds"])])
+    write_csv(path, ["method", "reps", "total_seconds", "mean_seconds"],
+              ([method, str(entry["reps"]), _fmt(entry["total_seconds"]), _fmt(entry["mean_seconds"])]
+               for method, entry in time_methods(report).items()))
 
 
 def report_to_json_dict(report: BenchmarkReport) -> dict:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .nn import (Array, DenseNet, FlatArrays, dense_backward, dense_forward, init_dense,
-                 make_optimizer, make_rng, optimizer_step, uniform)
+from .nn import (OPTIMIZERS, Array, DenseNet, FlatArrays, dense_backward, dense_forward,
+                 init_dense, make_optimizer, make_rng, optimizer_step, uniform)
 from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
 EPS = 1e-8          # log clamp inside every cross-entropy term
@@ -40,7 +40,7 @@ class TrainConfig:
     alpha: float = 100.0            # weight of the observed-cell reconstruction loss
     batch_size: int = 128
     iterations: int = 10_000        # discriminator/generator update pairs
-    optimizer: str = "adam"         # "adam" | "sgd"
+    optimizer: str = "adam"         # one of nn.OPTIMIZERS
     learning_rate: float = 1e-3
     hidden_multiplier: int = 3      # hidden width = multiplier * n_features
     conditional: bool = True        # False drops the label block (unconditional variant)
@@ -58,7 +58,7 @@ class TrainConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch size and iteration budget must be at least 1")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")

@@ -18,6 +18,7 @@ Array = np.ndarray
 
 HIDDEN_ACTIVATIONS = ("relu", "identity")
 OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
+OPTIMIZERS = ("adam", "sgd")
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +51,6 @@ def uniform(rng: np.random.Generator, low: float, high: float, shape) -> Array:
     if not low < high:
         raise ValueError(f"uniform requires low < high, got [{low}, {high})")
     return rng.uniform(low, high, size=shape)
-
-
-def bernoulli(rng: np.random.Generator, p: float, shape) -> Array:
-    """0/1 draws with P(1) = p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
-    return (rng.random(shape) < p).astype(np.float64)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -281,7 +275,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.baselines import (MeanImputer, MiceLiteImputer, baseline_mean_impute,
-                             baseline_mice_lite)
+from cgain.baselines import MeanImputer, MiceLiteImputer
 from cgain.data import IncompleteDataset, build_dataset, corrupt_mcar, uncorrupted
 from cgain.evaluate import rmse_missing
 from cgain.nn import make_rng
@@ -25,10 +24,10 @@ def test_mean_imputation_definition():
     mask = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
     # column 0 observed values are 0.2 and 0.4 once normalized? use raw directly:
     ds, inc = incomplete_from(raw, mask)
-    completed = baseline_mean_impute(inc)
+    completed = MeanImputer().fit(inc).completed_
     obs = ds.features[:2, 0]
-    assert completed.features[2, 0] == pytest.approx(obs.mean(), abs=1e-15)
-    assert_array_equal(completed.features[inc.mask == 1], inc.dataset.features[inc.mask == 1])
+    assert completed[2, 0] == pytest.approx(obs.mean(), abs=1e-15)
+    assert_array_equal(completed[inc.mask == 1], inc.dataset.features[inc.mask == 1])
 
 
 def test_mean_imputation_exact_example():
@@ -39,14 +38,14 @@ def test_mean_imputation_exact_example():
                  schema=[ColumnSpec("c0", "continuous", 0.0, 1.0)],
                  class_names=["0", "1"])
     inc = IncompleteDataset(ds, np.array([[1.0], [1.0], [0.0]]))
-    completed = baseline_mean_impute(inc)
-    assert completed.features[2, 0] == pytest.approx(0.3, abs=1e-15)
+    completed = MeanImputer().fit(inc).completed_
+    assert completed[2, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_mean_identity_without_missing(dataset):
     inc = uncorrupted(dataset)
-    completed = baseline_mean_impute(inc)
-    assert_array_equal(completed.features, dataset.features)
+    completed = MeanImputer().fit(inc).completed_
+    assert_array_equal(completed, dataset.features)
 
 
 def test_mean_rejects_fully_missing_column():
@@ -56,15 +55,15 @@ def test_mean_rejects_fully_missing_column():
     from dataclasses import replace
     inc = IncompleteDataset(replace(ds, features=ds.features * mask), mask)
     with pytest.raises(ValueError, match="no observed values"):
-        baseline_mean_impute(inc)
+        MeanImputer().fit(inc)
 
 
 def test_mean_rmse_matches_direct_recomputation():
     ds = toy_dataset(n=50, d=4, seed=3, binary_col=False)
     inc = corrupt_mcar(ds, 0.3, make_rng(4))
-    completed = baseline_mean_impute(inc)
+    completed = MeanImputer().fit(inc).completed_
     result = rmse_missing(ds, completed, inc.mask)
-    expected, count = scalar_rmse(ds.features.tolist(), completed.features.tolist(),
+    expected, count = scalar_rmse(ds.features.tolist(), completed.tolist(),
                                   inc.mask.tolist())
     assert result.overall == pytest.approx(expected, abs=1e-12)
     assert result.n_missing == count
@@ -78,23 +77,23 @@ def test_mice_recovers_exact_linear_relation():
     mask = np.ones_like(features)
     mask[::4, 1] = 0.0   # hide some of column B = column A
     ds, inc = incomplete_from(features, mask)
-    completed = baseline_mice_lite(inc, sweeps=1)
+    completed = MiceLiteImputer(sweeps=1).fit(inc).completed_
     hidden = mask[:, 1] == 0
-    assert np.max(np.abs(completed.features[hidden, 1] - ds.features[hidden, 0])) < 1e-6
+    assert np.max(np.abs(completed[hidden, 1] - ds.features[hidden, 0])) < 1e-6
 
 
 def test_mice_rejects_zero_sweeps(dataset):
     with pytest.raises(ValueError, match="sweep"):
-        baseline_mice_lite(uncorrupted(dataset), sweeps=0)
+        MiceLiteImputer(sweeps=0).fit(uncorrupted(dataset))
 
 
 def test_mice_changes_only_missing_cells():
     ds = toy_dataset(n=30, d=4, seed=6, binary_col=False)
     inc = corrupt_mcar(ds, 0.25, make_rng(7))
-    completed = baseline_mice_lite(inc, sweeps=1)
+    completed = MiceLiteImputer(sweeps=1).fit(inc).completed_
     obs = inc.mask == 1
-    assert_array_equal(completed.features[obs], inc.dataset.features[obs])
-    assert np.all(completed.features >= 0.0) and np.all(completed.features <= 1.0)
+    assert_array_equal(completed[obs], inc.dataset.features[obs])
+    assert np.all(completed >= 0.0) and np.all(completed <= 1.0)
 
 
 def test_mice_beats_mean_on_linear_data():
@@ -105,8 +104,8 @@ def test_mice_beats_mean_on_linear_data():
                                 0.5 - 0.4 * x + 0.02 * rng.normal(size=n)])
     ds, _ = incomplete_from(features, np.ones_like(features))
     inc = corrupt_mcar(ds, 0.3, make_rng(9))
-    mice_rmse = rmse_missing(ds, baseline_mice_lite(inc, sweeps=3), inc.mask).overall
-    mean_rmse = rmse_missing(ds, baseline_mean_impute(inc), inc.mask).overall
+    mice_rmse = rmse_missing(ds, MiceLiteImputer(sweeps=3).fit(inc).completed_, inc.mask).overall
+    mean_rmse = rmse_missing(ds, MeanImputer().fit(inc).completed_, inc.mask).overall
     assert mice_rmse < mean_rmse
 
 

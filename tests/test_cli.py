@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -326,3 +327,56 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
              "--seed", "777", "--out", tmp_path / "flag")
     assert rc == 0
     assert (tmp_path / "env.data.csv").read_bytes() == (tmp_path / "flag.data.csv").read_bytes()
+
+
+# one sample command-line/config-file value per field annotation
+SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "int | None": ("3", 3), "float": ("0.5", 0.5)}
+
+
+def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
+    declared = list(fields(RunConfig))
+    assert len(declared) == 19
+    parser = cli.build_parser()
+    expected = {}
+    for f in declared:
+        choices = f.metadata["choices"]
+        text, value = (choices[-1], choices[-1]) if choices else SAMPLES[f.type]
+        expected[f.name] = (text, value)
+        flag = f"--{f.name.replace('_', '-')}"
+        assert getattr(parser.parse_args(["train", flag, text]), f.name) == value
+
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text("".join(f"{name}={text}\n" for name, (text, _) in expected.items()))
+    cfg = cli.resolve_config(parser.parse_args(["train", "--config", str(cfg_file)]))
+    for name, (_, value) in expected.items():
+        assert getattr(cfg, name) == value
+    assert type(cfg.batch) is int and type(cfg.lr) is float and type(cfg.adv_sign) is str
+
+    cli.print_config(cfg, "train")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["config command=train"] + [f"config {name}={value}"
+                                                for name, (_, value) in expected.items()]
+
+
+TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12),
+               "iters": ("15", "iterations", 15), "optimizer": ("sgd", "optimizer", "sgd"),
+               "lr": ("0.02", "learning_rate", 0.02),
+               "hidden_mult": ("2", "hidden_multiplier", 2),
+               "adv_sign": ("literal", "adversarial_sign", "literal"), "seed": ("31", "seed", 31)}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_every_training_knob_reaches_the_saved_model(tmp_path, source):
+    data = write_toy_csv(tmp_path / "d.csv")
+    argv = ["train", "--data", data, "--label-col", "y", "--rate", "0.3", "--out", tmp_path / "m"]
+    if source == "flags":
+        for name, (text, _, _) in TRAIN_KNOBS.items():
+            argv += [f"--{name.replace('_', '-')}", text]
+    else:
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text("".join(f"{name}={text}\n" for name, (text, _, _) in TRAIN_KNOBS.items()))
+        argv += ["--config", cfg_file]
+    assert run(*argv) == 0
+    config = load_model(tmp_path / "m.model").config
+    for _, train_name, value in TRAIN_KNOBS.values():
+        assert getattr(config, train_name) == value

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import cgain.evaluate as ev
-from cgain.baselines import baseline_mean_impute
+from cgain.baselines import MeanImputer
 from cgain.data import corrupt_mcar, subsample_imbalance
 from cgain.evaluate import (BenchmarkCell, BenchmarkReport, mean_std, report_csv_rows,
                             report_from_json_dict, report_to_json_dict, rmse_missing,
@@ -111,7 +111,7 @@ def test_paired_mask_external_recomputation():
     report = run_benchmark(ds, ["mean"], [0.2], repetitions=3, root_seed=root)
     for rep in range(3):
         inc = corrupt_mcar(ds, 0.2, spawn_rng(root, 1, 0, rep))
-        outside = rmse_missing(ds, baseline_mean_impute(inc), inc.mask)
+        outside = rmse_missing(ds, MeanImputer().fit(inc).completed_, inc.mask)
         assert report.cells[0].reps[rep].overall == pytest.approx(outside.overall, abs=1e-12)
 
 

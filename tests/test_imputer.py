@@ -444,9 +444,9 @@ def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch,
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
-def test_inf_feature_row_stops_training_when_first_drawn(early_stop):
-    # Dataset itself accepts a non-finite feature; the iteration is the
-    # first whose batches draw row 137
+def test_inf_feature_row_is_refused_before_training(early_stop):
+    # the hand-built table is refused at construction, with its column and
+    # row named, so train never sees it
     rng = np.random.default_rng(90)
     n, d = 200, 3
     features = rng.uniform(size=(n, d))
@@ -454,9 +454,17 @@ def test_inf_feature_row_stops_training_when_first_drawn(early_stop):
     labels = np.zeros((n, 2))
     labels[np.arange(n), rng.integers(0, 2, n)] = 1.0
     schema = [ColumnSpec(f"c{j}", CONTINUOUS, 0.0, 1.0) for j in range(d)]
-    hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), np.ones((n, d)))
-    with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 13$"):
+    with pytest.raises(ValueError, match=r"^feature cell in column 'c1', row 137, is inf;"):
+        hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), np.ones((n, d)))
         train(hand, TrainConfig(iterations=500, batch_size=4, seed=91, early_stop=early_stop))
+
+
+def test_mask_cell_other_than_zero_or_one_is_refused():
+    ds = toy_dataset(n=20, d=3, seed=92)
+    mask = np.ones_like(ds.features)
+    mask[4, 2] = 0.5
+    with pytest.raises(ValueError, match=r"^mask cell in column 'c2', row 4, is 0\.5;"):
+        IncompleteDataset(ds, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.nn import (DenseNet, FlatArrays, bernoulli, dense_backward, dense_forward,
+from cgain.nn import (DenseNet, FlatArrays, dense_backward, dense_forward,
                       init_dense, make_optimizer, make_rng, optimizer_step, sigmoid, uniform,
                       xavier_uniform)
 from conftest import assert_same_bits
@@ -360,16 +360,6 @@ def test_param_backward_overwrites_the_views_it_returned_before():
 # random sources
 # ---------------------------------------------------------------------------
 
-def test_bernoulli_all_ones_at_p_one():
-    assert_array_equal(bernoulli(make_rng(5), 1.0, (20, 3)), np.ones((20, 3)))
-
-
-def test_bernoulli_empirical_mean_near_p():
-    draws = bernoulli(make_rng(123), 0.8, 100_000)
-    assert 0.79 <= draws.mean() <= 0.81
-    assert set(np.unique(draws)) <= {0.0, 1.0}
-
-
 def test_same_seed_gives_identical_draws():
     a = uniform(make_rng(77), -1.0, 2.0, (8, 8))
     b = uniform(make_rng(77), -1.0, 2.0, (8, 8))
@@ -381,8 +371,6 @@ def test_uniform_bounds_and_errors():
     assert draws.min() >= 0.25 and draws.max() < 0.75
     with pytest.raises(ValueError, match="low < high"):
         uniform(make_rng(1), 1.0, 1.0, (3,))
-    with pytest.raises(ValueError, match="probability"):
-        bernoulli(make_rng(1), 1.5, (3,))
 
 
 def test_xavier_bounds():
