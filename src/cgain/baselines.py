@@ -62,11 +62,10 @@ class MiceLiteImputer:
     transform() replays the fitted per-sweep regressions on new rows.
     """
 
-    def __init__(self, sweeps: int = MICE_LITE_SWEEPS, ridge: float = RIDGE_LAMBDA):
+    def __init__(self, sweeps: int = MICE_LITE_SWEEPS):
         if sweeps < 1:
             raise ValueError(f"need at least 1 sweep, got {sweeps}")
         self.sweeps = sweeps
-        self.ridge = ridge
         self.means_: Array | None = None
         self.betas_: list[list[Array]] | None = None   # [sweep][column] -> (d,) coefs + intercept
         self.completed_: Array | None = None
@@ -109,7 +108,7 @@ class MiceLiteImputer:
     def _fit_column(self, a: Array, y: Array) -> Array:
         # least squares with intercept; tiny ridge keeps collinear columns solvable
         z = np.column_stack([a, np.ones(a.shape[0])])
-        gram = z.T @ z + self.ridge * np.eye(z.shape[1])
+        gram = z.T @ z + RIDGE_LAMBDA * np.eye(z.shape[1])
         return np.linalg.solve(gram, z.T @ y)
 
     def _predict(self, beta: Array, a: Array) -> Array:

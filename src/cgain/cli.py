@@ -5,7 +5,7 @@ Configuration precedence is defaults < config file (KEY=VALUE lines via
 variable as a seed fallback. Every run prints its fully resolved
 configuration first, so a run is reconstructible from its own output.
 
-Exit status: 0 success, 1 validation/input error, 2 runtime failure.
+Exit status: 0 success, 1 validation/input error (a bad flag too), 2 runtime failure.
 Errors go to stderr as one machine-parseable line:
 cgain-error: {validation|runtime}: <message>.
 """
@@ -13,6 +13,7 @@ cgain-error: {validation|runtime}: <message>.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -71,13 +72,14 @@ _TRAIN_FIELDS = {"alpha": "alpha", "batch": "batch_size", "iters": "iterations",
                  "optimizer": "optimizer", "lr": "learning_rate",
                  "hidden_mult": "hidden_multiplier", "adv_sign": "adversarial_sign",
                  "seed": "seed"}
-# parses a flag or config-file value by the field's annotation
+# parses a --flag value, given on the command line or in a config file, by its field's annotation
 _PARSERS = {"str": str, "int": int, "float": float, "int | None": int}
 
 
 def parse_config_file(path) -> dict:
-    """Flat KEY=VALUE pairs; '#' starts a comment; unknown keys are errors."""
-    parsers = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+    """Flat KEY=VALUE pairs; '#' starts a comment; unknown keys are errors.
+    A value is parsed as its --flag's value is, type and choices included."""
+    known, flags = {f.name for f in fields(RunConfig)}, _flags()
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -87,9 +89,12 @@ def parse_config_file(path) -> dict:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
-            if key not in parsers:
+            if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = parsers[key](value)
+            try:
+                values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
     return values
 
 
@@ -123,22 +128,28 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ValueError(f"cannot parse {what} list {text!r}") from None
 
 
-def _label_col(cfg: RunConfig):
-    if cfg.label_col == "":
-        raise ValueError("--label-col is required")
-    s = cfg.label_col
-    return int(s) if s.lstrip("-").isdigit() else s
-
-
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) == "":
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
+def _label_col(cfg: RunConfig):
+    _require(cfg, "label_col")
+    return int(cfg.label_col) if cfg.label_col.lstrip("-").isdigit() else cfg.label_col
+
+
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:
     return TrainConfig(conditional=conditional,
                        **{train: getattr(cfg, run) for run, train in _TRAIN_FIELDS.items()})
+
+
+def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
+    """Put texts, in row-major order, into the CSV cells hidden by inc.mask."""
+    feature_cols = np.delete(np.arange(len(header)), header.index(inc.dataset.label_column))
+    hidden_rows, hidden_cols = np.nonzero(inc.mask == 0)
+    for i, j, text in zip(hidden_rows.tolist(), feature_cols[hidden_cols].tolist(), texts):
+        rows[i][j] = text
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +165,7 @@ def cmd_corrupt(cfg: RunConfig) -> int:
     dataset = load_csv(cfg.data, _label_col(cfg), table=(header, rows))
     inc = corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
 
-    feature_cols = np.delete(np.arange(len(header)), header.index(dataset.label_column))
-    hidden_rows, hidden_cols = np.nonzero(inc.mask == 0)
-    for i, j in zip(hidden_rows.tolist(), feature_cols[hidden_cols].tolist()):
-        rows[i][j] = ""
+    _write_hidden(header, rows, inc, itertools.repeat(""))
     data_path, mask_path = f"{cfg.out}.data.csv", f"{cfg.out}.mask.csv"
     write_csv(data_path, header, rows)
     write_mask_csv(mask_path, inc.mask, [c.name for c in dataset.schema])
@@ -213,17 +221,15 @@ def cmd_impute(cfg: RunConfig) -> int:
     completed = impute(model, inc, make_rng(cfg.seed))
     raw = denormalize(inc.dataset.schema, completed.features, round_binary=True)
 
-    feature_cols = np.delete(np.arange(len(header)), header.index(inc.dataset.label_column))
-    binary = np.array([spec.kind == BINARY for spec in inc.dataset.schema])
-    hidden_rows, hidden_cols = np.nonzero(inc.mask == 0)
-    values = raw[hidden_rows, hidden_cols].tolist()
-    for i, j, v, is_binary in zip(hidden_rows.tolist(), feature_cols[hidden_cols].tolist(),
-                                  values, binary[hidden_cols].tolist()):
-        rows[i][j] = str(int(v)) if is_binary else repr(v)
+    hidden = inc.mask == 0
+    binary = np.broadcast_to([spec.kind == BINARY for spec in inc.dataset.schema], raw.shape)
+    texts = [str(int(v)) if is_binary else repr(v)
+             for v, is_binary in zip(raw[hidden].tolist(), binary[hidden].tolist())]
+    _write_hidden(header, rows, inc, texts)
     out_path = f"{cfg.out}.imputed.csv"
     write_csv(out_path, header, rows)
     print(f"wrote {out_path}")
-    print(f"filled_cells={hidden_rows.size}")
+    print(f"filled_cells={len(texts)}")
     return 0
 
 
@@ -283,15 +289,27 @@ def cmd_benchmark(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for f in fields(RunConfig):
-        common.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type], **f.metadata)
-    common.add_argument("--config", help="KEY=VALUE config file; flags override it")
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error, such as a bad flag value: exit 1."""
 
-    parser = argparse.ArgumentParser(prog="cgain",
-                                     description="Missing-data imputation with class-conditional "
-                                                 "adversarial training, plus baselines and benchmarks.")
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _flags() -> argparse.ArgumentParser:
+    """The --flag of every RunConfig field, and --config."""
+    flags = _Parser(add_help=False)
+    for f in fields(RunConfig):
+        flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type], **f.metadata)
+    flags.add_argument("--config", help="KEY=VALUE config file; flags override it")
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _flags()
+    parser = _Parser(prog="cgain",
+                     description="Missing-data imputation with class-conditional "
+                                 "adversarial training, plus baselines and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("corrupt", parents=[common], help="hide cells at random, write data+mask CSVs")
     sub.add_parser("train", parents=[common], help="train an imputation model")
@@ -309,9 +327,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         print_config(cfg, args.command)
         return _COMMANDS[args.command](cfg)

@@ -93,11 +93,6 @@ class IncompleteDataset:
                                  f"is {float(cells[i, j])!r}; features must be finite and "
                                  "mask cells 0 or 1")
 
-    @property
-    def x_tilde(self) -> Array:
-        """Feature matrix with zeros at missing cells."""
-        return self.dataset.features
-
     def take_rows(self, idx: Array) -> "IncompleteDataset":
         return IncompleteDataset(self.dataset.take_rows(idx), self.mask[idx])
 
@@ -106,15 +101,30 @@ class IncompleteDataset:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def read_csv_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a headered CSV into (header, rows of raw cell strings)."""
+class CsvRows(list):
+    """Records below a CSV header; lines[i] is the file line record i starts
+    on, which messages name as "row N"."""
+
+    lines: list[int]
+
+
+def read_csv_table(path) -> tuple[list[str], CsvRows]:
+    """Read a headered CSV into (header, rows of raw cell strings), skipping
+    blank lines; a quoted cell may span lines."""
+    rows = CsvRows()
+    rows.lines = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = [row for row in reader if row]
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                rows.lines.append(start)
+            start = reader.line_num + 1
     seen = set()
     for column in header:
         if column in seen:
@@ -123,7 +133,7 @@ def read_csv_table(path) -> tuple[list[str], list[list[str]]]:
         seen.add(column)
     for i, row in enumerate(rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+            raise ValueError(f"{path}: row {rows.lines[i]} has {len(row)} cells, expected {len(header)}")
     return header, rows
 
 
@@ -234,7 +244,9 @@ def _first_bad_cell(path, header: list[str], rows: list[list[str]], label_idx: i
     """The error for the first bad cell in row-major order: a missing label
     (when cells may be missing), an empty feature cell (when none may be) or
     a feature cell that does not parse."""
-    for i, row in enumerate(rows, 2):
+    # a plain list of records is read as one line each below a one-line header
+    lines = rows.lines if isinstance(rows, CsvRows) else range(2, len(rows) + 2)
+    for i, row in zip(lines, rows):
         if allow_missing and row[label_idx].strip() == "":
             return ValueError(f"{path}: row {i}: missing label; labels must be fully observed")
         for j, cell in enumerate(row):
@@ -283,6 +295,28 @@ def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
     return raw.reshape(shape), observed.reshape(shape).astype(np.float64), labels
 
 
+def _load_table(path, label_column, schema_overrides, name, table, allow_missing: bool,
+                mask_path=None) -> tuple[Dataset, Array]:
+    """(dataset, mask) of a labeled CSV, for load_csv and load_incomplete_csv."""
+    header, rows = table if table is not None else read_csv_table(path)
+    label_idx = _resolve_label_column(header, label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
+    raw, mask, label_values = parse_table(path, header, rows, label_idx, allow_missing)
+
+    if mask_path is not None:
+        file_mask = load_mask_csv(mask_path, expected_columns=feature_names)
+        if file_mask.shape != mask.shape:
+            raise ValueError(f"mask file shape {file_mask.shape} does not match data {mask.shape}")
+        if not np.array_equal(file_mask, mask):
+            raise ValueError(f"{mask_path}: mask disagrees with the empty-cell pattern of {path}")
+
+    stem = name if name is not None else os.path.splitext(os.path.basename(str(path)))[0]
+    ds = build_dataset(raw, label_values, feature_names, label_column=header[label_idx],
+                       schema_overrides=schema_overrides, name=stem,
+                       observed_mask=mask if allow_missing else None)
+    return ds, mask
+
+
 def load_csv(path, label_column, schema_overrides: dict | None = None, name: str | None = None,
              *, table: tuple[list[str], list[list[str]]] | None = None) -> Dataset:
     """Load a fully observed labeled CSV.
@@ -292,14 +326,7 @@ def load_csv(path, label_column, schema_overrides: dict | None = None, name: str
     the file's (header, rows) as read_csv_table returned them; path then
     only names the file in messages and the dataset.
     """
-    header, rows = table if table is not None else read_csv_table(path)
-    label_idx = _resolve_label_column(header, label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    raw, _, label_values = parse_table(path, header, rows, label_idx, allow_missing=False)
-
-    stem = name if name is not None else os.path.splitext(os.path.basename(str(path)))[0]
-    return build_dataset(raw, label_values, feature_names, label_column=header[label_idx],
-                         schema_overrides=schema_overrides, name=stem)
+    return _load_table(path, label_column, schema_overrides, name, table, allow_missing=False)[0]
 
 
 def load_incomplete_csv(path, label_column, schema_overrides: dict | None = None,
@@ -311,22 +338,8 @@ def load_incomplete_csv(path, label_column, schema_overrides: dict | None = None
     the 0/1 mask file must agree with the empty-cell pattern. table is as
     for load_csv.
     """
-    header, rows = table if table is not None else read_csv_table(path)
-    label_idx = _resolve_label_column(header, label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    raw, mask, label_values = parse_table(path, header, rows, label_idx, allow_missing=True)
-
-    if mask_path is not None:
-        file_mask = load_mask_csv(mask_path, expected_columns=feature_names)
-        if file_mask.shape != mask.shape:
-            raise ValueError(f"mask file shape {file_mask.shape} does not match data {mask.shape}")
-        if not np.array_equal(file_mask, mask):
-            raise ValueError(f"{mask_path}: mask disagrees with the empty-cell pattern of {path}")
-
-    stem = name if name is not None else os.path.splitext(os.path.basename(str(path)))[0]
-    ds = build_dataset(raw, label_values, feature_names, label_column=header[label_idx],
-                       schema_overrides=schema_overrides, name=stem, observed_mask=mask)
-    return IncompleteDataset(ds, mask)
+    return IncompleteDataset(*_load_table(path, label_column, schema_overrides, name, table,
+                                          allow_missing=True, mask_path=mask_path))
 
 
 def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
@@ -338,7 +351,7 @@ def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
     valid = ones | np.fromiter(map("0".__eq__, cells), dtype=bool, count=len(cells))
     if not valid.all():
         k = int(np.argmin(valid))
-        raise ValueError(f"{path}: row {k // len(header) + 2}, column {header[k % len(header)]!r}: "
+        raise ValueError(f"{path}: row {rows.lines[k // len(header)]}, column {header[k % len(header)]!r}: "
                          f"mask cells must be 0 or 1, got {cells[k]!r}")
     return ones.reshape(len(rows), len(header)).astype(np.float64)
 

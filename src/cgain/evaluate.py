@@ -59,12 +59,9 @@ class RmseResult:
     per_class_missing: dict[str, int]
 
 
-def rmse_missing(truth: Dataset, imputed, mask: Array, labels: Array | None = None) -> RmseResult:
-    """RMSE between truth and imputation over cells with mask == 0.
-
-    imputed may be a Dataset or a feature matrix; labels defaults to the
-    truth dataset's class assignment.
-    """
+def rmse_missing(truth: Dataset, imputed, mask: Array) -> RmseResult:
+    """RMSE between truth and imputation over cells with mask == 0, overall
+    and per class of the truth dataset; imputed is a Dataset or a matrix."""
     imp = imputed.features if isinstance(imputed, Dataset) else np.asarray(imputed, dtype=np.float64)
     if imp.shape != truth.features.shape or mask.shape != truth.features.shape:
         raise ValueError(
@@ -76,7 +73,7 @@ def rmse_missing(truth: Dataset, imputed, mask: Array, labels: Array | None = No
     sq = (truth.features - imp) ** 2
     overall = float(np.sqrt(sq[missing].sum() / n_missing))
 
-    cls = truth.class_index() if labels is None else np.asarray(labels)
+    cls = truth.class_index()
     per_class: dict[str, float] = {}
     per_count: dict[str, int] = {}
     for c, name in enumerate(truth.class_names):
@@ -93,7 +90,7 @@ def rmse_missing(truth: Dataset, imputed, mask: Array, labels: Array | None = No
 
 def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDataset,
                train_config: TrainConfig, method_seed: int,
-               impute_rng: np.random.Generator, mice_sweeps: int = MICE_LITE_SWEEPS) -> Array:
+               impute_rng: np.random.Generator) -> Array:
     """Fit a method on train_inc and return imputed features for eval_inc.
 
     When eval_inc is train_inc (repetition mode) the baselines return their
@@ -104,7 +101,7 @@ def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDa
         imp = MeanImputer().fit(train_inc)
         return imp.completed_ if same else imp.transform(eval_inc)
     if method == "mice_lite":
-        imp = MiceLiteImputer(sweeps=mice_sweeps).fit(train_inc)
+        imp = MiceLiteImputer().fit(train_inc)
         return imp.completed_ if same else imp.transform(eval_inc)
     if method in ("cgain", "gain"):
         cfg = replace(train_config, conditional=(method == "cgain"), seed=method_seed)
@@ -149,7 +146,7 @@ class BenchmarkReport:
 def _rep_task(args) -> tuple[int, int, dict]:
     """One (cell, repetition) unit; top level so process pools can pickle it."""
     (cell_idx, rep, dataset, method, method_idx, rate, rate_idx,
-     root_seed, train_config, eval_mode, repetitions, mice_sweeps) = args
+     root_seed, train_config, eval_mode, repetitions) = args
     corrupt_rep = 0 if eval_mode == "strict" else rep
     corrupt_seed = spawn_seed(root_seed, 1, rate_idx, corrupt_rep)
     method_seed = spawn_seed(root_seed, 3, rate_idx, rep, method_idx)
@@ -164,8 +161,7 @@ def _rep_task(args) -> tuple[int, int, dict]:
             eval_inc = inc.take_rows(held_out)
             truth = dataset.take_rows(held_out)
         t0 = time.perf_counter()
-        imputed = run_method(method, train_inc, eval_inc, train_config,
-                             method_seed, impute_rng, mice_sweeps)
+        imputed = run_method(method, train_inc, eval_inc, train_config, method_seed, impute_rng)
         seconds = time.perf_counter() - t0
         result = rmse_missing(truth, imputed, eval_inc.mask)
     except Exception as exc:   # recorded per cell, never fatal to the grid
@@ -176,8 +172,7 @@ def _rep_task(args) -> tuple[int, int, dict]:
 
 def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
                   repetitions: int, root_seed: int, train_config: TrainConfig | None = None,
-                  eval_mode: str = "repetition", jobs: int = 1,
-                  mice_sweeps: int = MICE_LITE_SWEEPS) -> BenchmarkReport:
+                  eval_mode: str = "repetition", jobs: int = 1) -> BenchmarkReport:
     """Corrupt / impute / score over a (missing rate x method) grid.
 
     Within one repetition every method sees the identical corruption mask,
@@ -211,7 +206,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         for method_idx, method in enumerate(methods):
             for rep in range(repetitions):
                 tasks.append((cell_idx, rep, dataset, method, method_idx, rate, rate_idx,
-                              root_seed, train_config, eval_mode, repetitions, mice_sweeps))
+                              root_seed, train_config, eval_mode, repetitions))
             cell_idx += 1
 
     if jobs > 1:
@@ -238,7 +233,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         "dataset": dataset.name, "methods": list(methods),
         "missing_rates": list(missing_rates), "repetitions": repetitions,
         "eval_mode": eval_mode, "root_seed": root_seed,
-        "mice_sweeps": mice_sweeps, "train": asdict(train_config),
+        "mice_sweeps": MICE_LITE_SWEEPS, "train": asdict(train_config),
     }
     return BenchmarkReport(dataset.name, root_seed, eval_mode, config,
                            list(dataset.class_names), cells)
@@ -248,8 +243,7 @@ def run_imbalance_benchmark(dataset: Dataset, minority_fractions: list[float],
                             methods: list[str], missing_rate: float, repetitions: int,
                             root_seed: int, minority_class=None,
                             train_config: TrainConfig | None = None,
-                            eval_mode: str = "repetition", jobs: int = 1,
-                            mice_sweeps: int = MICE_LITE_SWEEPS) -> BenchmarkReport:
+                            eval_mode: str = "repetition", jobs: int = 1) -> BenchmarkReport:
     """Benchmark over engineered class-imbalance levels of a binary dataset.
 
     For each minority fraction the dataset is subsampled once, then the
@@ -270,8 +264,7 @@ def run_imbalance_benchmark(dataset: Dataset, minority_fractions: list[float],
         sub = subsample_imbalance(dataset, minority_class, fraction, spawn_rng(root_seed, 2, fidx))
         part = run_benchmark(sub, methods, [missing_rate], repetitions,
                              root_seed=spawn_seed(root_seed, 6, fidx),
-                             train_config=train_config, eval_mode=eval_mode,
-                             jobs=jobs, mice_sweeps=mice_sweeps)
+                             train_config=train_config, eval_mode=eval_mode, jobs=jobs)
         for cell in part.cells:
             cell.dataset = dataset.name
             cell.minority_fraction = fraction
@@ -284,7 +277,7 @@ def run_imbalance_benchmark(dataset: Dataset, minority_fractions: list[float],
         "minority_class": dataset.class_names[minority_class]
         if isinstance(minority_class, int) else minority_class,
         "eval_mode": eval_mode, "root_seed": root_seed,
-        "mice_sweeps": mice_sweeps, "train": asdict(train_config or TrainConfig()),
+        "mice_sweeps": MICE_LITE_SWEEPS, "train": asdict(train_config or TrainConfig()),
     }
     return BenchmarkReport(dataset.name, root_seed, eval_mode, config,
                            list(dataset.class_names), all_cells)

@@ -127,16 +127,6 @@ def hint_from_b(b: Array, mask: Array) -> Array:
     return b * mask + 0.5 * (1.0 - b)
 
 
-def sample_hint(mask: Array, rng: np.random.Generator) -> Array:
-    """Hint matrix: the mask with exactly one entry per row hidden at 0.5."""
-    return hint_from_b(sample_hint_b(mask, rng), mask)
-
-
-def hint_to_b(hint: Array) -> Array:
-    """Recover the reveal flags; 0.5 marks the hidden column."""
-    return (hint != 0.5).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # forward paths
 # ---------------------------------------------------------------------------
@@ -173,16 +163,9 @@ def generate(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
 
 def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
                           labels: Array) -> tuple[Array, tuple]:
+    """Discriminator pass. Returns (m_hat, cache): per cell, P(observed)."""
     d_in = _with_labels([x_hat, hint], labels, model.conditional)
     return dense_forward(model.discriminator, d_in)
-
-
-def discriminate(model: ImputerModel, x_hat: Array, hint: Array, labels: Array) -> Array:
-    """Per-cell probability that the cell was observed."""
-    if x_hat.shape != hint.shape:
-        raise ValueError(f"data shape {x_hat.shape} does not match hint {hint.shape}")
-    m_hat, _ = discriminator_forward(model, x_hat, hint, labels)
-    return m_hat
 
 
 # ---------------------------------------------------------------------------

@@ -256,15 +256,15 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected Adam over a fixed list of parameters.
+    """Plain SGD or bias-corrected Adam over one FlatArrays layout, `shapes`.
 
-    For Adam, m and v hold one moment array per parameter and scratch two
-    work arrays per parameter, so updates allocate nothing; each of the four
-    is a FlatArrays laid out like the parameters.
+    For Adam, m and v hold the moments and scratch two work buffers, each a
+    FlatArrays of that layout, so updates allocate nothing.
     """
 
     kind: str
     learning_rate: float
+    shapes: tuple[tuple[int, ...], ...]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -274,59 +274,48 @@ class OptimizerState:
     scratch: tuple[FlatArrays, ...] = ()
 
 
-def make_optimizer(kind: str, learning_rate: float, params: list[Array]) -> OptimizerState:
+def make_optimizer(kind: str, learning_rate: float, params: FlatArrays) -> OptimizerState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    state = OptimizerState(kind=kind, learning_rate=learning_rate)
+    if type(params) is not FlatArrays:
+        raise ValueError(f"params must be FlatArrays (a net's params()), got {type(params).__name__}")
+    state = OptimizerState(kind=kind, learning_rate=learning_rate, shapes=params.shapes)
     if kind == "adam":
-        shapes = [p.shape for p in params]
-        state.m, state.v = FlatArrays.zeros(shapes), FlatArrays.zeros(shapes)
-        state.scratch = (FlatArrays.zeros(shapes), FlatArrays.zeros(shapes))
+        state.m, state.v = FlatArrays.zeros(params.shapes), FlatArrays.zeros(params.shapes)
+        state.scratch = (FlatArrays.zeros(params.shapes), FlatArrays.zeros(params.shapes))
     return state
 
 
-def optimizer_step(state: OptimizerState, params: list[Array], grads: list[Array]) -> None:
-    """Update params in place. SGD is exactly p -= lr * g; Adam is
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded in that order.
-
-    When params and grads are both FlatArrays (a net's params() and the
-    gradients dense_backward returns) each operation runs once over the
-    whole buffer instead of once per array; the result is the same bits.
-    """
-    if len(params) != len(grads):
-        raise ValueError(f"{len(params)} params but {len(grads)} gradients")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-    # equal shapes pairwise, so two FlatArrays have buffers of one size
-    flat = type(params) is FlatArrays and type(grads) is FlatArrays
+def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays) -> None:
+    """Update params in place, one pass over the buffer per operation. SGD
+    is exactly p -= lr * g; Adam is p -= lr * (m / c1) / (sqrt(v / c2) + eps),
+    rounded in that order. params and grads must be FlatArrays of the state's
+    layout: a net's params() and the gradients dense_backward returns."""
+    if not (type(params) is type(grads) is FlatArrays and params.shapes == grads.shapes == state.shapes):
+        raise ValueError(f"params and grads must be FlatArrays with the optimizer's shapes {state.shapes}")
+    p, g = params.flat, grads.flat
     state.step_count += 1
     if state.kind == "sgd":
-        for p, g in ([(params.flat, grads.flat)] if flat else zip(params, grads)):
-            p -= state.learning_rate * g
+        p -= state.learning_rate * g
         return
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    steps, denoms = state.scratch
-    if flat and state.m.shapes == params.shapes:
-        groups = [(params.flat, grads.flat, state.m.flat, state.v.flat, steps.flat, denoms.flat)]
-    else:
-        groups = zip(params, grads, state.m, state.v, steps, denoms, strict=True)
-    for p, g, m, v, step, denom in groups:
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=step)
-        m += step
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(m, c1, out=step)
-        step *= state.learning_rate
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p -= step
+    m, v = state.m.flat, state.v.flat
+    step, denom = (s.flat for s in state.scratch)
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, g, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(m, c1, out=step)
+    step *= state.learning_rate
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step

@@ -18,9 +18,9 @@ import pytest
 from cgain.data import corrupt_mcar, build_dataset, Dataset
 from cgain.datasets import credit_like, letter_like, load_breast_cancer_dataset, spambase_like
 from cgain.evaluate import run_benchmark, run_imbalance_benchmark, run_method
-from cgain.imputer import (TrainConfig, build_model, discriminate, generate,
+from cgain.imputer import (TrainConfig, build_model, discriminator_forward, generate,
                            generator_forward, hint_from_b, impute, loss_discriminator,
-                           loss_generator, sample_hint, sample_hint_b, train)
+                           loss_generator, sample_hint_b, train)
 from cgain.nn import make_rng, spawn_rng, spawn_seed, uniform
 from conftest import toy_dataset
 from gradcheck import LOSS_FORMS, check_net_loss_gradients
@@ -97,7 +97,7 @@ def test_acceptance_3_hint_law(capsys):
     rng = make_rng(303)
     d = 5
     mask = (rng.random((100_000, d)) < 0.7).astype(float)
-    hint = sample_hint(mask, rng)
+    hint = hint_from_b(sample_hint_b(mask, rng), mask)
     halves = hint == 0.5
     assert np.array_equal(halves.sum(axis=1), np.ones(100_000))
     assert np.array_equal(hint[~halves], mask[~halves])
@@ -171,13 +171,14 @@ def test_acceptance_5_unconditional_degeneracy(capsys):
         net_c.b2[:] = net_g.b2
         net_c.w3[:] = net_g.w3
         net_c.b3[:] = net_g.b3
-    z = uniform(make_rng(511), 0.0, 0.01, dinc.x_tilde.shape)
-    bar_c, hat_c, _ = generator_forward(cond_model, dinc.x_tilde, dinc.mask, degenerate.labels, z)
-    bar_g, hat_g, _ = generator_forward(gain_model, dinc.x_tilde, dinc.mask, degenerate.labels, z)
+    x_t = dinc.dataset.features
+    z = uniform(make_rng(511), 0.0, 0.01, x_t.shape)
+    bar_c, hat_c, _ = generator_forward(cond_model, x_t, dinc.mask, degenerate.labels, z)
+    bar_g, hat_g, _ = generator_forward(gain_model, x_t, dinc.mask, degenerate.labels, z)
     assert np.array_equal(bar_c, bar_g) and np.array_equal(hat_c, hat_g)
-    hint = sample_hint(dinc.mask, make_rng(512))
-    assert np.array_equal(discriminate(cond_model, hat_c, hint, degenerate.labels),
-                          discriminate(gain_model, hat_g, hint, degenerate.labels))
+    hint = hint_from_b(sample_hint_b(dinc.mask, make_rng(512)), dinc.mask)
+    assert np.array_equal(discriminator_forward(cond_model, hat_c, hint, degenerate.labels)[0],
+                          discriminator_forward(gain_model, hat_g, hint, degenerate.labels)[0])
     ok(5, "conditioning off is bit-identical to the unconditional pipeline; "
           "single-class conditioning equals it after label-weight ablation", capsys)
 

@@ -315,6 +315,37 @@ def test_unknown_config_key_fails_loudly(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_bad_flag_value_is_a_validation_error(tmp_path, capsys):
+    rc = run("train", "--batch", "x", "--out", tmp_path / "m")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cgain-error: validation: argument --batch: invalid int value: 'x'\n"
+
+
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# training\niters=5\nbatch=x\n")
+    rc = run("train", "--config", cfg, "--out", tmp_path / "m")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:3: key 'batch': "
+                                       "argument --batch: invalid int value: 'x'\n")
+
+
+def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
+    data = write_toy_csv(tmp_path / "d.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data={data}\nlabel_col=y\nrate=0.3\noptimizer=rmsprop\n")
+    rc = run("corrupt", "--config", cfg, "--out", tmp_path / "c")
+    assert rc == 1
+    # argparse words the list of choices differently across Python versions
+    err = capsys.readouterr().err
+    assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'optimizer': "
+                          "argument --optimizer: invalid choice: 'rmsprop' (choose from ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.data.csv").exists()
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     data = write_toy_csv(tmp_path / "d.csv")
     monkeypatch.setenv("CGAIN_SEED", "777")

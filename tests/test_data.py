@@ -262,6 +262,24 @@ def test_first_bad_cell_in_row_major_order(tmp_path, loader, text, message):
     assert str(info.value) == f"{p}: {message}"
 
 
+@pytest.mark.parametrize("loader, text, message", [
+    # a blank line, then the bad cell on line 4 (record 2)
+    (load_csv, "a,b,y\n1,2,0\n\n1,x,1\n", "row 4, column 'b': cannot parse 'x' as a number"),
+    # a quoted label spans lines 2-3, then the bad cell on line 4 (record 2)
+    (load_csv, 'a,b,y\n1,2,"0\nzero"\n1,x,1\n', "row 4, column 'b': cannot parse 'x' as a number"),
+    (load_csv, "a,b,y\n\n1,,0\n", "row 3, column 'b': empty cell in a complete dataset"),
+    (load_incomplete_csv, "a,b,y\n1,2,0\n\n\n1,2,\n", f"row 5: {MISSING_LABEL}"),
+    (read_csv_table, "a,b,y\n\n1,2\n", "row 3 has 2 cells, expected 3"),
+    (load_mask_csv, "m0,m1\n1,0\n\n1,2\n", "row 4, column 'm1': mask cells must be 0 or 1, got '2'"),
+], ids=["blank-line", "multi-line-cell", "empty-cell", "missing-label", "row-length", "mask-cell"])
+def test_errors_name_the_file_line_of_the_record(tmp_path, loader, text, message):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(ValueError) as info:
+        loader(p, "y") if loader in (load_csv, load_incomplete_csv) else loader(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
 @settings(max_examples=100, deadline=None)
 @given(width=st.integers(1, 4),
        cells=st.lists(st.sampled_from(["0", "1", " 1", "0 ", "", "2", "01", "1.0", "x"]),

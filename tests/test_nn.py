@@ -7,13 +7,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.nn import (DenseNet, FlatArrays, dense_backward, dense_forward,
+from cgain.nn import (OPTIMIZERS, DenseNet, FlatArrays, dense_backward, dense_forward,
                       init_dense, make_optimizer, make_rng, optimizer_step, sigmoid, uniform,
                       xavier_uniform)
 from conftest import assert_same_bits
 from gradcheck import (LOSS_FORMS, check_net_loss_gradients, finite_difference_gradients,
                        max_relative_error)
 from oracles import ref_adam_step, ref_backward, ref_forward, ref_sigmoid, scalar_forward
+
+
+def flat(*arrays) -> FlatArrays:
+    """One flat buffer holding copies of arrays, the layout optimizers take."""
+    out = FlatArrays.zeros(a.shape for a in arrays)
+    for view, a in zip(out, arrays):
+        view[...] = a
+    return out
 
 
 def zero_net(d_in, h, d_out, hidden="relu", output="sigmoid"):
@@ -144,18 +152,18 @@ def test_gradients_match_finite_differences_per_loss_form(loss_form):
 # ---------------------------------------------------------------------------
 
 def test_sgd_is_textbook_update():
-    p = [np.array([1.0])]
+    p = flat(np.array([1.0]))
     state = make_optimizer("sgd", 0.1, p)
-    optimizer_step(state, p, [np.array([2.0])])
+    optimizer_step(state, p, flat(np.array([2.0])))
     assert p[0][0] == pytest.approx(0.8, abs=0)
     assert state.step_count == 1
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     for kind in ("sgd", "adam"):
-        p = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        p = flat(np.array([1.0, -2.0]), np.array([[3.0]]))
         state = make_optimizer(kind, 0.01, p)
-        optimizer_step(state, p, [np.zeros(2), np.zeros((1, 1))])
+        optimizer_step(state, p, flat(np.zeros(2), np.zeros((1, 1))))
         assert_array_equal(p[0], np.array([1.0, -2.0]))
         assert_array_equal(p[1], np.array([[3.0]]))
 
@@ -163,28 +171,52 @@ def test_zero_gradient_leaves_parameters_unchanged():
 def test_adam_first_step_matches_scalar_oracle():
     # frozen from a standalone bias-corrected computation with
     # lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, g=2.0, p=1.0
-    p = [np.array([1.0])]
+    p = flat(np.array([1.0]))
     state = make_optimizer("adam", 1e-3, p)
-    optimizer_step(state, p, [np.array([2.0])])
+    optimizer_step(state, p, flat(np.array([2.0])))
     assert p[0][0] == pytest.approx(0.999000000005, abs=1e-15)
 
 
 def test_optimizer_rejects_bad_inputs():
-    p = [np.zeros(3)]
+    p = flat(np.zeros(3))
     with pytest.raises(ValueError, match="learning rate"):
         make_optimizer("sgd", 0.0, p)
     with pytest.raises(ValueError, match="kind"):
         make_optimizer("rmsprop", 0.1, p)
     state = make_optimizer("sgd", 0.1, p)
     with pytest.raises(ValueError, match="shape"):
-        optimizer_step(state, p, [np.zeros(4)])
+        optimizer_step(state, p, flat(np.zeros(4)))
 
 
 def test_adam_rejects_params_it_was_not_made_for():
     # a shorter state must not leave the extra parameters silently untouched
-    state = make_optimizer("adam", 0.1, [np.zeros(3)])
+    state = make_optimizer("adam", 0.1, flat(np.zeros(3)))
     with pytest.raises(ValueError):
-        optimizer_step(state, [np.zeros(3), np.zeros(2)], [np.ones(3), np.ones(2)])
+        optimizer_step(state, flat(np.zeros(3), np.zeros(2)), flat(np.ones(3), np.ones(2)))
+
+
+def test_optimizer_takes_only_flat_buffers_of_its_own_layout():
+    net = init_dense(make_rng(55), 3, 4, 2)
+    other = init_dense(make_rng(56), 3, 5, 2)
+    for g in net.grads + other.grads:
+        g[...] = 1.0
+    kept = net.params().flat.copy()
+    plain = [p.copy() for p in net.params()]
+    for kind in OPTIMIZERS:
+        with pytest.raises(ValueError, match="FlatArrays"):
+            make_optimizer(kind, 0.1, plain)
+        state = make_optimizer(kind, 0.1, net.params())
+        for params, grads in ((plain, net.grads), (net.params(), list(net.grads)),
+                              (tuple(net.params()), net.grads)):
+            with pytest.raises(ValueError, match="FlatArrays"):
+                optimizer_step(state, params, grads)
+        # a state made for another layout, and gradients of another layout
+        for params, grads in ((other.params(), other.grads), (net.params(), other.grads)):
+            with pytest.raises(ValueError, match="shapes"):
+                optimizer_step(state, params, grads)
+        assert state.step_count == 0
+        assert_same_bits(net.params().flat, kept)
+        assert_same_bits(other.params().flat, init_dense(make_rng(56), 3, 5, 2).params().flat)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,9 +228,9 @@ def test_adam_rejects_params_it_was_not_made_for():
 def test_sgd_update_property(p0, g, lr):
     if p0.shape != g.shape:
         g = np.resize(g, p0.shape)
-    p = [p0.copy()]
+    p = flat(p0)
     state = make_optimizer("sgd", lr, p)
-    optimizer_step(state, p, [g])
+    optimizer_step(state, p, flat(g))
     assert_array_equal(p[0], p0 - lr * g)
 
 
@@ -241,13 +273,13 @@ def test_forward_and_backward_bits_equal_full_reference(hidden, output):
 def test_adam_bits_equal_textbook_reference_over_many_steps():
     rng = make_rng(41)
     shapes = [tuple(int(v) for v in rng.integers(1, 30, size=2)) for _ in range(4)] + [(7,), (1,)]
-    params = [rng.normal(size=s) for s in shapes]
+    params = flat(*[rng.normal(size=s) for s in shapes])
     ref_p = [p.copy() for p in params]
     ref_m = [np.zeros_like(p) for p in params]
     ref_v = [np.zeros_like(p) for p in params]
     state = make_optimizer("adam", 1e-3, params)
     for t in range(1, 31):
-        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 4), size=s) for s in shapes]
+        grads = flat(*[rng.normal(scale=10.0 ** rng.integers(-6, 4), size=s) for s in shapes])
         kept = [g.copy() for g in grads]
         optimizer_step(state, params, grads)
         for i, g in enumerate(grads):
