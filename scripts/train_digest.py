@@ -13,7 +13,8 @@ and on a 3-class table with none.
 Each report digest covers the result rows of the report CSV and the report
 JSON with every repetition's wall-clock seconds set to 0. The three grids
 run all four methods: repetition mode and strict fold mode on a small
-letter-like table, and the class-imbalance grid on a credit-like table.
+letter-like table, and the class-imbalance grid on a credit-like table, the
+last on a pool of two workers.
 
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
@@ -35,8 +36,7 @@ import numpy as np  # noqa: E402
 
 from cgain.data import build_dataset, corrupt_mcar  # noqa: E402
 from cgain.datasets import credit_like, letter_like  # noqa: E402
-from cgain.evaluate import (METHODS, report_csv_rows, report_to_json_dict,  # noqa: E402
-                            run_benchmark, run_imbalance_benchmark)
+from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark  # noqa: E402
 from cgain.imputer import TrainConfig, impute, train  # noqa: E402
 from cgain.nn import make_rng  # noqa: E402
 
@@ -101,9 +101,9 @@ def main() -> None:
         "report letter_like strict": run_benchmark(
             letter, list(METHODS), [0.2], 2, root_seed=303, train_config=GRID_TRAIN,
             eval_mode="strict"),
-        "report credit_like imbalance": run_imbalance_benchmark(
-            credit_like(n_rows=600, seed=304), [0.1, 0.15], list(METHODS), 0.2, 2,
-            root_seed=305, train_config=GRID_TRAIN),
+        "report credit_like imbalance": run_benchmark(
+            credit_like(n_rows=600, seed=304), list(METHODS), [0.2], 2, root_seed=305,
+            train_config=GRID_TRAIN, jobs=2, minority_fractions=[0.1, 0.15]),
     }
     for name, report in grids.items():
         print(f"{report_digest(report)}  {name}")

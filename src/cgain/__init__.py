@@ -13,7 +13,6 @@ from .data import (ColumnSpec, Dataset, IncompleteDataset, build_dataset, corrup
 from .imputer import (ImputerModel, TrainConfig, TrainingTrace, generate, impute, load_model,
                       loss_discriminator, loss_generator, save_model, train)
 from .baselines import MeanImputer, MiceLiteImputer
-from .evaluate import (BenchmarkReport, RmseResult, rmse_missing, run_benchmark,
-                       run_imbalance_benchmark, time_methods)
+from .evaluate import BenchmarkReport, RmseResult, rmse_missing, run_benchmark, time_methods
 
 __version__ = "0.1.0"

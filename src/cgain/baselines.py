@@ -2,9 +2,9 @@
 least-squares chained-regression scheme (a deliberately small stand-in for
 full MICE).
 
-Both expose fit/transform so the strict evaluation mode can fit on training
-rows and apply to held-out rows; fitting on a dataset also yields its own
-completion, which is the plain single-dataset imputation path.
+Both expose fit/transform: fit learns from the rows it is given, and
+transform fills the missing cells of any rows with what fit learnt, either
+the fitted rows themselves (repetition mode) or held-out rows (strict mode).
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ class MeanImputer:
 
     def __init__(self):
         self.means_: Array | None = None
-        self.completed_: Array | None = None
 
     def fit(self, inc: IncompleteDataset) -> "MeanImputer":
         self.means_ = _column_means(inc)
-        self.completed_ = _mean_filled(inc, self.means_)
         return self
 
     def transform(self, inc: IncompleteDataset) -> Array:
@@ -59,7 +57,8 @@ class MiceLiteImputer:
     rows where it is observed, overwriting its missing cells with the
     (ridge-damped, [0,1]-clamped) predictions.
 
-    transform() replays the fitted per-sweep regressions on new rows.
+    transform() replays the fitted per-sweep regressions on any rows; on the
+    fitted rows it reproduces the fit's own completion.
     """
 
     def __init__(self, sweeps: int = MICE_LITE_SWEEPS):
@@ -68,7 +67,6 @@ class MiceLiteImputer:
         self.sweeps = sweeps
         self.means_: Array | None = None
         self.betas_: list[list[Array]] | None = None   # [sweep][column] -> (d,) coefs + intercept
-        self.completed_: Array | None = None
 
     def fit(self, inc: IncompleteDataset) -> "MiceLiteImputer":
         self.means_ = _column_means(inc)
@@ -88,7 +86,6 @@ class MiceLiteImputer:
                 if rows.size:
                     x[rows, j] = self._predict(beta, x[rows][:, others])
             self.betas_.append(sweep_betas)
-        self.completed_ = x
         return self
 
     def transform(self, inc: IncompleteDataset) -> Array:

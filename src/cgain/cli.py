@@ -24,12 +24,12 @@ from .nn import OPTIMIZERS, make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, METHODS, mean_std, run_benchmark, run_imbalance_benchmark,
-                       time_methods, write_report_csv, write_report_json, write_timing_csv)
+from .evaluate import (EVAL_MODES, mean_std, run_benchmark, time_methods, write_report_csv,
+                       write_report_json, write_timing_csv)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
 DEFAULT_METHODS = "cgain,gain,mean,mice_lite"
-DEFAULT_IMBALANCE_RATE = 0.2
+DEFAULT_IMBALANCE_RATE = "0.2"
 SEED_ENV = "CGAIN_SEED"
 
 
@@ -122,10 +122,14 @@ def print_config(cfg: RunConfig, command: str) -> None:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    """The values of the comma list given to --{what}; it must hold at least one."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"cannot parse {what} list {text!r}") from None
+    if not values:
+        raise ValueError(f"--{what} needs at least one value, got {text!r}")
+    return values
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -236,26 +240,13 @@ def cmd_impute(cfg: RunConfig) -> int:
 def cmd_benchmark(cfg: RunConfig) -> int:
     _require(cfg, "data", "out")
     methods = [m for m in (cfg.method or DEFAULT_METHODS).split(",") if m.strip()]
-    if not methods:
-        raise ValueError("benchmark needs at least one method")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
+    default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
+    rates = _parse_floats(cfg.rate or default_rates, "rate")
     dataset = load_csv(cfg.data, _label_col(cfg))
     tc = _train_config(cfg, conditional=True)   # per-method flag set by the harness
-    fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else []
-
-    if fractions:
-        rates = _parse_floats(cfg.rate, "rate") if cfg.rate else [DEFAULT_IMBALANCE_RATE]
-        if len(rates) != 1:
-            raise ValueError(f"the imbalance grid uses a single missing rate, got {cfg.rate!r}")
-        report = run_imbalance_benchmark(dataset, fractions, methods, rates[0], cfg.reps,
-                                         root_seed=cfg.seed, train_config=tc,
-                                         eval_mode=cfg.eval_mode, jobs=cfg.jobs)
-    else:
-        rates = _parse_floats(cfg.rate or DEFAULT_RATES, "rate")
-        report = run_benchmark(dataset, methods, rates, cfg.reps, root_seed=cfg.seed,
-                               train_config=tc, eval_mode=cfg.eval_mode, jobs=cfg.jobs)
+    report = run_benchmark(dataset, methods, rates, cfg.reps, root_seed=cfg.seed, train_config=tc,
+                           eval_mode=cfg.eval_mode, jobs=cfg.jobs, minority_fractions=fractions)
 
     csv_path, json_path = f"{cfg.out}.report.csv", f"{cfg.out}.report.json"
     timing_path = f"{cfg.out}.timing.csv"
@@ -264,25 +255,26 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     write_timing_csv(timing_path, report)
     for path in (csv_path, json_path, timing_path):
         print(f"wrote {path}")
+    failures = []
     for cell in report.cells:
-        frac = "" if cell.minority_fraction is None else f" fraction={cell.minority_fraction!r}"
+        where = f"method={cell.method} rate={cell.missing_rate!r}"
+        if cell.minority_fraction is not None:
+            where += f" fraction={cell.minority_fraction!r}"
         if cell.reps:
             mean, std = mean_std([r.overall for r in cell.reps])
             line = f"rmse_mean={mean!r} rmse_std={'' if std is None else repr(std)}"
         else:
             line = "rmse_mean= rmse_std="
-        print(f"result method={cell.method} rate={cell.missing_rate!r}{frac} {line} reps={len(cell.reps)}")
+        print(f"result {where} {line} reps={len(cell.reps)}")
+        if cell.error:
+            failures.append(f"cgain-error: runtime: cell {where}: {cell.error}")
     for method, entry in time_methods(report).items():
         print(f"timing method={method} total_seconds={entry['total_seconds']!r} "
               f"mean_seconds={entry['mean_seconds']!r}")
 
-    failed = [c for c in report.cells if c.error]
-    if failed:
-        for c in failed:
-            print(f"cgain-error: runtime: cell method={c.method} rate={c.missing_rate}: {c.error}",
-                  file=sys.stderr)
-        return 2
-    return 0
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------

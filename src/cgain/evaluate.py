@@ -1,6 +1,7 @@
 """Imputation quality measurement: missing-cell RMSE (overall and per
-class), multi-repetition benchmark grids with paired corruption masks, an
-engineered class-imbalance grid, and wall-clock summaries.
+class), one multi-repetition benchmark grid with paired corruption masks
+over missing rates or engineered class-imbalance levels, and wall-clock
+summaries.
 
 Seed discipline: every random draw in a benchmark comes from a stream
 derived from the root seed via nn.spawn_rng with a fixed integer path, so
@@ -12,10 +13,12 @@ computed in any order or in parallel:
     training    (rate_idx, rep, method)  -> spawn(root, 3, rate_idx, rep, method_idx)
     fold split  (rate_idx)               -> spawn(root, 4, rate_idx)
     impute noise(rate_idx, rep, method)  -> spawn(root, 5, rate_idx, rep, method_idx)
-    imbalance sub-benchmark root         -> spawn(root, 6, fraction_idx)
+    imbalance fraction block root        -> spawn(root, 6, fraction_idx)
 
 In strict fold mode the corruption path uses rep = 0 (one mask per rate,
-shared by all folds) and `rep` indexes the held-out fold.
+shared by all folds) and `rep` indexes the held-out fold. In the imbalance
+grid, paths 1 and 3-5 start from the fraction's block root (path 6) instead
+of the root seed.
 
 Wall-clock seconds are recorded per repetition but are kept out of the
 results CSV (they cannot be reproducible); they live in the JSON mirror and
@@ -91,18 +94,13 @@ def rmse_missing(truth: Dataset, imputed, mask: Array) -> RmseResult:
 def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDataset,
                train_config: TrainConfig, method_seed: int,
                impute_rng: np.random.Generator) -> Array:
-    """Fit a method on train_inc and return imputed features for eval_inc.
-
-    When eval_inc is train_inc (repetition mode) the baselines return their
-    own fitted completion; otherwise they transform the held-out rows.
-    """
-    same = eval_inc is train_inc
+    """Fit a method on train_inc and return imputed features for eval_inc,
+    which is train_inc itself in repetition mode and the held-out rows in
+    strict mode."""
     if method == "mean":
-        imp = MeanImputer().fit(train_inc)
-        return imp.completed_ if same else imp.transform(eval_inc)
+        return MeanImputer().fit(train_inc).transform(eval_inc)
     if method == "mice_lite":
-        imp = MiceLiteImputer().fit(train_inc)
-        return imp.completed_ if same else imp.transform(eval_inc)
+        return MiceLiteImputer().fit(train_inc).transform(eval_inc)
     if method in ("cgain", "gain"):
         cfg = replace(train_config, conditional=(method == "cgain"), seed=method_seed)
         model, _ = train(train_inc, cfg)
@@ -172,21 +170,33 @@ def _rep_task(args) -> tuple[int, int, dict]:
 
 def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
                   repetitions: int, root_seed: int, train_config: TrainConfig | None = None,
-                  eval_mode: str = "repetition", jobs: int = 1) -> BenchmarkReport:
+                  eval_mode: str = "repetition", jobs: int = 1,
+                  minority_fractions: list[float] | None = None,
+                  minority_class=None) -> BenchmarkReport:
     """Corrupt / impute / score over a (missing rate x method) grid.
 
     Within one repetition every method sees the identical corruption mask,
     so method comparisons are paired. In strict mode `repetitions` is the
     fold count: each repetition trains on the other folds and scores the
     held-out fold of a single shared corruption per rate.
+
+    Given minority_fractions, the grid runs over engineered class-imbalance
+    levels of a binary dataset at a single missing rate instead: the
+    dataset is subsampled once per fraction so that minority_class (default:
+    the rarer class) holds that share of the rows, and the fraction-f block
+    is exactly the rate grid on that subsample with root seed
+    spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
+    grid runs on one pool of `jobs` workers.
     """
     if repetitions < 1:
         raise ValueError(f"need at least 1 repetition, got {repetitions}")
     if not methods:
-        raise ValueError("no methods given")
+        raise ValueError("benchmark needs at least one method")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if not missing_rates:
+        raise ValueError("no missing rates given")
     for r in missing_rates:
         if not 0.0 < r < 1.0:
             raise ValueError(f"missing rate must be in (0, 1), got {r}")
@@ -197,17 +207,37 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     train_config = train_config or TrainConfig()
+    config = {"dataset": dataset.name, "methods": list(methods),
+              "missing_rates": list(missing_rates), "repetitions": repetitions}
 
-    cells = [BenchmarkCell(dataset.name, method, rate)
-             for rate in missing_rates for method in methods]
+    # (minority fraction, data, root seed) per block of the grid
+    blocks = [(None, dataset, root_seed)]
+    if minority_fractions is not None:
+        if not minority_fractions:
+            raise ValueError("no minority fractions given")
+        if len(missing_rates) != 1:
+            raise ValueError(f"the imbalance grid uses a single missing rate, got {list(missing_rates)}")
+        if minority_class is None:
+            minority_class = int(np.argmin(dataset.labels.sum(axis=0)))
+        blocks = [(fraction,
+                   subsample_imbalance(dataset, minority_class, fraction, spawn_rng(root_seed, 2, fidx)),
+                   spawn_seed(root_seed, 6, fidx))
+                  for fidx, fraction in enumerate(minority_fractions)]
+        config["minority_fractions"] = list(minority_fractions)
+        config["minority_class"] = (dataset.class_names[minority_class]
+                                    if isinstance(minority_class, int) else minority_class)
+    config.update(eval_mode=eval_mode, root_seed=root_seed, mice_sweeps=MICE_LITE_SWEEPS,
+                  train=asdict(train_config))
+
+    cells: list[BenchmarkCell] = []
     tasks = []
-    cell_idx = 0
-    for rate_idx, rate in enumerate(missing_rates):
-        for method_idx, method in enumerate(methods):
-            for rep in range(repetitions):
-                tasks.append((cell_idx, rep, dataset, method, method_idx, rate, rate_idx,
-                              root_seed, train_config, eval_mode, repetitions))
-            cell_idx += 1
+    for fraction, data, root in blocks:
+        for rate_idx, rate in enumerate(missing_rates):
+            for method_idx, method in enumerate(methods):
+                tasks += [(len(cells), rep, data, method, method_idx, rate, rate_idx,
+                           root, train_config, eval_mode, repetitions)
+                          for rep in range(repetitions)]
+                cells.append(BenchmarkCell(dataset.name, method, rate, fraction))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -215,72 +245,17 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     else:
         outcomes = [_rep_task(t) for t in tasks]
 
-    by_cell: dict[int, dict[int, dict]] = {}
-    for cidx, rep, record in outcomes:
-        by_cell.setdefault(cidx, {})[rep] = record
-    for cidx, cell in enumerate(cells):
-        records = by_cell.get(cidx, {})
-        errors = []
-        for rep in sorted(records):
-            rec = records[rep]
-            if "error" in rec:
-                errors.append(f"rep {rep}: {rec['error']}")
-                continue
-            cell.reps.append(RepResult(**rec))
-        cell.error = "; ".join(errors) or None
+    # outcomes arrive in task order: cell by cell, repetitions in order
+    for cell_idx, rep, record in outcomes:
+        cell = cells[cell_idx]
+        if "error" in record:
+            error = f"rep {rep}: {record['error']}"
+            cell.error = error if cell.error is None else f"{cell.error}; {error}"
+        else:
+            cell.reps.append(RepResult(**record))
 
-    config = {
-        "dataset": dataset.name, "methods": list(methods),
-        "missing_rates": list(missing_rates), "repetitions": repetitions,
-        "eval_mode": eval_mode, "root_seed": root_seed,
-        "mice_sweeps": MICE_LITE_SWEEPS, "train": asdict(train_config),
-    }
     return BenchmarkReport(dataset.name, root_seed, eval_mode, config,
                            list(dataset.class_names), cells)
-
-
-def run_imbalance_benchmark(dataset: Dataset, minority_fractions: list[float],
-                            methods: list[str], missing_rate: float, repetitions: int,
-                            root_seed: int, minority_class=None,
-                            train_config: TrainConfig | None = None,
-                            eval_mode: str = "repetition", jobs: int = 1) -> BenchmarkReport:
-    """Benchmark over engineered class-imbalance levels of a binary dataset.
-
-    For each minority fraction the dataset is subsampled once, then the
-    regular benchmark runs on the subsample at the fixed missing rate; the
-    fraction-f grid is exactly run_benchmark on that subsample with root
-    seed spawn_seed(root, 6, fraction_idx).
-    """
-    if dataset.n_classes != 2:
-        raise ValueError(f"imbalance benchmark needs a binary dataset, got {dataset.n_classes} classes")
-    if not minority_fractions:
-        raise ValueError("no minority fractions given")
-    if minority_class is None:
-        counts = dataset.labels.sum(axis=0)
-        minority_class = int(np.argmin(counts))
-
-    all_cells: list[BenchmarkCell] = []
-    for fidx, fraction in enumerate(minority_fractions):
-        sub = subsample_imbalance(dataset, minority_class, fraction, spawn_rng(root_seed, 2, fidx))
-        part = run_benchmark(sub, methods, [missing_rate], repetitions,
-                             root_seed=spawn_seed(root_seed, 6, fidx),
-                             train_config=train_config, eval_mode=eval_mode, jobs=jobs)
-        for cell in part.cells:
-            cell.dataset = dataset.name
-            cell.minority_fraction = fraction
-            all_cells.append(cell)
-
-    config = {
-        "dataset": dataset.name, "methods": list(methods),
-        "missing_rates": [missing_rate], "repetitions": repetitions,
-        "minority_fractions": list(minority_fractions),
-        "minority_class": dataset.class_names[minority_class]
-        if isinstance(minority_class, int) else minority_class,
-        "eval_mode": eval_mode, "root_seed": root_seed,
-        "mice_sweeps": MICE_LITE_SWEEPS, "train": asdict(train_config or TrainConfig()),
-    }
-    return BenchmarkReport(dataset.name, root_seed, eval_mode, config,
-                           list(dataset.class_names), all_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,26 @@ def ref_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     p -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
 
 
+def ref_mice_lite(features, mask, sweeps, ridge=1e-6):
+    """The completion a chained-regression fit leaves on its own rows: mean
+    fill, then per sweep and column a ridge least-squares fit (with
+    intercept) on the column's observed rows, whose [0, 1]-clamped
+    predictions overwrite its missing rows."""
+    x = features.copy()
+    d = x.shape[1]
+    for j in range(d):
+        obs = mask[:, j] == 1
+        x[~obs, j] = x[obs, j].mean()
+    for _ in range(sweeps):
+        for j in range(d):
+            obs = mask[:, j] == 1
+            others = [k for k in range(d) if k != j]
+            z = np.column_stack([x[obs][:, others], np.ones(obs.sum())])
+            beta = np.linalg.solve(z.T @ z + ridge * np.eye(d), z.T @ x[obs, j])
+            x[~obs, j] = np.clip(x[~obs][:, others] @ beta[:-1] + beta[-1], 0.0, 1.0)
+    return x
+
+
 def ref_recon_grad(x_bar, x_tilde, mask, kinds):
     """Gradient of the reconstruction part w.r.t. the generator output."""
     binary = np.array([k == "binary" for k in kinds])[None, :]

@@ -17,7 +17,7 @@ import pytest
 
 from cgain.data import corrupt_mcar, build_dataset, Dataset
 from cgain.datasets import credit_like, letter_like, load_breast_cancer_dataset, spambase_like
-from cgain.evaluate import run_benchmark, run_imbalance_benchmark, run_method
+from cgain.evaluate import run_benchmark, run_method
 from cgain.imputer import (TrainConfig, build_model, discriminator_forward, generate,
                            generator_forward, hint_from_b, impute, loss_discriminator,
                            loss_generator, sample_hint_b, train)
@@ -269,9 +269,9 @@ def test_acceptance_9_imbalance_minority_ordering(capsys):
 
     def criterion(sign):
         cfg = TrainConfig(iterations=600, adversarial_sign=sign)
-        report = run_imbalance_benchmark(ds, [0.10], ["cgain", "gain"], 0.2,
-                                         repetitions=3, root_seed=2029,
-                                         minority_class=1, train_config=cfg)
+        report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=3,
+                               root_seed=2029, train_config=cfg,
+                               minority_fractions=[0.10], minority_class=1)
         cells = {c.method: c for c in report.cells}
         pairs = [(c.per_class["1"], g.per_class["1"])
                  for c, g in zip(cells["cgain"].reps, cells["gain"].reps)]

@@ -7,7 +7,7 @@ from cgain.data import IncompleteDataset, build_dataset, corrupt_mcar, uncorrupt
 from cgain.evaluate import rmse_missing
 from cgain.nn import make_rng
 from conftest import toy_dataset
-from oracles import scalar_rmse
+from oracles import ref_mice_lite, scalar_rmse
 
 
 def incomplete_from(features, mask, labels=None):
@@ -24,7 +24,7 @@ def test_mean_imputation_definition():
     mask = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
     # column 0 observed values are 0.2 and 0.4 once normalized? use raw directly:
     ds, inc = incomplete_from(raw, mask)
-    completed = MeanImputer().fit(inc).completed_
+    completed = MeanImputer().fit(inc).transform(inc)
     obs = ds.features[:2, 0]
     assert completed[2, 0] == pytest.approx(obs.mean(), abs=1e-15)
     assert_array_equal(completed[inc.mask == 1], inc.dataset.features[inc.mask == 1])
@@ -38,13 +38,13 @@ def test_mean_imputation_exact_example():
                  schema=[ColumnSpec("c0", "continuous", 0.0, 1.0)],
                  class_names=["0", "1"])
     inc = IncompleteDataset(ds, np.array([[1.0], [1.0], [0.0]]))
-    completed = MeanImputer().fit(inc).completed_
+    completed = MeanImputer().fit(inc).transform(inc)
     assert completed[2, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_mean_identity_without_missing(dataset):
     inc = uncorrupted(dataset)
-    completed = MeanImputer().fit(inc).completed_
+    completed = MeanImputer().fit(inc).transform(inc)
     assert_array_equal(completed, dataset.features)
 
 
@@ -61,7 +61,7 @@ def test_mean_rejects_fully_missing_column():
 def test_mean_rmse_matches_direct_recomputation():
     ds = toy_dataset(n=50, d=4, seed=3, binary_col=False)
     inc = corrupt_mcar(ds, 0.3, make_rng(4))
-    completed = MeanImputer().fit(inc).completed_
+    completed = MeanImputer().fit(inc).transform(inc)
     result = rmse_missing(ds, completed, inc.mask)
     expected, count = scalar_rmse(ds.features.tolist(), completed.tolist(),
                                   inc.mask.tolist())
@@ -77,7 +77,7 @@ def test_mice_recovers_exact_linear_relation():
     mask = np.ones_like(features)
     mask[::4, 1] = 0.0   # hide some of column B = column A
     ds, inc = incomplete_from(features, mask)
-    completed = MiceLiteImputer(sweeps=1).fit(inc).completed_
+    completed = MiceLiteImputer(sweeps=1).fit(inc).transform(inc)
     hidden = mask[:, 1] == 0
     assert np.max(np.abs(completed[hidden, 1] - ds.features[hidden, 0])) < 1e-6
 
@@ -90,7 +90,7 @@ def test_mice_rejects_zero_sweeps(dataset):
 def test_mice_changes_only_missing_cells():
     ds = toy_dataset(n=30, d=4, seed=6, binary_col=False)
     inc = corrupt_mcar(ds, 0.25, make_rng(7))
-    completed = MiceLiteImputer(sweeps=1).fit(inc).completed_
+    completed = MiceLiteImputer(sweeps=1).fit(inc).transform(inc)
     obs = inc.mask == 1
     assert_array_equal(completed[obs], inc.dataset.features[obs])
     assert np.all(completed >= 0.0) and np.all(completed <= 1.0)
@@ -104,8 +104,8 @@ def test_mice_beats_mean_on_linear_data():
                                 0.5 - 0.4 * x + 0.02 * rng.normal(size=n)])
     ds, _ = incomplete_from(features, np.ones_like(features))
     inc = corrupt_mcar(ds, 0.3, make_rng(9))
-    mice_rmse = rmse_missing(ds, MiceLiteImputer(sweeps=3).fit(inc).completed_, inc.mask).overall
-    mean_rmse = rmse_missing(ds, MeanImputer().fit(inc).completed_, inc.mask).overall
+    mice_rmse = rmse_missing(ds, MiceLiteImputer(sweeps=3).fit(inc).transform(inc), inc.mask).overall
+    mean_rmse = rmse_missing(ds, MeanImputer().fit(inc).transform(inc), inc.mask).overall
     assert mice_rmse < mean_rmse
 
 
@@ -113,9 +113,10 @@ def test_fit_transform_replays_the_fit_on_same_data():
     ds = toy_dataset(n=40, d=4, seed=10, binary_col=False)
     inc = corrupt_mcar(ds, 0.3, make_rng(11))
     mice = MiceLiteImputer(sweeps=2).fit(inc)
-    assert_allclose(mice.transform(inc), mice.completed_, atol=1e-12)
+    assert_allclose(mice.transform(inc), ref_mice_lite(inc.dataset.features, inc.mask, sweeps=2),
+                    atol=1e-12)
     mean = MeanImputer().fit(inc)
-    assert_array_equal(mean.transform(inc), mean.completed_)
+    assert_array_equal(mean.transform(inc), np.where(inc.mask == 1, inc.dataset.features, mean.means_))
 
 
 def test_transform_on_held_out_rows_uses_fitted_statistics():

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cgain import cli, data as data_module
+from cgain import cli, data as data_module, evaluate
 from cgain.cli import DEFAULT_METHODS, DEFAULT_RATES, RunConfig, main
 from cgain.data import load_csv, read_csv_table
 from cgain.evaluate import load_report_json, report_csv_rows
@@ -274,12 +274,18 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
     assert payload["config"]["train"]["batch_size"] == 128
 
 
-def test_benchmark_empty_method_list_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag, message", [
+    ("--method", "at least one method"),
+    ("--rate", "--rate needs at least one value"),
+    ("--imbalance", "--imbalance needs at least one value"),
+], ids=["method", "rate", "imbalance"])
+def test_benchmark_empty_method_list_is_usage_error(tmp_path, capsys, flag, message):
     data = write_toy_csv(tmp_path / "d.csv")
-    rc = run("benchmark", "--data", data, "--label-col", "y", "--method", ",",
+    rc = run("benchmark", "--data", data, "--label-col", "y", flag, ",",
              "--out", tmp_path / "r")
     assert rc == 1
-    assert "at least one method" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.report.csv").exists()
 
 
 def test_benchmark_imbalance_grid(tmp_path):
@@ -291,6 +297,22 @@ def test_benchmark_imbalance_grid(tmp_path):
     report = load_report_json(tmp_path / "imb.report.json")
     assert [c.minority_fraction for c in report.cells] == [0.25, 0.5]
     assert report.config["missing_rates"] == [0.2]   # imbalance default rate
+
+
+def test_benchmark_failure_lines_name_the_fraction(tmp_path, capsys, monkeypatch):
+    def fail(method, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(evaluate, "run_method", fail)
+    data = write_toy_csv(tmp_path / "d.csv", n=80, d=3, seed=14)
+    rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean",
+             "--imbalance", "0.25,0.5", "--reps", "1", "--seed", "15",
+             "--jobs", "1", "--out", tmp_path / "imb")
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "cgain-error: runtime: cell method=mean rate=0.2 fraction=0.25: rep 0: RuntimeError: boom",
+        "cgain-error: runtime: cell method=mean rate=0.2 fraction=0.5: rep 0: RuntimeError: boom",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from cgain.baselines import MeanImputer
 from cgain.data import corrupt_mcar, subsample_imbalance
 from cgain.evaluate import (BenchmarkCell, BenchmarkReport, mean_std, report_csv_rows,
                             report_from_json_dict, report_to_json_dict, rmse_missing,
-                            run_benchmark, run_imbalance_benchmark, time_methods)
+                            run_benchmark, time_methods)
 from cgain.imputer import TrainConfig
 from cgain.nn import make_rng, spawn_rng, spawn_seed
 from conftest import toy_dataset, random_incomplete
@@ -111,17 +111,19 @@ def test_paired_mask_external_recomputation():
     report = run_benchmark(ds, ["mean"], [0.2], repetitions=3, root_seed=root)
     for rep in range(3):
         inc = corrupt_mcar(ds, 0.2, spawn_rng(root, 1, 0, rep))
-        outside = rmse_missing(ds, MeanImputer().fit(inc).completed_, inc.mask)
+        outside = rmse_missing(ds, MeanImputer().fit(inc).transform(inc), inc.mask)
         assert report.cells[0].reps[rep].overall == pytest.approx(outside.overall, abs=1e-12)
 
 
 def test_parallel_execution_matches_serial():
     ds = balanced_binary(n=40, d=3, seed=11)
-    serial = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
-                           root_seed=12, jobs=1)
-    parallel = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
-                             root_seed=12, jobs=2)
-    assert report_csv_rows(serial) == report_csv_rows(parallel)
+    # the rate grid, and an imbalance grid whose two fractions share one pool
+    for grid in ({}, {"minority_fractions": [0.25, 0.5], "minority_class": 1}):
+        serial = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
+                               root_seed=12, jobs=1, **grid)
+        parallel = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
+                                 root_seed=12, jobs=2, **grid)
+        assert report_csv_rows(serial) == report_csv_rows(parallel)
 
 
 def test_models_run_in_benchmark_and_record_seconds():
@@ -164,6 +166,8 @@ def test_benchmark_validation():
         run_benchmark(ds, ["knn"], [0.2], 1, 0)
     with pytest.raises(ValueError, match="missing rate"):
         run_benchmark(ds, ["mean"], [1.2], 1, 0)
+    with pytest.raises(ValueError, match="missing rates"):
+        run_benchmark(ds, ["mean"], [], 2, 0)
     with pytest.raises(ValueError, match="repetition"):
         run_benchmark(ds, ["mean"], [0.2], 0, 0)
     with pytest.raises(ValueError, match="strict"):
@@ -190,8 +194,8 @@ def test_strict_mode_trains_on_other_folds():
 def test_imbalance_grid_rows_and_delegation():
     ds = balanced_binary(n=80, d=3, seed=19)
     root = 77
-    report = run_imbalance_benchmark(ds, [0.25, 0.5], ["mean"], 0.2, repetitions=2,
-                                     root_seed=root, minority_class=1)
+    report = run_benchmark(ds, ["mean"], [0.2], repetitions=2, root_seed=root,
+                           minority_fractions=[0.25, 0.5], minority_class=1)
     assert [c.minority_fraction for c in report.cells] == [0.25, 0.5]
     # the fraction-f block is exactly run_benchmark on the subsample
     fidx = 1
@@ -205,8 +209,8 @@ def test_imbalance_grid_rows_and_delegation():
 
 def test_imbalance_identity_per_repetition():
     ds = balanced_binary(n=80, d=4, seed=20)
-    report = run_imbalance_benchmark(ds, [0.3], ["mean"], 0.2, repetitions=3,
-                                     root_seed=21)
+    report = run_benchmark(ds, ["mean"], [0.2], repetitions=3, root_seed=21,
+                           minority_fractions=[0.3])
     for rep in report.cells[0].reps:
         lhs = rep.overall ** 2 * rep.n_missing
         rhs = sum(rep.per_class[c] ** 2 * rep.per_class_missing[c]
@@ -217,14 +221,14 @@ def test_imbalance_identity_per_repetition():
 def test_imbalance_requires_binary(dataset):
     multi = toy_dataset(n=30, n_classes=3)
     with pytest.raises(ValueError, match="binary"):
-        run_imbalance_benchmark(multi, [0.3], ["mean"], 0.2, 1, 0)
+        run_benchmark(multi, ["mean"], [0.2], 1, 0, minority_fractions=[0.3])
 
 
 def test_imbalance_reference_fraction_grid():
     # the full imbalance grid: minority shares 10/25/40/50% at 20% missing
     ds = balanced_binary(n=400, d=3, seed=26)
-    report = run_imbalance_benchmark(ds, [0.10, 0.25, 0.40, 0.50], ["mean"], 0.2,
-                                     repetitions=2, root_seed=27, minority_class=1)
+    report = run_benchmark(ds, ["mean"], [0.2], repetitions=2, root_seed=27,
+                           minority_fractions=[0.10, 0.25, 0.40, 0.50], minority_class=1)
     assert [c.minority_fraction for c in report.cells] == [0.10, 0.25, 0.40, 0.50]
     rows = report_csv_rows(report)
     # one overall + one row per class, per fraction
