@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print one sha256 per training configuration and per benchmark grid, to
-check that a change keeps training numerics and benchmark reports bit for
-bit.
+"""Print one sha256 per training configuration, per benchmark grid and per
+table's model file, to check that a change keeps training numerics,
+benchmark reports and model files bit for bit.
 
 Each training digest covers the trained generator and discriminator
 weights, the logged trace losses and two imputations (the model's default
@@ -15,6 +15,9 @@ JSON with every repetition's wall-clock seconds set to 0. The three grids
 run all four methods: repetition mode and strict fold mode on a small
 letter-like table, and the class-imbalance grid on a credit-like table, the
 last on a pool of two workers.
+
+Each model-file digest covers the bytes save_model writes for a table's
+first configuration.
 
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
@@ -31,13 +34,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from cgain.data import build_dataset, corrupt_mcar  # noqa: E402
 from cgain.datasets import credit_like, letter_like  # noqa: E402
 from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark  # noqa: E402
-from cgain.imputer import TrainConfig, impute, train  # noqa: E402
+from cgain.imputer import ImputerModel, TrainConfig, impute, save_model, train  # noqa: E402
 from cgain.nn import make_rng  # noqa: E402
 
 ITERATIONS = 300
@@ -56,7 +60,7 @@ def make_table(seed: int, n_classes: int, n_binary: int, n_rows: int = 150, n_co
     return build_dataset(raw, [str(c) for c in cls], names)
 
 
-def digest(incomplete, config: TrainConfig) -> str:
+def digest(incomplete, config: TrainConfig) -> tuple[str, ImputerModel]:
     model, trace = train(incomplete, config)
     h = hashlib.sha256()
     for net in (model.generator, model.discriminator):
@@ -66,7 +70,15 @@ def digest(incomplete, config: TrainConfig) -> str:
         h.update(np.asarray(values, dtype=np.float64).tobytes())
     for rng in (None, make_rng(config.seed + 1)):
         h.update(impute(model, incomplete, rng).features.tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), model
+
+
+def model_file_digest(model: ImputerModel) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model")
+        save_model(path, model)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def report_digest(report) -> str:
@@ -84,6 +96,7 @@ def main() -> None:
         "2class-binary": corrupt_mcar(make_table(101, n_classes=2, n_binary=3), 0.25, make_rng(102)),
         "3class-continuous": corrupt_mcar(make_table(201, n_classes=3, n_binary=0), 0.25, make_rng(202)),
     }
+    first_models = {}
     for (table, incomplete), conditional, optimizer, sign, stratified in itertools.product(
             tables.items(), (True, False), ("adam", "sgd"), ("gain", "literal"), (False, True)):
         config = TrainConfig(iterations=ITERATIONS, batch_size=32, log_every=LOG_EVERY, seed=7,
@@ -92,7 +105,9 @@ def main() -> None:
                              adversarial_sign=sign, stratified_batches=stratified)
         name = (f"{table} {'cgain' if conditional else 'gain'} {optimizer} {sign} "
                 f"{'stratified' if stratified else 'uniform'}")
-        print(f"{digest(incomplete, config)}  {name}")
+        sha, model = digest(incomplete, config)
+        print(f"{sha}  {name}")
+        first_models.setdefault(table, (name, model))
 
     letter = letter_like(n_rows=312, seed=301)
     grids = {
@@ -107,6 +122,8 @@ def main() -> None:
     }
     for name, report in grids.items():
         print(f"{report_digest(report)}  {name}")
+    for name, model in first_models.values():
+        print(f"{model_file_digest(model)}  model file {name}")
 
 
 if __name__ == "__main__":

@@ -53,18 +53,15 @@ class MeanImputer:
 
 class MiceLiteImputer:
     """Chained linear regressions: initialize missing cells with column
-    means, then repeatedly re-regress each column on all the others over the
-    rows where it is observed, overwriting its missing cells with the
-    (ridge-damped, [0,1]-clamped) predictions.
+    means, then in each of MICE_LITE_SWEEPS sweeps re-regress each column on
+    all the others over the rows where it is observed, overwriting its
+    missing cells with the (ridge-damped, [0,1]-clamped) predictions.
 
     transform() replays the fitted per-sweep regressions on any rows; on the
     fitted rows it reproduces the fit's own completion.
     """
 
-    def __init__(self, sweeps: int = MICE_LITE_SWEEPS):
-        if sweeps < 1:
-            raise ValueError(f"need at least 1 sweep, got {sweeps}")
-        self.sweeps = sweeps
+    def __init__(self):
         self.means_: Array | None = None
         self.betas_: list[list[Array]] | None = None   # [sweep][column] -> (d,) coefs + intercept
 
@@ -75,7 +72,7 @@ class MiceLiteImputer:
         d = x.shape[1]
 
         self.betas_ = []
-        for _ in range(self.sweeps):
+        for _ in range(MICE_LITE_SWEEPS):
             sweep_betas = []
             for j in range(d):
                 others = [k for k in range(d) if k != j]

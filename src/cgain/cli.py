@@ -190,6 +190,9 @@ def cmd_train(cfg: RunConfig) -> int:
     tc.validate()   # fail before any file or training work
 
     if cfg.rate:
+        if cfg.mask:
+            raise ValueError("train takes --rate (corrupt a complete file) or --mask "
+                             "(an incomplete file), not both")
         rates = _parse_floats(cfg.rate, "rate")
         if len(rates) != 1:
             raise ValueError(f"train needs a single --rate, got {cfg.rate!r}")
@@ -217,11 +220,6 @@ def cmd_impute(cfg: RunConfig) -> int:
     header, rows = read_csv_table(cfg.data)
     inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None,
                               table=(header, rows))
-    if inc.dataset.n_features != model.n_features:
-        raise ValueError(f"data has {inc.dataset.n_features} features, model expects {model.n_features}")
-    if inc.dataset.column_kinds != model.column_kinds:
-        raise ValueError("column kinds of the data do not match the model's schema")
-
     completed = impute(model, inc, make_rng(cfg.seed))
     raw = denormalize(inc.dataset.schema, completed.features, round_binary=True)
 
@@ -239,7 +237,7 @@ def cmd_impute(cfg: RunConfig) -> int:
 
 def cmd_benchmark(cfg: RunConfig) -> int:
     _require(cfg, "data", "out")
-    methods = [m for m in (cfg.method or DEFAULT_METHODS).split(",") if m.strip()]
+    methods = [m.strip() for m in (cfg.method or DEFAULT_METHODS).split(",") if m.strip()]
     fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
     default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
     rates = _parse_floats(cfg.rate or default_rates, "rate")

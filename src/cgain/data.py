@@ -176,13 +176,14 @@ def _sorted_class_names(values: list[str]) -> list[str]:
 
 
 def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
-                  label_column: str = "label", schema_overrides: dict | None = None,
-                  name: str = "", observed_mask: Array | None = None) -> Dataset:
+                  label_column: str = "label", name: str = "",
+                  observed_mask: Array | None = None) -> Dataset:
     """Type columns, normalize to [0, 1], and one-hot encode labels.
 
     raw is the unnormalized (n, d) feature matrix; every observed cell must
-    be finite. If observed_mask is given, column statistics and the binary
-    check use observed entries only (missing cells of raw are ignored).
+    be finite. A column whose observed values are all 0 or 1 is binary, any
+    other continuous. If observed_mask is given, column statistics and the
+    binary check use observed entries only (missing cells of raw are ignored).
     """
     raw = np.asarray(raw, dtype=np.float64)
     n, d = raw.shape
@@ -197,10 +198,6 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
         value = raw[np.argmin(finite[:, j]), j]
         raise ValueError(f"column {feature_names[j]!r} holds a non-finite value ({value}); "
                          "feature cells must be finite numbers")
-    overrides = dict(schema_overrides or {})
-    for key in overrides:
-        if key not in feature_names:
-            raise ValueError(f"schema override for unknown column {key!r}")
 
     schema: list[ColumnSpec] = []
     features = np.zeros_like(raw)
@@ -209,13 +206,7 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
         obs = col if observed_mask is None else col[observed_mask[:, j] == 1]
         if obs.size == 0:
             raise ValueError(f"column {col_name!r} has no observed values")
-        is_binary = bool(np.all((obs == 0.0) | (obs == 1.0)))
-        kind = overrides.get(col_name, BINARY if is_binary else CONTINUOUS)
-        if kind not in (BINARY, CONTINUOUS):
-            raise ValueError(f"unknown column kind {kind!r} for {col_name!r}")
-        if kind == BINARY:
-            if not is_binary:
-                raise ValueError(f"column {col_name!r} declared binary but has values outside {{0, 1}}")
+        if np.all((obs == 0.0) | (obs == 1.0)):
             schema.append(ColumnSpec(col_name, BINARY, 0.0, 1.0))
             features[:, j] = col
         else:
@@ -295,7 +286,7 @@ def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
     return raw.reshape(shape), observed.reshape(shape).astype(np.float64), labels
 
 
-def _load_table(path, label_column, schema_overrides, name, table, allow_missing: bool,
+def _load_table(path, label_column, table, allow_missing: bool,
                 mask_path=None) -> tuple[Dataset, Array]:
     """(dataset, mask) of a labeled CSV, for load_csv and load_incomplete_csv."""
     header, rows = table if table is not None else read_csv_table(path)
@@ -310,36 +301,34 @@ def _load_table(path, label_column, schema_overrides, name, table, allow_missing
         if not np.array_equal(file_mask, mask):
             raise ValueError(f"{mask_path}: mask disagrees with the empty-cell pattern of {path}")
 
-    stem = name if name is not None else os.path.splitext(os.path.basename(str(path)))[0]
-    ds = build_dataset(raw, label_values, feature_names, label_column=header[label_idx],
-                       schema_overrides=schema_overrides, name=stem,
+    stem = os.path.splitext(os.path.basename(str(path)))[0]
+    ds = build_dataset(raw, label_values, feature_names, label_column=header[label_idx], name=stem,
                        observed_mask=mask if allow_missing else None)
     return ds, mask
 
 
-def load_csv(path, label_column, schema_overrides: dict | None = None, name: str | None = None,
-             *, table: tuple[list[str], list[list[str]]] | None = None) -> Dataset:
-    """Load a fully observed labeled CSV.
+def load_csv(path, label_column, *, table: tuple[list[str], list[list[str]]] | None = None) -> Dataset:
+    """Load a fully observed labeled CSV, named by the file stem; each
+    column's kind is inferred from its values as build_dataset does.
 
     Every non-label cell must parse as a number; corruption is injected
     separately, so empty cells are a load error here. table, when given, is
     the file's (header, rows) as read_csv_table returned them; path then
     only names the file in messages and the dataset.
     """
-    return _load_table(path, label_column, schema_overrides, name, table, allow_missing=False)[0]
+    return _load_table(path, label_column, table, allow_missing=False)[0]
 
 
-def load_incomplete_csv(path, label_column, schema_overrides: dict | None = None,
-                        mask_path=None, name: str | None = None,
-                        *, table: tuple[list[str], list[list[str]]] | None = None) -> IncompleteDataset:
+def load_incomplete_csv(path, label_column, *, mask_path=None,
+                        table: tuple[list[str], list[list[str]]] | None = None) -> IncompleteDataset:
     """Load a labeled CSV where empty feature cells mean missing.
 
     Column statistics come from observed entries only. If mask_path is given
     the 0/1 mask file must agree with the empty-cell pattern. table is as
     for load_csv.
     """
-    return IncompleteDataset(*_load_table(path, label_column, schema_overrides, name, table,
-                                          allow_missing=True, mask_path=mask_path))
+    return IncompleteDataset(*_load_table(path, label_column, table, allow_missing=True,
+                                          mask_path=mask_path))
 
 
 def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:

@@ -450,6 +450,9 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
     ds = incomplete.dataset
     if ds.n_features != model.n_features:
         raise ValueError(f"dataset has {ds.n_features} features, model expects {model.n_features}")
+    if ds.column_kinds != model.column_kinds:
+        raise ValueError(f"dataset column kinds {ds.column_kinds} do not match the model's "
+                         f"{model.column_kinds}")
     if model.conditional and ds.n_classes != model.n_classes:
         raise ValueError(f"dataset has {ds.n_classes} classes, model expects {model.n_classes}")
     if rng is None:
@@ -465,70 +468,80 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
 MODEL_MAGIC = b"CGAINMDL"
 MODEL_FORMAT_VERSION = 1
 
-_NET_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+_ARRAY_NAMES = [f"{net}.{f}" for net in ("generator", "discriminator")
+                for f in ("w1", "b1", "w2", "b2", "w3", "b3")]
+_NET_ACTIVATIONS = ["relu", "sigmoid"]   # every DenseNet's hidden and output activations
+_PREAMBLE = struct.Struct("<IQ")          # format version, header length
 
 
 def save_model(path, model: ImputerModel) -> None:
-    """Self-describing flat file: magic, version, JSON header, then all
-    weight/bias arrays as little-endian float64 in header order."""
-    arrays = []
-    manifest = []
-    for net_name, net in (("generator", model.generator), ("discriminator", model.discriminator)):
-        for fname in _NET_FIELDS:
-            arr = getattr(net, fname)
-            manifest.append({"name": f"{net_name}.{fname}", "shape": list(arr.shape)})
-            arrays.append(np.ascontiguousarray(arr, dtype="<f8"))
+    """Self-describing flat file: magic, version, JSON header, then each
+    net's parameter buffer as little-endian float64, generator first; the
+    header lists its arrays in that order."""
+    nets = (model.generator, model.discriminator)
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "n_features": model.n_features,
         "n_classes": model.n_classes,
         "conditional": model.conditional,
         "column_kinds": model.column_kinds,
-        "generator_activations": [model.generator.hidden_activation, model.generator.output_activation],
-        "discriminator_activations": [model.discriminator.hidden_activation, model.discriminator.output_activation],
+        "generator_activations": _NET_ACTIVATIONS,
+        "discriminator_activations": _NET_ACTIVATIONS,
         "config": asdict(model.config),
-        "arrays": manifest,
+        "arrays": [{"name": name, "shape": list(shape)}
+                   for name, shape in zip(_ARRAY_NAMES, nets[0].params().shapes + nets[1].params().shapes)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_PREAMBLE.pack(MODEL_FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for arr in arrays:
-            fh.write(arr.tobytes())
+        for net in nets:
+            fh.write(net.params().flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path) -> ImputerModel:
+    """Read a save_model file; a file that is not one, cut short, padded or
+    with an unexpected header is a ValueError that names the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+        blob = fh.read()
+    magic = blob[:len(MODEL_MAGIC)]
+    if magic != MODEL_MAGIC:
+        raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
+    pos = len(MODEL_MAGIC) + _PREAMBLE.size
+    if len(blob) < pos:
+        raise ValueError(f"{path}: truncated preamble ({len(blob)} bytes, need {pos})")
+    version, header_len = _PREAMBLE.unpack_from(blob, len(MODEL_MAGIC))
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format version {version}")
+    try:
+        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable header: {exc}") from None
+    pos += header_len
+    entries = header.get("arrays", [])
+    if [e.get("name") for e in entries] != _ARRAY_NAMES:
+        raise ValueError(f"{path}: header must list the arrays {_ARRAY_NAMES} in that order")
+    for key in ("generator_activations", "discriminator_activations"):
+        if header.get(key) != _NET_ACTIVATIONS:
+            raise ValueError(f"{path}: {key} must be {_NET_ACTIVATIONS}, got {header.get(key)!r}")
+    arrays = []
+    for entry in entries:
+        shape = tuple(entry["shape"])
+        size = 8 * math.prod(shape)
+        if len(blob) < pos + size:
+            raise ValueError(f"{path}: truncated array {entry['name']}")
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=size // 8, offset=pos).reshape(shape))
+        pos += size
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last array")
 
-    def rebuild(net_name: str, acts: list[str]) -> DenseNet:
-        fields = {f: arrays[f"{net_name}.{f}"] for f in _NET_FIELDS}
-        return DenseNet(hidden_activation=acts[0], output_activation=acts[1], **fields)
-
-    config = TrainConfig(**header["config"])
     return ImputerModel(
-        generator=rebuild("generator", header["generator_activations"]),
-        discriminator=rebuild("discriminator", header["discriminator_activations"]),
+        generator=DenseNet(*arrays[:6]),
+        discriminator=DenseNet(*arrays[6:]),
         n_features=header["n_features"],
         n_classes=header["n_classes"],
         conditional=header["conditional"],
         column_kinds=list(header["column_kinds"]),
-        config=config,
+        config=TrainConfig(**header["config"]),
     )

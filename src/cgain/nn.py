@@ -3,8 +3,9 @@ backprop, SGD/Adam, and seeded random sources.
 
 Everything operates on float64 numpy arrays; a batch is a (rows, features)
 matrix. There is no autodiff graph: the topology is fixed at
-input -> hidden1 -> hidden2 -> output, so gradients are written out by hand
-and verified against finite differences in the test suite.
+input -> ReLU hidden1 -> ReLU hidden2 -> sigmoid output, GAIN's networks,
+so gradients are written out by hand and verified against finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 Array = np.ndarray
 
-HIDDEN_ACTIVATIONS = ("relu", "identity")
-OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
 OPTIMIZERS = ("adam", "sgd")
 
 
@@ -118,7 +117,8 @@ def _tile(flat: Array, shapes: tuple) -> FlatArrays:
 # ---------------------------------------------------------------------------
 
 class DenseNet:
-    """Fully connected net with exactly two hidden layers.
+    """Fully connected net with exactly two ReLU hidden layers and a
+    sigmoid output.
 
     Weight matrices are (fan_in, fan_out); matmul convention is
     batch (n, fan_in) @ w -> (n, fan_out). The net copies the arrays it is
@@ -127,12 +127,7 @@ class DenseNet:
     and holds the parameter gradients dense_backward last computed.
     """
 
-    def __init__(self, w1: Array, b1: Array, w2: Array, b2: Array, w3: Array, b3: Array,
-                 hidden_activation: str = "relu", output_activation: str = "sigmoid"):
-        if hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {hidden_activation!r}")
-        if output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {output_activation!r}")
+    def __init__(self, w1: Array, b1: Array, w2: Array, b2: Array, w3: Array, b3: Array):
         arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, w3, b3)]
         widths = [a.shape for a in arrays[::2]]
         for (a, b), (c, _) in zip(widths, widths[1:]):
@@ -145,8 +140,6 @@ class DenseNet:
         for view, a in zip(self._params, arrays):
             view[...] = a
         self.grads = FlatArrays.zeros(self._params.shapes)
-        self.hidden_activation = hidden_activation
-        self.output_activation = output_activation
 
     w1 = property(lambda self: self._params[0])
     b1 = property(lambda self: self._params[1])
@@ -170,17 +163,15 @@ class DenseNet:
 
     def copy(self) -> "DenseNet":
         """An equal net with buffers of its own."""
-        return DenseNet(*self._params, self.hidden_activation, self.output_activation)
+        return DenseNet(*self._params)
 
 
-def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int,
-               hidden_activation: str = "relu", output_activation: str = "sigmoid") -> DenseNet:
+def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -> DenseNet:
     """Xavier-uniform weights, zero biases."""
     return DenseNet(
         w1=xavier_uniform(rng, n_in, n_hidden), b1=np.zeros(n_hidden),
         w2=xavier_uniform(rng, n_hidden, n_hidden), b2=np.zeros(n_hidden),
         w3=xavier_uniform(rng, n_hidden, n_out), b3=np.zeros(n_out),
-        hidden_activation=hidden_activation, output_activation=output_activation,
     )
 
 
@@ -189,18 +180,15 @@ def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_width:
         raise ValueError(f"input shape {x.shape} does not match net input width {net.input_width}")
-    relu_hidden = net.hidden_activation == "relu"
     a1 = x @ net.w1
     a1 += net.b1
-    if relu_hidden:
-        np.maximum(a1, 0.0, out=a1)
+    np.maximum(a1, 0.0, out=a1)
     a2 = a1 @ net.w2
     a2 += net.b2
-    if relu_hidden:
-        np.maximum(a2, 0.0, out=a2)
+    np.maximum(a2, 0.0, out=a2)
     z3 = a2 @ net.w3
     z3 += net.b3
-    out = sigmoid(z3) if net.output_activation == "sigmoid" else z3
+    out = sigmoid(z3)
     return out, (x, a1, a2, out)
 
 
@@ -224,20 +212,13 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != out.shape:
         raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
+    dz3 = grad_out * out
+    dz3 *= 1.0 - out
     # a relu unit is active exactly where its output is positive
-    relu_hidden = net.hidden_activation == "relu"
-
-    if net.output_activation == "sigmoid":
-        dz3 = grad_out * out
-        dz3 *= 1.0 - out
-    else:
-        dz3 = grad_out
     dz2 = dz3 @ net.w3.T
-    if relu_hidden:
-        dz2 *= a2 > 0
+    dz2 *= a2 > 0
     dz1 = dz2 @ net.w2.T
-    if relu_hidden:
-        dz1 *= a1 > 0
+    dz1 *= a1 > 0
     if wrt == "input":
         return dz1 @ net.w1.T
     gw1, gb1, gw2, gb2, gw3, gb3 = net.grads

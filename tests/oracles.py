@@ -15,21 +15,19 @@ import numpy as np
 EPS = 1e-8
 
 
-def _act(kind, v):
-    if kind == "relu":
-        return v if v > 0.0 else 0.0
-    if kind == "identity":
-        return v
-    if kind == "sigmoid":
-        if v >= 0:
-            return 1.0 / (1.0 + math.exp(-v))
-        e = math.exp(v)
-        return e / (1.0 + e)
-    raise ValueError(kind)
+def _relu(v):
+    return v if v > 0.0 else 0.0
+
+
+def _sigmoid(v):
+    if v >= 0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
 
 
 def scalar_forward(net, x):
-    """Unrolled forward pass of a two-hidden-layer net, one scalar at a time."""
+    """Unrolled forward pass of a relu-relu-sigmoid net, one scalar at a time."""
     rows = len(x)
     out = []
     for i in range(rows):
@@ -38,19 +36,19 @@ def scalar_forward(net, x):
             acc = net.b1[j]
             for k in range(net.w1.shape[0]):
                 acc += x[i][k] * net.w1[k, j]
-            h1.append(_act(net.hidden_activation, acc))
+            h1.append(_relu(acc))
         h2 = []
         for j in range(net.w2.shape[1]):
             acc = net.b2[j]
             for k in range(net.w2.shape[0]):
                 acc += h1[k] * net.w2[k, j]
-            h2.append(_act(net.hidden_activation, acc))
+            h2.append(_relu(acc))
         row = []
         for j in range(net.w3.shape[1]):
             acc = net.b3[j]
             for k in range(net.w3.shape[0]):
                 acc += h2[k] * net.w3[k, j]
-            row.append(_act(net.output_activation, acc))
+            row.append(_sigmoid(acc))
         out.append(row)
     return out
 
@@ -143,25 +141,21 @@ def ref_sigmoid(z):
 
 def ref_forward(net, x):
     """Forward pass keeping every pre-activation: (out, (x, z1, a1, z2, a2, out))."""
-    act = (lambda z: np.maximum(z, 0.0)) if net.hidden_activation == "relu" else (lambda z: z)
     z1 = x @ net.w1 + net.b1
-    a1 = act(z1)
+    a1 = np.maximum(z1, 0.0)
     z2 = a1 @ net.w2 + net.b2
-    a2 = act(z2)
+    a2 = np.maximum(z2, 0.0)
     z3 = a2 @ net.w3 + net.b3
-    out = ref_sigmoid(z3) if net.output_activation == "sigmoid" else z3
+    out = ref_sigmoid(z3)
     return out, (x, z1, a1, z2, a2, out)
 
 
 def ref_backward(net, cache, grad_out):
     """Full backward pass: (parameter gradients in params() order, input gradient)."""
     x, z1, a1, z2, a2, out = cache
-    relu = net.hidden_activation == "relu"
-    dz3 = grad_out * out * (1.0 - out) if net.output_activation == "sigmoid" else grad_out
-    da2 = dz3 @ net.w3.T
-    dz2 = da2 * (z2 > 0) if relu else da2
-    da1 = dz2 @ net.w2.T
-    dz1 = da1 * (z1 > 0) if relu else da1
+    dz3 = grad_out * out * (1.0 - out)
+    dz2 = (dz3 @ net.w3.T) * (z2 > 0)
+    dz1 = (dz2 @ net.w2.T) * (z1 > 0)
     grads = [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
     return grads, dz1 @ net.w1.T
 

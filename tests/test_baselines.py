@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.baselines import MeanImputer, MiceLiteImputer
+from cgain.baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from cgain.data import IncompleteDataset, build_dataset, corrupt_mcar, uncorrupted
 from cgain.evaluate import rmse_missing
 from cgain.nn import make_rng
@@ -77,20 +77,15 @@ def test_mice_recovers_exact_linear_relation():
     mask = np.ones_like(features)
     mask[::4, 1] = 0.0   # hide some of column B = column A
     ds, inc = incomplete_from(features, mask)
-    completed = MiceLiteImputer(sweeps=1).fit(inc).transform(inc)
+    completed = MiceLiteImputer().fit(inc).transform(inc)
     hidden = mask[:, 1] == 0
     assert np.max(np.abs(completed[hidden, 1] - ds.features[hidden, 0])) < 1e-6
-
-
-def test_mice_rejects_zero_sweeps(dataset):
-    with pytest.raises(ValueError, match="sweep"):
-        MiceLiteImputer(sweeps=0).fit(uncorrupted(dataset))
 
 
 def test_mice_changes_only_missing_cells():
     ds = toy_dataset(n=30, d=4, seed=6, binary_col=False)
     inc = corrupt_mcar(ds, 0.25, make_rng(7))
-    completed = MiceLiteImputer(sweeps=1).fit(inc).transform(inc)
+    completed = MiceLiteImputer().fit(inc).transform(inc)
     obs = inc.mask == 1
     assert_array_equal(completed[obs], inc.dataset.features[obs])
     assert np.all(completed >= 0.0) and np.all(completed <= 1.0)
@@ -104,7 +99,7 @@ def test_mice_beats_mean_on_linear_data():
                                 0.5 - 0.4 * x + 0.02 * rng.normal(size=n)])
     ds, _ = incomplete_from(features, np.ones_like(features))
     inc = corrupt_mcar(ds, 0.3, make_rng(9))
-    mice_rmse = rmse_missing(ds, MiceLiteImputer(sweeps=3).fit(inc).transform(inc), inc.mask).overall
+    mice_rmse = rmse_missing(ds, MiceLiteImputer().fit(inc).transform(inc), inc.mask).overall
     mean_rmse = rmse_missing(ds, MeanImputer().fit(inc).transform(inc), inc.mask).overall
     assert mice_rmse < mean_rmse
 
@@ -112,8 +107,8 @@ def test_mice_beats_mean_on_linear_data():
 def test_fit_transform_replays_the_fit_on_same_data():
     ds = toy_dataset(n=40, d=4, seed=10, binary_col=False)
     inc = corrupt_mcar(ds, 0.3, make_rng(11))
-    mice = MiceLiteImputer(sweeps=2).fit(inc)
-    assert_allclose(mice.transform(inc), ref_mice_lite(inc.dataset.features, inc.mask, sweeps=2),
+    mice = MiceLiteImputer().fit(inc)
+    assert_allclose(mice.transform(inc), ref_mice_lite(inc.dataset.features, inc.mask, MICE_LITE_SWEEPS),
                     atol=1e-12)
     mean = MeanImputer().fit(inc)
     assert_array_equal(mean.transform(inc), np.where(inc.mask == 1, inc.dataset.features, mean.means_))
@@ -130,7 +125,7 @@ def test_transform_on_held_out_rows_uses_fitted_statistics():
     miss = test_inc.mask == 0
     expected = np.broadcast_to(mean.means_, filled.shape)
     assert_array_equal(filled[miss], expected[miss])
-    mice = MiceLiteImputer(sweeps=2).fit(inc.take_rows(train_rows))
+    mice = MiceLiteImputer().fit(inc.take_rows(train_rows))
     out = mice.transform(test_inc)
     assert out.shape == test_inc.dataset.features.shape
     assert_array_equal(out[test_inc.mask == 1], test_inc.dataset.features[test_inc.mask == 1])

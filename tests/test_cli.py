@@ -172,6 +172,16 @@ def test_train_on_corrupted_csv_with_mask(tmp_path):
     assert (tmp_path / "m.model").exists()
 
 
+def test_train_rejects_rate_with_mask(tmp_path, capsys):
+    data = write_toy_csv(tmp_path / "d.csv")
+    rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
+             "--mask", tmp_path / "absent.mask.csv", "--out", tmp_path / "x")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cgain-error: validation" in err and "--rate" in err and "--mask" in err
+    assert not (tmp_path / "x.model").exists()
+
+
 def test_train_rejects_untrainable_method(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv")
     rc = run("train", "--data", data, "--label-col", "y", "--method", "mean",
@@ -272,6 +282,12 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
     assert (tmp_path / "r.timing.csv").exists()
     payload = json.loads((tmp_path / "r.report.json").read_text())
     assert payload["config"]["train"]["batch_size"] == 128
+    # spaces around method names are ignored, as they are around rates
+    rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean, mice_lite",
+             "--rate", "0.15, 0.25", "--reps", "2", "--seed", "13", "--jobs", "1",
+             "--out", tmp_path / "s")
+    assert rc == 0
+    assert (tmp_path / "s.report.csv").read_bytes() == (tmp_path / "r.report.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -56,10 +56,6 @@ def test_binary_kind_inferred_and_overridable(tmp_path):
     ds = load_csv(p, "y")
     assert [c.kind for c in ds.schema] == [BINARY, CONTINUOUS]
     assert_array_equal(ds.features[:, 0], [0.0, 1.0, 0.0])   # binary kept as-is
-    ds2 = load_csv(p, "y", schema_overrides={"a": CONTINUOUS})
-    assert ds2.schema[0].kind == CONTINUOUS
-    with pytest.raises(ValueError, match="declared binary"):
-        load_csv(p, "y", schema_overrides={"b": BINARY})
 
 
 def test_constant_continuous_column_rejected(tmp_path):

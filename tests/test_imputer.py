@@ -514,6 +514,9 @@ def test_impute_rejects_dimension_mismatch():
     other = toy_dataset(n=10, d=5, seed=79)
     with pytest.raises(ValueError, match="features"):
         impute(model, uncorrupted(other))
+    retyped = toy_dataset(n=10, d=4, seed=79, binary_col=False)   # last column continuous
+    with pytest.raises(ValueError, match="column kinds"):
+        impute(model, uncorrupted(retyped))
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +609,27 @@ def test_model_file_layout_is_little_endian_with_version(tmp_path):
     import json
     header = json.loads(blob[20:20 + header_len])
     assert header["format_version"] == 1
+    assert header["generator_activations"] == header["discriminator_activations"] == ["relu", "sigmoid"]
     first = header["arrays"][0]
     count = int(np.prod(first["shape"]))
     raw = np.frombuffer(blob[20 + header_len:20 + header_len + 8 * count], dtype="<f8")
     assert_array_equal(raw.reshape(first["shape"]), model.generator.w1)
+    # the parameter buffers, generator first, and nothing after them
+    assert blob[20 + header_len:] == (model.generator.params().flat.astype("<f8").tobytes()
+                                      + model.discriminator.params().flat.astype("<f8").tobytes())
 
 
-def test_load_model_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: b"NOTAMODEL" + b"\x00" * 64, "magic"),
+    (lambda blob: blob[:15], "truncated preamble"),
+    (lambda blob: blob + b"\x00" * 8, "8 bytes after the last array"),
+    (lambda blob: blob.replace(b'"generator.w2"', b'"generator.wX"', 1), "header must list the arrays"),
+    (lambda blob: blob.replace(b'["relu", "sigmoid"]', b'["relu", "softmax"]', 1), "activations must be"),
+], ids=["bad_magic", "truncated_preamble", "trailing_bytes", "renamed_array", "other_activation"])
+def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
-    path.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="magic"):
+    save_model(path, small_model())
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as info:
         load_model(path)
+    assert str(path) in str(info.value)

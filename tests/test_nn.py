@@ -24,10 +24,9 @@ def flat(*arrays) -> FlatArrays:
     return out
 
 
-def zero_net(d_in, h, d_out, hidden="relu", output="sigmoid"):
+def zero_net(d_in, h, d_out):
     return DenseNet(np.zeros((d_in, h)), np.zeros(h), np.zeros((h, h)), np.zeros(h),
-                    np.zeros((h, d_out)), np.zeros(d_out),
-                    hidden_activation=hidden, output_activation=output)
+                    np.zeros((h, d_out)), np.zeros(d_out))
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +40,13 @@ def test_zero_net_sigmoid_outputs_half():
 
 
 def test_one_by_one_identity_chain_is_affine():
-    # w*x + b realized as (w, b) in layer 1 and identity pass-through after
+    # w*x + b realized as (w, b) in layer 1; with positive pre-activations both
+    # relus pass it through unchanged, so the output is sigmoid(2*3 + 1)
     net = DenseNet(np.array([[2.0]]), np.array([1.0]),
                    np.array([[1.0]]), np.array([0.0]),
-                   np.array([[1.0]]), np.array([0.0]),
-                   hidden_activation="identity", output_activation="identity")
+                   np.array([[1.0]]), np.array([0.0]))
     out, _ = dense_forward(net, np.array([[3.0]]))
-    assert out[0, 0] == 7.0
+    assert out[0, 0] == 1.0 / (1.0 + np.exp(-7.0))
 
 
 def test_forward_matches_scalar_loop_oracle():
@@ -120,15 +119,17 @@ def test_backward_matches_finite_differences_on_3_9_9_1_net():
 
 
 def test_single_linear_neuron_squared_error_gradient():
-    # one sample through a 1-1-1 identity chain; dL/dw1 must be 2*(yhat-y)*x
+    # one sample through a 1-1-1 chain whose pre-activations are positive, so
+    # both relus pass through; dL/dw1 must be 2*(s-y) * s*(1-s) * w3 * w2 * x
+    w2, w3 = 0.8, 1.25
     net = DenseNet(np.array([[1.5]]), np.array([0.0]),
-                   np.array([[1.0]]), np.array([0.0]),
-                   np.array([[1.0]]), np.array([0.0]),
-                   hidden_activation="identity", output_activation="identity")
+                   np.array([[w2]]), np.array([0.0]),
+                   np.array([[w3]]), np.array([0.0]))
     x, y = np.array([[2.0]]), 0.5
     out, cache = dense_forward(net, x)
+    s = out[0, 0]
     grads = dense_backward(net, cache, 2.0 * (out - y), wrt="params")
-    assert_allclose(grads[0][0, 0], 2.0 * (out[0, 0] - y) * 2.0, rtol=1e-12)
+    assert_allclose(grads[0][0, 0], 2.0 * (s - y) * s * (1.0 - s) * w3 * w2 * 2.0, rtol=1e-12)
 
 
 def test_backward_rejects_bad_gradient_shape():
@@ -250,13 +251,11 @@ def test_sigmoid_bits_equal_two_branch_reference():
     assert s[0] == 1.0 and s[1] == 0.0 and s[2] == s[3] == 0.5 and np.isnan(s[4])
 
 
-@pytest.mark.parametrize("hidden", ["relu", "identity"])
-@pytest.mark.parametrize("output", ["sigmoid", "identity"])
-def test_forward_and_backward_bits_equal_full_reference(hidden, output):
+def test_forward_and_backward_bits_equal_full_reference():
     rng = make_rng(31)
     for _ in range(25):
         n_in, width, n_out, rows = (int(v) for v in rng.integers(1, 40, size=4))
-        net = init_dense(rng, n_in, width, n_out, hidden, output)
+        net = init_dense(rng, n_in, width, n_out)
         for p in (net.b1, net.b2, net.b3):
             p += rng.normal(scale=0.3, size=p.shape)
         x = rng.normal(size=(rows, n_in))
