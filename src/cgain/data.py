@@ -377,11 +377,15 @@ def corrupt_mcar(dataset: Dataset, missing_rate: float, rng: np.random.Generator
 
 def subsample_imbalance(dataset: Dataset, minority_class, minority_fraction: float,
                         rng: np.random.Generator) -> Dataset:
-    """Thin one class of a binary dataset until it holds the target share.
+    """Thin one class of a binary dataset until the minority class holds the
+    target share.
 
-    All rows of the other class are kept; minority rows are sampled without
-    replacement so that minority/(minority+majority) hits minority_fraction
-    to within one row. The result is re-shuffled.
+    When the table has enough minority rows, all majority rows are kept and
+    round(f * n_majority / (1 - f)) minority rows are sampled without
+    replacement. Otherwise all minority rows are kept and
+    round(n_minority * (1 - f) / f) majority rows are sampled. Either way
+    minority/(minority+majority) hits minority_fraction to within one row,
+    and the result is re-shuffled.
     """
     if dataset.n_classes != 2:
         raise ValueError(f"imbalance subsampling needs a binary dataset, got {dataset.n_classes} classes")
@@ -404,12 +408,14 @@ def subsample_imbalance(dataset: Dataset, minority_class, minority_fraction: flo
     target = int(round(minority_fraction * n_major / (1.0 - minority_fraction)))
     if target < 1:
         raise ValueError(f"target minority count {target} is below 1; fraction too small for this dataset")
-    if target > minority_rows.size:
-        raise ValueError(
-            f"class {dataset.class_names[minority_idx]!r} has {minority_rows.size} rows, "
-            f"fewer than the {target} needed for fraction {minority_fraction}")
-    keep_minor = rng.choice(minority_rows, size=target, replace=False)
-    keep = np.concatenate([majority_rows, keep_minor])
+    if target <= minority_rows.size:
+        keep = np.concatenate([majority_rows, rng.choice(minority_rows, size=target, replace=False)])
+    elif minority_rows.size == 0:
+        raise ValueError(f"class {dataset.class_names[minority_idx]!r} has no rows")
+    else:
+        # the table's own minority share is below the target: thin the majority
+        n_keep = int(round(minority_rows.size * (1.0 - minority_fraction) / minority_fraction))
+        keep = np.concatenate([rng.choice(majority_rows, size=n_keep, replace=False), minority_rows])
     rng.shuffle(keep)
     return dataset.take_rows(keep)
 

@@ -21,7 +21,7 @@ import math
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -139,9 +139,11 @@ def _with_labels(blocks: list[Array], labels: Array, conditional: bool) -> Array
 
 def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
                       z: Array) -> tuple[Array, Array, tuple]:
-    """Generator pass with explicit noise. Returns (x_bar, x_hat, cache)."""
+    """Generator pass with explicit noise. Returns (x_bar, x_hat, cache);
+    x_bar and x_hat are float64 whatever the net's dtype."""
     g_in = _with_labels([x_tilde, mask, (1.0 - mask) * z], labels, model.conditional)
-    x_bar, cache = dense_forward(model.generator, g_in)
+    out, cache = dense_forward(model.generator, g_in)
+    x_bar = out.astype(np.float64)
     x_hat = mask * x_tilde + (1.0 - mask) * x_bar
     return x_bar, x_hat, cache
 
@@ -163,9 +165,16 @@ def generate(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
 
 def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
                           labels: Array) -> tuple[Array, tuple]:
-    """Discriminator pass. Returns (m_hat, cache): per cell, P(observed)."""
+    """Discriminator pass. Returns (m_hat, cache): per cell, P(observed),
+    as float64 whatever the net's dtype.
+
+    The losses need the upcast: in float32, 1 - EPS rounds to 1.0, so an
+    output that saturates at 1.0 would defeat the clamps and turn a loss
+    into inf and a loss gradient into NaN.
+    """
     d_in = _with_labels([x_hat, hint], labels, model.conditional)
-    return dense_forward(model.discriminator, d_in)
+    out, cache = dense_forward(model.discriminator, d_in)
+    return out.astype(np.float64), cache
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +313,17 @@ def _batch_sampler(ds: Dataset, batch: int, stratified: bool):
 
 def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
                 rng: np.random.Generator) -> ImputerModel:
-    """Xavier-initialized generator and discriminator for d features, m classes."""
+    """Xavier-initialized float32 generator and discriminator for d
+    features, m classes: the weights are drawn in float64, then rounded once."""
     label_width = m if config.conditional else 0
     hidden = config.hidden_multiplier * d
     gen = init_dense(rng, 3 * d + label_width, hidden, d)
     disc = init_dense(rng, 2 * d + label_width, hidden, d)
-    return ImputerModel(gen, disc, d, m, config.conditional, list(column_kinds), config)
+    return ImputerModel(_float32(gen), _float32(disc), d, m, config.conditional, list(column_kinds), config)
+
+
+def _float32(net: DenseNet) -> DenseNet:
+    return DenseNet(*(p.astype(np.float32) for p in net.params()))
 
 
 def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
@@ -472,13 +486,19 @@ _ARRAY_NAMES = [f"{net}.{f}" for net in ("generator", "discriminator")
                 for f in ("w1", "b1", "w2", "b2", "w3", "b3")]
 _NET_ACTIVATIONS = ["relu", "sigmoid"]   # every DenseNet's hidden and output activations
 _PREAMBLE = struct.Struct("<IQ")          # format version, header length
+_HEADER_KEYS = ["n_features", "n_classes", "conditional", "column_kinds", "config"]
+_CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def save_model(path, model: ImputerModel) -> None:
     """Self-describing flat file: magic, version, JSON header, then each
-    net's parameter buffer as little-endian float64, generator first; the
-    header lists its arrays in that order."""
+    net's float32 parameter buffer widened, exactly, to little-endian
+    float64, generator first; the header lists its arrays in that order.
+    A net that is not float32 is a ValueError."""
     nets = (model.generator, model.discriminator)
+    for name, net in zip(("generator", "discriminator"), nets):
+        if net.dtype != np.float32:
+            raise ValueError(f"{name} is {net.dtype}; only float32 nets, as build_model makes, are saved")
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "n_features": model.n_features,
@@ -501,8 +521,9 @@ def save_model(path, model: ImputerModel) -> None:
 
 
 def load_model(path) -> ImputerModel:
-    """Read a save_model file; a file that is not one, cut short, padded or
-    with an unexpected header is a ValueError that names the path."""
+    """Read a save_model file into float32 nets; a file that is not one,
+    cut short, padded, with an unexpected header or with weights that are
+    not float32 values is a ValueError that names the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:len(MODEL_MAGIC)]
@@ -518,6 +539,8 @@ def load_model(path) -> ImputerModel:
         header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     pos += header_len
     entries = header.get("arrays", [])
     if [e.get("name") for e in entries] != _ARRAY_NAMES:
@@ -525,6 +548,13 @@ def load_model(path) -> ImputerModel:
     for key in ("generator_activations", "discriminator_activations"):
         if header.get(key) != _NET_ACTIVATIONS:
             raise ValueError(f"{path}: {key} must be {_NET_ACTIVATIONS}, got {header.get(key)!r}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {missing}")
+    config = header["config"]
+    if not isinstance(config, dict) or not config.keys() <= _CONFIG_KEYS:
+        raise ValueError(f"{path}: config must be an object with keys among {sorted(_CONFIG_KEYS)}, "
+                         f"got {config!r}")
     arrays = []
     for entry in entries:
         shape = tuple(entry["shape"])
@@ -535,13 +565,19 @@ def load_model(path) -> ImputerModel:
         pos += size
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} bytes after the last array")
+    with np.errstate(over="ignore"):   # a value beyond float32's range is refused below
+        arrays32 = [a.astype(np.float32) for a in arrays]
+    for entry, a, a32 in zip(entries, arrays, arrays32):
+        if not np.array_equal(a, a32, equal_nan=True):
+            raise ValueError(f"{path}: {entry['name']} holds values that are not float32, so a float64 "
+                             f"trainer wrote the file; retrain the model")
 
     return ImputerModel(
-        generator=DenseNet(*arrays[:6]),
-        discriminator=DenseNet(*arrays[6:]),
+        generator=DenseNet(*arrays32[:6]),
+        discriminator=DenseNet(*arrays32[6:]),
         n_features=header["n_features"],
         n_classes=header["n_classes"],
         conditional=header["conditional"],
         column_kinds=list(header["column_kinds"]),
-        config=TrainConfig(**header["config"]),
+        config=TrainConfig(**config),
     )

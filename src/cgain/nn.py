@@ -1,11 +1,13 @@
 """Minimal dense-network engine: two-hidden-layer nets, hand-derived
 backprop, SGD/Adam, and seeded random sources.
 
-Everything operates on float64 numpy arrays; a batch is a (rows, features)
-matrix. There is no autodiff graph: the topology is fixed at
-input -> ReLU hidden1 -> ReLU hidden2 -> sigmoid output, GAIN's networks,
-so gradients are written out by hand and verified against finite
-differences in the test suite.
+A net computes its forward pass, backward pass and optimizer updates in
+the dtype of its parameter buffer: float32 for the nets the imputer
+trains, float64 for nets built from float64 arrays, such as init_dense's.
+A batch is a (rows, features) matrix. There is no autodiff graph: the
+topology is fixed at input -> ReLU hidden1 -> ReLU hidden2 -> sigmoid
+output, GAIN's networks, so gradients are written out by hand and verified
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -66,9 +68,14 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array
 
 def sigmoid(z: Array) -> Array:
     """Numerically stable sigmoid: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z))
-    below, both evaluated on exp(-|z|) without branching. Rounds to exactly
-    1.0 above z of about 37 and to 0.0 below about -745."""
-    z = np.asarray(z, dtype=np.float64)
+    below, both evaluated on exp(-|z|) without branching.
+
+    Computes in float32 for float32 input and in float64 otherwise. In
+    float64 it rounds to exactly 1.0 above z of about 37 and to 0.0 below
+    about -745; in float32 it rounds to 1.0 above z of about 17 and to 0.0
+    below about -104."""
+    z = np.asarray(z)
+    z = z.astype(np.float32 if z.dtype == np.float32 else np.float64, copy=False)
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -84,7 +91,7 @@ def sigmoid(z: Array) -> Array:
 
 class FlatArrays(tuple):
     """Arrays that are consecutive views, in order, of one contiguous
-    float64 buffer, `flat`.
+    buffer, `flat`.
 
     Only `FlatArrays.zeros` builds one, so holding a FlatArrays certifies
     that layout, and as a tuple its views cannot be swapped out. An
@@ -96,9 +103,9 @@ class FlatArrays(tuple):
     shapes: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def zeros(cls, shapes) -> "FlatArrays":
+    def zeros(cls, shapes, dtype) -> "FlatArrays":
         shapes = tuple(tuple(s) for s in shapes)
-        return _tile(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+        return _tile(np.zeros(sum(math.prod(s) for s in shapes), dtype=dtype), shapes)
 
     def __reduce__(self):
         # views do not survive pickling, so rebuild them on the unpickled buffer
@@ -122,13 +129,15 @@ class DenseNet:
 
     Weight matrices are (fan_in, fan_out); matmul convention is
     batch (n, fan_in) @ w -> (n, fan_out). The net copies the arrays it is
-    given into one float64 buffer: w1, b1, ..., b3 are views of it, in
-    params() order, and are updated in place. `grads` has the same layout
-    and holds the parameter gradients dense_backward last computed.
+    given into one buffer, float32 when every array is float32 and float64
+    otherwise: w1, b1, ..., b3 are views of it, in params() order, and are
+    updated in place. `grads` has the same layout and dtype and holds the
+    parameter gradients dense_backward last computed.
     """
 
     def __init__(self, w1: Array, b1: Array, w2: Array, b2: Array, w3: Array, b3: Array):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, w3, b3)]
+        arrays = [np.asarray(a) for a in (w1, b1, w2, b2, w3, b3)]
+        dtype = np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
         widths = [a.shape for a in arrays[::2]]
         for (a, b), (c, _) in zip(widths, widths[1:]):
             if b != c:
@@ -136,10 +145,10 @@ class DenseNet:
         for w, b in zip(arrays[::2], arrays[1::2]):
             if b.shape != (w.shape[1],):
                 raise ValueError(f"bias shape {b.shape} does not match weight {w.shape}")
-        self._params = FlatArrays.zeros(a.shape for a in arrays)
+        self._params = FlatArrays.zeros((a.shape for a in arrays), dtype)
         for view, a in zip(self._params, arrays):
             view[...] = a
-        self.grads = FlatArrays.zeros(self._params.shapes)
+        self.grads = FlatArrays.zeros(self._params.shapes, dtype)
 
     w1 = property(lambda self: self._params[0])
     b1 = property(lambda self: self._params[1])
@@ -147,6 +156,10 @@ class DenseNet:
     b2 = property(lambda self: self._params[3])
     w3 = property(lambda self: self._params[4])
     b3 = property(lambda self: self._params[5])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._params.flat.dtype
 
     @property
     def input_width(self) -> int:
@@ -162,12 +175,12 @@ class DenseNet:
         return self._params
 
     def copy(self) -> "DenseNet":
-        """An equal net with buffers of its own."""
+        """An equal net of the same dtype with buffers of its own."""
         return DenseNet(*self._params)
 
 
 def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -> DenseNet:
-    """Xavier-uniform weights, zero biases."""
+    """Xavier-uniform weights, zero biases, in float64."""
     return DenseNet(
         w1=xavier_uniform(rng, n_in, n_hidden), b1=np.zeros(n_hidden),
         w2=xavier_uniform(rng, n_hidden, n_hidden), b2=np.zeros(n_hidden),
@@ -176,8 +189,9 @@ def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -
 
 
 def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
-    """Forward pass. Returns (output, cache); cache feeds dense_backward."""
-    x = np.asarray(x, dtype=np.float64)
+    """Forward pass in the net's dtype, to which x is cast. Returns (output,
+    cache); cache feeds dense_backward."""
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.input_width:
         raise ValueError(f"input shape {x.shape} does not match net input width {net.input_width}")
     a1 = x @ net.w1
@@ -198,7 +212,7 @@ BACKWARD_TARGETS = ("params", "input")
 def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) -> FlatArrays | Array:
     """Backprop through a cached forward pass.
 
-    grad_out is dLoss/dOutput. wrt="params" writes the parameter gradients,
+    grad_out is dLoss/dOutput, cast to the net's dtype. wrt="params" writes the parameter gradients,
     in params() order, into net.grads and returns it: the views it holds
     are overwritten by the net's next wrt="params" call. wrt="input" returns
     the gradient w.r.t. the input batch as a new array. Only the requested
@@ -209,7 +223,7 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
     if cache is None:
         raise ValueError("missing forward cache")
     x, a1, a2, out = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=net.dtype)
     if grad_out.shape != out.shape:
         raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
     dz3 = grad_out * out
@@ -240,7 +254,8 @@ class OptimizerState:
     """Plain SGD or bias-corrected Adam over one FlatArrays layout, `shapes`.
 
     For Adam, m and v hold the moments and scratch two work buffers, each a
-    FlatArrays of that layout, so updates allocate nothing.
+    FlatArrays of that layout in the dtype of the params, so updates
+    allocate nothing and compute in that dtype.
     """
 
     kind: str
@@ -264,8 +279,9 @@ def make_optimizer(kind: str, learning_rate: float, params: FlatArrays) -> Optim
         raise ValueError(f"params must be FlatArrays (a net's params()), got {type(params).__name__}")
     state = OptimizerState(kind=kind, learning_rate=learning_rate, shapes=params.shapes)
     if kind == "adam":
-        state.m, state.v = FlatArrays.zeros(params.shapes), FlatArrays.zeros(params.shapes)
-        state.scratch = (FlatArrays.zeros(params.shapes), FlatArrays.zeros(params.shapes))
+        dtype = params.flat.dtype
+        state.m, state.v = FlatArrays.zeros(params.shapes, dtype), FlatArrays.zeros(params.shapes, dtype)
+        state.scratch = (FlatArrays.zeros(params.shapes, dtype), FlatArrays.zeros(params.shapes, dtype))
     return state
 
 

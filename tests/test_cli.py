@@ -1,6 +1,11 @@
 import csv
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +454,23 @@ def test_every_training_knob_reaches_the_saved_model(tmp_path, source):
     config = load_model(tmp_path / "m.model").config
     for _, train_name, value in TRAIN_KNOBS.values():
         assert getattr(config, train_name) == value
+
+
+# ---------------------------------------------------------------------------
+# scripts/make_datasets.py
+# ---------------------------------------------------------------------------
+
+def test_make_datasets_writes_the_stand_ins_without_scikit_learn(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "make_datasets.py"), "--out-dir", tmp_path],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("spambase_like.csv", "credit_like.csv", "letter_like.csv"):
+        assert (tmp_path / name).stat().st_size > 0
+    if importlib.util.find_spec("sklearn") is None:
+        assert done.stderr.startswith("skipped breast_cancer.csv: scikit-learn is required")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "breast_cancer.csv").exists()
+    else:
+        assert (tmp_path / "breast_cancer.csv").stat().st_size > 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cgain import data
-from cgain.data import (BINARY, CONTINUOUS, build_dataset, corrupt_mcar, denormalize,
+from cgain.data import (BINARY, CONTINUOUS, Dataset, build_dataset, corrupt_mcar, denormalize,
                         load_csv, load_incomplete_csv, load_mask_csv, normalize, parse_table,
                         read_csv_table, split_folds, subsample_imbalance, uncorrupted,
                         write_mask_csv)
@@ -415,14 +415,42 @@ def test_benchmark_fractions_land_within_one_row(fraction):
     assert abs(share - fraction) <= achievable + 1e-12
 
 
+def skewed_dataset(n0=1000, n1=300, seed=1):
+    raw = np.random.default_rng(seed).uniform(0, 1, size=(n0 + n1, 2))
+    return build_dataset(raw, ["0"] * n0 + ["1"] * n1, ["a", "b"])
+
+
+def test_fraction_below_the_table_share_keeps_the_thin_minority_draw():
+    # all majority rows, then a draw of minority rows, shuffled: the rows
+    # and bytes of every grid cell below the table's own share
+    ds = skewed_dataset()
+    cls = ds.class_index()
+    rng = make_rng(2)
+    keep = np.concatenate([np.flatnonzero(cls == 0),
+                           rng.choice(np.flatnonzero(cls == 1), size=111, replace=False)])
+    rng.shuffle(keep)
+    sub = subsample_imbalance(ds, "1", 0.10, make_rng(2))
+    assert_same_bits(sub.features, ds.take_rows(keep).features)
+    assert_array_equal(sub.labels, ds.labels[keep])
+
+
+@pytest.mark.parametrize("fraction, n0", [(0.40, 450), (0.35, 557), (0.25, 900), (0.50, 300)])
+def test_fraction_above_the_table_share_thins_the_majority(fraction, n0):
+    # 300 minority rows of 1300 is a 23% share; above it every minority row
+    # stays and round(300 * (1 - f) / f) majority rows are drawn
+    ds = skewed_dataset()
+    sub = subsample_imbalance(ds, "1", fraction, make_rng(5))
+    assert sub.labels.sum(axis=0).tolist() == [n0, 300]
+    rows = {tuple(r) for r in ds.features.tolist()}
+    assert len({tuple(r) for r in sub.features.tolist()} & rows) == sub.n_rows
+    assert abs(300 / sub.n_rows - fraction) <= 1.0 / sub.n_rows
+
+
 def test_subsample_errors():
     ds = balanced_dataset(n_per_class=5)
-    # a fraction demanding more minority rows than exist
-    rng = np.random.default_rng(1)
-    raw = rng.uniform(0, 1, size=(12, 2))
-    skew = build_dataset(raw, ["0"] * 10 + ["1"] * 2, ["a", "b"])
-    with pytest.raises(ValueError, match="fewer than"):
-        subsample_imbalance(skew, "1", 0.5, make_rng(0))
+    empty = Dataset(ds.features, np.column_stack([np.ones(10), np.zeros(10)]), ds.schema, ["0", "1"])
+    with pytest.raises(ValueError, match="has no rows"):
+        subsample_imbalance(empty, "1", 0.3, make_rng(0))
     with pytest.raises(ValueError, match="fraction"):
         subsample_imbalance(ds, "1", 0.7, make_rng(0))
     multi = toy_dataset(n=12, n_classes=3)

@@ -1,4 +1,6 @@
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from cgain.imputer import (MODEL_MAGIC, TrainConfig, build_model, discriminator_
                            generator_loss_parts, generator_step_grads, hint_from_b, impute,
                            load_model, loss_discriminator, loss_generator, sample_hint_b,
                            save_model, train, _adv_grad_mhat, _loss_d_grad)
-from cgain.nn import dense_forward, make_rng, uniform
+from cgain.nn import DenseNet, dense_forward, init_dense, make_rng, uniform
 from conftest import assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
 from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, scalar_loss_d,
@@ -22,9 +24,17 @@ from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, 
 
 
 def small_model(d=3, m=2, seed=0, conditional=True, **cfg_kwargs):
+    """build_model's weights in float64 nets, so that the scalar oracles,
+    finite differences and bit-exact references compare at float64."""
     cfg = TrainConfig(conditional=conditional, hidden_multiplier=2, seed=seed, **cfg_kwargs)
     kinds = [CONTINUOUS] * d
-    return build_model(d, m, kinds, cfg, make_rng(seed))
+    return as_float64(build_model(d, m, kinds, cfg, make_rng(seed)))
+
+
+def as_float64(model):
+    """The model with its nets' exact values widened to float64."""
+    return replace(model, **{name: DenseNet(*(p.astype(np.float64) for p in getattr(model, name).params()))
+                             for name in ("generator", "discriminator")})
 
 
 def random_batch(model, n=5, seed=1, rate=0.4):
@@ -606,7 +616,6 @@ def test_model_file_layout_is_little_endian_with_version(tmp_path):
     (version,) = struct.unpack("<I", blob[8:12])
     assert version == 1
     (header_len,) = struct.unpack("<Q", blob[12:20])
-    import json
     header = json.loads(blob[20:20 + header_len])
     assert header["format_version"] == 1
     assert header["generator_activations"] == header["discriminator_activations"] == ["relu", "sigmoid"]
@@ -619,17 +628,87 @@ def test_model_file_layout_is_little_endian_with_version(tmp_path):
                                       + model.discriminator.params().flat.astype("<f8").tobytes())
 
 
+def with_header(edit):
+    """A corruption that rewrites a model file's JSON header through edit."""
+    def corrupt(blob):
+        (n,) = struct.unpack_from("<Q", blob, 12)
+        header = json.dumps(edit(json.loads(blob[20:20 + n]))).encode()
+        return blob[:12] + struct.pack("<Q", len(header)) + header + blob[20 + n:]
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: b"NOTAMODEL" + b"\x00" * 64, "magic"),
     (lambda blob: blob[:15], "truncated preamble"),
     (lambda blob: blob + b"\x00" * 8, "8 bytes after the last array"),
     (lambda blob: blob.replace(b'"generator.w2"', b'"generator.wX"', 1), "header must list the arrays"),
     (lambda blob: blob.replace(b'["relu", "sigmoid"]', b'["relu", "softmax"]', 1), "activations must be"),
-], ids=["bad_magic", "truncated_preamble", "trailing_bytes", "renamed_array", "other_activation"])
+    (with_header(lambda h: {k: v for k, v in h.items() if k != "n_classes"}), r"header lacks \['n_classes'\]"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "dropout": 0.5}}), "config must be an object"),
+    (with_header(lambda h: [h]), "header is not a JSON object"),
+    (lambda blob: blob[:-8] + struct.pack("<d", 0.1), "discriminator.b3 holds values that are not float32.*retrain"),
+], ids=["bad_magic", "truncated_preamble", "trailing_bytes", "renamed_array", "other_activation",
+        "missing_key", "unknown_config_key", "header_not_object", "float64_weights"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
-    save_model(path, small_model())
+    save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+def test_model_nets_are_float32_and_float64_nets_are_not_saved(tmp_path):
+    model = build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0))
+    path = tmp_path / "m.model"
+    save_model(path, model)
+    loaded = load_model(path)
+    for net in (model.generator, model.discriminator, loaded.generator, loaded.discriminator):
+        assert net.dtype == np.float32 and net.grads.flat.dtype == np.float32
+    with pytest.raises(ValueError, match="only float32 nets"):
+        save_model(tmp_path / "wide.model", as_float64(model))
+    assert not (tmp_path / "wide.model").exists()   # refused before the file is opened
+
+
+# ---------------------------------------------------------------------------
+# float32 nets
+# ---------------------------------------------------------------------------
+
+def test_float32_weights_are_build_models_float64_draws_rounded_once():
+    cfg = TrainConfig(hidden_multiplier=2)
+    model = build_model(4, 3, [CONTINUOUS] * 4, cfg, make_rng(7))
+    rng = make_rng(7)
+    for net in (model.generator, model.discriminator):
+        ref = init_dense(rng, net.input_width, 8, 4)
+        assert_same_bits(net.params().flat.astype(np.float64), ref.params().flat.astype(np.float32))
+
+
+def test_saturated_float32_discriminator_leaves_steps_and_losses_finite():
+    # a float32 sigmoid rounds to 1.0 near z = 17, where float32's 1 - EPS
+    # is 1.0 too: only the float64 upcast of m_hat keeps the clamps working
+    model = build_model(4, 2, [CONTINUOUS] * 4, TrainConfig(hidden_multiplier=2), make_rng(3))
+    model.discriminator.b3[:] = 40.0
+    x_t, mask, y, z, b, hint = random_batch(model, n=16, seed=4)
+    assert 0 < mask.sum() < mask.size
+    d_grads, d_m_hat = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    assert np.all(d_m_hat == 1.0)
+    g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    assert np.all(np.isfinite(d_grads.flat)) and np.all(np.isfinite(g_grads.flat))
+    assert np.isfinite(loss_discriminator(d_m_hat, mask, b))
+    assert np.all(np.isfinite(generator_loss_parts(g_m_hat, mask, b, x_bar, x_t, model.column_kinds)))
+
+
+@pytest.mark.parametrize("sign", ["gain", "literal"])
+def test_float32_step_gradients_match_float64_within_float32_rounding(sign):
+    # same weights in both widths; the bound, 1e-4 of the largest gradient,
+    # is about 840 float32 epsilons and was fixed before the first run
+    model = build_model(8, 3, ["binary"] + [CONTINUOUS] * 7, TrainConfig(alpha=7.5, adversarial_sign=sign),
+                        make_rng(12))
+    wide = as_float64(model)
+    x_t, mask, y, z, b, hint = random_batch(model, n=128, seed=13)
+    x_t[:, 0] = np.round(x_t[:, 0])
+    for step in (discriminator_step_grads, generator_step_grads):
+        narrow = step(model, x_t, mask, y, z, hint, b)[0].flat
+        ref = step(wide, x_t, mask, y, z, hint, b)[0].flat
+        assert narrow.dtype == np.float32 and ref.dtype == np.float64
+        assert np.max(np.abs(narrow - ref)) <= 1e-4 * np.max(np.abs(ref))

@@ -18,7 +18,7 @@ from oracles import ref_adam_step, ref_backward, ref_forward, ref_sigmoid, scala
 
 def flat(*arrays) -> FlatArrays:
     """One flat buffer holding copies of arrays, the layout optimizers take."""
-    out = FlatArrays.zeros(a.shape for a in arrays)
+    out = FlatArrays.zeros((a.shape for a in arrays), np.float64)
     for view, a in zip(out, arrays):
         view[...] = a
     return out
@@ -326,6 +326,35 @@ def test_copy_and_pickle_own_separate_buffers():
         assert other.w1[0, 0] != net.w1[0, 0]
     state = make_optimizer("adam", 1e-3, net.params())
     assert_tiles_one_buffer(pickle.loads(pickle.dumps(state.m)))
+
+
+def test_float32_net_computes_forward_backward_and_updates_in_float32():
+    rng = make_rng(57)
+    net = DenseNet(*(p.astype(np.float32) for p in init_dense(rng, 5, 8, 3).params()))
+    for other in (net, net.copy(), pickle.loads(pickle.dumps(net))):
+        assert other.dtype == other.grads.flat.dtype == np.float32
+    out, cache = dense_forward(net, rng.uniform(size=(6, 5)))   # a float64 batch is cast
+    assert out.dtype == np.float32 and all(a.dtype == np.float32 for a in cache)
+    grad_out = rng.normal(size=(6, 3))
+    assert dense_backward(net, cache, grad_out, wrt="input").dtype == np.float32
+    grads = dense_backward(net, cache, grad_out, wrt="params")
+    for kind in OPTIMIZERS:
+        state = make_optimizer(kind, 1e-3, net.params())
+        if kind == "adam":
+            assert all(s.flat.dtype == np.float32 for s in (state.m, state.v, *state.scratch))
+        optimizer_step(state, net.params(), grads)
+        assert net.dtype == np.float32
+    # one float64 array gives a float64 net
+    assert DenseNet(*net.params()[:5], np.zeros(3)).dtype == np.float64
+
+
+def test_float32_sigmoid_saturates_near_17_and_tracks_float64():
+    z = np.array([16.0, 17.0, -17.0], dtype=np.float32)
+    s = sigmoid(z)
+    assert s.dtype == np.float32
+    assert s[0] < 1.0 and s[1] == 1.0 and 0.0 < s[2] < 1e-7
+    z = make_rng(58).uniform(-80.0, 80.0, 1000).astype(np.float32)
+    assert_allclose(sigmoid(z), sigmoid(z.astype(np.float64)), rtol=4 * np.finfo(np.float32).eps, atol=0)
 
 
 def test_net_from_separate_arrays_holds_their_values():
