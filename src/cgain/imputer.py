@@ -131,17 +131,20 @@ def hint_from_b(b: Array, mask: Array) -> Array:
 # forward paths
 # ---------------------------------------------------------------------------
 
-def _with_labels(blocks: list[Array], labels: Array, conditional: bool) -> Array:
+def _with_labels(blocks: list[Array], labels: Array, conditional: bool, dtype: np.dtype) -> Array:
+    """The net input: blocks, then labels if conditional, cast to the net's
+    dtype in the one copy the concatenation makes."""
     if conditional:
         blocks = blocks + [labels]
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(blocks, axis=1, dtype=dtype)
 
 
 def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
                       z: Array) -> tuple[Array, Array, tuple]:
     """Generator pass with explicit noise. Returns (x_bar, x_hat, cache);
     x_bar and x_hat are float64 whatever the net's dtype."""
-    g_in = _with_labels([x_tilde, mask, (1.0 - mask) * z], labels, model.conditional)
+    g_in = _with_labels([x_tilde, mask, (1.0 - mask) * z], labels, model.conditional,
+                        model.generator.dtype)
     out, cache = dense_forward(model.generator, g_in)
     x_bar = out.astype(np.float64)
     x_hat = mask * x_tilde + (1.0 - mask) * x_bar
@@ -172,7 +175,7 @@ def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
     output that saturates at 1.0 would defeat the clamps and turn a loss
     into inf and a loss gradient into NaN.
     """
-    d_in = _with_labels([x_hat, hint], labels, model.conditional)
+    d_in = _with_labels([x_hat, hint], labels, model.conditional, model.discriminator.dtype)
     out, cache = dense_forward(model.discriminator, d_in)
     return out.astype(np.float64), cache
 

@@ -24,15 +24,15 @@ from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, 
 
 
 def small_model(d=3, m=2, seed=0, conditional=True, **cfg_kwargs):
-    """build_model's weights in float64 nets, so that the scalar oracles,
-    finite differences and bit-exact references compare at float64."""
     cfg = TrainConfig(conditional=conditional, hidden_multiplier=2, seed=seed, **cfg_kwargs)
     kinds = [CONTINUOUS] * d
-    return as_float64(build_model(d, m, kinds, cfg, make_rng(seed)))
+    return build_model(d, m, kinds, cfg, make_rng(seed))
 
 
 def as_float64(model):
-    """The model with its nets' exact values widened to float64."""
+    """The model with its nets' exact values widened to float64, for the
+    tests that compare against float64 oracles, finite differences or
+    bit-exact references."""
     return replace(model, **{name: DenseNet(*(p.astype(np.float64) for p in getattr(model, name).params()))
                              for name in ("generator", "discriminator")})
 
@@ -142,7 +142,7 @@ def test_generator_forward_on_a_row_subset_equals_that_subset_of_the_full_call(n
 
 
 def test_generator_forward_matches_scalar_net_oracle():
-    model = small_model(seed=21)
+    model = as_float64(small_model(seed=21))
     x_t, mask, y, z, _, _ = random_batch(model, n=4, seed=22)
     x_bar, _, _ = generator_forward(model, x_t, mask, y, z)
     g_in = np.concatenate([x_t, mask, (1 - mask) * z, y], axis=1)
@@ -170,7 +170,7 @@ def test_discriminator_output_shape_tracks_batch(n):
 
 
 def test_discriminate_matches_scalar_net_oracle():
-    model = small_model(seed=31)
+    model = as_float64(small_model(seed=31))
     x_t, mask, y, z, _, hint = random_batch(model, n=4, seed=32)
     _, x_hat, _ = generator_forward(model, x_t, mask, y, z)
     m_hat = discriminator_forward(model, x_hat, hint, y)[0]
@@ -285,7 +285,7 @@ def test_loss_validation_errors():
 
 @pytest.mark.parametrize("sign", ["gain", "literal"])
 def test_generator_gradients_through_fixed_discriminator(sign):
-    model = small_model(d=3, m=2, seed=14, alpha=7.5, adversarial_sign=sign)
+    model = as_float64(small_model(d=3, m=2, seed=14, alpha=7.5, adversarial_sign=sign))
     model.column_kinds[1] = "binary"
     x_t, mask, y, z, b, hint = random_batch(model, n=4, seed=15)
     x_t[:, 1] = np.round(x_t[:, 1])
@@ -305,7 +305,7 @@ def test_generator_gradients_through_fixed_discriminator(sign):
 
 
 def test_discriminator_gradients_with_fixed_generator():
-    model = small_model(d=4, m=2, seed=16)
+    model = as_float64(small_model(d=4, m=2, seed=16))
     x_t, mask, y, z, b, hint = random_batch(model, n=5, seed=17)
 
     def d_loss():
@@ -325,7 +325,7 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
     # the generator step must take the x_hat block of the full discriminator
     # input gradient; both steps must match a backward pass that computes
     # every product
-    model = small_model(d=5, m=3, seed=23, alpha=7.5, adversarial_sign=sign)
+    model = as_float64(small_model(d=5, m=3, seed=23, alpha=7.5, adversarial_sign=sign))
     if binary:
         model.column_kinds[2] = "binary"
     x_t, mask, y, z, b, hint = random_batch(model, n=9, seed=24)
