@@ -108,8 +108,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, f.name, value)
     if cfg.seed is None:
-        env = os.environ.get(SEED_ENV)
-        cfg.seed = int(env) if env else 0
+        source, text = f"${SEED_ENV}", os.environ.get(SEED_ENV) or "0"
+    else:
+        source, text = "--seed", str(cfg.seed)
+    if not text.strip().isdecimal():
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    cfg.seed = int(text)
     if cfg.jobs == 0:
         cfg.jobs = os.cpu_count() or 1
     return cfg

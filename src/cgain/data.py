@@ -84,14 +84,16 @@ class IncompleteDataset:
         if self.mask.shape != self.dataset.features.shape:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match features {self.dataset.features.shape}")
-        features, mask = self.dataset.features, self.mask
-        for what, cells, bad in (("feature", features, ~np.isfinite(features)),
-                                 ("mask", mask, (mask != 0) & (mask != 1))):
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
+        self.require(np.isfinite(self.dataset.features), (self.mask == 0) | (self.mask == 1),
+                     "features must be finite and mask cells 0 or 1")
+
+    def require(self, features_ok: Array, mask_ok: Array, rule: str) -> None:
+        """ValueError naming the first feature, then mask, cell not ok, by column and 0-based row."""
+        for what, cells, ok in (("feature", self.dataset.features, features_ok), ("mask", self.mask, mask_ok)):
+            if not ok.all():
+                i, j = np.argwhere(~ok)[0]
                 raise ValueError(f"{what} cell in column {self.dataset.schema[j].name!r}, row {i}, "
-                                 f"is {float(cells[i, j])!r}; features must be finite and "
-                                 "mask cells 0 or 1")
+                                 f"is {float(cells[i, j])!r}; {rule}")
 
     def take_rows(self, idx: Array) -> "IncompleteDataset":
         return IncompleteDataset(self.dataset.take_rows(idx), self.mask[idx])

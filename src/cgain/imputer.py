@@ -30,6 +30,7 @@ from .nn import (OPTIMIZERS, Array, DenseNet, FlatArrays, dense_backward, dense_
 from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
 EPS = 1e-8          # log clamp inside every cross-entropy term
+NOISE_HIGH = 0.01   # generator noise ~ U(0, NOISE_HIGH), as in GAIN
 ADV_SIGNS = ("gain", "literal")
 
 
@@ -45,13 +46,8 @@ class TrainConfig:
     hidden_multiplier: int = 3      # hidden width = multiplier * n_features
     conditional: bool = True        # False drops the label block (unconditional variant)
     adversarial_sign: str = "gain"  # "gain" | "literal"; see loss_generator
-    noise_high: float = 0.01        # generator noise ~ U(0, noise_high)
     seed: int = 0
     log_every: int = 100
-    stratified_batches: bool = False    # per-batch class shares match the dataset
-    early_stop: bool = False        # optional: stop when reconstruction stalls
-    early_stop_tol: float = 1e-5
-    early_stop_window: int = 500
 
     def validate(self) -> None:
         if self.alpha <= 0:
@@ -66,8 +62,8 @@ class TrainConfig:
             raise ValueError(f"hidden multiplier must be at least 1, got {self.hidden_multiplier}")
         if self.adversarial_sign not in ADV_SIGNS:
             raise ValueError(f"adversarial sign must be one of {ADV_SIGNS}, got {self.adversarial_sign!r}")
-        if not 0.0 < self.noise_high <= 1.0:
-            raise ValueError(f"noise amplitude must be in (0, 1], got {self.noise_high}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.log_every < 1:
             raise ValueError(f"log interval must be at least 1, got {self.log_every}")
 
@@ -97,7 +93,7 @@ class ImputerModel:
 
 @dataclass
 class TrainingTrace:
-    """Losses sampled every log_every iterations."""
+    """Losses and elapsed seconds at every log_every-th iteration of the full budget."""
 
     iterations: list[int] = field(default_factory=list)
     d_loss: list[float] = field(default_factory=list)
@@ -161,7 +157,7 @@ def generate(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
     """
     if x_tilde.shape != mask.shape:
         raise ValueError(f"data shape {x_tilde.shape} does not match mask {mask.shape}")
-    z = uniform(rng, 0.0, model.config.noise_high, x_tilde.shape)
+    z = uniform(rng, 0.0, NOISE_HIGH, x_tilde.shape)
     x_bar, x_hat, _ = generator_forward(model, x_tilde, mask, labels, z)
     return x_bar, x_hat
 
@@ -294,26 +290,6 @@ def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, column_kinds: li
 # training
 # ---------------------------------------------------------------------------
 
-def _batch_sampler(ds: Dataset, batch: int, stratified: bool):
-    """Mini-batch index draws: uniform with replacement, or stratified so
-    per-batch class counts match the dataset's shares to within one row."""
-    n = ds.n_rows
-    if not stratified:
-        return lambda rng: rng.integers(0, n, size=batch)
-    cls = ds.class_index()
-    rows = [np.flatnonzero(cls == c) for c in range(ds.n_classes)]
-    shares = np.array([r.size / n for r in rows])
-    counts = np.floor(batch * shares).astype(int)
-    remainder = np.argsort(-(batch * shares - counts), kind="stable")
-    counts[remainder[: batch - counts.sum()]] += 1
-
-    def draw(rng):
-        return np.concatenate([r[rng.integers(0, r.size, size=k)]
-                               for r, k in zip(rows, counts) if k > 0])
-
-    return draw
-
-
 def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
                 rng: np.random.Generator) -> ImputerModel:
     """Xavier-initialized float32 generator and discriminator for d
@@ -367,23 +343,23 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
     return g_grads, m_hat, x_bar
 
 
-def _in_unit_interval(a: Array) -> bool:
-    return bool(np.all((a >= 0.0) & (a <= 1.0)))   # false at NaN
-
-
 def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerModel, TrainingTrace]:
-    """Alternate one discriminator and one generator update per iteration.
+    """Alternate one discriminator and one generator update per iteration,
+    for exactly config.iterations iterations.
 
-    Each step draws a fresh mini-batch (uniform with replacement, or
-    stratified by class when configured), fresh noise and fresh hint flags.
-    Fully determined by (config.seed, data, config). Raises
-    FloatingPointError at the first iteration with a non-finite loss.
+    Each step draws a fresh mini-batch (rows uniform with replacement),
+    fresh noise and fresh hint flags. Fully determined by (config.seed,
+    data, config). A feature or mask cell outside [0, 1] is a ValueError
+    naming its column and row; a non-finite loss is a FloatingPointError
+    at its iteration.
     """
     config.validate()
     ds = incomplete.dataset
     n, d = ds.features.shape
     if n < 1:
         raise ValueError("cannot train on an empty dataset")
+    in_unit = [(a >= 0.0) & (a <= 1.0) for a in (ds.features, incomplete.mask)]   # false at NaN
+    incomplete.require(*in_unit, "train needs feature and mask cells in [0, 1]")
     batch = config.batch_size
     if batch > n:
         warnings.warn(f"batch size {batch} exceeds dataset size {n}; clamping to {n}")
@@ -396,15 +372,14 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
 
     columns = (ds.features, incomplete.mask, ds.labels)
     rows = [np.empty((batch,) + a.shape[1:], dtype=a.dtype) for a in columns]
-    sample_rows = _batch_sampler(ds, batch, config.stratified_batches)
 
     def draw() -> tuple[Array, ...]:
         """(x_t, m, y, z, hint, b) for one step; x_t, m and y are overwritten
         by the next draw."""
-        idx = sample_rows(rng)
-        # the sampler's indices are in range, and mode="raise" would buffer
+        idx = rng.integers(0, n, size=batch)
+        # the indices are in range, and mode="raise" would buffer
         x_t, m, y = (np.take(a, idx, axis=0, out=out, mode="clip") for a, out in zip(columns, rows))
-        z = uniform(rng, 0.0, config.noise_high, (batch, d))
+        z = uniform(rng, 0.0, NOISE_HIGH, (batch, d))
         b = sample_hint_b(m, rng)
         return x_t, m, y, z, hint_from_b(b, m), b
 
@@ -412,47 +387,34 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     # the losses through a clamped log. With features and mask in [0, 1] every
     # loss term is then bounded, so a loss is non-finite exactly when the
     # step's m_hat or x_bar holds a NaN, and the losses are needed only on
-    # logged iterations. With other data they are computed and tested on
-    # every iteration.
-    every_iteration = config.early_stop or not all(map(_in_unit_interval, columns[:2]))
+    # logged iterations.
     trace = TrainingTrace()
-    recon_hist: list[float] = []
     t0 = time.perf_counter()
 
     for it in range(1, config.iterations + 1):
         logged = it % config.log_every == 0
-        with_losses = logged or every_iteration
         # (A) discriminator update
         x_t, m, y, z, hint, b = draw()
         d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, hint, b)
         optimizer_step(d_opt, model.discriminator.params(), d_grads)
-        if with_losses:
+        if logged:
             d_loss = loss_discriminator(d_m_hat, m, b)
 
         # (B) generator update, discriminator fixed
         x_t, m, y, z, hint, b = draw()
         g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, hint, b)
         optimizer_step(g_opt, model.generator.params(), g_grads)
-        if with_losses:
-            g_adv, g_recon = generator_loss_parts(g_m_hat, m, b, x_bar, x_t, model.column_kinds,
-                                                  config.adversarial_sign)
-            finite = math.isfinite(d_loss) and math.isfinite(g_adv) and math.isfinite(g_recon)
-        else:
-            # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
-            finite = not math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum())
-        if not finite:
+        # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
+        if math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum()):
             raise FloatingPointError(f"non-finite training loss at iteration {it}")
         if logged:
+            g_adv, g_recon = generator_loss_parts(g_m_hat, m, b, x_bar, x_t, model.column_kinds,
+                                                  config.adversarial_sign)
             trace.iterations.append(it)
             trace.d_loss.append(d_loss)
             trace.g_adversarial.append(g_adv)
             trace.g_reconstruction.append(g_recon)
             trace.seconds.append(time.perf_counter() - t0)
-        if config.early_stop:
-            recon_hist.append(g_recon)
-            if (len(recon_hist) > config.early_stop_window
-                    and recon_hist[-config.early_stop_window - 1] - recon_hist[-1] < config.early_stop_tol):
-                break
 
     return model, trace
 
@@ -525,8 +487,8 @@ def save_model(path, model: ImputerModel) -> None:
 
 def load_model(path) -> ImputerModel:
     """Read a save_model file into float32 nets; a file that is not one,
-    cut short, padded, with an unexpected header or with weights that are
-    not float32 values is a ValueError that names the path."""
+    cut short, padded, with an unexpected header, an invalid config or
+    weights that are not float32 values is a ValueError that names the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:len(MODEL_MAGIC)]
@@ -558,6 +520,13 @@ def load_model(path) -> ImputerModel:
     if not isinstance(config, dict) or not config.keys() <= _CONFIG_KEYS:
         raise ValueError(f"{path}: config must be an object with keys among {sorted(_CONFIG_KEYS)}, "
                          f"got {config!r}")
+    config = TrainConfig(**config)
+    try:
+        config.validate()
+    except (TypeError, ValueError) as exc:   # a value of the wrong type fails a comparison
+        raise ValueError(f"{path}: invalid config: {exc}") from None
+    if config.conditional != header["conditional"]:
+        raise ValueError(f"{path}: config.conditional differs from the header's {header['conditional']!r}")
     arrays = []
     for entry in entries:
         shape = tuple(entry["shape"])
@@ -582,5 +551,5 @@ def load_model(path) -> ImputerModel:
         n_classes=header["n_classes"],
         conditional=header["conditional"],
         column_kinds=list(header["column_kinds"]),
-        config=TrainConfig(**config),
+        config=config,
     )

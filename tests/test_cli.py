@@ -403,6 +403,27 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env.data.csv").read_bytes() == (tmp_path / "flag.data.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["corrupt", "train", "benchmark"])
+@pytest.mark.parametrize("flag, env, source, shown", [
+    ("-1", None, "--seed", "'-1'"),
+    (None, "-1", "$CGAIN_SEED", "'-1'"),
+    (None, "abc", "$CGAIN_SEED", "'abc'"),
+    (None, "2.5", "$CGAIN_SEED", "'2.5'"),
+], ids=["flag_negative", "env_negative", "env_word", "env_fraction"])
+def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, source, shown):
+    data = write_toy_csv(tmp_path / "d.csv")
+    monkeypatch.delenv("CGAIN_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CGAIN_SEED", env)
+    seed = ["--seed", flag] if flag is not None else []
+    rc = run(command, "--data", data, "--label-col", "y", "--rate", "0.2", "--iters", "2",
+             *seed, "--out", tmp_path / "o")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {source} must be a non-negative "
+                                       f"integer, got {shown}\n")
+    assert list(tmp_path.iterdir()) == [data]   # refused before any file is written
+
+
 # one sample command-line/config-file value per field annotation
 SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "int | None": ("3", 3), "float": ("0.5", 0.5)}
 

@@ -381,23 +381,32 @@ def test_trace_row_count_is_budget_over_interval():
     assert len(trace.d_loss) == len(trace.g_adversarial) == len(trace.g_reconstruction) == 3
 
 
-@pytest.mark.parametrize("early_stop, out_of_range, calls", [(False, False, 3), (True, False, 60),
-                                                            (False, True, 60)])
-def test_losses_are_computed_only_when_read(monkeypatch, early_stop, out_of_range, calls):
-    # logged iterations read them, and so does early stopping; data outside
-    # [0, 1] needs them to test every iteration for a non-finite loss
+def test_losses_are_computed_only_when_read(monkeypatch):
+    # only logged iterations read them
     inc = random_incomplete(toy_dataset(n=30, d=3, seed=53, binary_col=False), rate=0.2, seed=54)
-    if out_of_range:
-        inc.dataset.features[0, 0] = 1.5
     seen = []
     real = imputer_module.loss_discriminator
     monkeypatch.setattr(imputer_module, "loss_discriminator",
                         lambda *args: seen.append(1) or real(*args))
-    cfg = TrainConfig(iterations=60, batch_size=16, seed=55, log_every=20, early_stop=early_stop,
-                      early_stop_window=1000)
-    _, trace = train(inc, cfg)
-    assert len(seen) == calls
+    _, trace = train(inc, TrainConfig(iterations=60, batch_size=16, seed=55, log_every=20))
+    assert len(seen) == 3
     assert trace.iterations == [20, 40, 60]
+
+
+@pytest.mark.parametrize("what, row, col, value, shown", [
+    ("feature", 7, 2, 1.5, "1.5"), ("feature", 0, 0, -0.25, "-0.25"), ("mask", 12, 1, 2.0, "2.0"),
+], ids=["feature_above", "feature_below", "mask"])
+def test_cell_outside_unit_interval_is_refused_before_training(monkeypatch, what, row, col, value, shown):
+    # the NaN guard is exact only for data in [0, 1]; a later cell outside
+    # it does not change which cell the message names
+    inc = random_incomplete(toy_dataset(n=30, d=3, seed=53, binary_col=False), rate=0.2, seed=54)
+    cells = inc.dataset.features if what == "feature" else inc.mask
+    cells[row, col] = value
+    cells[-1, -1] = 9.0
+    monkeypatch.setattr(imputer_module, "build_model", lambda *args: pytest.fail("model built"))
+    with pytest.raises(ValueError, match=rf"^{what} cell in column 'c{col}', row {row}, is {shown}; "
+                                         r"train needs feature and mask cells in \[0, 1\]$"):
+        train(inc, TrainConfig(iterations=60, batch_size=16, seed=55))
 
 
 def test_training_is_deterministic():
@@ -418,42 +427,14 @@ def test_train_validates_config():
         train(inc, TrainConfig(alpha=-1.0))
     with pytest.raises(ValueError, match="optimizer"):
         train(inc, TrainConfig(optimizer="sgdm"))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        train(inc, TrainConfig(seed=-1))
 
 
-def test_stratified_batches_match_class_shares():
-    from cgain.imputer import _batch_sampler
-    rng = np.random.default_rng(4)
-    raw = rng.uniform(0, 1, size=(90, 3))
-    labels = ["0"] * 60 + ["1"] * 30
-    from cgain.data import build_dataset
-    ds = build_dataset(raw, labels, ["a", "b", "c"])
-    draw = _batch_sampler(ds, 16, stratified=True)
-    cls = ds.class_index()
-    for _ in range(5):
-        idx = draw(make_rng(11))
-        assert idx.size == 16
-        counts = np.bincount(cls[idx], minlength=2)
-        assert abs(counts[0] - 16 * (2 / 3)) <= 1.0
-    # training still runs end to end with the option on
-    inc = random_incomplete(ds, rate=0.3, seed=12)
-    model, _ = train(inc, TrainConfig(iterations=5, batch_size=16, seed=13,
-                                      stratified_batches=True))
-    assert model.n_classes == 2
-
-
-def test_early_stop_cuts_training_short():
-    ds = toy_dataset(n=30, d=3, seed=63, binary_col=False)
-    inc = random_incomplete(ds, rate=0.2, seed=64)
-    cfg = TrainConfig(iterations=5000, batch_size=16, seed=65, log_every=1,
-                      early_stop=True, early_stop_window=50, early_stop_tol=1e9)
-    _, trace = train(inc, cfg)   # absurd tolerance stops at the first check
-    assert trace.iterations[-1] < 5000
-
-
-@pytest.mark.parametrize("early_stop", [False, True])
-def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch, early_stop):
-    # iteration 1 is not a log iteration, so without early stopping the
-    # guard must find the NaN without the losses
+@pytest.mark.parametrize("log_every", [1, TrainConfig.log_every])
+def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch, log_every):
+    # iteration 1 is logged at log_every=1 and not at the default, and the
+    # guard must find the NaN either way
     ds = toy_dataset(n=40, d=4, seed=80)
     inc = corrupt_mcar(ds, 0.2, make_rng(81))
     real = imputer_module.build_model
@@ -465,11 +446,10 @@ def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch,
 
     monkeypatch.setattr(imputer_module, "build_model", poisoned)
     with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 1$"):
-        train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, early_stop=early_stop))
+        train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, log_every=log_every))
 
 
-@pytest.mark.parametrize("early_stop", [False, True])
-def test_inf_feature_row_is_refused_before_training(early_stop):
+def test_inf_feature_row_is_refused_before_training():
     # the hand-built table is refused at construction, with its column and
     # row named, so train never sees it
     rng = np.random.default_rng(90)
@@ -481,7 +461,7 @@ def test_inf_feature_row_is_refused_before_training(early_stop):
     schema = [ColumnSpec(f"c{j}", CONTINUOUS, 0.0, 1.0) for j in range(d)]
     with pytest.raises(ValueError, match=r"^feature cell in column 'c1', row 137, is inf;"):
         hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), np.ones((n, d)))
-        train(hand, TrainConfig(iterations=500, batch_size=4, seed=91, early_stop=early_stop))
+        train(hand, TrainConfig(iterations=500, batch_size=4, seed=91))
 
 
 def test_mask_cell_other_than_zero_or_one_is_refused():
@@ -647,8 +627,17 @@ def with_header(edit):
     (with_header(lambda h: {**h, "config": {**h["config"], "dropout": 0.5}}), "config must be an object"),
     (with_header(lambda h: [h]), "header is not a JSON object"),
     (lambda blob: blob[:-8] + struct.pack("<d", 0.1), "discriminator.b3 holds values that are not float32.*retrain"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "noise_high": 0.01}}), "config must be an object"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "alpha": -1}}), "invalid config: alpha must be positive"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "optimizer": "rmsprop"}}),
+     "invalid config: unknown optimizer 'rmsprop'"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "seed": -3}}), "invalid config: seed must be non-negative"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "batch_size": "128"}}), "invalid config: '<' not supported"),
+    (with_header(lambda h: {**h, "config": {**h["config"], "conditional": False}}),
+     "config.conditional differs from the header's True"),
 ], ids=["bad_magic", "truncated_preamble", "trailing_bytes", "renamed_array", "other_activation",
-        "missing_key", "unknown_config_key", "header_not_object", "float64_weights"])
+        "missing_key", "unknown_config_key", "header_not_object", "float64_weights", "older_config_key",
+        "negative_alpha", "unknown_optimizer", "negative_seed", "string_batch_size", "conditional_mismatch"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
     save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))
