@@ -449,9 +449,10 @@ def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch,
         train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, log_every=log_every))
 
 
-def test_inf_feature_row_is_refused_before_training():
+@pytest.mark.parametrize("observed", [False, True])
+def test_inf_feature_row_is_refused_before_training(observed):
     # the hand-built table is refused at construction, with its column and
-    # row named, so train never sees it
+    # row named, so train never sees it; a cell marked missing is no exception
     rng = np.random.default_rng(90)
     n, d = 200, 3
     features = rng.uniform(size=(n, d))
@@ -459,8 +460,10 @@ def test_inf_feature_row_is_refused_before_training():
     labels = np.zeros((n, 2))
     labels[np.arange(n), rng.integers(0, 2, n)] = 1.0
     schema = [ColumnSpec(f"c{j}", CONTINUOUS, 0.0, 1.0) for j in range(d)]
+    mask = np.ones((n, d))
+    mask[137, 1] = float(observed)
     with pytest.raises(ValueError, match=r"^feature cell in column 'c1', row 137, is inf;"):
-        hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), np.ones((n, d)))
+        hand = IncompleteDataset(Dataset(features, labels, schema, ["0", "1"]), mask)
         train(hand, TrainConfig(iterations=500, batch_size=4, seed=91))
 
 
