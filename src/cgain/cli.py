@@ -72,8 +72,17 @@ _TRAIN_FIELDS = {"alpha": "alpha", "batch": "batch_size", "iters": "iterations",
                  "optimizer": "optimizer", "lr": "learning_rate",
                  "hidden_mult": "hidden_multiplier", "adv_sign": "adversarial_sign",
                  "seed": "seed"}
+
+
+def _seed(text: str) -> int:
+    """A seed given as text: a non-negative decimal integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # parses a --flag value, given on the command line or in a config file, by its field's annotation
-_PARSERS = {"str": str, "int": int, "float": float, "int | None": int}
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": _seed}
 
 
 def parse_config_file(path) -> dict:
@@ -108,12 +117,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, f.name, value)
     if cfg.seed is None:
-        source, text = f"${SEED_ENV}", os.environ.get(SEED_ENV) or "0"
-    else:
-        source, text = "--seed", str(cfg.seed)
-    if not text.strip().isdecimal():
-        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
-    cfg.seed = int(text)
+        try:
+            cfg.seed = _seed(os.environ.get(SEED_ENV) or "0")
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"${SEED_ENV} {exc}") from None
     if cfg.jobs == 0:
         cfg.jobs = os.cpu_count() or 1
     return cfg

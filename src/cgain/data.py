@@ -234,13 +234,13 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
 
 def _first_bad_cell(path, header: list[str], rows: list[list[str]], label_idx: int,
                     allow_missing: bool) -> ValueError:
-    """The error for the first bad cell in row-major order: a missing label
-    (when cells may be missing), an empty feature cell (when none may be) or
-    a feature cell that does not parse."""
+    """The error for the first bad cell in row-major order: a missing label,
+    an empty feature cell (when none may be) or a feature cell that does not
+    parse."""
     # a plain list of records is read as one line each below a one-line header
     lines = rows.lines if isinstance(rows, CsvRows) else range(2, len(rows) + 2)
     for i, row in zip(lines, rows):
-        if allow_missing and row[label_idx].strip() == "":
+        if row[label_idx].strip() == "":
             return ValueError(f"{path}: row {i}: missing label; labels must be fully observed")
         for j, cell in enumerate(row):
             if j == label_idx:
@@ -263,10 +263,10 @@ def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
                 allow_missing: bool) -> tuple[Array, Array, list[str]]:
     """Parse the cells of a table into (raw features, mask, stripped labels).
 
-    Feature cells are stripped; an empty one is missing (mask 0, raw 0.0)
-    when allow_missing, and an error otherwise. Every other feature cell is
-    converted with float(). On failure the error names the first bad cell
-    in row-major order.
+    Every label must be non-empty. Feature cells are stripped; an empty one
+    is missing (mask 0, raw 0.0) when allow_missing, and an error otherwise.
+    Every other feature cell is converted with float(). On failure the error
+    names the first bad cell in row-major order.
     """
     n, width = len(rows), len(header)
     cells = list(map(str.strip, chain.from_iterable(rows)))
@@ -274,7 +274,7 @@ def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
     del cells[label_idx::width]
     observed = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
     values = None
-    if (allow_missing and all(labels)) or (not allow_missing and observed.all()):
+    if all(labels) and (allow_missing or observed.all()):
         try:
             values = np.fromiter(map(float, filter(None, cells)), dtype=np.float64,
                                  count=int(observed.sum()))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from .nn import (OPTIMIZERS, Array, DenseNet, FlatArrays, dense_backward, dense_forward,
-                 init_dense, make_optimizer, make_rng, optimizer_step, uniform)
+                 dense_shapes, init_dense, make_optimizer, make_rng, optimizer_step, uniform)
 from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
 EPS = 1e-8          # log clamp inside every cross-entropy term
@@ -58,8 +58,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.hidden_multiplier < 1:
-            raise ValueError(f"hidden multiplier must be at least 1, got {self.hidden_multiplier}")
+        if not isinstance(self.hidden_multiplier, int) or self.hidden_multiplier < 1:
+            raise ValueError(f"hidden multiplier must be an integer of at least 1, "
+                             f"got {self.hidden_multiplier!r}")
         if self.adversarial_sign not in ADV_SIGNS:
             raise ValueError(f"adversarial sign must be one of {ADV_SIGNS}, got {self.adversarial_sign!r}")
         if self.seed < 0:
@@ -70,25 +71,33 @@ class TrainConfig:
 
 @dataclass
 class ImputerModel:
-    """Trained generator/discriminator pair plus conditioning metadata."""
+    """Trained generator/discriminator pair plus conditioning metadata; the
+    feature count is len(column_kinds), and config says whether the nets
+    take the labels."""
 
     generator: DenseNet
     discriminator: DenseNet
-    n_features: int
     n_classes: int
-    conditional: bool
     column_kinds: list[str]
     config: TrainConfig
 
+    n_features = property(lambda self: len(self.column_kinds))
+    conditional = property(lambda self: self.config.conditional)
+
     def __post_init__(self):
-        d, m = self.n_features, self.n_classes
-        label_width = m if self.conditional else 0
-        if self.generator.input_width != 3 * d + label_width:
-            raise ValueError(f"generator input width {self.generator.input_width}, expected {3 * d + label_width}")
-        if self.discriminator.input_width != 2 * d + label_width:
-            raise ValueError(f"discriminator input width {self.discriminator.input_width}, expected {2 * d + label_width}")
-        if self.generator.output_width != d or self.discriminator.output_width != d:
-            raise ValueError("generator and discriminator must both output one value per feature")
+        layout = [dense_shapes(*w) for w in _layer_widths(self.n_features, self.n_classes, self.config)]
+        if [self.generator.params().shapes, self.discriminator.params().shapes] != layout:
+            raise ValueError(f"net shapes differ from {layout}, the layout for these features, classes "
+                             f"and config")
+
+
+def _layer_widths(d: int, m: int, config: TrainConfig) -> list[tuple[int, int, int]]:
+    """(input, hidden, output) widths of the generator, then the
+    discriminator, for d features and m classes: the one layout rule of
+    build_model and load_model."""
+    label_width = m if config.conditional else 0
+    hidden = config.hidden_multiplier * d
+    return [(3 * d + label_width, hidden, d), (2 * d + label_width, hidden, d)]
 
 
 @dataclass
@@ -294,15 +303,9 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
                 rng: np.random.Generator) -> ImputerModel:
     """Xavier-initialized float32 generator and discriminator for d
     features, m classes: the weights are drawn in float64, then rounded once."""
-    label_width = m if config.conditional else 0
-    hidden = config.hidden_multiplier * d
-    gen = init_dense(rng, 3 * d + label_width, hidden, d)
-    disc = init_dense(rng, 2 * d + label_width, hidden, d)
-    return ImputerModel(_float32(gen), _float32(disc), d, m, config.conditional, list(column_kinds), config)
-
-
-def _float32(net: DenseNet) -> DenseNet:
-    return DenseNet(*(p.astype(np.float32) for p in net.params()))
+    gen, disc = (DenseNet(*(p.astype(np.float32) for p in init_dense(rng, *widths).params()))
+                 for widths in _layer_widths(d, m, config))
+    return ImputerModel(gen, disc, m, list(column_kinds), config)
 
 
 def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
@@ -445,50 +448,36 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"CGAINMDL"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
-_ARRAY_NAMES = [f"{net}.{f}" for net in ("generator", "discriminator")
-                for f in ("w1", "b1", "w2", "b2", "w3", "b3")]
-_NET_ACTIVATIONS = ["relu", "sigmoid"]   # every DenseNet's hidden and output activations
 _PREAMBLE = struct.Struct("<IQ")          # format version, header length
-_HEADER_KEYS = ["n_features", "n_classes", "conditional", "column_kinds", "config"]
+_HEADER_KEYS = {"n_classes", "column_kinds", "config"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def save_model(path, model: ImputerModel) -> None:
-    """Self-describing flat file: magic, version, JSON header, then each
-    net's float32 parameter buffer widened, exactly, to little-endian
-    float64, generator first; the header lists its arrays in that order.
-    A net that is not float32 is a ValueError."""
+    """Magic, version, a JSON header of n_classes, column_kinds and config,
+    then the generator's and the discriminator's parameter buffers as
+    little-endian float32. A net that is not float32 is a ValueError."""
     nets = (model.generator, model.discriminator)
     for name, net in zip(("generator", "discriminator"), nets):
         if net.dtype != np.float32:
             raise ValueError(f"{name} is {net.dtype}; only float32 nets, as build_model makes, are saved")
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-        "conditional": model.conditional,
-        "column_kinds": model.column_kinds,
-        "generator_activations": _NET_ACTIVATIONS,
-        "discriminator_activations": _NET_ACTIVATIONS,
-        "config": asdict(model.config),
-        "arrays": [{"name": name, "shape": list(shape)}
-                   for name, shape in zip(_ARRAY_NAMES, nets[0].params().shapes + nets[1].params().shapes)],
-    }
+    header = {"n_classes": model.n_classes, "column_kinds": model.column_kinds, "config": asdict(model.config)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(_PREAMBLE.pack(MODEL_FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for net in nets:
-            fh.write(net.params().flat.astype("<f8", copy=False).tobytes())
+            fh.write(net.params().flat.astype("<f4", copy=False).tobytes())
 
 
 def load_model(path) -> ImputerModel:
-    """Read a save_model file into float32 nets; a file that is not one,
-    cut short, padded, with an unexpected header, an invalid config or
-    weights that are not float32 values is a ValueError that names the path."""
+    """Read a save_model file into float32 nets of build_model's layout. A
+    file that is not one, of another version, with other header keys or bad
+    values, or with other than the layout's weight bytes is a ValueError
+    that names the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:len(MODEL_MAGIC)]
@@ -499,57 +488,35 @@ def load_model(path) -> ImputerModel:
         raise ValueError(f"{path}: truncated preamble ({len(blob)} bytes, need {pos})")
     version, header_len = _PREAMBLE.unpack_from(blob, len(MODEL_MAGIC))
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
+        raise ValueError(f"{path}: model format version {version}, but this cgain reads version "
+                         f"{MODEL_FORMAT_VERSION}; retrain the model")
     try:
         header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
     pos += header_len
-    entries = header.get("arrays", [])
-    if [e.get("name") for e in entries] != _ARRAY_NAMES:
-        raise ValueError(f"{path}: header must list the arrays {_ARRAY_NAMES} in that order")
-    for key in ("generator_activations", "discriminator_activations"):
-        if header.get(key) != _NET_ACTIVATIONS:
-            raise ValueError(f"{path}: {key} must be {_NET_ACTIVATIONS}, got {header.get(key)!r}")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {missing}")
-    config = header["config"]
-    if not isinstance(config, dict) or not config.keys() <= _CONFIG_KEYS:
-        raise ValueError(f"{path}: config must be an object with keys among {sorted(_CONFIG_KEYS)}, "
+    if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+        raise ValueError(f"{path}: header must be a JSON object with exactly the keys {sorted(_HEADER_KEYS)}")
+    n_classes, kinds, config = header["n_classes"], header["column_kinds"], header["config"]
+    if type(n_classes) is not int or n_classes < 1:
+        raise ValueError(f"{path}: n_classes must be a positive integer, got {n_classes!r}")
+    if not isinstance(kinds, list) or not kinds or any(k not in (BINARY, CONTINUOUS) for k in kinds):
+        raise ValueError(f"{path}: column_kinds must be a non-empty list of {BINARY!r} and "
+                         f"{CONTINUOUS!r}, got {kinds!r}")
+    if not isinstance(config, dict) or config.keys() != _CONFIG_KEYS:
+        raise ValueError(f"{path}: config must be an object with exactly the keys {sorted(_CONFIG_KEYS)}, "
                          f"got {config!r}")
     config = TrainConfig(**config)
     try:
         config.validate()
     except (TypeError, ValueError) as exc:   # a value of the wrong type fails a comparison
         raise ValueError(f"{path}: invalid config: {exc}") from None
-    if config.conditional != header["conditional"]:
-        raise ValueError(f"{path}: config.conditional differs from the header's {header['conditional']!r}")
-    arrays = []
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        size = 8 * math.prod(shape)
-        if len(blob) < pos + size:
-            raise ValueError(f"{path}: truncated array {entry['name']}")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=size // 8, offset=pos).reshape(shape))
-        pos += size
-    if pos != len(blob):
-        raise ValueError(f"{path}: {len(blob) - pos} bytes after the last array")
-    with np.errstate(over="ignore"):   # a value beyond float32's range is refused below
-        arrays32 = [a.astype(np.float32) for a in arrays]
-    for entry, a, a32 in zip(entries, arrays, arrays32):
-        if not np.array_equal(a, a32, equal_nan=True):
-            raise ValueError(f"{path}: {entry['name']} holds values that are not float32, so a float64 "
-                             f"trainer wrote the file; retrain the model")
 
-    return ImputerModel(
-        generator=DenseNet(*arrays32[:6]),
-        discriminator=DenseNet(*arrays32[6:]),
-        n_features=header["n_features"],
-        n_classes=header["n_classes"],
-        conditional=header["conditional"],
-        column_kinds=list(header["column_kinds"]),
-        config=config,
-    )
+    shapes = [s for widths in _layer_widths(len(kinds), n_classes, config) for s in dense_shapes(*widths)]
+    sizes = [math.prod(s) for s in shapes]
+    if len(blob) - pos != 4 * sum(sizes):
+        raise ValueError(f"{path}: {len(blob) - pos} bytes of weights, but the header's layout "
+                         f"needs {4 * sum(sizes)}")
+    flat = np.frombuffer(blob, dtype="<f4", offset=pos).astype(np.float32, copy=False)
+    arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes[:-1])), shapes)]
+    return ImputerModel(DenseNet(*arrays[:6]), DenseNet(*arrays[6:]), n_classes, kinds, config)

@@ -179,6 +179,11 @@ class DenseNet:
         return DenseNet(*self._params)
 
 
+def dense_shapes(n_in: int, n_hidden: int, n_out: int) -> tuple[tuple[int, ...], ...]:
+    """The parameter shapes of a net of these widths, in params() order."""
+    return (n_in, n_hidden), (n_hidden,), (n_hidden, n_hidden), (n_hidden,), (n_hidden, n_out), (n_out,)
+
+
 def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -> DenseNet:
     """Xavier-uniform weights, zero biases, in float64."""
     return DenseNet(

@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -44,3 +46,17 @@ def random_incomplete(dataset: Dataset, rate=0.3, seed=1) -> IncompleteDataset:
     from cgain.data import corrupt_mcar
     from cgain.nn import make_rng
     return corrupt_mcar(dataset, rate, make_rng(seed))
+
+
+def as_format_v1(blob: bytes) -> bytes:
+    """A format-2 model file repacked as format 1 laid it out: version 1,
+    the header keys v2 dropped (all but the array list) and the weights
+    widened to float64."""
+    (n,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + n])
+    header.update(format_version=1, n_features=len(header["column_kinds"]),
+                  conditional=header["config"]["conditional"],
+                  generator_activations=["relu", "sigmoid"], discriminator_activations=["relu", "sigmoid"])
+    packed = json.dumps(header, sort_keys=True).encode()
+    weights = np.frombuffer(blob, dtype="<f4", offset=20 + n).astype("<f8").tobytes()
+    return blob[:8] + struct.pack("<IQ", 1, len(packed)) + packed + weights

@@ -208,7 +208,7 @@ def ref_parse_table(path, header, rows, label_idx, allow_missing):
     labels = []
     for i, row in enumerate(rows):
         text = row[label_idx].strip()
-        if allow_missing and text == "":
+        if text == "":
             raise ValueError(f"{path}: row {i + 2}: missing label; labels must be fully observed")
         labels.append(text)
         k = 0

@@ -15,6 +15,7 @@ from cgain.cli import DEFAULT_METHODS, DEFAULT_RATES, RunConfig, main
 from cgain.data import load_csv, read_csv_table
 from cgain.evaluate import load_report_json, report_csv_rows
 from cgain.imputer import load_model
+from conftest import as_format_v1
 
 
 def write_toy_csv(path, n=40, d=3, seed=0):
@@ -87,6 +88,16 @@ def test_corrupt_rejects_rate_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("cgain-error: validation:")
+
+
+def test_corrupt_rejects_a_missing_label(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,y\n1,2,0\n3,4,\n5,6,1\n")
+    rc = run("corrupt", "--data", path, "--label-col", "y", "--rate", "0.3", "--out", tmp_path / "c")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {path}: row 3: missing label; "
+                                       "labels must be fully observed\n")
+    assert not (tmp_path / "c.data.csv").exists()
 
 
 def test_corrupt_rejects_duplicate_header_names(tmp_path, capsys):
@@ -257,6 +268,17 @@ def test_impute_rejects_dimension_mismatch(trained, tmp_path, capsys):
     assert "features" in capsys.readouterr().err
 
 
+def test_impute_refuses_a_format_v1_model(trained, tmp_path, capsys):
+    _, corrupted, model = trained
+    old = tmp_path / "old.model"
+    old.write_bytes(as_format_v1(model.read_bytes()))
+    rc = run("impute", "--model", old, "--data", corrupted, "--label-col", "y", "--out", tmp_path / "no")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {old}: model format version 1, but this "
+                                       "cgain reads version 2; retrain the model\n")
+    assert not (tmp_path / "no.imputed.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -404,24 +426,31 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["corrupt", "train", "benchmark"])
-@pytest.mark.parametrize("flag, env, source, shown", [
-    ("-1", None, "--seed", "'-1'"),
-    (None, "-1", "$CGAIN_SEED", "'-1'"),
-    (None, "abc", "$CGAIN_SEED", "'abc'"),
-    (None, "2.5", "$CGAIN_SEED", "'2.5'"),
-], ids=["flag_negative", "env_negative", "env_word", "env_fraction"])
-def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, source, shown):
+@pytest.mark.parametrize("flag, env, in_file, source, shown", [
+    ("-1", None, None, "argument --seed:", "'-1'"),
+    (None, "-1", None, "$CGAIN_SEED", "'-1'"),
+    (None, "abc", None, "$CGAIN_SEED", "'abc'"),
+    (None, "2.5", None, "$CGAIN_SEED", "'2.5'"),
+    (None, None, "-1", "{cfg}:1: key 'seed': argument --seed:", "'-1'"),
+], ids=["flag_negative", "env_negative", "env_word", "env_fraction", "file_negative"])
+def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, in_file, source,
+                                   shown):
     data = write_toy_csv(tmp_path / "d.csv")
+    cfg = tmp_path / "s.cfg"
     monkeypatch.delenv("CGAIN_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("CGAIN_SEED", env)
     seed = ["--seed", flag] if flag is not None else []
+    if in_file is not None:
+        cfg.write_text(f"seed={in_file}\n")
+        seed += ["--config", cfg]
     rc = run(command, "--data", data, "--label-col", "y", "--rate", "0.2", "--iters", "2",
              *seed, "--out", tmp_path / "o")
     assert rc == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {source} must be a non-negative "
-                                       f"integer, got {shown}\n")
-    assert list(tmp_path.iterdir()) == [data]   # refused before any file is written
+    assert capsys.readouterr().err == (f"cgain-error: validation: {source.format(cfg=cfg)} must be a "
+                                       f"non-negative integer, got {shown}\n")
+    written = {data, cfg} if in_file is not None else {data}
+    assert set(tmp_path.iterdir()) == written   # refused before any file is written
 
 
 # one sample command-line/config-file value per field annotation

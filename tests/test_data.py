@@ -246,8 +246,8 @@ MISSING_LABEL = "missing label; labels must be fully observed"
     (load_incomplete_csv, "a,b,y\n1,2,\nx,2,1\n", f"row 2: {MISSING_LABEL}"),
     (load_incomplete_csv, "a,y,b\nx, ,1\n1,0,2\n", f"row 2: {MISSING_LABEL}"),
     (load_incomplete_csv, "a,b,y\n1,x,1\n1,2,\n", "row 2, column 'b': cannot parse 'x' as a number"),
-    # the complete loader does not check labels, so the bad cell is reported
-    (load_csv, "a,y,b\nx,,1\n1,0,2\n", "row 2, column 'a': cannot parse 'x' as a number"),
+    # the complete loader applies the same label rule
+    (load_csv, "a,y,b\nx,,1\n1,0,2\n", f"row 2: {MISSING_LABEL}"),
     # a parse error comes before a non-finite value in an earlier row
     (load_csv, "a,b,y\n1,inf,0\n1,z,1\n", "row 3, column 'b': cannot parse 'z' as a number"),
 ])
@@ -265,9 +265,11 @@ def test_first_bad_cell_in_row_major_order(tmp_path, loader, text, message):
     (load_csv, 'a,b,y\n1,2,"0\nzero"\n1,x,1\n', "row 4, column 'b': cannot parse 'x' as a number"),
     (load_csv, "a,b,y\n\n1,,0\n", "row 3, column 'b': empty cell in a complete dataset"),
     (load_incomplete_csv, "a,b,y\n1,2,0\n\n\n1,2,\n", f"row 5: {MISSING_LABEL}"),
+    (load_csv, "a,b,y\n1,2,0\n\n3,4,\n5,6,1\n", f"row 4: {MISSING_LABEL}"),   # not a class ''
     (read_csv_table, "a,b,y\n\n1,2\n", "row 3 has 2 cells, expected 3"),
     (load_mask_csv, "m0,m1\n1,0\n\n1,2\n", "row 4, column 'm1': mask cells must be 0 or 1, got '2'"),
-], ids=["blank-line", "multi-line-cell", "empty-cell", "missing-label", "row-length", "mask-cell"])
+], ids=["blank-line", "multi-line-cell", "empty-cell", "missing-label", "missing-label-complete",
+        "row-length", "mask-cell"])
 def test_errors_name_the_file_line_of_the_record(tmp_path, loader, text, message):
     p = tmp_path / "t.csv"
     p.write_bytes(text.encode())

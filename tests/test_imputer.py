@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from cgain.imputer import (MODEL_MAGIC, TrainConfig, build_model, discriminator_
                            load_model, loss_discriminator, loss_generator, sample_hint_b,
                            save_model, train, _adv_grad_mhat, _loss_d_grad)
 from cgain.nn import DenseNet, dense_forward, init_dense, make_rng, uniform
-from conftest import assert_same_bits, toy_dataset, random_incomplete
+from conftest import as_format_v1, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
 from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, scalar_loss_d,
                      scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
@@ -596,19 +596,13 @@ def test_model_file_layout_is_little_endian_with_version(tmp_path):
     save_model(path, model)
     blob = path.read_bytes()
     assert blob[:8] == MODEL_MAGIC
-    (version,) = struct.unpack("<I", blob[8:12])
-    assert version == 1
-    (header_len,) = struct.unpack("<Q", blob[12:20])
+    version, header_len = struct.unpack("<IQ", blob[8:20])
+    assert version == 2
     header = json.loads(blob[20:20 + header_len])
-    assert header["format_version"] == 1
-    assert header["generator_activations"] == header["discriminator_activations"] == ["relu", "sigmoid"]
-    first = header["arrays"][0]
-    count = int(np.prod(first["shape"]))
-    raw = np.frombuffer(blob[20 + header_len:20 + header_len + 8 * count], dtype="<f8")
-    assert_array_equal(raw.reshape(first["shape"]), model.generator.w1)
+    assert header == {"n_classes": 2, "column_kinds": [CONTINUOUS] * 3, "config": asdict(model.config)}
     # the parameter buffers, generator first, and nothing after them
-    assert blob[20 + header_len:] == (model.generator.params().flat.astype("<f8").tobytes()
-                                      + model.discriminator.params().flat.astype("<f8").tobytes())
+    assert blob[20 + header_len:] == (model.generator.params().flat.astype("<f4").tobytes()
+                                      + model.discriminator.params().flat.astype("<f4").tobytes())
 
 
 def with_header(edit):
@@ -620,27 +614,41 @@ def with_header(edit):
     return corrupt
 
 
+def with_config(**values):
+    return with_header(lambda h: {**h, "config": {**h["config"], **values}})
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: b"NOTAMODEL" + b"\x00" * 64, "magic"),
     (lambda blob: blob[:15], "truncated preamble"),
-    (lambda blob: blob + b"\x00" * 8, "8 bytes after the last array"),
-    (lambda blob: blob.replace(b'"generator.w2"', b'"generator.wX"', 1), "header must list the arrays"),
-    (lambda blob: blob.replace(b'["relu", "sigmoid"]', b'["relu", "softmax"]', 1), "activations must be"),
-    (with_header(lambda h: {k: v for k, v in h.items() if k != "n_classes"}), r"header lacks \['n_classes'\]"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "dropout": 0.5}}), "config must be an object"),
-    (with_header(lambda h: [h]), "header is not a JSON object"),
-    (lambda blob: blob[:-8] + struct.pack("<d", 0.1), "discriminator.b3 holds values that are not float32.*retrain"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "noise_high": 0.01}}), "config must be an object"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "alpha": -1}}), "invalid config: alpha must be positive"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "optimizer": "rmsprop"}}),
-     "invalid config: unknown optimizer 'rmsprop'"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "seed": -3}}), "invalid config: seed must be non-negative"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "batch_size": "128"}}), "invalid config: '<' not supported"),
-    (with_header(lambda h: {**h, "config": {**h["config"], "conditional": False}}),
-     "config.conditional differs from the header's True"),
-], ids=["bad_magic", "truncated_preamble", "trailing_bytes", "renamed_array", "other_activation",
-        "missing_key", "unknown_config_key", "header_not_object", "float64_weights", "older_config_key",
-        "negative_alpha", "unknown_optimizer", "negative_seed", "string_batch_size", "conditional_mismatch"])
+    (as_format_v1, "model format version 1, but this cgain reads version 2; retrain the model"),
+    (lambda blob: blob + b"\x00" * 8, "1724 bytes of weights, but the header's layout needs 1716"),
+    (lambda blob: blob[:-4], "1712 bytes of weights, but the header's layout needs 1716"),
+    (with_header(lambda h: {**h, "column_kinds": [CONTINUOUS] * 4}), "bytes of weights"),
+    (with_header(lambda h: {k: v for k, v in h.items() if k != "n_classes"}), "exactly the keys"),
+    (with_header(lambda h: {**h, "n_features": 3}), "exactly the keys"),
+    (with_header(lambda h: [h]), "header must be a JSON object"),
+    (with_header(lambda h: {**h, "n_classes": "2"}), "n_classes must be a positive integer, got '2'"),
+    (with_header(lambda h: {**h, "n_classes": 0}), "n_classes must be a positive integer, got 0"),
+    (with_header(lambda h: {**h, "n_classes": True}), "n_classes must be a positive integer, got True"),
+    (with_header(lambda h: {**h, "column_kinds": 5}), "column_kinds must be a non-empty list"),
+    (with_header(lambda h: {**h, "column_kinds": ["weird"] * 3}), "column_kinds must be a non-empty list"),
+    (with_header(lambda h: {**h, "column_kinds": []}), "column_kinds must be a non-empty list"),
+    (with_config(dropout=0.5), "config must be an object with exactly the keys"),
+    (with_config(noise_high=0.01), "config must be an object with exactly the keys"),
+    (with_header(lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "log_every"}}),
+     "config must be an object with exactly the keys"),
+    (with_config(alpha=-1), "invalid config: alpha must be positive"),
+    (with_config(optimizer="rmsprop"), "invalid config: unknown optimizer 'rmsprop'"),
+    (with_config(seed=-3), "invalid config: seed must be non-negative"),
+    (with_config(batch_size="128"), "invalid config: '<' not supported"),
+    (with_config(hidden_multiplier=3.0), "invalid config: hidden multiplier must be an integer"),
+], ids=["bad_magic", "truncated_preamble", "format_v1", "trailing_bytes", "short_weights",
+        "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
+        "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
+        "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
+        "config_missing_field", "negative_alpha", "unknown_optimizer", "negative_seed",
+        "string_batch_size", "float_hidden_multiplier"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
     save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))
