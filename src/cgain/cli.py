@@ -24,7 +24,7 @@ from .nn import OPTIMIZERS, make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, mean_std, run_benchmark, time_methods, write_report_csv,
+from .evaluate import (EVAL_MODES, report_csv_rows, run_benchmark, time_methods, write_report_csv,
                        write_report_json, write_timing_csv)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
@@ -265,16 +265,11 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     for path in (csv_path, json_path, timing_path):
         print(f"wrote {path}")
     failures = []
-    for cell in report.cells:
-        where = f"method={cell.method} rate={cell.missing_rate!r}"
-        if cell.minority_fraction is not None:
-            where += f" fraction={cell.minority_fraction!r}"
-        if cell.reps:
-            mean, std = mean_std([r.overall for r in cell.reps])
-            line = f"rmse_mean={mean!r} rmse_std={'' if std is None else repr(std)}"
-        else:
-            line = "rmse_mean= rmse_std="
-        print(f"result {where} {line} reps={len(cell.reps)}")
+    # each cell's rows are its 'all' row, then one per class
+    all_rows = report_csv_rows(report)[1::1 + len(report.class_names)]
+    for cell, (_, method, rate, fraction, _, mean, std, reps) in zip(report.cells, all_rows):
+        where = f"method={method} rate={rate}" + (f" fraction={fraction}" if fraction else "")
+        print(f"result {where} rmse_mean={mean} rmse_std={std} reps={reps}")
         if cell.error:
             failures.append(f"cgain-error: runtime: cell {where}: {cell.error}")
     for method, entry in time_methods(report).items():

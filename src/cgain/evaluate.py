@@ -20,9 +20,15 @@ shared by all folds) and `rep` indexes the held-out fold. In the imbalance
 grid, paths 1 and 3-5 start from the fraction's block root (path 6) instead
 of the root seed.
 
+Report JSON v2 is format and version 2 followed by the BenchmarkReport's
+fields. config is the one home of dataset, root_seed and eval_mode; its
+"train" entry leaves out conditional and seed, which run_method sets per
+cell. Each repetition records method_seed, its training seed (path 3).
+Masks are not stored: path 1 redraws each one.
+
 Wall-clock seconds are recorded per repetition but are kept out of the
-results CSV (they cannot be reproducible); they live in the JSON mirror and
-the separate timing summary.
+results CSV (they cannot be reproducible); they live in the JSON and the
+separate timing summary.
 """
 
 from __future__ import annotations
@@ -114,16 +120,14 @@ def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDa
 
 @dataclass
 class RepResult(RmseResult):
-    """One scored repetition: its RMSE, wall-clock seconds and seeds."""
+    """One scored repetition: its RMSE, wall-clock seconds and training seed."""
 
     seconds: float
-    corrupt_seed: int
     method_seed: int
 
 
 @dataclass
 class BenchmarkCell:
-    dataset: str
     method: str
     missing_rate: float
     minority_fraction: float | None = None
@@ -133,10 +137,7 @@ class BenchmarkCell:
 
 @dataclass
 class BenchmarkReport:
-    dataset: str
-    root_seed: int
-    eval_mode: str
-    config: dict
+    config: dict                    # dataset, root_seed, eval_mode, grid and training settings
     class_names: list[str]
     cells: list[BenchmarkCell] = field(default_factory=list)
 
@@ -146,7 +147,6 @@ def _rep_task(args) -> tuple[int, int, dict]:
     (cell_idx, rep, dataset, method, method_idx, rate, rate_idx,
      root_seed, train_config, eval_mode, repetitions) = args
     corrupt_rep = 0 if eval_mode == "strict" else rep
-    corrupt_seed = spawn_seed(root_seed, 1, rate_idx, corrupt_rep)
     method_seed = spawn_seed(root_seed, 3, rate_idx, rep, method_idx)
     try:
         inc = corrupt_mcar(dataset, rate, spawn_rng(root_seed, 1, rate_idx, corrupt_rep))
@@ -164,8 +164,7 @@ def _rep_task(args) -> tuple[int, int, dict]:
         result = rmse_missing(truth, imputed, eval_inc.mask)
     except Exception as exc:   # recorded per cell, never fatal to the grid
         return cell_idx, rep, {"error": f"{type(exc).__name__}: {exc}"}
-    return cell_idx, rep, {**asdict(result), "seconds": seconds,
-                           "corrupt_seed": corrupt_seed, "method_seed": method_seed}
+    return cell_idx, rep, {**asdict(result), "seconds": seconds, "method_seed": method_seed}
 
 
 def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
@@ -207,6 +206,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     train_config = train_config or TrainConfig()
+    train_config.validate()
     config = {"dataset": dataset.name, "methods": list(methods),
               "missing_rates": list(missing_rates), "repetitions": repetitions}
 
@@ -227,7 +227,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         config["minority_class"] = (dataset.class_names[minority_class]
                                     if isinstance(minority_class, int) else minority_class)
     config.update(eval_mode=eval_mode, root_seed=root_seed, mice_sweeps=MICE_LITE_SWEEPS,
-                  train=asdict(train_config))
+                  train={k: v for k, v in asdict(train_config).items()
+                         if k not in ("conditional", "seed")})   # run_method sets both per cell
 
     cells: list[BenchmarkCell] = []
     tasks = []
@@ -237,7 +238,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
                 tasks += [(len(cells), rep, data, method, method_idx, rate, rate_idx,
                            root, train_config, eval_mode, repetitions)
                           for rep in range(repetitions)]
-                cells.append(BenchmarkCell(dataset.name, method, rate, fraction))
+                cells.append(BenchmarkCell(method, rate, fraction))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -254,8 +255,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         else:
             cell.reps.append(RepResult(**record))
 
-    return BenchmarkReport(dataset.name, root_seed, eval_mode, config,
-                           list(dataset.class_names), cells)
+    return BenchmarkReport(config, list(dataset.class_names), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def report_csv_rows(report: BenchmarkReport) -> list[list[str]]:
                 mean_s, std_s = _fmt(mean), "" if std is None else _fmt(std)
             else:
                 mean_s, std_s = "", ""
-            rows.append([cell.dataset, cell.method, _fmt(cell.missing_rate), frac,
+            rows.append([report.config["dataset"], cell.method, _fmt(cell.missing_rate), frac,
                          class_name, mean_s, std_s, str(len(cell.reps))])
     return rows
 
@@ -317,44 +317,9 @@ def write_timing_csv(path, report: BenchmarkReport) -> None:
 
 
 def report_to_json_dict(report: BenchmarkReport) -> dict:
-    return {
-        "format": "cgain-benchmark-report",
-        "version": 1,
-        "dataset": report.dataset,
-        "root_seed": report.root_seed,
-        "eval_mode": report.eval_mode,
-        "config": report.config,
-        "class_names": report.class_names,
-        "cells": [
-            {
-                "dataset": c.dataset, "method": c.method, "missing_rate": c.missing_rate,
-                "minority_fraction": c.minority_fraction, "error": c.error,
-                "reps": [asdict(r) for r in c.reps],
-            }
-            for c in report.cells
-        ],
-    }
-
-
-def report_from_json_dict(payload: dict) -> BenchmarkReport:
-    if payload.get("format") != "cgain-benchmark-report":
-        raise ValueError("not a benchmark report JSON")
-    cells = []
-    for c in payload["cells"]:
-        cells.append(BenchmarkCell(
-            dataset=c["dataset"], method=c["method"], missing_rate=c["missing_rate"],
-            minority_fraction=c["minority_fraction"], error=c["error"],
-            reps=[RepResult(**r) for r in c["reps"]],
-        ))
-    return BenchmarkReport(payload["dataset"], payload["root_seed"], payload["eval_mode"],
-                           payload["config"], list(payload["class_names"]), cells)
+    return {"format": "cgain-benchmark-report", "version": 2, **asdict(report)}
 
 
 def write_report_json(path, report: BenchmarkReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_json_dict(report), fh, indent=2)
-
-
-def load_report_json(path) -> BenchmarkReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_json_dict(json.load(fh))

@@ -50,14 +50,14 @@ class TrainConfig:
     log_every: int = 100
 
     def validate(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch size and iteration budget must be at least 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if not isinstance(self.hidden_multiplier, int) or self.hidden_multiplier < 1:
             raise ValueError(f"hidden multiplier must be an integer of at least 1, "
                              f"got {self.hidden_multiplier!r}")

@@ -13,7 +13,7 @@ import pytest
 from cgain import cli, data as data_module, evaluate
 from cgain.cli import DEFAULT_METHODS, DEFAULT_RATES, RunConfig, main
 from cgain.data import load_csv, read_csv_table
-from cgain.evaluate import load_report_json, report_csv_rows
+from cgain.evaluate import mean_std
 from cgain.imputer import load_model
 from conftest import as_format_v1
 
@@ -302,12 +302,16 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "result method=mean" in out and "timing method=mean" in out
-    report = load_report_json(tmp_path / "r.report.json")
-    with open(tmp_path / "r.report.csv", newline="") as fh:
-        on_disk = list(csv.reader(fh))
-    assert report_csv_rows(report) == on_disk   # JSON reload re-aggregates exactly
-    assert (tmp_path / "r.timing.csv").exists()
     payload = json.loads((tmp_path / "r.report.json").read_text())
+    with open(tmp_path / "r.report.csv", newline="") as fh:
+        all_rows = [row for row in csv.reader(fh) if row[4] == "all"]
+    # the JSON holds what the CSV aggregates: each 'all' row is its cell's overall RMSEs
+    assert len(all_rows) == len(payload["cells"]) == 4
+    for row, cell in zip(all_rows, payload["cells"]):
+        mean, std = mean_std([rep["overall"] for rep in cell["reps"]])
+        assert row[1:8] == [cell["method"], repr(cell["missing_rate"]), "", "all",
+                            repr(mean), repr(std), "2"]
+    assert (tmp_path / "r.timing.csv").exists()
     assert payload["config"]["train"]["batch_size"] == 128
     # spaces around method names are ignored, as they are around rates
     rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean, mice_lite",
@@ -337,9 +341,9 @@ def test_benchmark_imbalance_grid(tmp_path):
              "--imbalance", "0.25,0.5", "--reps", "2", "--seed", "15",
              "--jobs", "1", "--out", tmp_path / "imb")
     assert rc == 0
-    report = load_report_json(tmp_path / "imb.report.json")
-    assert [c.minority_fraction for c in report.cells] == [0.25, 0.5]
-    assert report.config["missing_rates"] == [0.2]   # imbalance default rate
+    payload = json.loads((tmp_path / "imb.report.json").read_text())
+    assert [c["minority_fraction"] for c in payload["cells"]] == [0.25, 0.5]
+    assert payload["config"]["missing_rates"] == [0.2]   # imbalance default rate
 
 
 def test_benchmark_failure_lines_name_the_fraction(tmp_path, capsys, monkeypatch):
@@ -356,6 +360,25 @@ def test_benchmark_failure_lines_name_the_fraction(tmp_path, capsys, monkeypatch
         "cgain-error: runtime: cell method=mean rate=0.2 fraction=0.25: rep 0: RuntimeError: boom",
         "cgain-error: runtime: cell method=mean rate=0.2 fraction=0.5: rep 0: RuntimeError: boom",
     ]
+
+
+COMMAND_ARGS = {"train": ["--rate", "0.2"],
+                "benchmark": ["--method", "cgain,mean", "--rate", "0.2", "--reps", "1", "--jobs", "1"]}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "-1", "alpha must be positive and finite, got -1.0"),
+    ("--alpha", "nan", "alpha must be positive and finite, got nan"),
+    ("--lr", "inf", "learning rate must be positive and finite, got inf"),
+], ids=["negative_alpha", "nan_alpha", "inf_lr"])
+def test_bad_train_config_is_refused_before_any_work(tmp_path, capsys, command, flag, value, message):
+    data = write_toy_csv(tmp_path / "d.csv")
+    rc = run(command, "--data", data, "--label-col", "y", "--iters", "5", *COMMAND_ARGS[command],
+             flag, value, "--out", tmp_path / "r")
+    assert rc == 1
+    assert capsys.readouterr().err == f"cgain-error: validation: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 # ---------------------------------------------------------------------------

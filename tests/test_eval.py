@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -6,8 +9,7 @@ import cgain.evaluate as ev
 from cgain.baselines import MeanImputer
 from cgain.data import corrupt_mcar, subsample_imbalance
 from cgain.evaluate import (BenchmarkCell, BenchmarkReport, mean_std, report_csv_rows,
-                            report_from_json_dict, report_to_json_dict, rmse_missing,
-                            run_benchmark, time_methods)
+                            report_to_json_dict, rmse_missing, run_benchmark, time_methods)
 from cgain.imputer import TrainConfig
 from cgain.nn import make_rng, spawn_rng, spawn_seed
 from conftest import toy_dataset, random_incomplete
@@ -82,14 +84,12 @@ def test_benchmark_grid_shape_and_pairing():
     for cell in report.cells:
         assert cell.error is None
         assert len(cell.reps) == 3
-    # methods at the same (rate, rep) share the corruption seed: paired masks
+    # methods at the same (rate, rep) share the corruption mask: paired masks
     by_rate = {}
     for cell in report.cells:
         by_rate.setdefault(cell.missing_rate, []).append(cell)
     for rate, cells in by_rate.items():
         for rep in range(3):
-            seeds = {c.reps[rep].corrupt_seed for c in cells}
-            assert len(seeds) == 1
             counts = {c.reps[rep].n_missing for c in cells}
             assert len(counts) == 1
 
@@ -180,8 +180,7 @@ def test_strict_mode_trains_on_other_folds():
                            eval_mode="strict")
     cell = report.cells[0]
     assert len(cell.reps) == 3
-    # folds share one corruption: same corrupt seed, disjoint evaluated cells
-    assert len({r.corrupt_seed for r in cell.reps}) == 1
+    # folds share one corruption: disjoint evaluated cells that cover its mask
     total_missing = sum(r.n_missing for r in cell.reps)
     inc = corrupt_mcar(ds, 0.25, spawn_rng(18, 1, 0, 0))
     assert total_missing == int((inc.mask == 0).sum())
@@ -254,20 +253,23 @@ def test_time_methods_totals_are_exact_sums():
 
 
 def test_time_methods_empty_reps_give_zero():
-    report = BenchmarkReport("x", 0, "repetition", {}, ["0", "1"],
-                             [BenchmarkCell("x", "mean", 0.2)])
+    report = BenchmarkReport({}, ["0", "1"], [BenchmarkCell("mean", 0.2)])
     summary = time_methods(report)
     assert summary["mean"] == {"total_seconds": 0.0, "reps": 0, "mean_seconds": 0.0}
 
 
-def test_report_json_round_trip_reproduces_csv():
+def test_report_json_v2_states_each_fact_once():
     ds = balanced_binary(n=50, d=3, seed=24)
     report = run_benchmark(ds, ["mean", "mice_lite"], [0.1, 0.2], repetitions=2,
                            root_seed=25)
-    payload = report_to_json_dict(report)
-    import json
-    reloaded = report_from_json_dict(json.loads(json.dumps(payload)))
-    assert report_csv_rows(reloaded) == report_csv_rows(report)
-    summary_a = time_methods(report)
-    summary_b = time_methods(reloaded)
-    assert summary_a == summary_b
+    payload = json.loads(json.dumps(report_to_json_dict(report)))
+    assert list(payload) == ["format", "version", "config", "class_names", "cells"]
+    assert payload["version"] == 2
+    assert {k: payload["config"][k] for k in ("dataset", "root_seed", "eval_mode")} == \
+           {"dataset": ds.name, "root_seed": 25, "eval_mode": "repetition"}
+    assert "conditional" not in payload["config"]["train"]
+    assert "seed" not in payload["config"]["train"]
+    assert len(payload["cells"]) == len(report.cells) == 4
+    for cell, loaded in zip(report.cells, payload["cells"]):
+        assert loaded.keys() == {"method", "missing_rate", "minority_fraction", "error", "reps"}
+        assert loaded["reps"] == [asdict(r) for r in cell.reps]

@@ -425,6 +425,13 @@ def test_train_validates_config():
     inc = uncorrupted(ds)
     with pytest.raises(ValueError, match="alpha"):
         train(inc, TrainConfig(alpha=-1.0))
+    # every comparison with NaN is false, so the bounds checks must test finiteness
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+            train(inc, TrainConfig(alpha=alpha))
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"learning rate must be positive and finite, got {lr}"):
+            train(inc, TrainConfig(learning_rate=lr))
     with pytest.raises(ValueError, match="optimizer"):
         train(inc, TrainConfig(optimizer="sgdm"))
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -639,6 +646,7 @@ def with_config(**values):
     (with_header(lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "log_every"}}),
      "config must be an object with exactly the keys"),
     (with_config(alpha=-1), "invalid config: alpha must be positive"),
+    (with_config(alpha=float("nan")), "invalid config: alpha must be positive and finite, got nan"),
     (with_config(optimizer="rmsprop"), "invalid config: unknown optimizer 'rmsprop'"),
     (with_config(seed=-3), "invalid config: seed must be non-negative"),
     (with_config(batch_size="128"), "invalid config: '<' not supported"),
@@ -647,7 +655,7 @@ def with_config(**values):
         "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
         "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
         "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
-        "config_missing_field", "negative_alpha", "unknown_optimizer", "negative_seed",
+        "config_missing_field", "negative_alpha", "nan_alpha", "unknown_optimizer", "negative_seed",
         "string_batch_size", "float_hidden_multiplier"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
