@@ -7,7 +7,10 @@ Each training digest covers the trained generator and discriminator
 weights, the logged trace losses and two imputations (the model's default
 noise stream and a second seed). The 16 configurations are
 conditional/unconditional x adam/sgd x gain/literal sign, on a 2-class
-table with three binary columns and on a 3-class table with none.
+table with three binary columns and on a 3-class table with none. Three
+more cover the edges of the training buffers: a batch size clamped to a
+40-row table, and a one-feature table, where every row hints column 0,
+trained with and without the label block.
 
 Each grid prints two report digests: one of the result rows of the report
 CSV, and one of the report JSON with every repetition's wall-clock seconds
@@ -31,10 +34,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
+import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -108,6 +113,21 @@ def main() -> None:
         sha, model = digest(incomplete, config)
         print(f"{sha}  {name}")
         first_models.setdefault(table, (name, model))
+
+    one_feature = make_table(501, n_classes=3, n_binary=0, n_continuous=1)
+    edges = {
+        "clamped-batch cgain adam gain": (make_table(401, n_classes=2, n_binary=1, n_rows=40),
+                                          TrainConfig(batch_size=64)),
+        "1-feature cgain adam gain": (one_feature, TrainConfig()),
+        "1-feature gain sgd literal": (one_feature, TrainConfig(conditional=False, optimizer="sgd",
+                                                                learning_rate=0.05, adversarial_sign="literal")),
+    }
+    for name, (table, config) in edges.items():
+        incomplete = corrupt_mcar(table, 0.25, make_rng(402))
+        config = dataclasses.replace(config, iterations=ITERATIONS, log_every=LOG_EVERY, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # the clamped batch warns
+            print(f"{digest(incomplete, config)[0]}  {name}")
 
     letter = letter_like(n_rows=312, seed=301)
     grids = {

@@ -317,9 +317,15 @@ def write_timing_csv(path, report: BenchmarkReport) -> None:
 
 
 def report_to_json_dict(report: BenchmarkReport) -> dict:
-    return {"format": "cgain-benchmark-report", "version": 2, **asdict(report)}
+    """The report as strict JSON data: a class with no missing cell in a
+    repetition (per_class_missing 0) has RMSE None there, not NaN."""
+    payload = {"format": "cgain-benchmark-report", "version": 2, **asdict(report)}
+    for cell in payload["cells"]:
+        for rep in cell["reps"]:
+            rep["per_class"] = {k: None if np.isnan(v) else v for k, v in rep["per_class"].items()}
+    return payload
 
 
 def write_report_json(path, report: BenchmarkReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2)
+        json.dump(report_to_json_dict(report), fh, indent=2, allow_nan=False)

@@ -190,7 +190,8 @@ def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
 # ---------------------------------------------------------------------------
 
 def _clamped(p: Array) -> Array:
-    return np.clip(p, EPS, 1.0 - EPS)
+    # np.clip's bits, NaN included, without its per-call overhead
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)
 
 
 def loss_discriminator(m_hat: Array, mask: Array, b: Array) -> float:
@@ -202,11 +203,31 @@ def loss_discriminator(m_hat: Array, mask: Array, b: Array) -> float:
     return float(-cells.sum() / m_hat.shape[0])
 
 
-def _loss_d_grad(m_hat: Array, mask: Array, b: Array) -> Array:
-    p = _clamped(m_hat)
-    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)   # clamp saturates the gradient
-    g = -(1.0 - b) * (mask / p - (1.0 - mask) / (1.0 - p)) / m_hat.shape[0]
-    return g * live
+def _hinted(m_hat: Array, mask: Array, cols: Array) -> tuple[Array, Array, Array, Array]:
+    """(cells, m_hat, mask, live) at each row's hinted cell, row i's column
+    cols[i], the cells where a loss gradient can be nonzero: cells are
+    their flat indices, and live is false where the clamp saturates the
+    gradient."""
+    n, d = m_hat.shape
+    cells = np.arange(0, n * d, d) + cols
+    m_h = m_hat.take(cells)
+    return cells, m_h, mask.take(cells), (m_h > EPS) & (m_h < 1.0 - EPS)
+
+
+def _loss_d_grad(m_hat: Array, mask: Array, cols: Array, out: Array) -> Array:
+    """dloss_discriminator/dm_hat, for the hint flags that blank column
+    cols[i] of row i, written into out and returned.
+
+    The full formula is computed at the hinted cells only; every other cell
+    gets the zero it gives there, -0.0 at observed cells and +0.0 at missing
+    ones."""
+    cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
+    p = _clamped(m_h)
+    g = -(mask_h / p - (1.0 - mask_h) / (1.0 - p)) / m_hat.shape[0]   # 1 - b is 1 at a hinted cell
+    np.subtract(0.5, mask, out=out)
+    out *= 0.0
+    out.put(cells, g * live)
+    return out
 
 
 def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: Array,
@@ -248,8 +269,8 @@ def loss_generator(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: A
         raise ValueError(f"shapes differ: {m_hat.shape}, {mask.shape}, {b.shape}")
     if x_bar.shape != x_tilde.shape:
         raise ValueError(f"shapes differ: {x_bar.shape}, {x_tilde.shape}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_tilde, column_kinds, sign)
     return adv + alpha * recon
 
@@ -274,12 +295,18 @@ def _binary_row(column_kinds: tuple[str, ...]) -> Array | None:
     return row
 
 
-def _adv_grad_mhat(m_hat: Array, mask: Array, b: Array, sign: str) -> Array:
-    n = m_hat.shape[0]
-    p = _clamped(m_hat)
-    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
-    g = (1.0 - b) * (1.0 - mask) / p / n * live
-    return -g if sign == "gain" else g
+def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str, out: Array) -> Array:
+    """d(adversarial part)/dm_hat, for the hint flags that blank column
+    cols[i] of row i, written into out and returned: the full formula at
+    the hinted cells, and elsewhere the zero it gives there, -0.0 with
+    sign "gain" and +0.0 with "literal"."""
+    cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
+    g = (1.0 - mask_h) / _clamped(m_h) / m_hat.shape[0] * live   # 1 - b is 1 at a hinted cell
+    if sign == "gain":
+        g = -g
+    out.fill(-0.0 if sign == "gain" else 0.0)
+    out.put(cells, g)
+    return out
 
 
 def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, column_kinds: list[str]) -> Array:
@@ -308,40 +335,114 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
     return ImputerModel(gen, disc, m, list(column_kinds), config)
 
 
-def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
-                             z: Array, hint: Array, b: Array) -> tuple[FlatArrays, Array]:
-    """Discriminator gradients on one batch, generator held fixed.
+class StepBatch:
+    """The inputs of one training step, in buffers that train allocates
+    once and every step refills in place.
 
-    Returns (gradients, m_hat); loss_discriminator(m_hat, m, b) is the
-    step's loss.
+    x_t, m and y hold the batch's float64 rows, mask and one-hot labels, z
+    its float64 noise, and cols each row's hinted column, the one column
+    whose hint flag b is 0. load() derives the rest in the nets' dtypes:
+    the generator input g_in = [x_t, m, (1-m)*z, y]; the hint and label
+    blocks of the discriminator input d_in = [x_hat, hint, y]; and 1-m and
+    m*x_t, from which each step writes its merged x_hat into d_in. Without
+    conditioning the y blocks are left out. grad holds the gradient at
+    m_hat that the last step sent back through the discriminator.
     """
-    _, x_hat, _ = generator_forward(model, x_t, m, y, z)
-    m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
-    d_grads = dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, b), wrt="params")
-    return d_grads, m_hat
+
+    def __init__(self, model: ImputerModel, rows: int):
+        d, gen_dtype, disc_dtype = model.n_features, model.generator.dtype, model.discriminator.dtype
+        self.d, self.conditional = d, model.conditional
+        self.x_t, self.m, self.z = (np.empty((rows, d)) for _ in range(3))
+        self.y = np.empty((rows, model.n_classes))
+        self.cols = np.zeros(rows, dtype=np.intp)
+        self.g_in = np.empty((rows, model.generator.input_width), dtype=gen_dtype)
+        self.d_in = np.empty((rows, model.discriminator.input_width), dtype=disc_dtype)
+        # the flat index in d_in of each row's hint block
+        self.hint_starts = np.arange(rows) * self.d_in.shape[1] + d
+        self.one_minus_m, self.m_x, self.grad = (np.empty((rows, d), dtype=disc_dtype) for _ in range(3))
+
+    def draw(self, rng: np.random.Generator, features: Array, mask: Array, labels: Array) -> None:
+        """GAIN's draws for one step: rows uniform with replacement, noise
+        U(0, NOISE_HIGH) and one hinted column per row, each drawn as
+        uniform and sample_hint_b draw them, in that order; then load()."""
+        idx = rng.integers(0, len(features), size=len(self.x_t))
+        # the indices are in range, and mode="raise" would buffer
+        for a, out in zip((features, mask, labels), (self.x_t, self.m, self.y)):
+            a.take(idx, axis=0, out=out, mode="clip")
+        rng.random(out=self.z)
+        self.z *= NOISE_HIGH
+        self.cols = rng.integers(0, self.d, size=len(self.cols))
+        self.load()
+
+    def load(self) -> None:
+        """Derive the net inputs, 1-m and m*x_t from x_t, m, y, z and cols."""
+        d, g_in, d_in = self.d, self.g_in, self.d_in
+        g_in[:, :d] = self.x_t
+        g_in[:, d:2 * d] = self.m
+        np.subtract(1.0, self.m, out=self.one_minus_m)
+        np.multiply(self.one_minus_m, self.z, out=g_in[:, 2 * d:3 * d])
+        np.multiply(self.m, self.x_t, out=self.m_x)
+        # the hint b*m + 0.5*(1-b): the mask, with 0.5 at the hinted column
+        # (adding 0.0 turns a -0.0 mask cell into 0.0, as the blend does)
+        np.add(self.m, 0.0, out=d_in[:, d:2 * d])
+        d_in.put(self.hint_starts + self.cols, 0.5)
+        if self.conditional:
+            g_in[:, 3 * d:] = self.y
+            d_in[:, 2 * d:] = g_in[:, 3 * d:]
+
+    def hint_flags(self) -> Array:
+        """b, the float64 flags the losses take: 0 at the hinted cells, 1 elsewhere."""
+        b = np.ones_like(self.m)
+        b[np.arange(len(self.cols)), self.cols] = 0.0
+        return b
 
 
-def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array,
-                         z: Array, hint: Array, b: Array) -> tuple[FlatArrays, Array, Array]:
-    """Generator gradients on one batch, discriminator held fixed.
+def _forward_pair(model: ImputerModel, batch: StepBatch) -> tuple[Array, tuple, Array, tuple]:
+    """Both passes on a loaded batch: (generator output, its cache, m_hat
+    widened to float64 as in discriminator_forward, discriminator cache).
+    x_hat = m*x_t + (1-m)*x_bar is written into batch.d_in in the
+    discriminator's dtype; each term is exact, as 1-m is 0 or 1, so this
+    is the float64 merge rounded once."""
+    x_bar, g_cache = dense_forward(model.generator, batch.g_in)
+    x_hat = batch.d_in[:, :model.n_features]
+    np.multiply(batch.one_minus_m, x_bar, out=x_hat)
+    x_hat += batch.m_x
+    m_hat, d_cache = dense_forward(model.discriminator, batch.d_in)
+    return x_bar, g_cache, m_hat.astype(np.float64), d_cache
 
-    Returns (gradients, m_hat, x_bar); generator_loss_parts on them gives
-    the step's loss parts. The adversarial signal flows through the
+
+def discriminator_step_grads(model: ImputerModel, batch: StepBatch) -> tuple[FlatArrays, Array]:
+    """Discriminator gradients on one loaded batch, generator held fixed.
+
+    Returns (gradients, m_hat); loss_discriminator(m_hat, batch.m,
+    batch.hint_flags()) is the step's loss.
+    """
+    _, _, m_hat, d_cache = _forward_pair(model, batch)
+    grad = _loss_d_grad(m_hat, batch.m, batch.cols, batch.grad)
+    return dense_backward(model.discriminator, d_cache, grad, wrt="params"), m_hat
+
+
+def generator_step_grads(model: ImputerModel, batch: StepBatch) -> tuple[FlatArrays, Array, Array]:
+    """Generator gradients on one loaded batch, discriminator held fixed.
+
+    Returns (gradients, m_hat, x_bar), x_bar widened to float64;
+    generator_loss_parts on them, batch.m, batch.hint_flags() and batch.x_t
+    gives the step's loss parts. The adversarial signal flows through the
     discriminator's input gradient at the completed-data block, masked to
     missing cells (observed cells of x_hat do not depend on the generator).
     """
     cfg = model.config
-    x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
-    m_hat, d_cache = discriminator_forward(model, x_hat, hint, y)
-
+    out, g_cache, m_hat, d_cache = _forward_pair(model, batch)
     # the full input-gradient product, then the x_hat block: a product over
     # w1[:d] alone would round differently
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, m, b, cfg.adversarial_sign), wrt="input")
-    dx_bar = d_input_grad[:, :model.n_features] * (1.0 - m)
-    recon_grad = _recon_grad_xbar(x_bar, x_t, m, model.column_kinds)
-    recon_grad *= cfg.alpha
-    dx_bar += recon_grad
+                                  _adv_grad_mhat(m_hat, batch.m, batch.cols, cfg.adversarial_sign,
+                                                 batch.grad), wrt="input")
+    x_bar = out.astype(np.float64)
+    dx_bar = _recon_grad_xbar(x_bar, batch.x_t, batch.m, model.column_kinds)
+    dx_bar *= cfg.alpha
+    # masking by 0 or 1 is exact in the net's dtype; the sum is rounded in float64
+    dx_bar += d_input_grad[:, :model.n_features] * batch.one_minus_m
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
 
@@ -363,28 +464,17 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
         raise ValueError("cannot train on an empty dataset")
     in_unit = [(a >= 0.0) & (a <= 1.0) for a in (ds.features, incomplete.mask)]   # false at NaN
     incomplete.require(*in_unit, "train needs feature and mask cells in [0, 1]")
-    batch = config.batch_size
-    if batch > n:
-        warnings.warn(f"batch size {batch} exceeds dataset size {n}; clamping to {n}")
-        batch = n
+    rows = config.batch_size
+    if rows > n:
+        warnings.warn(f"batch size {rows} exceeds dataset size {n}; clamping to {n}")
+        rows = n
 
     rng = make_rng(config.seed)
     model = build_model(d, ds.n_classes, ds.column_kinds, config, rng)
     d_opt = make_optimizer(config.optimizer, config.learning_rate, model.discriminator.params())
     g_opt = make_optimizer(config.optimizer, config.learning_rate, model.generator.params())
-
     columns = (ds.features, incomplete.mask, ds.labels)
-    rows = [np.empty((batch,) + a.shape[1:], dtype=a.dtype) for a in columns]
-
-    def draw() -> tuple[Array, ...]:
-        """(x_t, m, y, z, hint, b) for one step; x_t, m and y are overwritten
-        by the next draw."""
-        idx = rng.integers(0, n, size=batch)
-        # the indices are in range, and mode="raise" would buffer
-        x_t, m, y = (np.take(a, idx, axis=0, out=out, mode="clip") for a, out in zip(columns, rows))
-        z = uniform(rng, 0.0, NOISE_HIGH, (batch, d))
-        b = sample_hint_b(m, rng)
-        return x_t, m, y, z, hint_from_b(b, m), b
+    batch = StepBatch(model, rows)
 
     # m_hat and x_bar are sigmoid outputs, in [0, 1] or NaN, and m_hat enters
     # the losses through a clamped log. With features and mask in [0, 1] every
@@ -397,22 +487,22 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     for it in range(1, config.iterations + 1):
         logged = it % config.log_every == 0
         # (A) discriminator update
-        x_t, m, y, z, hint, b = draw()
-        d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, hint, b)
+        batch.draw(rng, *columns)
+        d_grads, d_m_hat = discriminator_step_grads(model, batch)
         optimizer_step(d_opt, model.discriminator.params(), d_grads)
         if logged:
-            d_loss = loss_discriminator(d_m_hat, m, b)
+            d_loss = loss_discriminator(d_m_hat, batch.m, batch.hint_flags())
 
-        # (B) generator update, discriminator fixed
-        x_t, m, y, z, hint, b = draw()
-        g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, hint, b)
+        # (B) generator update, discriminator fixed, on a fresh batch
+        batch.draw(rng, *columns)
+        g_grads, g_m_hat, x_bar = generator_step_grads(model, batch)
         optimizer_step(g_opt, model.generator.params(), g_grads)
         # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
         if math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum()):
             raise FloatingPointError(f"non-finite training loss at iteration {it}")
         if logged:
-            g_adv, g_recon = generator_loss_parts(g_m_hat, m, b, x_bar, x_t, model.column_kinds,
-                                                  config.adversarial_sign)
+            g_adv, g_recon = generator_loss_parts(g_m_hat, batch.m, batch.hint_flags(), x_bar, batch.x_t,
+                                                  model.column_kinds, config.adversarial_sign)
             trace.iterations.append(it)
             trace.d_loss.append(d_loss)
             trace.g_adversarial.append(g_adv)

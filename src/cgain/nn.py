@@ -79,7 +79,7 @@ def sigmoid(z: Array) -> Array:
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)   # 1 where z >= 0, else e; a bool promotes to e's dtype
     e += 1.0
     out /= e
     return out
@@ -233,11 +233,12 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
         raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
     dz3 = grad_out * out
     dz3 *= 1.0 - out
-    # a relu unit is active exactly where its output is positive
+    # a relu unit is active exactly where its output is positive; the 0/1
+    # masks are in the net's dtype, so the products cast nothing
     dz2 = dz3 @ net.w3.T
-    dz2 *= a2 > 0
+    dz2 *= np.greater(a2, 0, out=np.empty_like(a2))
     dz1 = dz2 @ net.w2.T
-    dz1 *= a1 > 0
+    dz1 *= np.greater(a1, 0, out=np.empty_like(a1))
     if wrt == "input":
         return dz1 @ net.w1.T
     gw1, gb1, gw2, gb2, gw3, gb3 = net.grads
@@ -278,8 +279,8 @@ class OptimizerState:
 def make_optimizer(kind: str, learning_rate: float, params: FlatArrays) -> OptimizerState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    if learning_rate <= 0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     if type(params) is not FlatArrays:
         raise ValueError(f"params must be FlatArrays (a net's params()), got {type(params).__name__}")
     state = OptimizerState(kind=kind, learning_rate=learning_rate, shapes=params.shapes)

@@ -54,8 +54,9 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
     net = init_dense(rng, d_in, width, d_out)
     x = rng.uniform(0.0, 1.0, (batch, d_in))
     mask = (rng.random((batch, d_out)) < 0.7).astype(float)
+    cols = rng.integers(0, d_out, batch)    # each row's hinted column, where b = 0
     b = np.ones((batch, d_out))
-    b[np.arange(batch), rng.integers(0, d_out, batch)] = 0.0
+    b[np.arange(batch), cols] = 0.0
     x_t = rng.uniform(0.0, 1.0, (batch, d_out)) * mask
     kinds = ["continuous" if v else "binary" for v in rng.random(d_out) < 0.7]
     sign = "gain" if rng.random() < 0.5 else "literal"
@@ -69,9 +70,9 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
 
     out, cache = dense_forward(net, x)
     if loss_form == "d_xent":
-        grad_out = _loss_d_grad(out, mask, b)
+        grad_out = _loss_d_grad(out, mask, cols, np.empty_like(out))
     elif loss_form == "g_adv":
-        grad_out = _adv_grad_mhat(out, mask, b, sign)
+        grad_out = _adv_grad_mhat(out, mask, cols, sign, np.empty_like(out))
     elif loss_form == "recon":
         grad_out = _recon_grad_xbar(out, x_t, mask, kinds)
     else:

@@ -187,6 +187,24 @@ def ref_mice_lite(features, mask, sweeps, ridge=1e-6):
     return x
 
 
+def ref_loss_d_grad(m_hat, mask, b):
+    """Gradient of the discriminator loss w.r.t. m_hat over the full matrix:
+    zero, with a sign, wherever b = 1 or the clamp saturates."""
+    p = np.clip(m_hat, EPS, 1.0 - EPS)
+    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
+    g = -(1.0 - b) * (mask / p - (1.0 - mask) / (1.0 - p)) / m_hat.shape[0]
+    return g * live
+
+
+def ref_adv_grad(m_hat, mask, b, sign):
+    """Gradient of the generator's adversarial part w.r.t. m_hat over the
+    full matrix, in the "gain" or "literal" sign convention."""
+    p = np.clip(m_hat, EPS, 1.0 - EPS)
+    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
+    g = (1.0 - b) * (1.0 - mask) / p / m_hat.shape[0] * live
+    return -g if sign == "gain" else g
+
+
 def ref_recon_grad(x_bar, x_tilde, mask, kinds):
     """Gradient of the reconstruction part w.r.t. the generator output."""
     binary = np.array([k == "binary" for k in kinds])[None, :]

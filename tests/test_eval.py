@@ -258,6 +258,24 @@ def test_time_methods_empty_reps_give_zero():
     assert summary["mean"] == {"total_seconds": 0.0, "reps": 0, "mean_seconds": 0.0}
 
 
+def test_report_json_is_strict_with_null_for_a_class_without_missing_cells(tmp_path):
+    # two rows of class "b" at rate 0.05 leave it without a missing cell in some repetitions
+    from cgain.data import build_dataset
+    raw = np.random.default_rng(30).uniform(0.0, 2.0, size=(40, 3))
+    ds = build_dataset(raw, ["a"] * 38 + ["b"] * 2, ["c0", "c1", "c2"], name="tiny_class")
+    report = run_benchmark(ds, ["mean"], [0.05], repetitions=3, root_seed=31)
+    ev.write_report_json(tmp_path / "r.json", report)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"), parse_constant=refuse)
+    reps = payload["cells"][0]["reps"]
+    empty = [rep for rep in reps if rep["per_class_missing"]["b"] == 0]
+    assert empty and all(rep["per_class"]["b"] is None for rep in empty)
+    assert all(isinstance(rep["per_class"]["a"], float) for rep in reps)
+
+
 def test_report_json_v2_states_each_fact_once():
     ds = balanced_binary(n=50, d=3, seed=24)
     report = run_benchmark(ds, ["mean", "mice_lite"], [0.1, 0.2], repetitions=2,

@@ -11,16 +11,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 import cgain.imputer as imputer_module
 from cgain.data import (CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
                          uncorrupted)
-from cgain.imputer import (MODEL_MAGIC, TrainConfig, build_model, discriminator_forward,
-                           discriminator_step_grads, generate, generator_forward,
+from cgain.imputer import (ADV_SIGNS, EPS, MODEL_MAGIC, NOISE_HIGH, StepBatch, TrainConfig, build_model,
+                           discriminator_forward, discriminator_step_grads, generate, generator_forward,
                            generator_loss_parts, generator_step_grads, hint_from_b, impute,
                            load_model, loss_discriminator, loss_generator, sample_hint_b,
                            save_model, train, _adv_grad_mhat, _loss_d_grad)
-from cgain.nn import DenseNet, dense_forward, init_dense, make_rng, uniform
+from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
 from conftest import as_format_v1, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
-from oracles import (ref_backward, ref_forward, ref_recon_grad, scalar_forward, scalar_loss_d,
-                     scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
+from oracles import (ref_adv_grad, ref_backward, ref_forward, ref_loss_d_grad, ref_recon_grad,
+                     scalar_forward, scalar_loss_d, scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
 
 
 def small_model(d=3, m=2, seed=0, conditional=True, **cfg_kwargs):
@@ -46,6 +46,16 @@ def random_batch(model, n=5, seed=1, rate=0.4):
     z = uniform(rng, 0.0, 0.01, (n, model.n_features))
     b = sample_hint_b(mask, rng)
     return x_t, mask, y, z, b, hint_from_b(b, mask)
+
+
+def step_batch(model, x_t, mask, y, z, b):
+    """A StepBatch of model's dtypes loaded with these arrays, hinting each
+    row's b = 0 column."""
+    batch = StepBatch(model, len(x_t))
+    batch.x_t[...], batch.m[...], batch.y[...], batch.z[...] = x_t, mask, y, z
+    batch.cols = np.argmin(b, axis=1)
+    batch.load()
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +277,13 @@ def test_generator_loss_matches_scalar_oracle_both_signs():
             assert got == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+def test_loss_generator_refuses_an_alpha_that_is_not_positive_and_finite(alpha):
+    ok = np.ones((2, 2))
+    with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+        loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, [CONTINUOUS] * 2, alpha=alpha)
+
+
 def test_loss_validation_errors():
     ok = np.ones((2, 2))
     with pytest.raises(ValueError, match="shapes differ"):
@@ -297,7 +314,7 @@ def test_generator_gradients_through_fixed_discriminator(sign):
         return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds,
                               cfg.alpha, cfg.adversarial_sign)
 
-    analytic, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    analytic, m_hat, x_bar = generator_step_grads(model, step_batch(model, x_t, mask, y, z, b))
     adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
     assert g_loss() == pytest.approx(adv + cfg.alpha * recon, abs=1e-12)
     numeric = finite_difference_gradients(g_loss, model.generator.params(), step=1e-5)
@@ -313,7 +330,7 @@ def test_discriminator_gradients_with_fixed_generator():
         m_hat, _ = discriminator_forward(model, x_hat, hint, y)
         return loss_discriminator(m_hat, mask, b)
 
-    analytic, m_hat = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    analytic, m_hat = discriminator_step_grads(model, step_batch(model, x_t, mask, y, z, b))
     assert d_loss() == pytest.approx(loss_discriminator(m_hat, mask, b), abs=1e-12)
     numeric = finite_difference_gradients(d_loss, model.discriminator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
@@ -334,18 +351,115 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
     x_hat = mask * x_t + (1.0 - mask) * x_bar
     m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
 
-    ref_d, _ = ref_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, mask, b))
-    d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    batch = step_batch(model, x_t, mask, y, z, b)
+    ref_d, _ = ref_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b))
+    d_grads, _ = discriminator_step_grads(model, batch)
     for g, ref in zip(d_grads, ref_d, strict=True):
         assert_same_bits(g, ref)
 
-    _, d_input_grad = ref_backward(model.discriminator, d_cache, _adv_grad_mhat(m_hat, mask, b, sign))
+    _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b, sign))
     dx_bar = (d_input_grad[:, :model.n_features] * (1.0 - mask)
               + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
     ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
-    g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    g_grads, _, _ = generator_step_grads(model, batch)
     for g, ref in zip(g_grads, ref_g, strict=True):
         assert_same_bits(g, ref)
+
+
+# m_hat values where the clamp, the float32 sigmoid or the sign of a zero
+# decides the gradient's bits
+EDGE_M_HAT = [0.0, 1.0, EPS, 1.0 - EPS, np.nextafter(EPS, 0.0), np.nextafter(1.0 - EPS, 1.0),
+              float(np.float32(EPS)), float(np.nextafter(np.float32(1.0), np.float32(0.0))),
+              float(np.float32(2.0 ** -149))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6),
+       dtype=st.sampled_from([np.float32, np.float64]), sign=st.sampled_from(ADV_SIGNS))
+def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d, dtype, sign):
+    # signed zeros included: each non-hinted cell carries the zero the full formula gives it
+    cell = st.one_of(st.sampled_from(EDGE_M_HAT), st.floats(0.0, 1.0))
+    m_hat = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
+    mask = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d),
+                                       min_size=n, max_size=n)))
+    cols = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    b = np.ones((n, d))
+    b[np.arange(n), cols] = 0.0
+    assert_same_bits(_loss_d_grad(m_hat, mask, cols, np.empty((n, d), dtype)),
+                     ref_loss_d_grad(m_hat, mask, b).astype(dtype))
+    assert_same_bits(_adv_grad_mhat(m_hat, mask, cols, sign, np.empty((n, d), dtype)),
+                     ref_adv_grad(m_hat, mask, b, sign).astype(dtype))
+
+
+def full_matrix_step_grads(model, x_t, mask, y, z, b):
+    """(discriminator gradients, generator gradients, the D step's m_hat, x_bar)
+    the full-matrix way: each net input concatenated in float64 and cast
+    once to the net's dtype, the merge in float64, and both loss gradients
+    over every cell."""
+    cfg, d = model.config, model.n_features
+    labels = [y] if model.conditional else []
+    g_in = np.concatenate([x_t, mask, (1.0 - mask) * z] + labels, axis=1, dtype=model.generator.dtype)
+    out, g_cache = dense_forward(model.generator, g_in)
+    x_bar = out.astype(np.float64)
+    x_hat = mask * x_t + (1.0 - mask) * x_bar
+    d_in = np.concatenate([x_hat, b * mask + 0.5 * (1.0 - b)] + labels, axis=1,
+                          dtype=model.discriminator.dtype)
+    m_out, d_cache = dense_forward(model.discriminator, d_in)
+    m_hat = m_out.astype(np.float64)
+    d_grads = dense_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b), wrt="params")
+    d_input_grad = dense_backward(model.discriminator, d_cache,
+                                  ref_adv_grad(m_hat, mask, b, cfg.adversarial_sign), wrt="input")
+    dx_bar = (d_input_grad[:, :d] * (1.0 - mask)
+              + cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
+    g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
+    return d_grads.flat.copy(), g_grads.flat.copy(), m_hat, x_bar
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), m=st.integers(1, 3), conditional=st.booleans(),
+       sign=st.sampled_from(ADV_SIGNS), binary=st.lists(st.booleans(), min_size=5, max_size=5),
+       push=st.sampled_from([0.0, 12.0, -12.0, 40.0, -40.0]), seed=st.integers(0, 2 ** 16))
+def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, conditional, sign, binary,
+                                                                    push, seed):
+    # push shifts the discriminator's output bias until its float32 sigmoid
+    # saturates at 0 or 1
+    kinds = ["binary" if binary[j] else CONTINUOUS for j in range(d)]
+    cfg = TrainConfig(alpha=7.5, adversarial_sign=sign, conditional=conditional, hidden_multiplier=2)
+    model = build_model(d, m, kinds, cfg, make_rng(seed))
+    model.discriminator.b3[:] += push
+    x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed + 1)
+    x_t[:, np.array(binary[:d])] = np.round(x_t[:, np.array(binary[:d])])
+    ref_d, ref_g, ref_m_hat, ref_x_bar = full_matrix_step_grads(model, x_t, mask, y, z, b)
+    batch = step_batch(model, x_t, mask, y, z, b)
+    d_grads, d_m_hat = discriminator_step_grads(model, batch)
+    assert_same_bits(d_grads.flat, ref_d)
+    assert_same_bits(d_m_hat, ref_m_hat)
+    g_grads, _, x_bar = generator_step_grads(model, batch)
+    assert_same_bits(g_grads.flat, ref_g)
+    assert_same_bits(x_bar, ref_x_bar)
+
+
+def test_training_draws_equal_uniform_and_the_hint_functions():
+    # train's in-place batch consumes the stream as the row draw, uniform and
+    # sample_hint_b do, and its hint is hint_from_b's, -0.0 mask cells included
+    model = small_model(d=4, m=3, seed=5)
+    rng = make_rng(6)
+    features = rng.random((30, 4))
+    mask = (rng.random((30, 4)) >= 0.3).astype(float)
+    mask[::2][mask[::2] == 0.0] = -0.0
+    labels = np.eye(3)[rng.integers(0, 3, 30)]
+    batch, draws, replay = StepBatch(model, 16), make_rng(7), make_rng(7)
+    for _ in range(3):
+        batch.draw(draws, features, mask, labels)
+        idx = replay.integers(0, 30, size=16)
+        x_t, m, y = features[idx], mask[idx], labels[idx]
+        z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
+        b = sample_hint_b(m, replay)
+        for got, want in ((batch.x_t, x_t), (batch.m, m), (batch.y, y), (batch.z, z), (batch.hint_flags(), b)):
+            assert_same_bits(got, want)
+        assert_same_bits(batch.g_in, np.concatenate([x_t, m, (1.0 - m) * z, y], axis=1, dtype=np.float32))
+        assert_same_bits(batch.d_in[:, 4:], np.concatenate([hint_from_b(b, m), y], axis=1, dtype=np.float32))
+    assert draws.random() == replay.random()
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +810,12 @@ def test_saturated_float32_discriminator_leaves_steps_and_losses_finite():
     # is 1.0 too: only the float64 upcast of m_hat keeps the clamps working
     model = build_model(4, 2, [CONTINUOUS] * 4, TrainConfig(hidden_multiplier=2), make_rng(3))
     model.discriminator.b3[:] = 40.0
-    x_t, mask, y, z, b, hint = random_batch(model, n=16, seed=4)
+    x_t, mask, y, z, b, _ = random_batch(model, n=16, seed=4)
     assert 0 < mask.sum() < mask.size
-    d_grads, d_m_hat = discriminator_step_grads(model, x_t, mask, y, z, hint, b)
+    batch = step_batch(model, x_t, mask, y, z, b)
+    d_grads, d_m_hat = discriminator_step_grads(model, batch)
     assert np.all(d_m_hat == 1.0)
-    g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, hint, b)
+    g_grads, g_m_hat, x_bar = generator_step_grads(model, batch)
     assert np.all(np.isfinite(d_grads.flat)) and np.all(np.isfinite(g_grads.flat))
     assert np.isfinite(loss_discriminator(d_m_hat, mask, b))
     assert np.all(np.isfinite(generator_loss_parts(g_m_hat, mask, b, x_bar, x_t, model.column_kinds)))
@@ -713,10 +828,10 @@ def test_float32_step_gradients_match_float64_within_float32_rounding(sign):
     model = build_model(8, 3, ["binary"] + [CONTINUOUS] * 7, TrainConfig(alpha=7.5, adversarial_sign=sign),
                         make_rng(12))
     wide = as_float64(model)
-    x_t, mask, y, z, b, hint = random_batch(model, n=128, seed=13)
+    x_t, mask, y, z, b, _ = random_batch(model, n=128, seed=13)
     x_t[:, 0] = np.round(x_t[:, 0])
     for step in (discriminator_step_grads, generator_step_grads):
-        narrow = step(model, x_t, mask, y, z, hint, b)[0].flat
-        ref = step(wide, x_t, mask, y, z, hint, b)[0].flat
+        narrow = step(model, step_batch(model, x_t, mask, y, z, b))[0].flat
+        ref = step(wide, step_batch(wide, x_t, mask, y, z, b))[0].flat
         assert narrow.dtype == np.float32 and ref.dtype == np.float64
         assert np.max(np.abs(narrow - ref)) <= 1e-4 * np.max(np.abs(ref))

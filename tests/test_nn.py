@@ -178,6 +178,12 @@ def test_adam_first_step_matches_scalar_oracle():
     assert p[0][0] == pytest.approx(0.999000000005, abs=1e-15)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+def test_make_optimizer_refuses_a_learning_rate_that_is_not_positive_and_finite(lr):
+    with pytest.raises(ValueError, match=f"learning rate must be positive and finite, got {lr}"):
+        make_optimizer("adam", lr, flat(np.zeros(3)))
+
+
 def test_optimizer_rejects_bad_inputs():
     p = flat(np.zeros(3))
     with pytest.raises(ValueError, match="learning rate"):
