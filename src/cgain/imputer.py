@@ -136,23 +136,33 @@ def hint_from_b(b: Array, mask: Array) -> Array:
 # forward paths
 # ---------------------------------------------------------------------------
 
-def _with_labels(blocks: list[Array], labels: Array, conditional: bool, dtype: np.dtype) -> Array:
-    """The net input: blocks, then labels if conditional, cast to the net's
-    dtype in the one copy the concatenation makes."""
-    if conditional:
-        blocks = blocks + [labels]
-    return np.concatenate(blocks, axis=1, dtype=dtype)
+def _generator_input(out: Array, x_t: Array, m: Array, one_minus_m: Array, z: Array, y: Array,
+                     conditional: bool) -> Array:
+    """The generator input [x_t, m, (1-m)*z, y], y only if conditional,
+    written into out with each block rounded once to out's dtype."""
+    blocks = [x_t, m, one_minus_m * z, y] if conditional else [x_t, m, one_minus_m * z]
+    return np.concatenate(blocks, axis=1, out=out)
+
+
+def _discriminator_input(out: Array, x_hat: Array, hint: Array, y: Array, conditional: bool) -> Array:
+    """The discriminator input [x_hat, hint, y], y only if conditional, written likewise."""
+    return np.concatenate([x_hat, hint, y] if conditional else [x_hat, hint], axis=1, out=out)
 
 
 def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
                       z: Array) -> tuple[Array, Array, tuple]:
-    """Generator pass with explicit noise. Returns (x_bar, x_hat, cache);
-    x_bar and x_hat are float64 whatever the net's dtype."""
-    g_in = _with_labels([x_tilde, mask, (1.0 - mask) * z], labels, model.conditional,
-                        model.generator.dtype)
+    """Generator pass with noise z of the mask's shape. Returns (x_bar,
+    x_hat, cache); x_bar and x_hat are float64 whatever the net's dtype."""
+    if z.shape != mask.shape:
+        raise ValueError(f"noise shape {z.shape} does not match mask {mask.shape}")
+    one_minus_m = 1.0 - mask
+    g_in = np.empty((len(mask), model.generator.input_width), dtype=model.generator.dtype)
+    _generator_input(g_in, x_tilde, mask, one_minus_m, z, labels, model.conditional)
     out, cache = dense_forward(model.generator, g_in)
     x_bar = out.astype(np.float64)
-    x_hat = mask * x_tilde + (1.0 - mask) * x_bar
+    # impute merges in float64 so observed cells stay exact; a training step's merge in the
+    # discriminator's dtype equals this rounded once, as 1-m is 0 or 1 and each term is exact
+    x_hat = mask * x_tilde + one_minus_m * x_bar
     return x_bar, x_hat, cache
 
 
@@ -180,7 +190,8 @@ def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
     output that saturates at 1.0 would defeat the clamps and turn a loss
     into inf and a loss gradient into NaN.
     """
-    d_in = _with_labels([x_hat, hint], labels, model.conditional, model.discriminator.dtype)
+    d_in = np.empty((len(x_hat), model.discriminator.input_width), dtype=model.discriminator.dtype)
+    _discriminator_input(d_in, x_hat, hint, labels, model.conditional)
     out, cache = dense_forward(model.discriminator, d_in)
     return out.astype(np.float64), cache
 
@@ -342,11 +353,10 @@ class StepBatch:
     x_t, m and y hold the batch's float64 rows, mask and one-hot labels, z
     its float64 noise, and cols each row's hinted column, the one column
     whose hint flag b is 0. load() derives the rest in the nets' dtypes:
-    the generator input g_in = [x_t, m, (1-m)*z, y]; the hint and label
-    blocks of the discriminator input d_in = [x_hat, hint, y]; and 1-m and
-    m*x_t, from which each step writes its merged x_hat into d_in. Without
-    conditioning the y blocks are left out. grad holds the gradient at
-    m_hat that the last step sent back through the discriminator.
+    1-m, m*x_t, the hint b*m + 0.5*(1-b), and g_in, which _generator_input
+    writes. Each step merges its x_hat into the x_hat buffer, from which
+    _discriminator_input writes d_in. grad holds the gradient at m_hat
+    that the last step sent back through the discriminator.
     """
 
     def __init__(self, model: ImputerModel, rows: int):
@@ -357,9 +367,8 @@ class StepBatch:
         self.cols = np.zeros(rows, dtype=np.intp)
         self.g_in = np.empty((rows, model.generator.input_width), dtype=gen_dtype)
         self.d_in = np.empty((rows, model.discriminator.input_width), dtype=disc_dtype)
-        # the flat index in d_in of each row's hint block
-        self.hint_starts = np.arange(rows) * self.d_in.shape[1] + d
-        self.one_minus_m, self.m_x, self.grad = (np.empty((rows, d), dtype=disc_dtype) for _ in range(3))
+        self.one_minus_m, self.m_x, self.x_hat, self.hint, self.grad = (
+            np.empty((rows, d), dtype=disc_dtype) for _ in range(5))
 
     def draw(self, rng: np.random.Generator, features: Array, mask: Array, labels: Array) -> None:
         """GAIN's draws for one step: rows uniform with replacement, noise
@@ -375,20 +384,14 @@ class StepBatch:
         self.load()
 
     def load(self) -> None:
-        """Derive the net inputs, 1-m and m*x_t from x_t, m, y, z and cols."""
-        d, g_in, d_in = self.d, self.g_in, self.d_in
-        g_in[:, :d] = self.x_t
-        g_in[:, d:2 * d] = self.m
+        """Derive 1-m, m*x_t, the hint and g_in from x_t, m, y, z and cols."""
         np.subtract(1.0, self.m, out=self.one_minus_m)
-        np.multiply(self.one_minus_m, self.z, out=g_in[:, 2 * d:3 * d])
         np.multiply(self.m, self.x_t, out=self.m_x)
-        # the hint b*m + 0.5*(1-b): the mask, with 0.5 at the hinted column
-        # (adding 0.0 turns a -0.0 mask cell into 0.0, as the blend does)
-        np.add(self.m, 0.0, out=d_in[:, d:2 * d])
-        d_in.put(self.hint_starts + self.cols, 0.5)
-        if self.conditional:
-            g_in[:, 3 * d:] = self.y
-            d_in[:, 2 * d:] = g_in[:, 3 * d:]
+        # the mask, with 0.5 at the hinted column (adding 0.0 turns a -0.0
+        # mask cell into 0.0, as hint_from_b's blend does)
+        np.add(self.m, 0.0, out=self.hint)
+        self.hint[np.arange(len(self.cols)), self.cols] = 0.5
+        _generator_input(self.g_in, self.x_t, self.m, self.one_minus_m, self.z, self.y, self.conditional)
 
     def hint_flags(self) -> Array:
         """b, the float64 flags the losses take: 0 at the hinted cells, 1 elsewhere."""
@@ -400,13 +403,12 @@ class StepBatch:
 def _forward_pair(model: ImputerModel, batch: StepBatch) -> tuple[Array, tuple, Array, tuple]:
     """Both passes on a loaded batch: (generator output, its cache, m_hat
     widened to float64 as in discriminator_forward, discriminator cache).
-    x_hat = m*x_t + (1-m)*x_bar is written into batch.d_in in the
-    discriminator's dtype; each term is exact, as 1-m is 0 or 1, so this
-    is the float64 merge rounded once."""
+    The merge x_hat = m*x_t + (1-m)*x_bar goes into batch.x_hat in the
+    discriminator's dtype, and _discriminator_input writes batch.d_in."""
     x_bar, g_cache = dense_forward(model.generator, batch.g_in)
-    x_hat = batch.d_in[:, :model.n_features]
-    np.multiply(batch.one_minus_m, x_bar, out=x_hat)
-    x_hat += batch.m_x
+    np.multiply(batch.one_minus_m, x_bar, out=batch.x_hat)
+    batch.x_hat += batch.m_x
+    _discriminator_input(batch.d_in, batch.x_hat, batch.hint, batch.y, batch.conditional)
     m_hat, d_cache = dense_forward(model.discriminator, batch.d_in)
     return x_bar, g_cache, m_hat.astype(np.float64), d_cache
 

@@ -165,10 +165,6 @@ class DenseNet:
     def input_width(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def output_width(self) -> int:
-        return self.w3.shape[1]
-
     def params(self) -> FlatArrays:
         """The six parameter arrays (w1, b1, w2, b2, w3, b3), the same
         objects on every call; mutated in place by optimizers."""

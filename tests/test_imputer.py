@@ -189,6 +189,29 @@ def test_discriminate_matches_scalar_net_oracle():
     assert_allclose(m_hat, np.array(expected), atol=1e-10, rtol=0)
 
 
+@pytest.mark.parametrize("call", ["generator_labels", "discriminator_labels", "hint", "noise_row", "noise_1d"])
+def test_forward_functions_refuse_blocks_of_another_shape(call):
+    # a one-row block must not be broadcast over the batch
+    model = small_model(seed=8)
+    x_t, mask, y, z, _, hint = random_batch(model, n=5, seed=9)
+    calls = {"generator_labels": lambda: generator_forward(model, x_t, mask, y[:1], z),
+             "discriminator_labels": lambda: discriminator_forward(model, x_t, hint, y[:1]),
+             "hint": lambda: discriminator_forward(model, x_t, hint[:1], y),
+             "noise_row": lambda: generator_forward(model, x_t, mask, y, z[:1]),
+             "noise_1d": lambda: generator_forward(model, x_t, mask, y, z[0])}
+    with pytest.raises(ValueError):
+        calls[call]()
+
+
+def test_unconditional_impute_ignores_the_labels():
+    ds = toy_dataset(n=24, d=3, seed=60, binary_col=False)
+    inc = random_incomplete(ds, rate=0.3, seed=61)
+    model, _ = train(inc, TrainConfig(iterations=5, batch_size=8, seed=62, conditional=False))
+    three = replace(inc.dataset, labels=np.eye(3)[np.arange(24) % 3], class_names=["a", "b", "c"])
+    relabelled = IncompleteDataset(three, inc.mask)
+    assert_same_bits(impute(model, relabelled).features, impute(model, inc).features)
+
+
 def test_unconditional_model_has_narrow_inputs():
     model = small_model(d=4, m=3, conditional=False)
     assert model.generator.input_width == 12
@@ -441,25 +464,34 @@ def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, cond
 
 def test_training_draws_equal_uniform_and_the_hint_functions():
     # train's in-place batch consumes the stream as the row draw, uniform and
-    # sample_hint_b do, and its hint is hint_from_b's, -0.0 mask cells included
-    model = small_model(d=4, m=3, seed=5)
+    # sample_hint_b do, its hint is hint_from_b's, -0.0 mask cells included,
+    # and a step feeds the nets the inputs generator_forward and
+    # discriminator_forward build from the same arrays
     rng = make_rng(6)
     features = rng.random((30, 4))
     mask = (rng.random((30, 4)) >= 0.3).astype(float)
     mask[::2][mask[::2] == 0.0] = -0.0
     labels = np.eye(3)[rng.integers(0, 3, 30)]
-    batch, draws, replay = StepBatch(model, 16), make_rng(7), make_rng(7)
-    for _ in range(3):
-        batch.draw(draws, features, mask, labels)
-        idx = replay.integers(0, 30, size=16)
-        x_t, m, y = features[idx], mask[idx], labels[idx]
-        z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
-        b = sample_hint_b(m, replay)
-        for got, want in ((batch.x_t, x_t), (batch.m, m), (batch.y, y), (batch.z, z), (batch.hint_flags(), b)):
-            assert_same_bits(got, want)
-        assert_same_bits(batch.g_in, np.concatenate([x_t, m, (1.0 - m) * z, y], axis=1, dtype=np.float32))
-        assert_same_bits(batch.d_in[:, 4:], np.concatenate([hint_from_b(b, m), y], axis=1, dtype=np.float32))
-    assert draws.random() == replay.random()
+    for conditional in (True, False):
+        model = small_model(d=4, m=3, seed=5, conditional=conditional)
+        batch, draws, replay = StepBatch(model, 16), make_rng(7), make_rng(7)
+        for _ in range(3):
+            batch.draw(draws, features, mask, labels)
+            idx = replay.integers(0, 30, size=16)
+            x_t, m, y = features[idx], mask[idx], labels[idx]
+            z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
+            b = sample_hint_b(m, replay)
+            hint = hint_from_b(b, m)
+            for got, want in ((batch.x_t, x_t), (batch.m, m), (batch.y, y), (batch.z, z),
+                              (batch.hint_flags(), b), (batch.hint, hint)):
+                assert_same_bits(got, want)
+            discriminator_step_grads(model, batch)
+            _, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
+            _, d_cache = discriminator_forward(model, x_hat, hint, y)
+            for got, want in ((batch.g_in, g_cache[0]), (batch.d_in, d_cache[0])):
+                assert got.dtype == want.dtype == np.float32
+                assert_same_bits(got, want)
+        assert draws.random() == replay.random()
 
 
 # ---------------------------------------------------------------------------
