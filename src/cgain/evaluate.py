@@ -34,6 +34,7 @@ separate timing summary.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -199,6 +200,11 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     for r in missing_rates:
         if not 0.0 < r < 1.0:
             raise ValueError(f"missing rate must be in (0, 1), got {r}")
+    for name, values in (("method", methods), ("missing rate", missing_rates),
+                         ("minority fraction", minority_fractions or [])):
+        repeats = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeats:
+            raise ValueError(f"{name} {repeats[0]!r} is given more than once")
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval mode must be one of {EVAL_MODES}, got {eval_mode!r}")
     if eval_mode == "strict" and repetitions < 2:
@@ -219,13 +225,15 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
             raise ValueError(f"the imbalance grid uses a single missing rate, got {list(missing_rates)}")
         if minority_class is None:
             minority_class = int(np.argmin(dataset.labels.sum(axis=0)))
+        elif not isinstance(minority_class, str):
+            minority_class = operator.index(minority_class)   # a class index, NumPy integers included
         blocks = [(fraction,
                    subsample_imbalance(dataset, minority_class, fraction, spawn_rng(root_seed, 2, fidx)),
                    spawn_seed(root_seed, 6, fidx))
                   for fidx, fraction in enumerate(minority_fractions)]
         config["minority_fractions"] = list(minority_fractions)
-        config["minority_class"] = (dataset.class_names[minority_class]
-                                    if isinstance(minority_class, int) else minority_class)
+        config["minority_class"] = (minority_class if isinstance(minority_class, str)
+                                    else dataset.class_names[minority_class])
     config.update(eval_mode=eval_mode, root_seed=root_seed, mice_sweeps=MICE_LITE_SWEEPS,
                   train={k: v for k, v in asdict(train_config).items()
                          if k not in ("conditional", "seed")})   # run_method sets both per cell
@@ -328,4 +336,5 @@ def report_to_json_dict(report: BenchmarkReport) -> dict:
 
 def write_report_json(path, report: BenchmarkReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2, allow_nan=False)
+        # a training config may hold NumPy integers, which are written as JSON integers
+        json.dump(report_to_json_dict(report), fh, indent=2, allow_nan=False, default=operator.index)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import struct
 import time
 import warnings
@@ -50,6 +51,12 @@ class TrainConfig:
     log_every: int = 100
 
     def validate(self) -> None:
+        for name in ("batch_size", "iterations", "hidden_multiplier", "seed", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+        if not isinstance(self.conditional, bool):
+            raise ValueError(f"conditional must be a bool, got {self.conditional!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.batch_size < 1 or self.iterations < 1:
@@ -58,9 +65,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if not isinstance(self.hidden_multiplier, int) or self.hidden_multiplier < 1:
-            raise ValueError(f"hidden multiplier must be an integer of at least 1, "
-                             f"got {self.hidden_multiplier!r}")
+        if self.hidden_multiplier < 1:
+            raise ValueError(f"hidden multiplier must be at least 1, got {self.hidden_multiplier}")
         if self.adversarial_sign not in ADV_SIGNS:
             raise ValueError(f"adversarial sign must be one of {ADV_SIGNS}, got {self.adversarial_sign!r}")
         if self.seed < 0:
@@ -136,19 +142,6 @@ def hint_from_b(b: Array, mask: Array) -> Array:
 # forward paths
 # ---------------------------------------------------------------------------
 
-def _generator_input(out: Array, x_t: Array, m: Array, one_minus_m: Array, z: Array, y: Array,
-                     conditional: bool) -> Array:
-    """The generator input [x_t, m, (1-m)*z, y], y only if conditional,
-    written into out with each block rounded once to out's dtype."""
-    blocks = [x_t, m, one_minus_m * z, y] if conditional else [x_t, m, one_minus_m * z]
-    return np.concatenate(blocks, axis=1, out=out)
-
-
-def _discriminator_input(out: Array, x_hat: Array, hint: Array, y: Array, conditional: bool) -> Array:
-    """The discriminator input [x_hat, hint, y], y only if conditional, written likewise."""
-    return np.concatenate([x_hat, hint, y] if conditional else [x_hat, hint], axis=1, out=out)
-
-
 def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
                       z: Array) -> tuple[Array, Array, tuple]:
     """Generator pass with noise z of the mask's shape. Returns (x_bar,
@@ -156,12 +149,11 @@ def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: 
     if z.shape != mask.shape:
         raise ValueError(f"noise shape {z.shape} does not match mask {mask.shape}")
     one_minus_m = 1.0 - mask
-    g_in = np.empty((len(mask), model.generator.input_width), dtype=model.generator.dtype)
-    _generator_input(g_in, x_tilde, mask, one_minus_m, z, labels, model.conditional)
-    out, cache = dense_forward(model.generator, g_in)
+    blocks = [x_tilde, mask, one_minus_m * z] + ([labels] if model.conditional else [])
+    # each block rounded once to the net's dtype
+    out, cache = dense_forward(model.generator, np.concatenate(blocks, axis=1, dtype=model.generator.dtype))
     x_bar = out.astype(np.float64)
-    # impute merges in float64 so observed cells stay exact; a training step's merge in the
-    # discriminator's dtype equals this rounded once, as 1-m is 0 or 1 and each term is exact
+    # merged in float64, so observed cells of an imputation stay exact
     x_hat = mask * x_tilde + one_minus_m * x_bar
     return x_bar, x_hat, cache
 
@@ -190,9 +182,9 @@ def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
     output that saturates at 1.0 would defeat the clamps and turn a loss
     into inf and a loss gradient into NaN.
     """
-    d_in = np.empty((len(x_hat), model.discriminator.input_width), dtype=model.discriminator.dtype)
-    _discriminator_input(d_in, x_hat, hint, labels, model.conditional)
-    out, cache = dense_forward(model.discriminator, d_in)
+    blocks = [x_hat, hint] + ([labels] if model.conditional else [])
+    out, cache = dense_forward(model.discriminator,
+                               np.concatenate(blocks, axis=1, dtype=model.discriminator.dtype))
     return out.astype(np.float64), cache
 
 
@@ -225,9 +217,9 @@ def _hinted(m_hat: Array, mask: Array, cols: Array) -> tuple[Array, Array, Array
     return cells, m_h, mask.take(cells), (m_h > EPS) & (m_h < 1.0 - EPS)
 
 
-def _loss_d_grad(m_hat: Array, mask: Array, cols: Array, out: Array) -> Array:
+def _loss_d_grad(m_hat: Array, mask: Array, cols: Array) -> Array:
     """dloss_discriminator/dm_hat, for the hint flags that blank column
-    cols[i] of row i, written into out and returned.
+    cols[i] of row i.
 
     The full formula is computed at the hinted cells only; every other cell
     gets the zero it gives there, -0.0 at observed cells and +0.0 at missing
@@ -235,10 +227,10 @@ def _loss_d_grad(m_hat: Array, mask: Array, cols: Array, out: Array) -> Array:
     cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
     p = _clamped(m_h)
     g = -(mask_h / p - (1.0 - mask_h) / (1.0 - p)) / m_hat.shape[0]   # 1 - b is 1 at a hinted cell
-    np.subtract(0.5, mask, out=out)
-    out *= 0.0
-    out.put(cells, g * live)
-    return out
+    grad = np.subtract(0.5, mask)
+    grad *= 0.0
+    grad.put(cells, g * live)
+    return grad
 
 
 def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: Array,
@@ -306,18 +298,17 @@ def _binary_row(column_kinds: tuple[str, ...]) -> Array | None:
     return row
 
 
-def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str, out: Array) -> Array:
+def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str) -> Array:
     """d(adversarial part)/dm_hat, for the hint flags that blank column
-    cols[i] of row i, written into out and returned: the full formula at
-    the hinted cells, and elsewhere the zero it gives there, -0.0 with
-    sign "gain" and +0.0 with "literal"."""
+    cols[i] of row i: the full formula at the hinted cells, and elsewhere
+    the zero it gives there, -0.0 with sign "gain" and +0.0 with "literal"."""
     cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
     g = (1.0 - mask_h) / _clamped(m_h) / m_hat.shape[0] * live   # 1 - b is 1 at a hinted cell
     if sign == "gain":
         g = -g
-    out.fill(-0.0 if sign == "gain" else 0.0)
-    out.put(cells, g)
-    return out
+    grad = np.full(m_hat.shape, -0.0 if sign == "gain" else 0.0)
+    grad.put(cells, g)
+    return grad
 
 
 def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, column_kinds: list[str]) -> Array:
@@ -346,105 +337,69 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
     return ImputerModel(gen, disc, m, list(column_kinds), config)
 
 
-class StepBatch:
-    """The inputs of one training step, in buffers that train allocates
-    once and every step refills in place.
+def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
+          rows: int) -> tuple[Array, Array, Array, Array, Array]:
+    """GAIN's draws for one half-step: rows uniform with replacement, noise
+    U(0, NOISE_HIGH) and one hinted column per row, each drawn as uniform
+    and sample_hint_b draw them, in that order. Returns (x_t, m, y, z, cols),
+    cols[i] being the one column of row i whose hint flag b is 0."""
+    idx = rng.integers(0, len(features), size=rows)
+    # the indices are in range, so clipping them changes nothing
+    x_t, m, y = (a.take(idx, axis=0, mode="clip") for a in (features, mask, labels))
+    z = rng.random((rows, features.shape[1]))
+    z *= NOISE_HIGH
+    return x_t, m, y, z, rng.integers(0, features.shape[1], size=rows)
 
-    x_t, m and y hold the batch's float64 rows, mask and one-hot labels, z
-    its float64 noise, and cols each row's hinted column, the one column
-    whose hint flag b is 0. load() derives the rest in the nets' dtypes:
-    1-m, m*x_t, the hint b*m + 0.5*(1-b), and g_in, which _generator_input
-    writes. Each step merges its x_hat into the x_hat buffer, from which
-    _discriminator_input writes d_in. grad holds the gradient at m_hat
-    that the last step sent back through the discriminator.
+
+def _hint(m: Array, cols: Array) -> Array:
+    """hint_from_b's hint for the flags hint_flags(cols, d) gives: the mask,
+    with 0.5 at each row's hinted column (adding 0.0 turns a -0.0 mask cell
+    into 0.0, as the blend does)."""
+    hint = m + 0.0
+    hint[np.arange(len(cols)), cols] = 0.5
+    return hint
+
+
+def hint_flags(cols: Array, d: int) -> Array:
+    """b, the flags the losses take: 0 at row i's column cols[i], 1 elsewhere."""
+    b = np.ones((len(cols), d))
+    b[np.arange(len(cols)), cols] = 0.0
+    return b
+
+
+def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z: Array,
+                             cols: Array) -> tuple[FlatArrays, Array]:
+    """Discriminator gradients on one batch hinted at columns cols, generator held fixed.
+
+    Returns (gradients, m_hat); loss_discriminator(m_hat, m,
+    hint_flags(cols, d)) is the step's loss.
     """
-
-    def __init__(self, model: ImputerModel, rows: int):
-        d, gen_dtype, disc_dtype = model.n_features, model.generator.dtype, model.discriminator.dtype
-        self.d, self.conditional = d, model.conditional
-        self.x_t, self.m, self.z = (np.empty((rows, d)) for _ in range(3))
-        self.y = np.empty((rows, model.n_classes))
-        self.cols = np.zeros(rows, dtype=np.intp)
-        self.g_in = np.empty((rows, model.generator.input_width), dtype=gen_dtype)
-        self.d_in = np.empty((rows, model.discriminator.input_width), dtype=disc_dtype)
-        self.one_minus_m, self.m_x, self.x_hat, self.hint, self.grad = (
-            np.empty((rows, d), dtype=disc_dtype) for _ in range(5))
-
-    def draw(self, rng: np.random.Generator, features: Array, mask: Array, labels: Array) -> None:
-        """GAIN's draws for one step: rows uniform with replacement, noise
-        U(0, NOISE_HIGH) and one hinted column per row, each drawn as
-        uniform and sample_hint_b draw them, in that order; then load()."""
-        idx = rng.integers(0, len(features), size=len(self.x_t))
-        # the indices are in range, and mode="raise" would buffer
-        for a, out in zip((features, mask, labels), (self.x_t, self.m, self.y)):
-            a.take(idx, axis=0, out=out, mode="clip")
-        rng.random(out=self.z)
-        self.z *= NOISE_HIGH
-        self.cols = rng.integers(0, self.d, size=len(self.cols))
-        self.load()
-
-    def load(self) -> None:
-        """Derive 1-m, m*x_t, the hint and g_in from x_t, m, y, z and cols."""
-        np.subtract(1.0, self.m, out=self.one_minus_m)
-        np.multiply(self.m, self.x_t, out=self.m_x)
-        # the mask, with 0.5 at the hinted column (adding 0.0 turns a -0.0
-        # mask cell into 0.0, as hint_from_b's blend does)
-        np.add(self.m, 0.0, out=self.hint)
-        self.hint[np.arange(len(self.cols)), self.cols] = 0.5
-        _generator_input(self.g_in, self.x_t, self.m, self.one_minus_m, self.z, self.y, self.conditional)
-
-    def hint_flags(self) -> Array:
-        """b, the float64 flags the losses take: 0 at the hinted cells, 1 elsewhere."""
-        b = np.ones_like(self.m)
-        b[np.arange(len(self.cols)), self.cols] = 0.0
-        return b
+    _, x_hat, _ = generator_forward(model, x_t, m, y, z)
+    m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
+    return dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, cols), wrt="params"), m_hat
 
 
-def _forward_pair(model: ImputerModel, batch: StepBatch) -> tuple[Array, tuple, Array, tuple]:
-    """Both passes on a loaded batch: (generator output, its cache, m_hat
-    widened to float64 as in discriminator_forward, discriminator cache).
-    The merge x_hat = m*x_t + (1-m)*x_bar goes into batch.x_hat in the
-    discriminator's dtype, and _discriminator_input writes batch.d_in."""
-    x_bar, g_cache = dense_forward(model.generator, batch.g_in)
-    np.multiply(batch.one_minus_m, x_bar, out=batch.x_hat)
-    batch.x_hat += batch.m_x
-    _discriminator_input(batch.d_in, batch.x_hat, batch.hint, batch.y, batch.conditional)
-    m_hat, d_cache = dense_forward(model.discriminator, batch.d_in)
-    return x_bar, g_cache, m_hat.astype(np.float64), d_cache
+def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z: Array,
+                         cols: Array) -> tuple[FlatArrays, Array, Array]:
+    """Generator gradients on one batch hinted at columns cols, discriminator held fixed.
 
-
-def discriminator_step_grads(model: ImputerModel, batch: StepBatch) -> tuple[FlatArrays, Array]:
-    """Discriminator gradients on one loaded batch, generator held fixed.
-
-    Returns (gradients, m_hat); loss_discriminator(m_hat, batch.m,
-    batch.hint_flags()) is the step's loss.
-    """
-    _, _, m_hat, d_cache = _forward_pair(model, batch)
-    grad = _loss_d_grad(m_hat, batch.m, batch.cols, batch.grad)
-    return dense_backward(model.discriminator, d_cache, grad, wrt="params"), m_hat
-
-
-def generator_step_grads(model: ImputerModel, batch: StepBatch) -> tuple[FlatArrays, Array, Array]:
-    """Generator gradients on one loaded batch, discriminator held fixed.
-
-    Returns (gradients, m_hat, x_bar), x_bar widened to float64;
-    generator_loss_parts on them, batch.m, batch.hint_flags() and batch.x_t
-    gives the step's loss parts. The adversarial signal flows through the
-    discriminator's input gradient at the completed-data block, masked to
-    missing cells (observed cells of x_hat do not depend on the generator).
+    Returns (gradients, m_hat, x_bar); generator_loss_parts on them, m,
+    hint_flags(cols, d) and x_t gives the step's loss parts. The adversarial
+    signal flows through the discriminator's input gradient at the
+    completed-data block, masked to missing cells (observed cells of x_hat
+    do not depend on the generator).
     """
     cfg = model.config
-    out, g_cache, m_hat, d_cache = _forward_pair(model, batch)
+    x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
+    m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
     # the full input-gradient product, then the x_hat block: a product over
     # w1[:d] alone would round differently
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, batch.m, batch.cols, cfg.adversarial_sign,
-                                                 batch.grad), wrt="input")
-    x_bar = out.astype(np.float64)
-    dx_bar = _recon_grad_xbar(x_bar, batch.x_t, batch.m, model.column_kinds)
+                                  _adv_grad_mhat(m_hat, m, cols, cfg.adversarial_sign), wrt="input")
+    dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.column_kinds)
     dx_bar *= cfg.alpha
-    # masking by 0 or 1 is exact in the net's dtype; the sum is rounded in float64
-    dx_bar += d_input_grad[:, :model.n_features] * batch.one_minus_m
+    # masking by 0 or 1 is exact; the sum is rounded in float64
+    dx_bar += d_input_grad[:, :model.n_features] * (1.0 - m)
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
 
@@ -476,7 +431,6 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     d_opt = make_optimizer(config.optimizer, config.learning_rate, model.discriminator.params())
     g_opt = make_optimizer(config.optimizer, config.learning_rate, model.generator.params())
     columns = (ds.features, incomplete.mask, ds.labels)
-    batch = StepBatch(model, rows)
 
     # m_hat and x_bar are sigmoid outputs, in [0, 1] or NaN, and m_hat enters
     # the losses through a clamped log. With features and mask in [0, 1] every
@@ -489,21 +443,21 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     for it in range(1, config.iterations + 1):
         logged = it % config.log_every == 0
         # (A) discriminator update
-        batch.draw(rng, *columns)
-        d_grads, d_m_hat = discriminator_step_grads(model, batch)
+        x_t, m, y, z, cols = _draw(rng, *columns, rows)
+        d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, cols)
         optimizer_step(d_opt, model.discriminator.params(), d_grads)
         if logged:
-            d_loss = loss_discriminator(d_m_hat, batch.m, batch.hint_flags())
+            d_loss = loss_discriminator(d_m_hat, m, hint_flags(cols, d))
 
         # (B) generator update, discriminator fixed, on a fresh batch
-        batch.draw(rng, *columns)
-        g_grads, g_m_hat, x_bar = generator_step_grads(model, batch)
+        x_t, m, y, z, cols = _draw(rng, *columns, rows)
+        g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, cols)
         optimizer_step(g_opt, model.generator.params(), g_grads)
         # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
         if math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum()):
             raise FloatingPointError(f"non-finite training loss at iteration {it}")
         if logged:
-            g_adv, g_recon = generator_loss_parts(g_m_hat, batch.m, batch.hint_flags(), x_bar, batch.x_t,
+            g_adv, g_recon = generator_loss_parts(g_m_hat, m, hint_flags(cols, d), x_bar, x_t,
                                                   model.column_kinds, config.adversarial_sign)
             trace.iterations.append(it)
             trace.d_loss.append(d_loss)
@@ -556,7 +510,8 @@ def save_model(path, model: ImputerModel) -> None:
         if net.dtype != np.float32:
             raise ValueError(f"{name} is {net.dtype}; only float32 nets, as build_model makes, are saved")
     header = {"n_classes": model.n_classes, "column_kinds": model.column_kinds, "config": asdict(model.config)}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    # a config may hold NumPy integers, which are written as JSON integers
+    blob = json.dumps(header, sort_keys=True, default=operator.index).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(_PREAMBLE.pack(MODEL_FORMAT_VERSION, len(blob)))
@@ -601,7 +556,7 @@ def load_model(path) -> ImputerModel:
     config = TrainConfig(**config)
     try:
         config.validate()
-    except (TypeError, ValueError) as exc:   # a value of the wrong type fails a comparison
+    except (TypeError, ValueError) as exc:   # a float field of the wrong type fails math.isfinite
         raise ValueError(f"{path}: invalid config: {exc}") from None
 
     shapes = [s for widths in _layer_widths(len(kinds), n_classes, config) for s in dense_shapes(*widths)]

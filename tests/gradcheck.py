@@ -70,9 +70,9 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
 
     out, cache = dense_forward(net, x)
     if loss_form == "d_xent":
-        grad_out = _loss_d_grad(out, mask, cols, np.empty_like(out))
+        grad_out = _loss_d_grad(out, mask, cols)
     elif loss_form == "g_adv":
-        grad_out = _adv_grad_mhat(out, mask, cols, sign, np.empty_like(out))
+        grad_out = _adv_grad_mhat(out, mask, cols, sign)
     elif loss_form == "recon":
         grad_out = _recon_grad_xbar(out, x_t, mask, kinds)
     else:

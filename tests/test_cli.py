@@ -335,6 +335,15 @@ def test_benchmark_empty_method_list_is_usage_error(tmp_path, capsys, flag, mess
     assert not (tmp_path / "r.report.csv").exists()
 
 
+def test_benchmark_refuses_a_repeated_method(tmp_path, capsys):
+    data = write_toy_csv(tmp_path / "d.csv")
+    rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean,mean",
+             "--out", tmp_path / "r")
+    assert rc == 1
+    assert capsys.readouterr().err == "cgain-error: validation: method 'mean' is given more than once\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 def test_benchmark_imbalance_grid(tmp_path):
     data = write_toy_csv(tmp_path / "d.csv", n=80, d=3, seed=14)
     rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean",

@@ -174,6 +174,35 @@ def test_benchmark_validation():
         run_benchmark(ds, ["mean"], [0.2], 1, 0, eval_mode="strict")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"methods": ["mean", "mean"]}, "method 'mean' is given more than once"),
+    ({"missing_rates": [0.2, 0.1, 0.2]}, "missing rate 0.2 is given more than once"),
+    ({"minority_fractions": [0.3, 0.3]}, "minority fraction 0.3 is given more than once"),
+], ids=["method", "rate", "fraction"])
+def test_benchmark_refuses_a_repeated_grid_value_before_any_work(monkeypatch, grid, message):
+    # a repeat would give two report rows with one key and different RMSEs
+    def fail(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(ev, "_rep_task", fail)
+    args = {"methods": ["mean"], "missing_rates": [0.2], **grid}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(balanced_binary(), repetitions=1, root_seed=0, **args)
+
+
+def test_numpy_class_index_is_stored_as_the_class_name(tmp_path):
+    ds = balanced_binary(n=60, d=3, seed=32)
+    report = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=33,
+                           train_config=TrainConfig(batch_size=np.int64(16)),
+                           minority_fractions=[0.3], minority_class=np.int64(1))
+    ev.write_report_json(tmp_path / "r.json", report)
+    config = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["config"]
+    assert config["minority_class"] == "1" and config["train"]["batch_size"] == 16
+    by_index = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=33,
+                             minority_fractions=[0.3], minority_class=1)
+    assert report_csv_rows(report) == report_csv_rows(by_index)
+
+
 def test_strict_mode_trains_on_other_folds():
     ds = balanced_binary(n=60, d=3, seed=17)
     report = run_benchmark(ds, ["mean"], [0.25], repetitions=3, root_seed=18,

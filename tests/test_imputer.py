@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import asdict, replace
 
@@ -11,11 +12,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 import cgain.imputer as imputer_module
 from cgain.data import (CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
                          uncorrupted)
-from cgain.imputer import (ADV_SIGNS, EPS, MODEL_MAGIC, NOISE_HIGH, StepBatch, TrainConfig, build_model,
+from cgain.imputer import (ADV_SIGNS, EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_model,
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
-                           generator_loss_parts, generator_step_grads, hint_from_b, impute,
+                           generator_loss_parts, generator_step_grads, hint_flags, hint_from_b, impute,
                            load_model, loss_discriminator, loss_generator, sample_hint_b,
-                           save_model, train, _adv_grad_mhat, _loss_d_grad)
+                           save_model, train, _adv_grad_mhat, _draw, _hint, _loss_d_grad)
 from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
 from conftest import as_format_v1, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
@@ -46,16 +47,6 @@ def random_batch(model, n=5, seed=1, rate=0.4):
     z = uniform(rng, 0.0, 0.01, (n, model.n_features))
     b = sample_hint_b(mask, rng)
     return x_t, mask, y, z, b, hint_from_b(b, mask)
-
-
-def step_batch(model, x_t, mask, y, z, b):
-    """A StepBatch of model's dtypes loaded with these arrays, hinting each
-    row's b = 0 column."""
-    batch = StepBatch(model, len(x_t))
-    batch.x_t[...], batch.m[...], batch.y[...], batch.z[...] = x_t, mask, y, z
-    batch.cols = np.argmin(b, axis=1)
-    batch.load()
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ def test_generator_gradients_through_fixed_discriminator(sign):
         return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds,
                               cfg.alpha, cfg.adversarial_sign)
 
-    analytic, m_hat, x_bar = generator_step_grads(model, step_batch(model, x_t, mask, y, z, b))
+    analytic, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, np.argmin(b, axis=1))
     adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
     assert g_loss() == pytest.approx(adv + cfg.alpha * recon, abs=1e-12)
     numeric = finite_difference_gradients(g_loss, model.generator.params(), step=1e-5)
@@ -353,7 +344,7 @@ def test_discriminator_gradients_with_fixed_generator():
         m_hat, _ = discriminator_forward(model, x_hat, hint, y)
         return loss_discriminator(m_hat, mask, b)
 
-    analytic, m_hat = discriminator_step_grads(model, step_batch(model, x_t, mask, y, z, b))
+    analytic, m_hat = discriminator_step_grads(model, x_t, mask, y, z, np.argmin(b, axis=1))
     assert d_loss() == pytest.approx(loss_discriminator(m_hat, mask, b), abs=1e-12)
     numeric = finite_difference_gradients(d_loss, model.discriminator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
@@ -374,9 +365,9 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
     x_hat = mask * x_t + (1.0 - mask) * x_bar
     m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
 
-    batch = step_batch(model, x_t, mask, y, z, b)
+    cols = np.argmin(b, axis=1)
     ref_d, _ = ref_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b))
-    d_grads, _ = discriminator_step_grads(model, batch)
+    d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, cols)
     for g, ref in zip(d_grads, ref_d, strict=True):
         assert_same_bits(g, ref)
 
@@ -384,7 +375,7 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
     dx_bar = (d_input_grad[:, :model.n_features] * (1.0 - mask)
               + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
     ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
-    g_grads, _, _ = generator_step_grads(model, batch)
+    g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, cols)
     for g, ref in zip(g_grads, ref_g, strict=True):
         assert_same_bits(g, ref)
 
@@ -397,10 +388,10 @@ EDGE_M_HAT = [0.0, 1.0, EPS, 1.0 - EPS, np.nextafter(EPS, 0.0), np.nextafter(1.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6),
-       dtype=st.sampled_from([np.float32, np.float64]), sign=st.sampled_from(ADV_SIGNS))
-def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d, dtype, sign):
-    # signed zeros included: each non-hinted cell carries the zero the full formula gives it
+@given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6), sign=st.sampled_from(ADV_SIGNS))
+def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d, sign):
+    # signed zeros included: each non-hinted cell carries the zero the full formula gives it,
+    # in float64 and in the float32 that dense_backward casts it to
     cell = st.one_of(st.sampled_from(EDGE_M_HAT), st.floats(0.0, 1.0))
     m_hat = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
     mask = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d),
@@ -408,10 +399,11 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
     cols = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
     b = np.ones((n, d))
     b[np.arange(n), cols] = 0.0
-    assert_same_bits(_loss_d_grad(m_hat, mask, cols, np.empty((n, d), dtype)),
-                     ref_loss_d_grad(m_hat, mask, b).astype(dtype))
-    assert_same_bits(_adv_grad_mhat(m_hat, mask, cols, sign, np.empty((n, d), dtype)),
-                     ref_adv_grad(m_hat, mask, b, sign).astype(dtype))
+    for got, want in ((_loss_d_grad(m_hat, mask, cols), ref_loss_d_grad(m_hat, mask, b)),
+                      (_adv_grad_mhat(m_hat, mask, cols, sign), ref_adv_grad(m_hat, mask, b, sign))):
+        assert got.dtype == np.float64
+        assert_same_bits(got, want)
+        assert_same_bits(got.astype(np.float32), want.astype(np.float32))
 
 
 def full_matrix_step_grads(model, x_t, mask, y, z, b):
@@ -453,45 +445,53 @@ def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, cond
     x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed + 1)
     x_t[:, np.array(binary[:d])] = np.round(x_t[:, np.array(binary[:d])])
     ref_d, ref_g, ref_m_hat, ref_x_bar = full_matrix_step_grads(model, x_t, mask, y, z, b)
-    batch = step_batch(model, x_t, mask, y, z, b)
-    d_grads, d_m_hat = discriminator_step_grads(model, batch)
+    cols = np.argmin(b, axis=1)
+    d_grads, d_m_hat = discriminator_step_grads(model, x_t, mask, y, z, cols)
     assert_same_bits(d_grads.flat, ref_d)
     assert_same_bits(d_m_hat, ref_m_hat)
-    g_grads, _, x_bar = generator_step_grads(model, batch)
+    g_grads, _, x_bar = generator_step_grads(model, x_t, mask, y, z, cols)
     assert_same_bits(g_grads.flat, ref_g)
     assert_same_bits(x_bar, ref_x_bar)
 
 
 def test_training_draws_equal_uniform_and_the_hint_functions():
-    # train's in-place batch consumes the stream as the row draw, uniform and
-    # sample_hint_b do, its hint is hint_from_b's, -0.0 mask cells included,
-    # and a step feeds the nets the inputs generator_forward and
-    # discriminator_forward build from the same arrays
+    # train's draws consume the stream as the row draw, uniform and
+    # sample_hint_b do, and its hint and flags are hint_from_b's and
+    # sample_hint_b's, -0.0 mask cells included
     rng = make_rng(6)
     features = rng.random((30, 4))
     mask = (rng.random((30, 4)) >= 0.3).astype(float)
     mask[::2][mask[::2] == 0.0] = -0.0
     labels = np.eye(3)[rng.integers(0, 3, 30)]
-    for conditional in (True, False):
-        model = small_model(d=4, m=3, seed=5, conditional=conditional)
-        batch, draws, replay = StepBatch(model, 16), make_rng(7), make_rng(7)
-        for _ in range(3):
-            batch.draw(draws, features, mask, labels)
-            idx = replay.integers(0, 30, size=16)
-            x_t, m, y = features[idx], mask[idx], labels[idx]
-            z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
-            b = sample_hint_b(m, replay)
-            hint = hint_from_b(b, m)
-            for got, want in ((batch.x_t, x_t), (batch.m, m), (batch.y, y), (batch.z, z),
-                              (batch.hint_flags(), b), (batch.hint, hint)):
-                assert_same_bits(got, want)
-            discriminator_step_grads(model, batch)
-            _, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
-            _, d_cache = discriminator_forward(model, x_hat, hint, y)
-            for got, want in ((batch.g_in, g_cache[0]), (batch.d_in, d_cache[0])):
-                assert got.dtype == want.dtype == np.float32
-                assert_same_bits(got, want)
-        assert draws.random() == replay.random()
+    draws, replay = make_rng(7), make_rng(7)
+    for _ in range(3):
+        x_t, m, y, z, cols = _draw(draws, features, mask, labels, 16)
+        idx = replay.integers(0, 30, size=16)
+        want_z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
+        b = sample_hint_b(mask[idx], replay)
+        for got, want in ((x_t, features[idx]), (m, mask[idx]), (y, labels[idx]), (z, want_z),
+                          (hint_flags(cols, 4), b), (_hint(m, cols), hint_from_b(b, mask[idx]))):
+            assert_same_bits(got, want)
+        assert draws.bit_generator.state == replay.bit_generator.state
+
+
+def test_training_runs_the_forward_functions_twice_per_iteration(monkeypatch):
+    # both half-steps go through generator_forward and discriminator_forward,
+    # the functions the acceptance criteria check
+    calls = {"generator_forward": 0, "discriminator_forward": 0}
+
+    def counted(name):
+        original = getattr(imputer_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(imputer_module, name, counted(name))
+    train(random_incomplete(toy_dataset(n=40)), TrainConfig(iterations=7, batch_size=8, hidden_multiplier=2))
+    assert calls == {"generator_forward": 14, "discriminator_forward": 14}
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +582,26 @@ def test_train_validates_config():
         train(inc, TrainConfig(optimizer="sgdm"))
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         train(inc, TrainConfig(seed=-1))
+    # integer fields take Python and NumPy integers, never a float or a bool
+    for field, value in (("batch_size", 16.0), ("iterations", 3.0), ("log_every", 1.5), ("seed", 1.7),
+                         ("hidden_multiplier", True), ("batch_size", np.float64(8.0))):
+        with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            train(inc, TrainConfig(**{field: value}))
+    for value in (1, np.bool_(True), "yes"):
+        with pytest.raises(ValueError, match=f"^conditional must be a bool, got {re.escape(repr(value))}$"):
+            train(inc, TrainConfig(conditional=value))
+
+
+def test_numpy_integer_config_trains_and_round_trips_through_a_model_file(tmp_path):
+    cfg = TrainConfig(batch_size=np.int64(8), iterations=np.int32(3), hidden_multiplier=np.int64(2),
+                      seed=np.uint8(4), log_every=np.int64(1))
+    model, trace = train(uncorrupted(toy_dataset(n=10)), cfg)
+    assert trace.iterations == [1, 2, 3]
+    save_model(tmp_path / "np.model", model)
+    loaded = load_model(tmp_path / "np.model")
+    assert asdict(loaded.config) == asdict(cfg)
+    assert_array_equal(loaded.generator.params().flat, model.generator.params().flat)
 
 
 @pytest.mark.parametrize("log_every", [1, TrainConfig.log_every])
@@ -795,14 +815,19 @@ def with_config(**values):
     (with_config(alpha=float("nan")), "invalid config: alpha must be positive and finite, got nan"),
     (with_config(optimizer="rmsprop"), "invalid config: unknown optimizer 'rmsprop'"),
     (with_config(seed=-3), "invalid config: seed must be non-negative"),
-    (with_config(batch_size="128"), "invalid config: '<' not supported"),
+    (with_config(batch_size="128"), "invalid config: batch size must be an integer, got '128'"),
     (with_config(hidden_multiplier=3.0), "invalid config: hidden multiplier must be an integer"),
+    (with_config(batch_size=2.5), "invalid config: batch size must be an integer, got 2.5"),
+    (with_config(seed=1.5), "invalid config: seed must be an integer, got 1.5"),
+    (with_config(log_every=True), "invalid config: log every must be an integer, got True"),
+    (with_config(conditional=1), "invalid config: conditional must be a bool, got 1"),
 ], ids=["bad_magic", "truncated_preamble", "format_v1", "trailing_bytes", "short_weights",
         "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
         "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
         "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
         "config_missing_field", "negative_alpha", "nan_alpha", "unknown_optimizer", "negative_seed",
-        "string_batch_size", "float_hidden_multiplier"])
+        "string_batch_size", "float_hidden_multiplier", "float_batch_size", "float_seed", "bool_log_every",
+        "int_conditional"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
     save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))
@@ -844,10 +869,10 @@ def test_saturated_float32_discriminator_leaves_steps_and_losses_finite():
     model.discriminator.b3[:] = 40.0
     x_t, mask, y, z, b, _ = random_batch(model, n=16, seed=4)
     assert 0 < mask.sum() < mask.size
-    batch = step_batch(model, x_t, mask, y, z, b)
-    d_grads, d_m_hat = discriminator_step_grads(model, batch)
+    cols = np.argmin(b, axis=1)
+    d_grads, d_m_hat = discriminator_step_grads(model, x_t, mask, y, z, cols)
     assert np.all(d_m_hat == 1.0)
-    g_grads, g_m_hat, x_bar = generator_step_grads(model, batch)
+    g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, cols)
     assert np.all(np.isfinite(d_grads.flat)) and np.all(np.isfinite(g_grads.flat))
     assert np.isfinite(loss_discriminator(d_m_hat, mask, b))
     assert np.all(np.isfinite(generator_loss_parts(g_m_hat, mask, b, x_bar, x_t, model.column_kinds)))
@@ -862,8 +887,9 @@ def test_float32_step_gradients_match_float64_within_float32_rounding(sign):
     wide = as_float64(model)
     x_t, mask, y, z, b, _ = random_batch(model, n=128, seed=13)
     x_t[:, 0] = np.round(x_t[:, 0])
+    cols = np.argmin(b, axis=1)
     for step in (discriminator_step_grads, generator_step_grads):
-        narrow = step(model, step_batch(model, x_t, mask, y, z, b))[0].flat
-        ref = step(wide, step_batch(wide, x_t, mask, y, z, b))[0].flat
+        narrow = step(model, x_t, mask, y, z, cols)[0].flat
+        ref = step(wide, x_t, mask, y, z, cols)[0].flat
         assert narrow.dtype == np.float32 and ref.dtype == np.float64
         assert np.max(np.abs(narrow - ref)) <= 1e-4 * np.max(np.abs(ref))
