@@ -22,6 +22,14 @@ last on a pool of two workers.
 Each model-file digest covers the bytes save_model writes for a table's
 first configuration.
 
+Last come five lines per input CSV for the command line: `cgain corrupt`,
+`cgain train --iters 50` and `cgain impute` run through cli.main in a
+temporary directory, and the digests cover the corrupted data, mask, model
+and imputed files and the trace CSV without its wall-clock seconds column.
+One input is an unquoted CSV with \r\n line ends; the other has a quoted
+label that spans two lines and a blank line, so it goes through the csv
+module.
+
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
 Run it on two checkouts and compare the outputs with `diff`. BLAS is pinned
@@ -34,8 +42,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import contextlib  # noqa: E402
+import csv  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
@@ -43,7 +54,8 @@ import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cgain.data import build_dataset, corrupt_mcar  # noqa: E402
+from cgain import cli  # noqa: E402
+from cgain.data import build_dataset, corrupt_mcar, denormalize  # noqa: E402
 from cgain.datasets import credit_like, letter_like  # noqa: E402
 from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark  # noqa: E402
 from cgain.imputer import ImputerModel, TrainConfig, impute, save_model, train  # noqa: E402
@@ -96,6 +108,55 @@ def report_digests(report) -> tuple[str, str]:
             hashlib.sha256(json.dumps(payload).encode()).hexdigest())
 
 
+def cli_texts() -> dict[str, str]:
+    """Two CSV texts of one table: unquoted with \\r\\n line ends, and with a
+    quoted two-line label and a blank line."""
+    table = make_table(601, n_classes=2, n_binary=2)
+    raw = denormalize(table.schema, table.features, round_binary=True).tolist()
+    header = ",".join([c.name for c in table.schema] + ["label"])
+
+    def text(names, end, blank_after=None):
+        lines = [header] + [",".join([*map(repr, values), names[c]])
+                            for values, c in zip(raw, table.class_index())]
+        if blank_after is not None:
+            lines.insert(blank_after, "")
+        return end.join(lines) + end
+
+    return {"unquoted-crlf": text(["a", "b"], "\r\n"),
+            "quoted-multiline": text(["a", '"b\nc"'], "\n", blank_after=20)}
+
+
+def cli_digests(name: str, text: str) -> list[str]:
+    """corrupt -> train -> impute through cli.main; one line per output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(stem):
+            return os.path.join(tmp, stem)
+
+        with open(path("in.csv"), "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        label = ["--label-col", "label"]
+        data, mask = path("c.data.csv"), path("c.mask.csv")
+        runs = [["corrupt", "--data", path("in.csv"), *label, "--rate", "0.2", "--seed", "11",
+                 "--out", path("c")],
+                ["train", "--data", data, "--mask", mask, *label, "--method", "cgain", "--iters", "50",
+                 "--seed", "12", "--out", path("r")],
+                ["impute", "--model", path("r.model"), "--data", data, "--mask", mask, *label,
+                 "--seed", "13", "--out", path("f")]]
+        for args in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(args)
+            if code != 0:
+                raise RuntimeError(f"cgain {args[0]} exited with code {code}")
+        with open(path("r.trace.csv"), newline="", encoding="utf-8") as fh:
+            trace = [row[:-1] for row in csv.reader(fh)]     # without the seconds column
+        digests = {"trace": hashlib.sha256(json.dumps(trace).encode()).hexdigest()}
+        for kind, stem in (("data", "c.data.csv"), ("mask", "c.mask.csv"), ("model", "r.model"),
+                           ("imputed", "f.imputed.csv")):
+            with open(path(stem), "rb") as fh:
+                digests[kind] = hashlib.sha256(fh.read()).hexdigest()
+    return [f"{digests[kind]}  cli {name} {kind}" for kind in ("data", "mask", "model", "trace", "imputed")]
+
+
 def main() -> None:
     tables = {
         "2class-binary": corrupt_mcar(make_table(101, n_classes=2, n_binary=3), 0.25, make_rng(102)),
@@ -146,6 +207,9 @@ def main() -> None:
         print(f"{json_sha}  report json {name}")
     for name, model in first_models.values():
         print(f"{model_file_digest(model)}  model file {name}")
+    for name, text in cli_texts().items():
+        for line in cli_digests(name, text):
+            print(line)
 
 
 if __name__ == "__main__":

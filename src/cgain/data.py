@@ -12,6 +12,7 @@ zeroed so a leaked value can never be read back.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -110,23 +111,50 @@ class CsvRows(list):
     lines: list[int]
 
 
+def _drain(lines: list[str]):
+    """Yield each line, dropping the list's reference to it, so a file's
+    text is not held twice while its cells are split out."""
+    for k, line in enumerate(lines):
+        lines[k] = None
+        yield line
+
+
+def _records(lines: list[str]):
+    """(file line, cells) for each record in lines, as csv.reader reads them.
+
+    A file whose lines hold no quote and no NUL has one record per line,
+    split at commas directly. Any other file, and one with a line longer
+    than csv's field size limit (so that its error is kept), goes through
+    csv.reader.
+    """
+    if (any('"' in line or "\0" in line for line in lines)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        reader = csv.reader(_drain(lines))
+        start = 1
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+        return
+    for k, line in enumerate(_drain(lines), 1):
+        line = line.rstrip("\r\n")
+        yield k, line.split(",") if line else []
+
+
 def read_csv_table(path) -> tuple[list[str], CsvRows]:
     """Read a headered CSV into (header, rows of raw cell strings), skipping
     blank lines; a quoted cell may span lines."""
+    # newline="" splits lines at \r\n, \n and a lone \r, where csv.reader splits them
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = _records(fh.readlines())
+    _, header = next(records, (0, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
     rows = CsvRows()
     rows.lines = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                rows.append(row)
-                rows.lines.append(start)
-            start = reader.line_num + 1
+    for line, row in records:
+        if row:
+            rows.append(row)
+            rows.lines.append(line)
     seen = set()
     for column in header:
         if column in seen:
@@ -348,11 +376,27 @@ def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
 
 
 def write_mask_csv(path, mask: Array, feature_names: list[str]) -> None:
-    mask = np.asarray(mask, dtype=int)
-    values, codes = np.unique(mask, return_inverse=True)   # format each distinct value once
-    texts = list(map(str, values.tolist()))
-    rows = ([*map(texts.__getitem__, row)] for row in codes.reshape(mask.shape).tolist())
-    write_csv(path, feature_names, rows)
+    """Write a 0/1 mask under a header of feature names, byte for byte as
+    write_csv writes it: the header as csv.writer quotes it, then every cell
+    from one buffer of digits, commas and \\r\\n line ends. A cell that is
+    not 0 or 1 is refused with ValueError."""
+    mask = np.asarray(mask)
+    ones = mask == 1
+    bad = ~(ones | (mask == 0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"mask cell in column {feature_names[j]!r}, row {i}, is {float(mask[i, j])!r}; "
+                         "mask cells must be 0 or 1")
+    header = io.StringIO(newline="")
+    csv.writer(header).writerow(feature_names)
+    n, d = mask.shape
+    # each row is d digits with a comma after all but the last, then \r\n
+    text = np.full((n, max(2 * d, 1) + 1), ord(","), dtype=np.uint8)
+    text[:, 0:2 * d:2] = np.where(ones, ord("1"), ord("0"))
+    text[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,8 @@ def report_to_json_dict(report: BenchmarkReport) -> dict:
 
 
 def write_report_json(path, report: BenchmarkReport) -> None:
+    # a training config may hold NumPy integers, which are written as JSON integers; the
+    # text is built before the file is opened, so a value that fails leaves no partial file
+    text = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False, default=operator.index)
     with open(path, "w", encoding="utf-8") as fh:
-        # a training config may hold NumPy integers, which are written as JSON integers
-        json.dump(report_to_json_dict(report), fh, indent=2, allow_nan=False, default=operator.index)
+        fh.write(text)

@@ -20,6 +20,7 @@ import numpy as np
 Array = np.ndarray
 
 OPTIMIZERS = ("adam", "sgd")
+FLUSH_EVERY = 64    # Adam steps between flushes of subnormal moments to zero
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,15 @@ def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays)
     """Update params in place, one pass over the buffer per operation. SGD
     is exactly p -= lr * g; Adam is p -= lr * (m / c1) / (sqrt(v / c2) + eps),
     rounded in that order. params and grads must be FlatArrays of the state's
-    layout: a net's params() and the gradients dense_backward returns."""
+    layout: a net's params() and the gradients dense_backward returns.
+
+    Every FLUSH_EVERY Adam steps, after the update, moment cells below the
+    dtype's smallest normal magnitude are set to 0. A dead unit's first
+    moment otherwise decays into the subnormal range and stays there, since
+    m * 0.9 rounds a few units of the last place back to itself, and every
+    later pass over a subnormal cell is slow. Such a moment moves its weight
+    by at most about lr * tiny / eps (1.2e-33 in float32 at lr 1e-3), which
+    rounds away against any weight above about 1e-26."""
     if not (type(params) is type(grads) is FlatArrays and params.shapes == grads.shapes == state.shapes):
         raise ValueError(f"params and grads must be FlatArrays with the optimizer's shapes {state.shapes}")
     p, g = params.flat, grads.flat
@@ -318,3 +327,7 @@ def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays)
     denom += state.eps
     step /= denom
     p -= step
+    if t % FLUSH_EVERY == 0:
+        tiny = np.finfo(m.dtype).tiny
+        m[np.abs(m) < tiny] = 0.0
+        v[v < tiny] = 0.0

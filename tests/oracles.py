@@ -8,6 +8,7 @@ product computed and every operation in its textbook order, so the lean
 library paths can be required to match them bit for bit.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -211,6 +212,37 @@ def ref_recon_grad(x_bar, x_tilde, mask, kinds):
     live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
     d_ce = -x_tilde / np.clip(x_bar, EPS, 1.0 - EPS) * live
     return mask * np.where(binary, d_ce, 2.0 * (x_bar - x_tilde)) / x_bar.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# CSV reading through the csv module, the reference for read_csv_table
+# ---------------------------------------------------------------------------
+
+def ref_read_csv_table(path):
+    """(header, rows, lines) of a headered CSV, every record from csv.reader:
+    blank lines are skipped, lines[i] is the file line record i starts on,
+    and a duplicate header name or a row of another width is an error."""
+    rows, lines = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    for k, column in enumerate(header):
+        if column in header[:k]:
+            raise ValueError(f"{path}: duplicate column name {column!r} in the header; "
+                             "header names must be distinct")
+    for row, line in zip(rows, lines):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
+    return header, rows, lines
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cgain.data import (BINARY, CONTINUOUS, Dataset, build_dataset, corrupt_mcar
 from cgain.nn import make_rng
 
 from conftest import assert_same_bits, toy_dataset
-from oracles import ref_parse_mask, ref_parse_table
+from oracles import ref_parse_mask, ref_parse_table, ref_read_csv_table
 
 
 def write_csv(path, text):
@@ -278,6 +278,67 @@ def test_errors_name_the_file_line_of_the_record(tmp_path, loader, text, message
     assert str(info.value) == f"{p}: {message}"
 
 
+# ---------------------------------------------------------------------------
+# reader against csv.reader
+# ---------------------------------------------------------------------------
+
+READER_CHARS = ["a", "1", ",", " ", "\r", "\n", "\r\n", "\x0b", "\x85", "\u00e9"]
+
+
+def _read_outcome(read, path):
+    try:
+        header, rows, lines = read(path)
+        return header, list(rows), list(lines)
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _read_with_lines(path):
+    header, rows = read_csv_table(path)
+    return header, rows, rows.lines
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.lists(st.sampled_from(READER_CHARS)),
+                      st.lists(st.sampled_from(READER_CHARS + ['"', "\0"]))).map("".join))
+def test_reader_matches_csv_reader(text):
+    """Header, rows, their file lines and every error, for texts with and
+    without quotes and NULs; \\x0b and \\x85 end no line for csv.reader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _read_outcome(ref_read_csv_table, path)
+        actual = _read_outcome(_read_with_lines, path)
+    assert actual == expected
+
+
+@pytest.mark.parametrize("text, quoted", [
+    ("a,b,y\r\n1,2,0\r\n\r\n3,4,1\r\n", False),
+    ("a,b,y\n1,2,0\r3,\x0b4,1", False),
+    ('a,b,y\n1,2,"0"\n', True),
+    ("a,b,y\n1,2,\0\n", True),
+])
+def test_reader_hands_only_quoted_or_nul_files_to_csv_reader(tmp_path, monkeypatch, text, quoted):
+    calls = []
+    real_reader = csv.reader
+    monkeypatch.setattr(data.csv, "reader", lambda lines: calls.append(1) or real_reader(lines))
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    actual = _read_outcome(_read_with_lines, path)
+    assert len(calls) == (1 if quoted else 0)
+    assert actual == _read_outcome(ref_read_csv_table, path)
+
+
+def test_reader_keeps_the_csv_field_size_error(tmp_path):
+    path = write_csv(tmp_path / "t.csv", "a,b\n123456789,1\n")
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(csv.Error, match=r"^field larger than field limit \(8\)$"):
+            read_csv_table(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
 @settings(max_examples=100, deadline=None)
 @given(width=st.integers(1, 4),
        cells=st.lists(st.sampled_from(["0", "1", " 1", "0 ", "", "2", "01", "1.0", "x"]),
@@ -340,6 +401,31 @@ def test_block_writer_hands_only_blocks_needing_quotes_to_csv_writer(monkeypatch
     monkeypatch.setattr(data.csv, "writer", lambda fh: calls.append(fh) or real_writer(fh))
     assert _write_csv_bytes(header, rows) == expected
     assert len(calls) == 1   # blocks: header + 3 clean | 1 clean, dirty, 2 clean | 1 clean
+
+
+MASK_NAME = st.text(alphabet=st.sampled_from(list('ab,"\n\u00e9 ')), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(MASK_NAME, max_size=5), n_rows=st.integers(0, 6),
+       cells=st.sampled_from([[0.0, 1.0], [0.0, -0.0, 1.0], [0, 1]]), seed=st.integers(0, 2**32 - 1))
+def test_mask_writer_matches_csv_writer(header, n_rows, cells, seed):
+    mask = np.random.default_rng(seed).choice(np.array(cells), size=(n_rows, len(header)))
+    rows = [[str(int(v)) for v in row] for row in mask.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_mask_csv(path, mask, header)
+        assert path.read_bytes() == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("cell", [0.5, 2.0, -1.0, np.nan])
+def test_mask_writer_refuses_a_cell_not_0_or_1(tmp_path, cell):
+    mask = np.ones((3, 2))
+    mask[2, 1] = cell
+    with pytest.raises(ValueError, match=f"^mask cell in column 'b', row 2, is {cell!r}; "
+                                         "mask cells must be 0 or 1$"):
+        write_mask_csv(tmp_path / "m.csv", mask, ["a", "b"])
+    assert not (tmp_path / "m.csv").exists()
 
 
 # ---------------------------------------------------------------------------

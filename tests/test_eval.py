@@ -305,6 +305,19 @@ def test_report_json_is_strict_with_null_for_a_class_without_missing_cells(tmp_p
     assert all(isinstance(rep["per_class"]["a"], float) for rep in reps)
 
 
+def test_report_json_that_fails_to_serialize_leaves_no_file(tmp_path):
+    report = run_benchmark(balanced_binary(n=40, d=2, seed=34), ["mean"], [0.2], repetitions=1,
+                           root_seed=35)
+    report.config["train"]["batch_size"] = object()
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_bytes(b"earlier report")
+    for path in (fresh, kept):
+        with pytest.raises(TypeError):
+            ev.write_report_json(path, report)
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier report"
+
+
 def test_report_json_v2_states_each_fact_once():
     ds = balanced_binary(n=50, d=3, seed=24)
     report = run_benchmark(ds, ["mean", "mice_lite"], [0.1, 0.2], repetitions=2,

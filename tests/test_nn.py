@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.nn import (OPTIMIZERS, DenseNet, FlatArrays, dense_backward, dense_forward,
+from cgain.nn import (FLUSH_EVERY, OPTIMIZERS, DenseNet, FlatArrays, dense_backward, dense_forward,
                       init_dense, make_optimizer, make_rng, optimizer_step, sigmoid, uniform,
                       xavier_uniform)
 from conftest import assert_same_bits
@@ -293,6 +293,33 @@ def test_adam_bits_equal_textbook_reference_over_many_steps():
             assert_same_bits(params[i], ref_p[i])
             assert_same_bits(state.m[i], ref_m[i])
             assert_same_bits(state.v[i], ref_v[i])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_flushes_subnormal_moments_every_64th_step(dtype):
+    rng = make_rng(43)
+    shapes = [(5, 3), (3,)]
+    params = FlatArrays.zeros(shapes, dtype)
+    params.flat[:] = rng.normal(size=params.flat.size)
+    state = make_optimizer("adam", 1e-3, params)
+    dead = np.arange(params.flat.size) % 3 == 0     # cells whose gradient is always 0
+    subnormal = 3 * np.finfo(dtype).smallest_subnormal
+    state.m.flat[dead], state.v.flat[dead] = subnormal, 400 * subnormal
+    ref_p, ref_m, ref_v = params.flat.copy(), state.m.flat.copy(), state.v.flat.copy()
+    grads = FlatArrays.zeros(shapes, dtype)
+    for t in range(1, FLUSH_EVERY + 1):
+        grads.flat[:] = np.where(dead, 0.0, rng.normal(size=grads.flat.size))
+        optimizer_step(state, params, grads)
+        ref_adam_step(ref_p, grads.flat, ref_m, ref_v, t, 1e-3)
+        assert_same_bits(params.flat, ref_p)
+        if t < FLUSH_EVERY:
+            assert_same_bits(state.m.flat, ref_m)
+            assert_same_bits(state.v.flat, ref_v)
+    # the reference's moments never left the subnormal range, and the flush zeroed exactly them
+    assert np.all(ref_m[dead] == subnormal)
+    assert np.all((ref_v[dead] > 0) & (ref_v[dead] < np.finfo(dtype).tiny))
+    assert_same_bits(state.m.flat, np.where(dead, 0.0, ref_m))
+    assert_same_bits(state.v.flat, np.where(dead, 0.0, ref_v))
 
 
 # ---------------------------------------------------------------------------
