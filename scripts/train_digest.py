@@ -30,6 +30,10 @@ One input is an unquoted CSV with \r\n line ends; the other has a quoted
 label that spans two lines and a blank line, so it goes through the csv
 module.
 
+The last three lines are one per stand-in table at its default arguments
+(spambase_like, credit_like and letter_like). Each covers the features, the
+labels, every ColumnSpec and the class names, so a change to a table shows.
+
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
 Run it on two checkouts and compare the outputs with `diff`. BLAS is pinned
@@ -56,7 +60,7 @@ import numpy as np  # noqa: E402
 
 from cgain import cli  # noqa: E402
 from cgain.data import build_dataset, corrupt_mcar, denormalize  # noqa: E402
-from cgain.datasets import credit_like, letter_like  # noqa: E402
+from cgain.datasets import credit_like, letter_like, spambase_like  # noqa: E402
 from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark  # noqa: E402
 from cgain.imputer import ImputerModel, TrainConfig, impute, save_model, train  # noqa: E402
 from cgain.nn import make_rng  # noqa: E402
@@ -106,6 +110,16 @@ def report_digests(report) -> tuple[str, str]:
             rep["seconds"] = 0.0
     return (hashlib.sha256(json.dumps(report_csv_rows(report)).encode()).hexdigest(),
             hashlib.sha256(json.dumps(payload).encode()).hexdigest())
+
+
+def table_digest(dataset) -> str:
+    """The sha256 of a table's features, labels, column specs and class names."""
+    h = hashlib.sha256()
+    for array in (dataset.features, dataset.labels):
+        h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    specs = [dataclasses.asdict(spec) for spec in dataset.schema]
+    h.update(json.dumps([specs, dataset.class_names]).encode())
+    return h.hexdigest()
 
 
 def cli_texts() -> dict[str, str]:
@@ -210,6 +224,8 @@ def main() -> None:
     for name, text in cli_texts().items():
         for line in cli_digests(name, text):
             print(line)
+    for make in (spambase_like, credit_like, letter_like):
+        print(f"{table_digest(make())}  table {make.__name__}")
 
 
 if __name__ == "__main__":

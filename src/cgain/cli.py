@@ -62,7 +62,7 @@ class RunConfig:
     adv_sign: str = _flag(TrainConfig.adversarial_sign,
                           "generator adversarial-term sign convention", ADV_SIGNS)
     eval_mode: str = _flag("repetition", "benchmark evaluation mode", EVAL_MODES)
-    jobs: int = _flag(0, "parallel benchmark workers (0 = all cores)")
+    jobs: int = _flag(0, "parallel benchmark workers (0 = the CPUs this process may use)")
     model: str = _flag("", "model file (impute input)")
     mask: str = _flag("", "mask CSV accompanying --data")
 
@@ -121,8 +121,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             cfg.seed = _seed(os.environ.get(SEED_ENV) or "0")
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"${SEED_ENV} {exc}") from None
-    if cfg.jobs == 0:
-        cfg.jobs = os.cpu_count() or 1
+    if cfg.jobs == 0:   # the CPUs this process may run on
+        cfg.jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cfg
 
 

@@ -142,9 +142,10 @@ def _records(lines: list[str]):
 
 def read_csv_table(path) -> tuple[list[str], CsvRows]:
     """Read a headered CSV into (header, rows of raw cell strings), skipping
-    blank lines; a quoted cell may span lines."""
+    blank lines; a quoted cell may span lines. A leading UTF-8 byte-order
+    mark, as Excel writes, is dropped."""
     # newline="" splits lines at \r\n, \n and a lone \r, where csv.reader splits them
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(fh.readlines())
     _, header = next(records, (0, None))
     if header is None:

@@ -186,7 +186,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     the rarer class) holds that share of the rows, and the fraction-f block
     is exactly the rate grid on that subsample with root seed
     spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
-    grid runs on one pool of `jobs` workers.
+    grid runs on one pool of min(jobs, tasks) workers, or in this process
+    when that is 1.
     """
     if repetitions < 1:
         raise ValueError(f"need at least 1 repetition, got {repetitions}")
@@ -248,8 +249,10 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
                           for rep in range(repetitions)]
                 cells.append(BenchmarkCell(method, rate, fraction))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at once, so it gets no more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_rep_task, tasks))
     else:
         outcomes = [_rep_task(t) for t in tasks]

@@ -15,7 +15,6 @@ the pipeline is exactly the unconditional one.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -51,10 +50,14 @@ class TrainConfig:
     log_every: int = 100
 
     def validate(self) -> None:
-        for name in ("batch_size", "iterations", "hidden_multiplier", "seed", "log_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+        for names, types, what in (
+                (("batch_size", "iterations", "hidden_multiplier", "seed", "log_every"),
+                 (int, np.integer), "an integer"),
+                (("alpha", "learning_rate"), (int, float, np.integer, np.floating), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ValueError(f"{name.replace('_', ' ')} must be {what}, got {value!r}")
         if not isinstance(self.conditional, bool):
             raise ValueError(f"conditional must be a bool, got {self.conditional!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -79,18 +82,21 @@ class TrainConfig:
 class ImputerModel:
     """Trained generator/discriminator pair plus conditioning metadata; the
     feature count is len(column_kinds), and config says whether the nets
-    take the labels."""
+    take the labels. binary_cols is the (1, d) row that flags the binary
+    columns, or None when there is none, fixed when the model is built."""
 
     generator: DenseNet
     discriminator: DenseNet
     n_classes: int
     column_kinds: list[str]
     config: TrainConfig
+    binary_cols: Array | None = field(init=False, repr=False, compare=False)
 
     n_features = property(lambda self: len(self.column_kinds))
     conditional = property(lambda self: self.config.conditional)
 
     def __post_init__(self):
+        self.binary_cols = _binary_columns(self.column_kinds, self.n_features)
         layout = [dense_shapes(*w) for w in _layer_widths(self.n_features, self.n_classes, self.config)]
         if [self.generator.params().shapes, self.discriminator.params().shapes] != layout:
             raise ValueError(f"net shapes differ from {layout}, the layout for these features, classes "
@@ -126,8 +132,13 @@ def sample_hint_b(mask: Array, rng: np.random.Generator) -> Array:
     n, d = mask.shape
     if n < 1:
         raise ValueError("empty mask batch")
-    b = np.ones((n, d))
-    b[np.arange(n), rng.integers(0, d, size=n)] = 0.0
+    return hint_flags(rng.integers(0, d, size=n), d)
+
+
+def hint_flags(cols: Array, d: int) -> Array:
+    """b, the flags the losses take: 0 at row i's column cols[i], 1 elsewhere."""
+    b = np.ones((len(cols), d))
+    b[np.arange(len(cols)), cols] = 0.0
     return b
 
 
@@ -282,20 +293,11 @@ def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
     """(1, d) row flagging binary columns, or None when there is none."""
     if len(column_kinds) != d:
         raise ValueError(f"{len(column_kinds)} column kinds for {d} columns")
-    return _binary_row(tuple(column_kinds))
-
-
-@functools.lru_cache(maxsize=32)
-def _binary_row(column_kinds: tuple[str, ...]) -> Array | None:
-    # validated once per distinct list of kinds; the row is shared, so read-only
     for k in column_kinds:
         if k not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown column kind {k!r}")
     row = np.array([k == BINARY for k in column_kinds])[None, :]
-    if not row.any():
-        return None
-    row.flags.writeable = False
-    return row
+    return row if row.any() else None
 
 
 def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str) -> Array:
@@ -311,9 +313,9 @@ def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str) -> Array:
     return grad
 
 
-def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, column_kinds: list[str]) -> Array:
+def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, binary_cols: Array | None) -> Array:
+    """d(reconstruction part)/dx_bar, for binary_cols as _binary_columns gives it."""
     n = x_bar.shape[0]
-    binary_cols = _binary_columns(column_kinds, x_bar.shape[1])
     grad = 2.0 * (x_bar - x_tilde)
     if binary_cols is not None:
         live = (x_bar > EPS) & (x_bar < 1.0 - EPS)
@@ -360,13 +362,6 @@ def _hint(m: Array, cols: Array) -> Array:
     return hint
 
 
-def hint_flags(cols: Array, d: int) -> Array:
-    """b, the flags the losses take: 0 at row i's column cols[i], 1 elsewhere."""
-    b = np.ones((len(cols), d))
-    b[np.arange(len(cols)), cols] = 0.0
-    return b
-
-
 def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z: Array,
                              cols: Array) -> tuple[FlatArrays, Array]:
     """Discriminator gradients on one batch hinted at columns cols, generator held fixed.
@@ -396,7 +391,7 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     # w1[:d] alone would round differently
     d_input_grad = dense_backward(model.discriminator, d_cache,
                                   _adv_grad_mhat(m_hat, m, cols, cfg.adversarial_sign), wrt="input")
-    dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.column_kinds)
+    dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= cfg.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
     dx_bar += d_input_grad[:, :model.n_features] * (1.0 - m)
@@ -556,7 +551,7 @@ def load_model(path) -> ImputerModel:
     config = TrainConfig(**config)
     try:
         config.validate()
-    except (TypeError, ValueError) as exc:   # a float field of the wrong type fails math.isfinite
+    except ValueError as exc:
         raise ValueError(f"{path}: invalid config: {exc}") from None
 
     shapes = [s for widths in _layer_widths(len(kinds), n_classes, config) for s in dense_shapes(*widths)]

@@ -21,6 +21,7 @@ Array = np.ndarray
 
 OPTIMIZERS = ("adam", "sgd")
 FLUSH_EVERY = 64    # Adam steps between flushes of subnormal moments to zero
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's standard constants, as in GAIN
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,8 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) ->
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected Adam over one FlatArrays layout, `shapes`.
+    """Plain SGD or bias-corrected Adam, at the constants ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS, over one FlatArrays layout, `shapes`.
 
     For Adam, m and v hold the moments and scratch two work buffers, each a
     FlatArrays of that layout in the dtype of the params, so updates
@@ -264,9 +266,6 @@ class OptimizerState:
     kind: str
     learning_rate: float
     shapes: tuple[tuple[int, ...], ...]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: FlatArrays | tuple = ()
     v: FlatArrays | tuple = ()
@@ -309,22 +308,22 @@ def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays)
         p -= state.learning_rate * g
         return
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m.flat, state.v.flat
     step, denom = (s.flat for s in state.scratch)
-    m *= state.beta1
-    np.multiply(1.0 - state.beta1, g, out=step)
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, g, out=step)
     m += step
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=step)
     step *= g
     v += step
     np.divide(m, c1, out=step)
     step *= state.learning_rate
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     p -= step
     if t % FLUSH_EVERY == 0:

@@ -7,7 +7,7 @@ import numpy as np
 
 from cgain.nn import dense_backward, dense_forward, init_dense, make_rng
 from cgain.imputer import (generator_loss_parts, loss_discriminator,
-                           _adv_grad_mhat, _loss_d_grad, _recon_grad_xbar)
+                           _adv_grad_mhat, _binary_columns, _loss_d_grad, _recon_grad_xbar)
 
 LOSS_FORMS = ("d_xent", "g_adv", "recon")
 
@@ -74,7 +74,7 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
     elif loss_form == "g_adv":
         grad_out = _adv_grad_mhat(out, mask, cols, sign)
     elif loss_form == "recon":
-        grad_out = _recon_grad_xbar(out, x_t, mask, kinds)
+        grad_out = _recon_grad_xbar(out, x_t, mask, _binary_columns(kinds, d_out))
     else:
         raise ValueError(loss_form)
     analytic = dense_backward(net, cache, grad_out, wrt="params")

@@ -54,6 +54,27 @@ def test_corrupt_writes_data_and_mask(tmp_path, capsys):
     assert all(row[3] != "" for row in rows)
 
 
+def test_inputs_with_a_byte_order_mark_keep_their_first_column_name(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    text = "y,a,b\n" + "".join(f"{i % 2},{i}.5,{(7 * i) % 11}.25\n" for i in range(30))
+    (tmp_path / "d.csv").write_bytes(bom + text.encode("utf-8"))
+    assert run("corrupt", "--data", tmp_path / "d.csv", "--label-col", "y", "--rate", "0.3",
+               "--seed", "5", "--out", tmp_path / "c") == 0
+    for stem in ("c.data.csv", "c.mask.csv"):
+        blob = (tmp_path / stem).read_bytes()
+        assert not blob.startswith(bom)     # files the CLI writes have none
+        (tmp_path / f"bom.{stem}").write_bytes(bom + blob)
+    assert read_csv_table(tmp_path / "bom.c.mask.csv")[0] == ["a", "b"]
+    plain = data_module.load_incomplete_csv(tmp_path / "c.data.csv", "y", mask_path=tmp_path / "c.mask.csv")
+    marked = data_module.load_incomplete_csv(tmp_path / "bom.c.data.csv", "y",
+                                             mask_path=tmp_path / "bom.c.mask.csv")
+    assert marked.dataset.label_column == "y"
+    assert np.array_equal(marked.mask, plain.mask)
+    assert np.array_equal(marked.dataset.features, plain.dataset.features)
+    assert run("train", "--data", tmp_path / "bom.c.data.csv", "--mask", tmp_path / "bom.c.mask.csv",
+               "--label-col", "y", "--iters", "2", "--out", tmp_path / "r") == 0
+
+
 def test_corrupt_fraction_on_breast_cancer(tmp_path):
     pytest.importorskip("sklearn")
     from cgain.datasets import load_breast_cancer_dataset, write_dataset_csv
@@ -541,6 +562,20 @@ def test_every_training_knob_reaches_the_saved_model(tmp_path, source):
 # ---------------------------------------------------------------------------
 # scripts/make_datasets.py
 # ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_jobs_0_means_the_cpus_this_process_may_run_on():
+    # the child pins itself to one CPU, so the test changes no affinity of its own
+    code = ("import os\n"
+            "from cgain import cli\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "args = cli.build_parser().parse_args(['benchmark', '--jobs', '0'])\n"
+            "print(cli.resolve_config(args).jobs)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "1\n"
+
 
 def test_make_datasets_writes_the_stand_ins_without_scikit_learn(tmp_path):
     root = Path(__file__).resolve().parents[1]

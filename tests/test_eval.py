@@ -126,6 +126,34 @@ def test_parallel_execution_matches_serial():
         assert report_csv_rows(serial) == report_csv_rows(parallel)
 
 
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", SerialPool)
+    ds = balanced_binary(n=40, d=3, seed=11)
+    four_tasks = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2, root_seed=12, jobs=64)
+    assert started == [4]
+    serial = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2, root_seed=12, jobs=1)
+    assert report_csv_rows(four_tasks) == report_csv_rows(serial)
+    run_benchmark(ds, ["mean"], [0.15], repetitions=1, root_seed=12, jobs=64)   # one task: no pool
+    assert started == [4]
+
+
 def test_models_run_in_benchmark_and_record_seconds():
     ds = balanced_binary(n=40, d=3, seed=13)
     report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=1,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import cgain.imputer as imputer_module
-from cgain.data import (CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
+from cgain.data import (BINARY, CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
                          uncorrupted)
 from cgain.imputer import (ADV_SIGNS, EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_model,
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
@@ -24,9 +24,11 @@ from oracles import (ref_adv_grad, ref_backward, ref_forward, ref_loss_d_grad, r
                      scalar_forward, scalar_loss_d, scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
 
 
-def small_model(d=3, m=2, seed=0, conditional=True, **cfg_kwargs):
+def small_model(d=3, m=2, seed=0, conditional=True, binary=(), **cfg_kwargs):
+    """A model whose columns in `binary` are binary; the kinds draw nothing,
+    so they leave the weights as they are."""
     cfg = TrainConfig(conditional=conditional, hidden_multiplier=2, seed=seed, **cfg_kwargs)
-    kinds = [CONTINUOUS] * d
+    kinds = [BINARY if j in binary else CONTINUOUS for j in range(d)]
     return build_model(d, m, kinds, cfg, make_rng(seed))
 
 
@@ -316,8 +318,7 @@ def test_loss_validation_errors():
 
 @pytest.mark.parametrize("sign", ["gain", "literal"])
 def test_generator_gradients_through_fixed_discriminator(sign):
-    model = as_float64(small_model(d=3, m=2, seed=14, alpha=7.5, adversarial_sign=sign))
-    model.column_kinds[1] = "binary"
+    model = as_float64(small_model(d=3, m=2, seed=14, binary=[1], alpha=7.5, adversarial_sign=sign))
     x_t, mask, y, z, b, hint = random_batch(model, n=4, seed=15)
     x_t[:, 1] = np.round(x_t[:, 1])
     cfg = model.config
@@ -356,9 +357,8 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
     # the generator step must take the x_hat block of the full discriminator
     # input gradient; both steps must match a backward pass that computes
     # every product
-    model = as_float64(small_model(d=5, m=3, seed=23, alpha=7.5, adversarial_sign=sign))
-    if binary:
-        model.column_kinds[2] = "binary"
+    model = as_float64(small_model(d=5, m=3, seed=23, binary=[2] if binary else [], alpha=7.5,
+                                   adversarial_sign=sign))
     x_t, mask, y, z, b, hint = random_batch(model, n=9, seed=24)
     x_t[:, 2] = np.round(x_t[:, 2])
     x_bar, g_cache = ref_forward(model.generator, np.concatenate([x_t, mask, (1.0 - mask) * z, y], axis=1))
@@ -591,6 +591,14 @@ def test_train_validates_config():
     for value in (1, np.bool_(True), "yes"):
         with pytest.raises(ValueError, match=f"^conditional must be a bool, got {re.escape(repr(value))}$"):
             train(inc, TrainConfig(conditional=value))
+    # float fields take Python and NumPy reals, never a bool or a string
+    for field, value in (("alpha", "1"), ("alpha", True), ("learning_rate", "0.001"),
+                         ("learning_rate", np.bool_(True)), ("learning_rate", None)):
+        with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')} must be a number, got "
+                                             f"{re.escape(repr(value))}$"):
+            train(inc, TrainConfig(**{field: value}))
+    TrainConfig(alpha=np.float32(50.0), learning_rate=np.float64(1e-3)).validate()
+    TrainConfig(alpha=np.int64(10), learning_rate=1).validate()
 
 
 def test_numpy_integer_config_trains_and_round_trips_through_a_model_file(tmp_path):
@@ -672,6 +680,14 @@ def test_impute_fills_missing_and_preserves_observed():
     assert np.all(out.features >= 0.0) and np.all(out.features <= 1.0)
     out2 = impute(model, inc, make_rng(75))
     assert np.array_equal(out.features, out2.features)
+
+
+def test_model_checks_its_column_kinds_and_keeps_the_binary_row_when_built():
+    with pytest.raises(ValueError, match="^unknown column kind 'categorical'$"):
+        build_model(3, 2, [CONTINUOUS, "categorical", CONTINUOUS], TrainConfig(), make_rng(0))
+    assert build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)).binary_cols is None
+    model = build_model(3, 2, [BINARY, CONTINUOUS, BINARY], TrainConfig(), make_rng(0))
+    assert_array_equal(model.binary_cols, [[True, False, True]])
 
 
 def test_impute_rejects_dimension_mismatch():
@@ -821,13 +837,15 @@ def with_config(**values):
     (with_config(seed=1.5), "invalid config: seed must be an integer, got 1.5"),
     (with_config(log_every=True), "invalid config: log every must be an integer, got True"),
     (with_config(conditional=1), "invalid config: conditional must be a bool, got 1"),
+    (with_config(alpha="1"), "invalid config: alpha must be a number, got '1'"),
+    (with_config(learning_rate=True), "invalid config: learning rate must be a number, got True"),
 ], ids=["bad_magic", "truncated_preamble", "format_v1", "trailing_bytes", "short_weights",
         "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
         "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
         "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
         "config_missing_field", "negative_alpha", "nan_alpha", "unknown_optimizer", "negative_seed",
         "string_batch_size", "float_hidden_multiplier", "float_batch_size", "float_seed", "bool_log_every",
-        "int_conditional"])
+        "int_conditional", "string_alpha", "bool_learning_rate"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
     save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))
