@@ -30,9 +30,13 @@ One input is an unquoted CSV with \r\n line ends; the other has a quoted
 label that spans two lines and a blank line, so it goes through the csv
 module.
 
-The last three lines are one per stand-in table at its default arguments
+Then come three lines, one per stand-in table at its default arguments
 (spambase_like, credit_like and letter_like). Each covers the features, the
 labels, every ColumnSpec and the class names, so a change to a table shows.
+
+The last line covers the min-max map: denormalize, with and without
+round_binary, and normalize of what it returns, on the three stand-in
+tables and on the corrupted 2-class table with binary columns.
 
     PYTHONPATH=src python3 scripts/train_digest.py > digests.txt
 
@@ -59,7 +63,7 @@ import warnings  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cgain import cli  # noqa: E402
-from cgain.data import build_dataset, corrupt_mcar, denormalize  # noqa: E402
+from cgain.data import build_dataset, corrupt_mcar, denormalize, normalize  # noqa: E402
 from cgain.datasets import credit_like, letter_like, spambase_like  # noqa: E402
 from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark  # noqa: E402
 from cgain.imputer import ImputerModel, TrainConfig, impute, save_model, train  # noqa: E402
@@ -119,6 +123,18 @@ def table_digest(dataset) -> str:
         h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
     specs = [dataclasses.asdict(spec) for spec in dataset.schema]
     h.update(json.dumps([specs, dataset.class_names]).encode())
+    return h.hexdigest()
+
+
+def scaling_digest(tables) -> str:
+    """The sha256 of denormalize, with and without round_binary, and of
+    normalize of its result, on each table."""
+    h = hashlib.sha256()
+    for table in tables:
+        for round_binary in (False, True):
+            raw = denormalize(table.schema, table.features, round_binary=round_binary)
+            h.update(raw.tobytes())
+            h.update(normalize(table.schema, raw).tobytes())
     return h.hexdigest()
 
 
@@ -224,8 +240,11 @@ def main() -> None:
     for name, text in cli_texts().items():
         for line in cli_digests(name, text):
             print(line)
-    for make in (spambase_like, credit_like, letter_like):
-        print(f"{table_digest(make())}  table {make.__name__}")
+    stand_ins = [make() for make in (spambase_like, credit_like, letter_like)]
+    for table in stand_ins:
+        print(f"{table_digest(table)}  table {table.name}")
+    scaled = stand_ins + [tables["2class-binary"].dataset]
+    print(f"{scaling_digest(scaled)}  scaling normalize denormalize")
 
 
 if __name__ == "__main__":

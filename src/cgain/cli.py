@@ -24,54 +24,50 @@ from .nn import OPTIMIZERS, make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, report_csv_rows, run_benchmark, time_methods, write_report_csv,
-                       write_report_json, write_timing_csv)
+from .evaluate import (EVAL_MODES, METHODS, report_csv_rows, run_benchmark, time_methods,
+                       write_report_csv, write_report_json, write_timing_csv)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
-DEFAULT_METHODS = "cgain,gain,mean,mice_lite"
+DEFAULT_METHODS = ",".join(METHODS)
 DEFAULT_IMBALANCE_RATE = "0.2"
 SEED_ENV = "CGAIN_SEED"
 
 
-def _flag(default, help: str, choices=None):
-    """A RunConfig field with the help text and choices of its --flag."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def _flag(default, help: str, choices=None, train: str | None = None):
+    """A RunConfig field with the help text and choices of its --flag and the TrainConfig field it sets."""
+    return field(default=default, metadata={"help": help, "choices": choices, "train": train})
+
+
+def _train_flag(name: str, help: str, choices=None):
+    """A RunConfig field that sets TrainConfig's field name, with its default."""
+    return _flag(getattr(TrainConfig, name), help, choices, train=name)
 
 
 @dataclass
 class RunConfig:
     """Every knob the toolkit exposes, each declared once: the field name is
     the config-file key and, with '-' for '_', the command-line flag.
-    Training knobs default to TrainConfig's values."""
+    Training knobs name the TrainConfig field they set and default to its value."""
 
     data: str = _flag("", "input CSV (header row, one label column)")
     label_col: str = _flag("", "label column name or index")
     method: str = _flag("", "cgain | gain | mean | mice_lite (comma list for benchmark)")
     rate: str = _flag("", "missing rate, or comma list for benchmark")
     reps: int = _flag(10, "repetitions (strict mode: fold count)")
-    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)")
-    alpha: float = _flag(TrainConfig.alpha, "reconstruction loss weight")
-    batch: int = _flag(TrainConfig.batch_size, "mini-batch size")
-    iters: int = _flag(TrainConfig.iterations, "training iteration budget")
-    optimizer: str = _flag(TrainConfig.optimizer, "optimizer kind", OPTIMIZERS)
-    lr: float = _flag(TrainConfig.learning_rate, "learning rate")
-    hidden_mult: int = _flag(TrainConfig.hidden_multiplier,
-                             "hidden width as a multiple of feature count")
+    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)", train="seed")
+    alpha: float = _train_flag("alpha", "reconstruction loss weight")
+    batch: int = _train_flag("batch_size", "mini-batch size")
+    iters: int = _train_flag("iterations", "training iteration budget")
+    optimizer: str = _train_flag("optimizer", "optimizer kind", OPTIMIZERS)
+    lr: float = _train_flag("learning_rate", "learning rate")
+    hidden_mult: int = _train_flag("hidden_multiplier", "hidden width as a multiple of feature count")
     imbalance: str = _flag("", "comma list of minority fractions (benchmark)")
     out: str = _flag("", "output path stem")
-    adv_sign: str = _flag(TrainConfig.adversarial_sign,
-                          "generator adversarial-term sign convention", ADV_SIGNS)
+    adv_sign: str = _train_flag("adversarial_sign", "generator adversarial-term sign convention", ADV_SIGNS)
     eval_mode: str = _flag("repetition", "benchmark evaluation mode", EVAL_MODES)
     jobs: int = _flag(0, "parallel benchmark workers (0 = the CPUs this process may use)")
     model: str = _flag("", "model file (impute input)")
     mask: str = _flag("", "mask CSV accompanying --data")
-
-
-# RunConfig field -> the TrainConfig field it sets
-_TRAIN_FIELDS = {"alpha": "alpha", "batch": "batch_size", "iters": "iterations",
-                 "optimizer": "optimizer", "lr": "learning_rate",
-                 "hidden_mult": "hidden_multiplier", "adv_sign": "adversarial_sign",
-                 "seed": "seed"}
 
 
 def _seed(text: str) -> int:
@@ -87,10 +83,11 @@ _PARSERS = {"str": str, "int": int, "float": float, "int | None": _seed}
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE pairs; '#' starts a comment; unknown keys are errors.
-    A value is parsed as its --flag's value is, type and choices included."""
+    A value is parsed as its --flag's value is, type and choices included.
+    A leading UTF-8 byte-order mark is dropped."""
     known, flags = {f.name for f in fields(RunConfig)}, _flags()
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -155,8 +152,19 @@ def _label_col(cfg: RunConfig):
 
 
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:
-    return TrainConfig(conditional=conditional,
-                       **{train: getattr(cfg, run) for run, train in _TRAIN_FIELDS.items()})
+    return TrainConfig(conditional=conditional, **{f.metadata["train"]: getattr(cfg, f.name)
+                                                   for f in fields(RunConfig) if f.metadata["train"]})
+
+
+def _corrupt_complete(cfg: RunConfig, command: str):
+    """(header, rows, incomplete dataset) of the complete file --data, read
+    once and corrupted at its one --rate with --seed."""
+    rates = _parse_floats(cfg.rate, "rate")
+    if len(rates) != 1:
+        raise ValueError(f"{command} needs exactly one --rate, got {cfg.rate!r}")
+    header, rows = read_csv_table(cfg.data)
+    dataset = load_csv(cfg.data, _label_col(cfg), table=(header, rows))
+    return header, rows, corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
 
 
 def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
@@ -173,17 +181,12 @@ def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
 
 def cmd_corrupt(cfg: RunConfig) -> int:
     _require(cfg, "data", "out")
-    rates = _parse_floats(cfg.rate, "rate")
-    if len(rates) != 1:
-        raise ValueError(f"corrupt needs exactly one --rate, got {cfg.rate!r}")
-    header, rows = read_csv_table(cfg.data)
-    dataset = load_csv(cfg.data, _label_col(cfg), table=(header, rows))
-    inc = corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
+    header, rows, inc = _corrupt_complete(cfg, "corrupt")
 
     _write_hidden(header, rows, inc, itertools.repeat(""))
     data_path, mask_path = f"{cfg.out}.data.csv", f"{cfg.out}.mask.csv"
     write_csv(data_path, header, rows)
-    write_mask_csv(mask_path, inc.mask, [c.name for c in dataset.schema])
+    write_mask_csv(mask_path, inc.mask, [c.name for c in inc.dataset.schema])
 
     achieved = 1.0 - float(inc.mask.mean())
     print(f"wrote {data_path}")
@@ -204,11 +207,7 @@ def cmd_train(cfg: RunConfig) -> int:
         if cfg.mask:
             raise ValueError("train takes --rate (corrupt a complete file) or --mask "
                              "(an incomplete file), not both")
-        rates = _parse_floats(cfg.rate, "rate")
-        if len(rates) != 1:
-            raise ValueError(f"train needs a single --rate, got {cfg.rate!r}")
-        dataset = load_csv(cfg.data, _label_col(cfg))
-        inc = corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
+        inc = _corrupt_complete(cfg, "train")[2]
     else:
         inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None)
 
@@ -296,7 +295,8 @@ def _flags() -> argparse.ArgumentParser:
     """The --flag of every RunConfig field, and --config."""
     flags = _Parser(add_help=False)
     for f in fields(RunConfig):
-        flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type], **f.metadata)
+        flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type],
+                           help=f.metadata["help"], choices=f.metadata["choices"])
     flags.add_argument("--config", help="KEY=VALUE config file; flags override it")
     return flags
 

@@ -63,8 +63,8 @@ class Dataset:
         return self.labels.shape[1]
 
     @property
-    def column_kinds(self) -> list[str]:
-        return [c.kind for c in self.schema]
+    def column_kinds(self) -> tuple[str, ...]:
+        return tuple(c.kind for c in self.schema)
 
     def class_index(self) -> Array:
         """Integer class per row, matching class_names order."""
@@ -209,20 +209,20 @@ def _sorted_class_names(values: list[str]) -> list[str]:
 def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
                   label_column: str = "label", name: str = "",
                   observed_mask: Array | None = None) -> Dataset:
-    """Type columns, normalize to [0, 1], and one-hot encode labels.
+    """Type columns, normalize to [0, 1] with normalize, and one-hot encode labels.
 
     raw is the unnormalized (n, d) feature matrix; every observed cell must
     be finite. A column whose observed values are all 0 or 1 is binary, any
     other continuous. If observed_mask is given, column statistics and the
-    binary check use observed entries only (missing cells of raw are ignored).
+    binary check use observed entries only (missing cells of raw are ignored, 0 in the features).
     """
     raw = np.asarray(raw, dtype=np.float64)
     n, d = raw.shape
     if n < 1 or d < 1:
         raise ValueError(f"need at least one row and one feature column, got {raw.shape}")
-    finite = np.isfinite(raw)
     if observed_mask is not None:
-        finite |= observed_mask == 0
+        raw = np.where(observed_mask == 0, 0.0, raw)
+    finite = np.isfinite(raw)
     bad = np.flatnonzero(~finite.all(axis=0))
     if bad.size:
         j = int(bad[0])
@@ -231,22 +231,19 @@ def build_dataset(raw: Array, label_values: list[str], feature_names: list[str],
                          "feature cells must be finite numbers")
 
     schema: list[ColumnSpec] = []
-    features = np.zeros_like(raw)
     for j, col_name in enumerate(feature_names):
-        col = raw[:, j]
-        obs = col if observed_mask is None else col[observed_mask[:, j] == 1]
+        obs = raw[:, j] if observed_mask is None else raw[observed_mask[:, j] == 1, j]
         if obs.size == 0:
             raise ValueError(f"column {col_name!r} has no observed values")
         if np.all((obs == 0.0) | (obs == 1.0)):
             schema.append(ColumnSpec(col_name, BINARY, 0.0, 1.0))
-            features[:, j] = col
         else:
             lo, hi = float(obs.min()), float(obs.max())
             if lo >= hi:
                 raise ValueError(
                     f"column {col_name!r} is constant ({lo}); min-max normalization undefined")
             schema.append(ColumnSpec(col_name, CONTINUOUS, lo, hi))
-            features[:, j] = (col - lo) / (hi - lo)
+    features = normalize(schema, raw)
 
     class_names = _sorted_class_names(label_values)
     if len(class_names) < 2:
@@ -492,28 +489,30 @@ def split_folds(dataset: Dataset, k: int, rng: np.random.Generator) -> list[Arra
 # scale round-tripping
 # ---------------------------------------------------------------------------
 
+def _scale(schema: list[ColumnSpec], values: Array) -> tuple[Array, Array, Array]:
+    """(values as float64, lo, hi - lo) of a (n, len(schema)) array, with one lo and one hi per column."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != len(schema):
+        raise ValueError(f"values shape {values.shape} does not match schema width {len(schema)}")
+    lo, hi = (np.array([getattr(spec, end) for spec in schema], dtype=np.float64) for end in ("lo", "hi"))
+    return values, lo, hi - lo
+
+
 def denormalize(schema: list[ColumnSpec], values: Array, round_binary: bool = False) -> Array:
     """Map [0, 1] values back to raw scale: raw = lo + v * (hi - lo).
 
     With round_binary, binary columns snap to the nearest of {0, 1}.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(schema):
-        raise ValueError(f"values shape {values.shape} does not match schema width {len(schema)}")
-    out = np.empty_like(values)
-    for j, spec in enumerate(schema):
-        out[:, j] = spec.lo + values[:, j] * (spec.hi - spec.lo)
-        if round_binary and spec.kind == BINARY:
-            out[:, j] = np.where(out[:, j] >= 0.5, 1.0, 0.0)
+    values, lo, span = _scale(schema, values)
+    out = lo + values * span
+    if round_binary:
+        binary = [spec.kind == BINARY for spec in schema]
+        out[:, binary] = out[:, binary] >= 0.5
     return out
 
 
 def normalize(schema: list[ColumnSpec], raw: Array) -> Array:
-    """Inverse of denormalize for values inside each column's (lo, hi) range."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2 or raw.shape[1] != len(schema):
-        raise ValueError(f"values shape {raw.shape} does not match schema width {len(schema)}")
-    out = np.empty_like(raw)
-    for j, spec in enumerate(schema):
-        out[:, j] = (raw[:, j] - spec.lo) / (spec.hi - spec.lo)
-    return out
+    """Inverse of denormalize for values inside each column's (lo, hi) range:
+    v = (raw - lo) / (hi - lo)."""
+    raw, lo, span = _scale(schema, raw)
+    return (raw - lo) / span

@@ -81,14 +81,14 @@ class TrainConfig:
 @dataclass
 class ImputerModel:
     """Trained generator/discriminator pair plus conditioning metadata; the
-    feature count is len(column_kinds), and config says whether the nets
-    take the labels. binary_cols is the (1, d) row that flags the binary
+    feature count is len(column_kinds), a tuple, and config says whether the
+    nets take the labels. binary_cols is the (1, d) row that flags the binary
     columns, or None when there is none, fixed when the model is built."""
 
     generator: DenseNet
     discriminator: DenseNet
     n_classes: int
-    column_kinds: list[str]
+    column_kinds: tuple[str, ...]
     config: TrainConfig
     binary_cols: Array | None = field(init=False, repr=False, compare=False)
 
@@ -96,6 +96,7 @@ class ImputerModel:
     conditional = property(lambda self: self.config.conditional)
 
     def __post_init__(self):
+        self.column_kinds = tuple(self.column_kinds)
         self.binary_cols = _binary_columns(self.column_kinds, self.n_features)
         layout = [dense_shapes(*w) for w in _layer_widths(self.n_features, self.n_classes, self.config)]
         if [self.generator.params().shapes, self.discriminator.params().shapes] != layout:
@@ -336,20 +337,19 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
     features, m classes: the weights are drawn in float64, then rounded once."""
     gen, disc = (DenseNet(*(p.astype(np.float32) for p in init_dense(rng, *widths).params()))
                  for widths in _layer_widths(d, m, config))
-    return ImputerModel(gen, disc, m, list(column_kinds), config)
+    return ImputerModel(gen, disc, m, column_kinds, config)
 
 
 def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
           rows: int) -> tuple[Array, Array, Array, Array, Array]:
     """GAIN's draws for one half-step: rows uniform with replacement, noise
-    U(0, NOISE_HIGH) and one hinted column per row, each drawn as uniform
-    and sample_hint_b draw them, in that order. Returns (x_t, m, y, z, cols),
+    U(0, NOISE_HIGH) from uniform and one hinted column per row as
+    sample_hint_b draws it, in that order. Returns (x_t, m, y, z, cols),
     cols[i] being the one column of row i whose hint flag b is 0."""
     idx = rng.integers(0, len(features), size=rows)
     # the indices are in range, so clipping them changes nothing
     x_t, m, y = (a.take(idx, axis=0, mode="clip") for a in (features, mask, labels))
-    z = rng.random((rows, features.shape[1]))
-    z *= NOISE_HIGH
+    z = uniform(rng, 0.0, NOISE_HIGH, x_t.shape)
     return x_t, m, y, z, rng.integers(0, features.shape[1], size=rows)
 
 

@@ -50,10 +50,10 @@ def spawn_seed(root_seed: int, *path: int) -> int:
 
 
 def uniform(rng: np.random.Generator, low: float, high: float, shape) -> Array:
-    """Uniform draws in [low, high)."""
+    """Uniform draws in [low, high), as rng.uniform draws them: low + (high - low) * rng.random(shape)."""
     if not low < high:
         raise ValueError(f"uniform requires low < high, got [{low}, {high})")
-    return rng.uniform(low, high, size=shape)
+    return low + (high - low) * rng.random(shape)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:

@@ -292,3 +292,21 @@ def ref_parse_mask(path, header, rows):
                                  f"mask cells must be 0 or 1, got {v!r}")
             mask[i, j] = float(v)
     return mask
+
+
+def ref_denormalize(schema, values, round_binary=False):
+    """denormalize one column at a time, each with its own lo and hi."""
+    out = np.empty_like(values)
+    for j, spec in enumerate(schema):
+        out[:, j] = spec.lo + values[:, j] * (spec.hi - spec.lo)
+        if round_binary and spec.kind == "binary":
+            out[:, j] = np.where(out[:, j] >= 0.5, 1.0, 0.0)
+    return out
+
+
+def ref_normalize(schema, raw):
+    """normalize one column at a time, each with its own lo and hi."""
+    out = np.empty_like(raw)
+    for j, spec in enumerate(schema):
+        out[:, j] = (raw[:, j] - spec.lo) / (spec.hi - spec.lo)
+    return out

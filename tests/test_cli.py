@@ -219,6 +219,16 @@ def test_train_rejects_rate_with_mask(tmp_path, capsys):
     assert not (tmp_path / "x.model").exists()
 
 
+@pytest.mark.parametrize("command", ["corrupt", "train"])
+def test_corrupt_and_train_need_exactly_one_rate(tmp_path, capsys, command):
+    data = write_toy_csv(tmp_path / "d.csv")
+    rc = run(command, "--data", data, "--label-col", "y", "--rate", "0.1,0.2", "--out", tmp_path / "x")
+    assert rc == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {command} needs exactly one --rate, "
+                                       "got '0.1,0.2'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 def test_train_rejects_untrainable_method(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv")
     rc = run("train", "--data", data, "--label-col", "y", "--method", "mean",
@@ -262,7 +272,7 @@ def test_impute_without_missing_is_identity(trained, tmp_path):
     rc = run("impute", "--model", model, "--data", data, "--label-col", "y",
              "--out", tmp_path / "full")
     assert rc == 0
-    assert (tmp_path / "full.imputed.csv").read_bytes() == open(data, "rb").read()
+    assert (tmp_path / "full.imputed.csv").read_bytes() == Path(data).read_bytes()
 
 
 def test_imputed_values_on_raw_scale(trained, tmp_path):
@@ -423,6 +433,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "config seed=22" in out   # flag wins over file
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed=5\nreps=3\n")
+    assert cli.parse_config_file(cfg) == {"seed": 5, "reps": 3}
 
 
 def test_unknown_config_key_fails_loudly(tmp_path, capsys):

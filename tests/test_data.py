@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -11,14 +13,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cgain import data
-from cgain.data import (BINARY, CONTINUOUS, Dataset, build_dataset, corrupt_mcar, denormalize,
-                        load_csv, load_incomplete_csv, load_mask_csv, normalize, parse_table,
+from cgain.data import (BINARY, CONTINUOUS, Dataset, IncompleteDataset, build_dataset, corrupt_mcar,
+                        denormalize, load_csv, load_incomplete_csv, load_mask_csv, normalize, parse_table,
                         read_csv_table, split_folds, subsample_imbalance, uncorrupted,
                         write_mask_csv)
 from cgain.nn import make_rng
 
 from conftest import assert_same_bits, toy_dataset
-from oracles import ref_parse_mask, ref_parse_table, ref_read_csv_table
+from oracles import (ref_denormalize, ref_normalize, ref_parse_mask, ref_parse_table,
+                     ref_read_csv_table)
 
 
 def write_csv(path, text):
@@ -93,6 +96,24 @@ def test_loaders_reject_non_finite_cells(tmp_path, cell):
     p = write_csv(tmp_path / "t.csv", f"a,b,y\n1,,0\n3,{cell},1\n5,6,0\n")
     with pytest.raises(ValueError, match="column 'b' holds a non-finite value"):
         load_incomplete_csv(p, "y")
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_build_dataset_ignores_the_values_of_missing_cells(cell):
+    raw = np.array([[1.0, 2.0], [3.0, cell], [5.0, 6.0], [0.5, 4.0]])
+    labels, names = ["0", "1", "0", "1"], ["a", "b"]
+    mask = np.ones_like(raw)
+    mask[1, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = build_dataset(raw, labels, names, observed_mask=mask)
+    assert np.isfinite(ds.features).all() and ds.features[1, 1] == 0.0
+    assert ds.schema[1].lo == 2.0 and ds.schema[1].hi == 6.0
+    IncompleteDataset(ds, mask)
+    assert np.array_equal(raw[1, 1], cell, equal_nan=True)    # the caller's array is left as it was
+    # the same value at an observed cell is refused
+    with pytest.raises(ValueError, match="column 'b' holds a non-finite value"):
+        build_dataset(raw, labels, names, observed_mask=np.ones_like(raw))
 
 
 def test_label_column_by_index_and_missing_column(tmp_path):
@@ -616,6 +637,34 @@ def test_normalize_denormalize_round_trip():
     raw = denormalize(ds.schema, ds.features)
     back = normalize(ds.schema, raw)
     assert np.max(np.abs(back - ds.features)) < 1e-9
+
+
+@pytest.mark.parametrize("round_binary", [False, True])
+def test_scaling_bits_equal_per_column_references(round_binary):
+    ds = toy_dataset(n=50, d=5, seed=13)
+    values = make_rng(14).uniform(-0.5, 1.5, size=(50, 5))
+    values[:3] = [[0.0] * 5, [-0.0] * 5, [0.5] * 5]
+    raw = denormalize(ds.schema, values, round_binary=round_binary)
+    assert_same_bits(raw, ref_denormalize(ds.schema, values, round_binary))
+    assert_same_bits(normalize(ds.schema, raw), ref_normalize(ds.schema, raw))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["complete", "masked"])
+def test_build_dataset_features_are_normalize_of_raw(masked):
+    rng = make_rng(15)
+    raw = rng.uniform(-3.0, 7.0, size=(30, 4))
+    raw[:, 2] = rng.integers(0, 2, size=30)
+    raw[3, 2] = -0.0        # a binary column holding -0.0
+    mask = None
+    if masked:
+        mask = (rng.random((30, 4)) >= 0.3).astype(np.float64)
+        mask[3, 2] = 1.0
+        raw = np.where(mask == 1, raw, 0.0)     # as loaded from a CSV
+    ds = build_dataset(raw, ["a", "b"] * 15, ["w", "x", "y", "z"], observed_mask=mask)
+    assert ds.column_kinds == (CONTINUOUS, CONTINUOUS, BINARY, CONTINUOUS)
+    expected = normalize(ds.schema, raw)
+    assert_same_bits(ds.features, expected if mask is None else expected * mask)
+    assert math.copysign(1.0, ds.features[3, 2]) == -1.0
 
 
 def test_binary_rounding_at_denormalize():

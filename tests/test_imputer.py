@@ -494,6 +494,14 @@ def test_training_runs_the_forward_functions_twice_per_iteration(monkeypatch):
     assert calls == {"generator_forward": 14, "discriminator_forward": 14}
 
 
+def test_training_draws_its_noise_through_uniform_twice_per_iteration(monkeypatch):
+    calls = []
+    real = imputer_module.uniform
+    monkeypatch.setattr(imputer_module, "uniform", lambda *args: calls.append(args[1:]) or real(*args))
+    train(random_incomplete(toy_dataset(n=40)), TrainConfig(iterations=7, batch_size=8, hidden_multiplier=2))
+    assert calls == [(0.0, NOISE_HIGH, (8, 4))] * 14
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -688,6 +696,16 @@ def test_model_checks_its_column_kinds_and_keeps_the_binary_row_when_built():
     assert build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)).binary_cols is None
     model = build_model(3, 2, [BINARY, CONTINUOUS, BINARY], TrainConfig(), make_rng(0))
     assert_array_equal(model.binary_cols, [[True, False, True]])
+
+
+def test_built_and_loaded_models_refuse_to_change_a_column_kind(tmp_path):
+    model = build_model(3, 2, [BINARY, CONTINUOUS, CONTINUOUS], TrainConfig(), make_rng(0))
+    save_model(tmp_path / "m.model", model)
+    for m in (model, load_model(tmp_path / "m.model")):
+        assert m.column_kinds == (BINARY, CONTINUOUS, CONTINUOUS)
+        with pytest.raises(TypeError):
+            m.column_kinds[1] = BINARY
+        assert_array_equal(m.binary_cols, [[True, False, False]])
 
 
 def test_impute_rejects_dimension_mismatch():

@@ -466,6 +466,15 @@ def test_uniform_bounds_and_errors():
         uniform(make_rng(1), 1.0, 1.0, (3,))
 
 
+@pytest.mark.parametrize("low, high", [(0.0, 0.01), (0.25, 0.75), (-1.0, 2.0), (-3.5, -0.25), (-1e-3, 1e3)])
+@pytest.mark.parametrize("shape", [7, (4, 5), (2, 3, 2)])
+def test_uniform_bits_and_stream_state_equal_rng_uniform(low, high, shape):
+    ours, theirs = make_rng(5), make_rng(5)
+    for _ in range(2):
+        assert_same_bits(uniform(ours, low, high, shape), theirs.uniform(low, high, size=shape))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_xavier_bounds():
     w = xavier_uniform(make_rng(2), 30, 90)
     limit = np.sqrt(6.0 / 120.0)
