@@ -72,7 +72,7 @@ def test_inputs_with_a_byte_order_mark_keep_their_first_column_name(tmp_path):
     assert np.array_equal(marked.mask, plain.mask)
     assert np.array_equal(marked.dataset.features, plain.dataset.features)
     assert run("train", "--data", tmp_path / "bom.c.data.csv", "--mask", tmp_path / "bom.c.mask.csv",
-               "--label-col", "y", "--iters", "2", "--out", tmp_path / "r") == 0
+               "--label-col", "y", "--iters", "2", "--batch", "8", "--out", tmp_path / "r") == 0
 
 
 def test_corrupt_fraction_on_breast_cancer(tmp_path):
@@ -179,8 +179,9 @@ def test_train_records_conditioning_flag_and_batch_default(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config method=gain" in out
 
-    rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
-             "--iters", "20", "--seed", "2", "--out", tmp_path / "c2")
+    with pytest.warns(UserWarning, match="clamping"):    # the default batch exceeds the 40 rows
+        rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
+                 "--iters", "20", "--seed", "2", "--out", tmp_path / "c2")
     assert rc == 0
     out = capsys.readouterr().out
     assert "config batch=128" in out   # default mini-batch size
