@@ -1,6 +1,6 @@
-"""Classical single-imputation baselines: column means and an iterative
-least-squares chained-regression scheme (a deliberately small stand-in for
-full MICE).
+"""Classical single-imputation baselines: an iterative least-squares
+chained-regression scheme (a deliberately small stand-in for full MICE), and
+column means, which are that scheme's starting point with no sweep.
 
 Both expose fit/transform: fit learns from the rows it is given, and
 transform fills the missing cells of any rows with what fit learnt, either
@@ -29,37 +29,33 @@ def _column_means(inc: IncompleteDataset) -> Array:
 
 def _mean_filled(inc: IncompleteDataset, means: Array) -> Array:
     """A copy of the features with each missing cell set to its column mean."""
-    x = inc.dataset.features.copy()
-    miss = inc.mask == 0
-    x[miss] = np.broadcast_to(means, x.shape)[miss]
-    return x
+    return np.where(inc.mask == 0, means, inc.dataset.features)
 
 
-class MeanImputer:
-    """Fill each missing cell with its column's observed mean."""
+def _others(d: int, j: int) -> list[int]:
+    return [k for k in range(d) if k != j]
 
-    def __init__(self):
-        self.means_: Array | None = None
 
-    def fit(self, inc: IncompleteDataset) -> "MeanImputer":
-        self.means_ = _column_means(inc)
-        return self
-
-    def transform(self, inc: IncompleteDataset) -> Array:
-        if self.means_ is None:
-            raise ValueError("imputer is not fitted")
-        return _mean_filled(inc, self.means_)
+def _refill(x: Array, mask: Array, j: int, beta: Array) -> None:
+    """Overwrite column j's missing cells with beta's [0, 1]-clamped
+    prediction from the other columns."""
+    rows = np.flatnonzero(mask[:, j] == 0)
+    if rows.size:
+        pred = x[rows][:, _others(x.shape[1], j)] @ beta[:-1] + beta[-1]
+        x[rows, j] = np.clip(pred, 0.0, 1.0)
 
 
 class MiceLiteImputer:
     """Chained linear regressions: initialize missing cells with column
-    means, then in each of MICE_LITE_SWEEPS sweeps re-regress each column on
-    all the others over the rows where it is observed, overwriting its
-    missing cells with the (ridge-damped, [0,1]-clamped) predictions.
+    means, then in each of SWEEPS sweeps re-regress each column on all the
+    others over the rows where it is observed, overwriting its missing cells
+    with the (ridge-damped, [0,1]-clamped) predictions.
 
     transform() replays the fitted per-sweep regressions on any rows; on the
     fitted rows it reproduces the fit's own completion.
     """
+
+    SWEEPS = MICE_LITE_SWEEPS
 
     def __init__(self):
         self.means_: Array | None = None
@@ -68,44 +64,30 @@ class MiceLiteImputer:
     def fit(self, inc: IncompleteDataset) -> "MiceLiteImputer":
         self.means_ = _column_means(inc)
         x = _mean_filled(inc, self.means_)
-        mask = inc.mask
         d = x.shape[1]
-
-        self.betas_ = []
-        for _ in range(MICE_LITE_SWEEPS):
-            sweep_betas = []
+        self.betas_ = [[] for _ in range(self.SWEEPS)]
+        for sweep_betas in self.betas_:
             for j in range(d):
-                others = [k for k in range(d) if k != j]
-                obs = mask[:, j] == 1
-                beta = self._fit_column(x[obs][:, others], x[obs, j])
-                sweep_betas.append(beta)
-                rows = np.flatnonzero(~obs)
-                if rows.size:
-                    x[rows, j] = self._predict(beta, x[rows][:, others])
-            self.betas_.append(sweep_betas)
+                obs = inc.mask[:, j] == 1
+                # least squares with intercept; tiny ridge keeps collinear columns solvable
+                z = np.column_stack([x[obs][:, _others(d, j)], np.ones(int(obs.sum()))])
+                gram = z.T @ z + RIDGE_LAMBDA * np.eye(z.shape[1])
+                sweep_betas.append(np.linalg.solve(gram, z.T @ x[obs, j]))
+                _refill(x, inc.mask, j, sweep_betas[j])
         return self
 
     def transform(self, inc: IncompleteDataset) -> Array:
         if self.betas_ is None:
             raise ValueError("imputer is not fitted")
         x = _mean_filled(inc, self.means_)
-        mask = inc.mask
-        d = x.shape[1]
         for sweep_betas in self.betas_:
-            for j in range(d):
-                others = [k for k in range(d) if k != j]
-                rows = np.flatnonzero(mask[:, j] == 0)
-                if rows.size:
-                    x[rows, j] = self._predict(sweep_betas[j], x[rows][:, others])
+            for j, beta in enumerate(sweep_betas):
+                _refill(x, inc.mask, j, beta)
         return x
 
-    def _fit_column(self, a: Array, y: Array) -> Array:
-        # least squares with intercept; tiny ridge keeps collinear columns solvable
-        z = np.column_stack([a, np.ones(a.shape[0])])
-        gram = z.T @ z + RIDGE_LAMBDA * np.eye(z.shape[1])
-        return np.linalg.solve(gram, z.T @ y)
 
-    def _predict(self, beta: Array, a: Array) -> Array:
-        pred = a @ beta[:-1] + beta[-1]
-        return np.clip(pred, 0.0, 1.0)
+class MeanImputer(MiceLiteImputer):
+    """Fill each missing cell with its column's observed mean: MICE-lite
+    with no sweep."""
 
+    SWEEPS = 0

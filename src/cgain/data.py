@@ -76,7 +76,8 @@ class Dataset:
 
 @dataclass
 class IncompleteDataset:
-    """Dataset plus observed/missing mask; masked cells are zeroed."""
+    """Dataset plus observed/missing mask; masked cells must be zeroed (0 or
+    -0.0), or the pair is refused when it is built."""
 
     dataset: Dataset
     mask: Array                     # (n, d) of {0, 1}, 1 = observed
@@ -87,6 +88,8 @@ class IncompleteDataset:
                 f"mask shape {self.mask.shape} does not match features {self.dataset.features.shape}")
         self.require(np.isfinite(self.dataset.features), (self.mask == 0) | (self.mask == 1),
                      "features must be finite and mask cells 0 or 1")
+        self.require((self.mask == 1) | (self.dataset.features == 0), np.True_,
+                     "a missing cell (mask 0) must hold 0, so its hidden value cannot be read")
 
     def require(self, features_ok: Array, mask_ok: Array, rule: str) -> None:
         """ValueError naming the first feature, then mask, cell not ok, by column and 0-based row."""

@@ -48,6 +48,7 @@ from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from .imputer import TrainConfig, impute, train
 
 METHODS = ("cgain", "gain", "mean", "mice_lite")
+BASELINES = {"mean": MeanImputer, "mice_lite": MiceLiteImputer}
 EVAL_MODES = ("repetition", "strict")
 
 
@@ -104,10 +105,8 @@ def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDa
     """Fit a method on train_inc and return imputed features for eval_inc,
     which is train_inc itself in repetition mode and the held-out rows in
     strict mode."""
-    if method == "mean":
-        return MeanImputer().fit(train_inc).transform(eval_inc)
-    if method == "mice_lite":
-        return MiceLiteImputer().fit(train_inc).transform(eval_inc)
+    if method in BASELINES:
+        return BASELINES[method]().fit(train_inc).transform(eval_inc)
     if method in ("cgain", "gain"):
         cfg = replace(train_config, conditional=(method == "cgain"), seed=method_seed)
         model, _ = train(train_inc, cfg)

@@ -111,6 +111,7 @@ def test_fit_transform_replays_the_fit_on_same_data():
     assert_allclose(mice.transform(inc), ref_mice_lite(inc.dataset.features, inc.mask, MICE_LITE_SWEEPS),
                     atol=1e-12)
     mean = MeanImputer().fit(inc)
+    assert isinstance(mean, MiceLiteImputer) and mean.betas_ == []   # mean imputation is MICE-lite's start
     assert_array_equal(mean.transform(inc), np.where(inc.mask == 1, inc.dataset.features, mean.means_))
 
 

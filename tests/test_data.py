@@ -3,6 +3,7 @@ import io
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -462,6 +463,16 @@ def test_corrupt_rejects_out_of_range_rates(dataset):
 def test_uncorrupted_mask_is_all_ones(dataset):
     inc = uncorrupted(dataset)
     assert_array_equal(inc.mask, np.ones_like(dataset.features))
+
+
+def test_a_value_left_at_a_missing_cell_is_refused(dataset):
+    # a complete table under a corruption's mask would hand its hidden cells to the generator
+    mask = corrupt_mcar(dataset, 0.3, make_rng(6)).mask
+    i, j = next((i, j) for i, j in np.argwhere(mask == 0) if dataset.features[i, j] != 0)
+    with pytest.raises(ValueError, match=rf"^feature cell in column 'c{j}', row {i}, "
+                                         rf"is {float(dataset.features[i, j])!r}; a missing cell \(mask 0\) must hold 0"):
+        IncompleteDataset(dataset, mask)
+    IncompleteDataset(replace(dataset, features=np.where(mask == 0, -0.0, dataset.features)), mask)
 
 
 def test_empirical_missing_fraction_spambase_sized():

@@ -116,14 +116,15 @@ def cli_texts() -> dict[str, str]:
 
 
 def cli_digests(name: str, text: str) -> list[str]:
-    """corrupt -> train -> impute through cli.main; one line per output file."""
+    """corrupt -> train -> impute through cli.main; one line per output file.
+    100 iterations at the default log interval put one loss row in the trace."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "in.csv").write_bytes(text.encode("utf-8"))
         label, data, mask = ["--label-col", "label"], tmp / "c.data.csv", tmp / "c.mask.csv"
         for args in (["corrupt", "--data", tmp / "in.csv", *label, "--rate", "0.2", "--seed", "11",
                       "--out", tmp / "c"],
-                     ["train", "--data", data, "--mask", mask, *label, "--method", "cgain", "--iters", "50",
+                     ["train", "--data", data, "--mask", mask, *label, "--method", "cgain", "--iters", "100",
                       "--seed", "12", "--out", tmp / "r"],
                      ["impute", "--model", tmp / "r.model", "--data", data, "--mask", mask, *label,
                       "--seed", "13", "--out", tmp / "f"]):
@@ -158,6 +159,7 @@ def digest_lines() -> list[str]:
         "clamped-batch cgain adam gain": (make_table(401, n_classes=2, n_binary=1, n_rows=40),
                                           TrainConfig(batch_size=64)),
         "1-feature cgain adam gain": (one_feature, TrainConfig()),
+        "1-feature gain adam literal": (one_feature, TrainConfig(conditional=False, adversarial_sign="literal")),
         "1-feature gain sgd literal": (one_feature, TrainConfig(conditional=False, optimizer="sgd",
                                                                 learning_rate=0.05, adversarial_sign="literal"))}
     for name, (table, config) in edges.items():
