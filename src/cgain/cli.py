@@ -50,7 +50,7 @@ class RunConfig:
     Training knobs name the TrainConfig field they set and default to its value."""
 
     data: str = _flag("", "input CSV (header row, one label column)")
-    label_col: str = _flag("", "label column name or index")
+    label_col: str = _flag("", "label column: a header name, or else a 0-based index")
     method: str = _flag("", "cgain | gain | mean | mice_lite (comma list for benchmark)")
     rate: str = _flag("", "missing rate, or comma list for benchmark")
     reps: int = _flag(10, "repetitions (strict mode: fold count)")
@@ -146,9 +146,9 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
-def _label_col(cfg: RunConfig):
+def _label_col(cfg: RunConfig) -> str:
     _require(cfg, "label_col")
-    return int(cfg.label_col) if cfg.label_col.lstrip("-").isdigit() else cfg.label_col
+    return cfg.label_col
 
 
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:

@@ -12,7 +12,6 @@ zeroed so a leaked value can never be read back.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -191,13 +190,18 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _resolve_label_column(header: list[str], label_column) -> int:
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise ValueError(f"label column index {label_column} out of range for {len(header)} columns")
-        return label_column
-    if label_column not in header:
+    """The index of the label column: a header name wins; otherwise
+    label_column is a 0-based index, an integer or a string of ASCII digits."""
+    if label_column in header:
+        return header.index(label_column)
+    if isinstance(label_column, str) and not (label_column.isascii() and label_column.isdigit()):
         raise ValueError(f"label column {label_column!r} not found in header {header}")
-    return header.index(label_column)
+    if isinstance(label_column, bool) or not isinstance(label_column, (str, int, np.integer)):
+        raise ValueError(f"label column must be a header name or a 0-based index, got {label_column!r}")
+    index = int(label_column)
+    if not 0 <= index < len(header):
+        raise ValueError(f"label column index {index} out of range for {len(header)} columns")
+    return index
 
 
 def _sorted_class_names(values: list[str]) -> list[str]:
@@ -341,6 +345,7 @@ def _load_table(path, label_column, table, allow_missing: bool,
 def load_csv(path, label_column, *, table: tuple[list[str], list[list[str]]] | None = None) -> Dataset:
     """Load a fully observed labeled CSV, named by the file stem; each
     column's kind is inferred from its values as build_dataset does.
+    label_column is a header name, or else a 0-based index.
 
     Every non-label cell must parse as a number; corruption is injected
     separately, so empty cells are a load error here. table, when given, is
@@ -352,7 +357,8 @@ def load_csv(path, label_column, *, table: tuple[list[str], list[list[str]]] | N
 
 def load_incomplete_csv(path, label_column, *, mask_path=None,
                         table: tuple[list[str], list[list[str]]] | None = None) -> IncompleteDataset:
-    """Load a labeled CSV where empty feature cells mean missing.
+    """Load a labeled CSV where empty feature cells mean missing; the label
+    column is found as for load_csv.
 
     Column statistics come from observed entries only. If mask_path is given
     the 0/1 mask file must agree with the empty-cell pattern. table is as
@@ -377,10 +383,8 @@ def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
 
 
 def write_mask_csv(path, mask: Array, feature_names: list[str]) -> None:
-    """Write a 0/1 mask under a header of feature names, byte for byte as
-    write_csv writes it: the header as csv.writer quotes it, then every cell
-    from one buffer of digits, commas and \\r\\n line ends. A cell that is
-    not 0 or 1 is refused with ValueError."""
+    """Write a 0/1 mask under a header of feature names with write_csv. A
+    cell that is not 0 or 1 is refused with ValueError."""
     mask = np.asarray(mask)
     ones = mask == 1
     bad = ~(ones | (mask == 0))
@@ -388,16 +392,7 @@ def write_mask_csv(path, mask: Array, feature_names: list[str]) -> None:
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"mask cell in column {feature_names[j]!r}, row {i}, is {float(mask[i, j])!r}; "
                          "mask cells must be 0 or 1")
-    header = io.StringIO(newline="")
-    csv.writer(header).writerow(feature_names)
-    n, d = mask.shape
-    # each row is d digits with a comma after all but the last, then \r\n
-    text = np.full((n, max(2 * d, 1) + 1), ord(","), dtype=np.uint8)
-    text[:, 0:2 * d:2] = np.where(ones, ord("1"), ord("0"))
-    text[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
-        fh.write(text)
+    write_csv(path, feature_names, (row.tolist() for row in np.where(ones, "1", "0")))
 
 
 # ---------------------------------------------------------------------------

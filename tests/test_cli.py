@@ -189,6 +189,15 @@ def test_train_records_conditioning_flag_and_batch_default(tmp_path, capsys):
     assert model.conditional is True and model.config.batch_size == 128
 
 
+def test_label_col_names_a_header_column_before_an_index(tmp_path):
+    # the column named 1 has 2 classes; index 1, the column named 2020, has 3
+    data = tmp_path / "years.csv"
+    data.write_text("2019,2020,1\n" + "".join(f"{i}.5,{i % 3},{i % 2}\n" for i in range(30)))
+    assert run("train", "--data", data, "--label-col", "1", "--rate", "0.3", "--iters", "2",
+               "--batch", "8", "--out", tmp_path / "m") == 0
+    assert load_model(tmp_path / "m.model").n_classes == 2
+
+
 def test_trace_rows_equal_budget_over_interval(tmp_path):
     data = write_toy_csv(tmp_path / "d.csv")
     rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",

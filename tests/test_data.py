@@ -123,6 +123,18 @@ def test_label_column_by_index_and_missing_column(tmp_path):
     assert ds.label_column == "y" and ds.n_features == 1
     with pytest.raises(ValueError, match="not found"):
         load_csv(p, "nope")
+    # a header name wins; other text of ASCII digits, or an integer, is an index
+    years = write_csv(tmp_path / "years.csv",
+                      "2019,2020,1\n" + "".join(f"{i}.5,{i % 3},{i % 2}\n" for i in range(6)))
+    for label, column, classes in (("1", "1", 2), ("2020", "2020", 3), ("0", "2019", 6),
+                                   (np.int64(0), "2019", 6)):
+        ds = load_csv(years, label)
+        assert (ds.label_column, ds.n_classes) == (column, classes)
+    for label, message in ((True, "must be a header name or a 0-based index, got True"),
+                           ("-1", "label column '-1' not found"), ("\u0663", "not found"),
+                           ("9", "label column index 9 out of range for 3 columns")):
+        with pytest.raises(ValueError, match=message):
+            load_csv(years, label)
 
 
 def test_breast_cancer_table_shape():
