@@ -69,6 +69,10 @@ class Dataset:
         """Integer class per row, matching class_names order."""
         return np.argmax(self.labels, axis=1)
 
+    def class_position(self, ref) -> int:
+        """The index of class ref, a class name or else a 0-based index, by resolve_name."""
+        return resolve_name(self.class_names, ref, "class", "class", "classes")
+
     def take_rows(self, idx: Array) -> "Dataset":
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
@@ -189,18 +193,21 @@ def write_csv(path, header: list[str], rows) -> None:
                 fh.write(text)
 
 
-def _resolve_label_column(header: list[str], label_column) -> int:
-    """The index of the label column: a header name wins; otherwise
-    label_column is a 0-based index, an integer or a string of ASCII digits."""
-    if label_column in header:
-        return header.index(label_column)
-    if isinstance(label_column, str) and not (label_column.isascii() and label_column.isdigit()):
-        raise ValueError(f"label column {label_column!r} not found in header {header}")
-    if isinstance(label_column, bool) or not isinstance(label_column, (str, int, np.integer)):
-        raise ValueError(f"label column must be a header name or a 0-based index, got {label_column!r}")
-    index = int(label_column)
-    if not 0 <= index < len(header):
-        raise ValueError(f"label column index {index} out of range for {len(header)} columns")
+def resolve_name(names: list[str], ref, what: str = "label column", kind: str = "header",
+                 unit: str = "columns") -> int:
+    """The index that ref picks in names: a name wins; otherwise ref is a
+    0-based index, an integer (NumPy integers included) or a string of ASCII
+    digits. A bool, a float or other text is refused with ValueError, worded
+    by what, kind and unit."""
+    if ref in names:
+        return names.index(ref)
+    if isinstance(ref, str) and not (ref.isascii() and ref.isdigit()):
+        raise ValueError(f"{what} {ref!r} not found in {kind} names {names}")
+    if isinstance(ref, bool) or not isinstance(ref, (str, int, np.integer)):
+        raise ValueError(f"{what} must be a {kind} name or a 0-based index, got {ref!r}")
+    index = int(ref)
+    if not 0 <= index < len(names):
+        raise ValueError(f"{what} index {index} out of range for {len(names)} {unit}")
     return index
 
 
@@ -325,7 +332,7 @@ def _load_table(path, label_column, table, allow_missing: bool,
                 mask_path=None) -> tuple[Dataset, Array]:
     """(dataset, mask) of a labeled CSV, for load_csv and load_incomplete_csv."""
     header, rows = table if table is not None else read_csv_table(path)
-    label_idx = _resolve_label_column(header, label_column)
+    label_idx = resolve_name(header, label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     raw, mask, label_values = parse_table(path, header, rows, label_idx, allow_missing)
 
@@ -433,15 +440,7 @@ def subsample_imbalance(dataset: Dataset, minority_class, minority_fraction: flo
         raise ValueError(f"imbalance subsampling needs a binary dataset, got {dataset.n_classes} classes")
     if not 0.0 < minority_fraction <= 0.5:
         raise ValueError(f"minority fraction must be in (0, 0.5], got {minority_fraction}")
-    if isinstance(minority_class, str):
-        if minority_class not in dataset.class_names:
-            raise ValueError(f"unknown class {minority_class!r}; classes are {dataset.class_names}")
-        minority_idx = dataset.class_names.index(minority_class)
-    else:
-        minority_idx = int(minority_class)
-        if minority_idx not in (0, 1):
-            raise ValueError(f"minority class index must be 0 or 1, got {minority_idx}")
-
+    minority_idx = dataset.class_position(minority_class)
     cls = dataset.class_index()
     minority_rows = np.flatnonzero(cls == minority_idx)
     majority_rows = np.flatnonzero(cls != minority_idx)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -213,6 +212,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     train_config = train_config or TrainConfig()
     train_config.validate()
+    replace(train_config, seed=root_seed).validate()   # the root seed follows the training seed's rule
     config = {"dataset": dataset.name, "methods": list(methods),
               "missing_rates": list(missing_rates), "repetitions": repetitions}
 
@@ -223,18 +223,15 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
             raise ValueError("no minority fractions given")
         if len(missing_rates) != 1:
             raise ValueError(f"the imbalance grid uses a single missing rate, got {list(missing_rates)}")
-        if minority_class is None:
-            minority_class = int(np.argmin(dataset.labels.sum(axis=0)))
-        elif not isinstance(minority_class, str):
-            minority_class = operator.index(minority_class)   # a class index, NumPy integers included
+        minority_class = (int(np.argmin(dataset.labels.sum(axis=0))) if minority_class is None
+                          else dataset.class_position(minority_class))
         blocks = [(fraction,
                    subsample_imbalance(dataset, minority_class, fraction, spawn_rng(root_seed, 2, fidx)),
                    spawn_seed(root_seed, 6, fidx))
                   for fidx, fraction in enumerate(minority_fractions)]
         config["minority_fractions"] = list(minority_fractions)
-        config["minority_class"] = (minority_class if isinstance(minority_class, str)
-                                    else dataset.class_names[minority_class])
-    config.update(eval_mode=eval_mode, root_seed=root_seed, mice_sweeps=MICE_LITE_SWEEPS,
+        config["minority_class"] = dataset.class_names[minority_class]
+    config.update(eval_mode=eval_mode, root_seed=operator.index(root_seed), mice_sweeps=MICE_LITE_SWEEPS,
                   train={k: v for k, v in asdict(train_config).items()
                          if k not in ("conditional", "seed")})   # run_method sets both per cell
 
@@ -251,6 +248,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     # a pool starts all its workers at once, so it gets no more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool grid pays for its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_rep_task, tasks))
     else:

@@ -590,6 +590,22 @@ def test_subsample_errors():
         subsample_imbalance(multi, "1", 0.3, make_rng(0))
 
 
+def test_class_reference_is_a_name_or_else_a_0_based_index():
+    # classes "1" (30 rows) and "2" (10 rows): the name "1" is class 0, the index 1 is class "2"
+    raw = np.random.default_rng(6).uniform(0, 1, size=(40, 2))
+    ds = build_dataset(raw, ["1"] * 30 + ["2"] * 10, ["a", "b"])
+    for ref, minority in (("1", "1"), ("2", "2"), (0, "1"), (1, "2"), (np.int64(1), "2"), ("0", "1")):
+        sub = subsample_imbalance(ds, ref, 0.25, make_rng(0))
+        share = sub.labels[:, ds.class_names.index(minority)].mean()
+        assert abs(share - 0.25) <= 1.0 / sub.n_rows, ref
+    for ref, message in ((0.9, "class must be a class name or a 0-based index, got 0.9"),
+                         (1.7, "got 1.7"), (True, "got True"), (np.float64(1.0), "got np.float64"),
+                         ("x", "class 'x' not found in class names"), ("-1", "class '-1' not found"),
+                         ("\u0661", "not found"), (2, "class index 2 out of range for 2 classes")):
+        with pytest.raises(ValueError, match=message):
+            subsample_imbalance(ds, ref, 0.25, make_rng(0))
+
+
 def test_half_fraction_on_balanced_is_identity_up_to_order():
     ds = balanced_dataset(n_per_class=5)
     sub = subsample_imbalance(ds, "1", 0.5, make_rng(0))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +148,7 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     ds = balanced_binary(n=40, d=3, seed=11)
     four_tasks = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2, root_seed=12, jobs=64)
     assert started == [4]
@@ -152,6 +156,16 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert report_csv_rows(four_tasks) == report_csv_rows(serial)
     run_benchmark(ds, ["mean"], [0.15], repetitions=1, root_seed=12, jobs=64)   # one task: no pool
     assert started == [4]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a grid with more than one worker imports the pool, so every other process skips its cost
+    code = ("import sys, cgain, cgain.cli, cgain.datasets\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_models_run_in_benchmark_and_record_seconds():
@@ -216,6 +230,55 @@ def test_benchmark_refuses_a_repeated_grid_value_before_any_work(monkeypatch, gr
     args = {"methods": ["mean"], "missing_rates": [0.2], **grid}
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_benchmark(balanced_binary(), repetitions=1, root_seed=0, **args)
+
+
+@pytest.mark.parametrize("ref, message", [
+    (True, "class must be a class name or a 0-based index, got True"),
+    (1.0, "class must be a class name or a 0-based index, got 1.0"),
+    (0.9, "class must be a class name or a 0-based index, got 0.9"),
+    ("x", "class 'x' not found in class names \\['0', '1'\\]"),
+    (2, "class index 2 out of range for 2 classes"),
+], ids=["bool", "float", "fraction", "unknown-name", "index-out-of-range"])
+def test_benchmark_refuses_a_bad_minority_class_before_any_work(monkeypatch, ref, message):
+    def fail(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(ev, "_rep_task", fail)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(balanced_binary(), ["mean"], [0.2], repetitions=1, root_seed=0,
+                      minority_fractions=[0.3], minority_class=ref)
+
+
+def test_minority_class_name_wins_over_an_index():
+    rng = np.random.default_rng(3)
+    from cgain.data import build_dataset
+    ds = build_dataset(rng.uniform(0.0, 2.0, size=(40, 2)), ["1"] * 24 + ["2"] * 16, ["a", "b"])
+    for ref, name in ((None, "2"), ("1", "1"), ("2", "2"), (1, "2"), ("0", "1")):
+        report = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=5,
+                               minority_fractions=[0.3], minority_class=ref)
+        assert report.config["minority_class"] == name, ref
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be non-negative, got -1"),
+], ids=["float", "bool", "text", "negative"])
+def test_benchmark_refuses_a_root_seed_that_is_not_a_non_negative_integer(monkeypatch, seed, message):
+    def fail(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(ev, "_rep_task", fail)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(balanced_binary(), ["mean"], [0.2], repetitions=1, root_seed=seed)
+
+
+def test_root_seed_is_stored_as_the_integer_it_ran_with():
+    ds = balanced_binary(n=40, d=3, seed=11)
+    report = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=np.int64(7))
+    assert type(report.config["root_seed"]) is int and report.config["root_seed"] == 7
+    assert report_csv_rows(report) == report_csv_rows(run_benchmark(ds, ["mean"], [0.2], 1, root_seed=7))
 
 
 def test_numpy_class_index_is_stored_as_the_class_name(tmp_path):
