@@ -141,10 +141,20 @@ class BenchmarkReport:
     cells: list[BenchmarkCell] = field(default_factory=list)
 
 
+# The running grid's block tables. A task names its block by index, so each pool
+# worker receives every table once, through _set_tables, and no task carries one.
+_TABLES: list[Dataset] = []
+
+
+def _set_tables(tables: list[Dataset]) -> None:
+    _TABLES[:] = tables
+
+
 def _rep_task(args) -> tuple[int, int, dict]:
     """One (cell, repetition) unit; top level so process pools can pickle it."""
-    (cell_idx, rep, dataset, method, method_idx, rate, rate_idx,
+    (cell_idx, rep, block, method, method_idx, rate, rate_idx,
      root_seed, train_config, eval_mode, repetitions) = args
+    dataset = _TABLES[block]
     corrupt_rep = 0 if eval_mode == "strict" else rep
     method_seed = spawn_seed(root_seed, 3, rate_idx, rep, method_idx)
     try:
@@ -184,8 +194,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     the rarer class) holds that share of the rows, and the fraction-f block
     is exactly the rate grid on that subsample with root seed
     spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
-    grid runs on one pool of min(jobs, tasks) workers, or in this process
-    when that is 1.
+    grid runs on one pool of min(jobs, tasks) workers, which each receive
+    every block's table once, or in this process when that is 1.
     """
     if repetitions < 1:
         raise ValueError(f"need at least 1 repetition, got {repetitions}")
@@ -237,22 +247,28 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
 
     cells: list[BenchmarkCell] = []
     tasks = []
-    for fraction, data, root in blocks:
+    for block, (fraction, _, root) in enumerate(blocks):
         for rate_idx, rate in enumerate(missing_rates):
             for method_idx, method in enumerate(methods):
-                tasks += [(len(cells), rep, data, method, method_idx, rate, rate_idx,
+                tasks += [(len(cells), rep, block, method, method_idx, rate, rate_idx,
                            root, train_config, eval_mode, repetitions)
                           for rep in range(repetitions)]
                 cells.append(BenchmarkCell(method, rate, fraction))
 
     # a pool starts all its workers at once, so it gets no more than there are tasks
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # only a pool grid pays for its import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_rep_task, tasks))
-    else:
-        outcomes = [_rep_task(t) for t in tasks]
+    tables = [data for _, data, _ in blocks]
+    try:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor   # only a pool grid pays for its import
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_tables,
+                                     initargs=(tables,)) as pool:
+                outcomes = list(pool.map(_rep_task, tasks))
+        else:
+            _set_tables(tables)
+            outcomes = [_rep_task(t) for t in tasks]
+    finally:
+        _TABLES.clear()
 
     # outcomes arrive in task order: cell by cell, repetitions in order
     for cell_idx, rep, record in outcomes:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import asdict
@@ -119,15 +120,31 @@ def test_paired_mask_external_recomputation():
         assert report.cells[0].reps[rep].overall == pytest.approx(outside.overall, abs=1e-12)
 
 
-def test_parallel_execution_matches_serial():
+def assert_pool_matches_serial():
     ds = balanced_binary(n=40, d=3, seed=11)
-    # the rate grid, and an imbalance grid whose two fractions share one pool
-    for grid in ({}, {"minority_fractions": [0.25, 0.5], "minority_class": 1}):
+    # the rate grid, an imbalance grid whose two fractions share one pool, and a strict fold grid
+    for grid in ({}, {"minority_fractions": [0.25, 0.5], "minority_class": 1}, {"eval_mode": "strict"}):
         serial = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
                                root_seed=12, jobs=1, **grid)
         parallel = run_benchmark(ds, ["mean", "mice_lite"], [0.15], repetitions=2,
                                  root_seed=12, jobs=2, **grid)
-        assert report_csv_rows(serial) == report_csv_rows(parallel)
+        assert report_csv_rows(serial) == report_csv_rows(parallel), grid
+
+
+def test_parallel_execution_matches_serial():
+    assert_pool_matches_serial()
+
+
+def test_spawned_workers_match_serial():
+    # a spawned worker inherits nothing, so the pool's initializer is its only source of the tables
+    code = ("import multiprocessing, test_eval\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "test_eval.assert_pool_matches_serial()\n")
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_pool_has_no_more_workers_than_tasks(monkeypatch):
@@ -136,8 +153,9 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
     class SerialPool:
         """Records its worker count and maps in this process, so no process starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            self.initializer, self.initargs = initializer, initargs
 
         def __enter__(self):
             return self
@@ -146,6 +164,12 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            # a task names its table, which each worker receives once from the initializer
+            for task in tasks:
+                assert len(pickle.dumps(task)) < 2048
+                assert task[3] in ("mean", "mice_lite")
+            if self.initializer is not None:
+                self.initializer(*self.initargs)
             return map(fn, tasks)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
