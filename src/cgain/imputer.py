@@ -341,16 +341,26 @@ def build_model(d: int, m: int, column_kinds: list[str], config: TrainConfig,
 
 
 def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
-          rows: int) -> tuple[Array, Array, Array, Array, Array]:
-    """GAIN's draws for one half-step: rows uniform with replacement, noise
-    U(0, NOISE_HIGH) from uniform and one hinted column per row as
-    sample_hint_b draws it, in that order. Returns (x_t, m, y, z, cols),
+          rows: int) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
+    """GAIN's draws for one iteration's two half-steps, each a fresh,
+    independent batch: rows uniform with replacement, noise U(0, NOISE_HIGH)
+    and one hinted column per row as sample_hint_b draws it. The stream is
+    read as the rows of both halves in one call, uniform's noise for the D
+    half, then for the G half, and the hinted columns of both halves in one
+    call. Returns (x_t, m, y, z, cols) for the D half, then for the G half,
     cols[i] being the one column of row i whose hint flag b is 0."""
-    idx = rng.integers(0, len(features), size=rows)
-    # the indices are in range, so clipping them changes nothing
-    x_t, m, y = (a.take(idx, axis=0, mode="clip") for a in (features, mask, labels))
-    z = uniform(rng, 0.0, NOISE_HIGH, x_t.shape)
-    return x_t, m, y, z, rng.integers(0, features.shape[1], size=rows)
+    n, d = features.shape
+    idx = rng.integers(0, n, size=2 * rows)
+    z_d = uniform(rng, 0.0, NOISE_HIGH, (rows, d))
+    z_g = uniform(rng, 0.0, NOISE_HIGH, (rows, d))
+    cols = rng.integers(0, d, size=2 * rows)
+    # each half gathered on its own, so neither keeps the other's rows
+    # alive; the indices are in range, so clipping them changes nothing
+    d_idx, g_idx = idx[:rows], idx[rows:]
+    return ((features.take(d_idx, axis=0, mode="clip"), mask.take(d_idx, axis=0, mode="clip"),
+             labels.take(d_idx, axis=0, mode="clip"), z_d, cols[:rows]),
+            (features.take(g_idx, axis=0, mode="clip"), mask.take(g_idx, axis=0, mode="clip"),
+             labels.take(g_idx, axis=0, mode="clip"), z_g, cols[rows:]))
 
 
 def _hint(m: Array, cols: Array) -> Array:
@@ -382,19 +392,19 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     hint_flags(cols, d) and x_t gives the step's loss parts. The adversarial
     signal flows through the discriminator's input gradient at the
     completed-data block, masked to missing cells (observed cells of x_hat
-    do not depend on the generator).
+    do not depend on the generator); only that block's product, over
+    w1[:d], is computed.
     """
     cfg = model.config
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
-    # the full input-gradient product, then the x_hat block: a product over
-    # w1[:d] alone would round differently
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, m, cols, cfg.adversarial_sign), wrt="input")
+                                  _adv_grad_mhat(m_hat, m, cols, cfg.adversarial_sign), wrt="input",
+                                  leading=model.n_features)
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= cfg.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
-    dx_bar += d_input_grad[:, :model.n_features] * (1.0 - m)
+    dx_bar += d_input_grad * (1.0 - m)
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
 
@@ -404,10 +414,11 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     for exactly config.iterations iterations.
 
     Each step draws a fresh mini-batch (rows uniform with replacement),
-    fresh noise and fresh hint flags. Fully determined by (config.seed,
-    data, config). A feature or mask cell outside [0, 1] is a ValueError
-    naming its column and row; a non-finite loss is a FloatingPointError
-    at its iteration.
+    fresh noise and fresh hint flags, in _draw's stream order. Fully
+    determined by (config.seed, data, config). A feature or mask cell
+    outside [0, 1] is a ValueError naming its column and row; a non-finite
+    loss is a FloatingPointError naming its iteration, the first step
+    output that held a NaN and each net whose parameters are non-finite.
     """
     config.validate()
     ds = incomplete.dataset
@@ -423,8 +434,9 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
 
     rng = make_rng(config.seed)
     model = build_model(d, ds.n_classes, ds.column_kinds, config, rng)
-    d_opt = make_optimizer(config.optimizer, config.learning_rate, model.discriminator.params())
-    g_opt = make_optimizer(config.optimizer, config.learning_rate, model.generator.params())
+    d_params, g_params = model.discriminator.params(), model.generator.params()
+    d_opt = make_optimizer(config.optimizer, config.learning_rate, d_params)
+    g_opt = make_optimizer(config.optimizer, config.learning_rate, g_params)
     columns = (ds.features, incomplete.mask, ds.labels)
 
     # m_hat and x_bar are sigmoid outputs, in [0, 1] or NaN, and m_hat enters
@@ -437,20 +449,20 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
 
     for it in range(1, config.iterations + 1):
         logged = it % config.log_every == 0
+        (x_t, m, y, z, cols), g_batch = _draw(rng, *columns, rows)
         # (A) discriminator update
-        x_t, m, y, z, cols = _draw(rng, *columns, rows)
         d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, cols)
-        optimizer_step(d_opt, model.discriminator.params(), d_grads)
+        optimizer_step(d_opt, d_params, d_grads)
         if logged:
             d_loss = loss_discriminator(d_m_hat, m, hint_flags(cols, d))
 
         # (B) generator update, discriminator fixed, on a fresh batch
-        x_t, m, y, z, cols = _draw(rng, *columns, rows)
+        x_t, m, y, z, cols = g_batch
         g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, cols)
-        optimizer_step(g_opt, model.generator.params(), g_grads)
+        optimizer_step(g_opt, g_params, g_grads)
         # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
         if math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum()):
-            raise FloatingPointError(f"non-finite training loss at iteration {it}")
+            raise FloatingPointError(_non_finite_report(it, model, d_m_hat, x_bar, g_m_hat))
         if logged:
             g_adv, g_recon = generator_loss_parts(g_m_hat, m, hint_flags(cols, d), x_bar, x_t,
                                                   model.column_kinds, config.adversarial_sign)
@@ -461,6 +473,18 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
             trace.seconds.append(time.perf_counter() - t0)
 
     return model, trace
+
+
+def _non_finite_report(it: int, model: ImputerModel, d_m_hat: Array, x_bar: Array, g_m_hat: Array) -> str:
+    """train's error for a NaN at iteration it: the first of the step's
+    outputs, in the order they are computed, that holds one, and each net
+    whose parameters are no longer all finite."""
+    first = next(name for name, a in (("the D step's m_hat", d_m_hat), ("the G step's x_bar", x_bar),
+                                      ("the G step's m_hat", g_m_hat)) if np.isnan(a).any())
+    nets = [name for name in ("generator", "discriminator")
+            if not np.isfinite(getattr(model, name).params().flat).all()]
+    return (f"non-finite training loss at iteration {it}: first NaN in {first}; non-finite parameters in "
+            f"{' and '.join(nets) or 'neither net'}")
 
 
 def impute(model: ImputerModel, incomplete: IncompleteDataset,

@@ -76,8 +76,9 @@ def sigmoid(z: Array) -> Array:
     float64 it rounds to exactly 1.0 above z of about 37 and to 0.0 below
     about -745; in float32 it rounds to 1.0 above z of about 17 and to 0.0
     below about -104."""
-    z = np.asarray(z)
-    z = z.astype(np.float32 if z.dtype == np.float32 else np.float64, copy=False)
+    if type(z) is not np.ndarray or z.dtype not in (np.float32, np.float64):   # else use it as it is
+        z = np.asarray(z)
+        z = z.astype(np.float32 if z.dtype == np.float32 else np.float64)
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -194,17 +195,18 @@ def init_dense(rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -
 def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
     """Forward pass in the net's dtype, to which x is cast. Returns (output,
     cache); cache feeds dense_backward."""
-    x = np.asarray(x, dtype=net.dtype)
-    if x.ndim != 2 or x.shape[1] != net.input_width:
-        raise ValueError(f"input shape {x.shape} does not match net input width {net.input_width}")
-    a1 = x @ net.w1
-    a1 += net.b1
+    w1, b1, w2, b2, w3, b3 = net.params()
+    x = np.asarray(x, dtype=w1.dtype)
+    if x.ndim != 2 or x.shape[1] != w1.shape[0]:
+        raise ValueError(f"input shape {x.shape} does not match net input width {w1.shape[0]}")
+    a1 = x @ w1
+    a1 += b1
     np.maximum(a1, 0.0, out=a1)
-    a2 = a1 @ net.w2
-    a2 += net.b2
+    a2 = a1 @ w2
+    a2 += b2
     np.maximum(a2, 0.0, out=a2)
-    z3 = a2 @ net.w3
-    z3 += net.b3
+    z3 = a2 @ w3
+    z3 += b3
     out = sigmoid(z3)
     return out, (x, a1, a2, out)
 
@@ -212,33 +214,42 @@ def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
 BACKWARD_TARGETS = ("params", "input")
 
 
-def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str) -> FlatArrays | Array:
+def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str,
+                   leading: int | None = None) -> FlatArrays | Array:
     """Backprop through a cached forward pass.
 
     grad_out is dLoss/dOutput, cast to the net's dtype. wrt="params" writes the parameter gradients,
     in params() order, into net.grads and returns it: the views it holds
     are overwritten by the net's next wrt="params" call. wrt="input" returns
-    the gradient w.r.t. the input batch as a new array. Only the requested
-    products are computed.
+    the gradient w.r.t. the input batch as a new array; with leading=k, only
+    its first k columns, as the product over w1[:k] alone (which rounds
+    unlike a slice of the full product). Only the requested products are
+    computed.
     """
     if wrt not in BACKWARD_TARGETS:
         raise ValueError(f"wrt must be one of {BACKWARD_TARGETS}, got {wrt!r}")
+    if leading is not None and (wrt != "input" or isinstance(leading, bool)
+                                or not isinstance(leading, (int, np.integer))
+                                or not 1 <= leading <= net.input_width):
+        raise ValueError(f"leading must be an integer in [1, {net.input_width}] with wrt='input', "
+                         f"got {leading!r} with wrt={wrt!r}")
     if cache is None:
         raise ValueError("missing forward cache")
     x, a1, a2, out = cache
     grad_out = np.asarray(grad_out, dtype=net.dtype)
     if grad_out.shape != out.shape:
         raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
+    w1, _, w2, _, w3, _ = net.params()
     dz3 = grad_out * out
     dz3 *= 1.0 - out
     # a relu unit is active exactly where its output is positive; the 0/1
     # masks are in the net's dtype, so the products cast nothing
-    dz2 = dz3 @ net.w3.T
+    dz2 = dz3 @ w3.T
     dz2 *= np.greater(a2, 0, out=np.empty_like(a2))
-    dz1 = dz2 @ net.w2.T
+    dz1 = dz2 @ w2.T
     dz1 *= np.greater(a1, 0, out=np.empty_like(a1))
     if wrt == "input":
-        return dz1 @ net.w1.T
+        return dz1 @ w1[:leading].T
     gw1, gb1, gw2, gb2, gw3, gb3 = net.grads
     np.matmul(x.T, dz1, out=gw1)
     dz1.sum(axis=0, out=gb1)
@@ -311,7 +322,7 @@ def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays)
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m.flat, state.v.flat
-    step, denom = (s.flat for s in state.scratch)
+    step, denom = state.scratch[0].flat, state.scratch[1].flat
     m *= ADAM_BETA1
     np.multiply(1.0 - ADAM_BETA1, g, out=step)
     m += step

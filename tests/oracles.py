@@ -151,14 +151,16 @@ def ref_forward(net, x):
     return out, (x, z1, a1, z2, a2, out)
 
 
-def ref_backward(net, cache, grad_out):
-    """Full backward pass: (parameter gradients in params() order, input gradient)."""
+def ref_backward(net, cache, grad_out, leading=None):
+    """Full backward pass: (parameter gradients in params() order, input
+    gradient); with leading=k, the input gradient of the first k input
+    columns only, as the product over w1[:k]."""
     x, z1, a1, z2, a2, out = cache
     dz3 = grad_out * out * (1.0 - out)
     dz2 = (dz3 @ net.w3.T) * (z2 > 0)
     dz1 = (dz2 @ net.w2.T) * (z1 > 0)
     grads = [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
-    return grads, dz1 @ net.w1.T
+    return grads, dz1 @ net.w1[:leading].T
 
 
 def ref_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -354,30 +354,33 @@ def test_discriminator_gradients_with_fixed_generator():
 @pytest.mark.parametrize("sign", ["gain", "literal"])
 @pytest.mark.parametrize("binary", [False, True])
 def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
-    # the generator step must take the x_hat block of the full discriminator
-    # input gradient; both steps must match a backward pass that computes
-    # every product
-    model = as_float64(small_model(d=5, m=3, seed=23, binary=[2] if binary else [], alpha=7.5,
-                                   adversarial_sign=sign))
-    x_t, mask, y, z, b, hint = random_batch(model, n=9, seed=24)
-    x_t[:, 2] = np.round(x_t[:, 2])
-    x_bar, g_cache = ref_forward(model.generator, np.concatenate([x_t, mask, (1.0 - mask) * z, y], axis=1))
-    x_hat = mask * x_t + (1.0 - mask) * x_bar
-    m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
+    # the generator step must take the discriminator's input gradient over
+    # the x_hat block, the product over w1[:d]; both steps must match a
+    # backward pass that computes every other product. At 16 features, 3
+    # classes and 64 rows that product rounds unlike a slice of the full one.
+    for d, m, n in ((5, 3, 9), (16, 3, 64)):
+        model = as_float64(small_model(d=d, m=m, seed=23, binary=[2] if binary else [], alpha=7.5,
+                                       adversarial_sign=sign))
+        x_t, mask, y, z, b, hint = random_batch(model, n=n, seed=24)
+        x_t[:, 2] = np.round(x_t[:, 2])
+        x_bar, g_cache = ref_forward(model.generator, np.concatenate([x_t, mask, (1.0 - mask) * z, y], axis=1))
+        x_hat = mask * x_t + (1.0 - mask) * x_bar
+        m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
 
-    cols = np.argmin(b, axis=1)
-    ref_d, _ = ref_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b))
-    d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, cols)
-    for g, ref in zip(d_grads, ref_d, strict=True):
-        assert_same_bits(g, ref)
+        cols = np.argmin(b, axis=1)
+        ref_d, _ = ref_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b))
+        d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, cols)
+        for g, ref in zip(d_grads, ref_d, strict=True):
+            assert_same_bits(g, ref)
 
-    _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b, sign))
-    dx_bar = (d_input_grad[:, :model.n_features] * (1.0 - mask)
-              + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
-    ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
-    g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, cols)
-    for g, ref in zip(g_grads, ref_g, strict=True):
-        assert_same_bits(g, ref)
+        _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b, sign),
+                                       leading=d)
+        dx_bar = (d_input_grad * (1.0 - mask)
+                  + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
+        ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
+        g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, cols)
+        for g, ref in zip(g_grads, ref_g, strict=True):
+            assert_same_bits(g, ref)
 
 
 # m_hat values where the clamp, the float32 sigmoid or the sign of a zero
@@ -409,8 +412,8 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
 def full_matrix_step_grads(model, x_t, mask, y, z, b):
     """(discriminator gradients, generator gradients, the D step's m_hat, x_bar)
     the full-matrix way: each net input concatenated in float64 and cast
-    once to the net's dtype, the merge in float64, and both loss gradients
-    over every cell."""
+    once to the net's dtype, the merge in float64, both loss gradients over
+    every cell, and the discriminator's input gradient over the x_hat block."""
     cfg, d = model.config, model.n_features
     labels = [y] if model.conditional else []
     g_in = np.concatenate([x_t, mask, (1.0 - mask) * z] + labels, axis=1, dtype=model.generator.dtype)
@@ -423,8 +426,8 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b):
     m_hat = m_out.astype(np.float64)
     d_grads = dense_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b), wrt="params")
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  ref_adv_grad(m_hat, mask, b, cfg.adversarial_sign), wrt="input")
-    dx_bar = (d_input_grad[:, :d] * (1.0 - mask)
+                                  ref_adv_grad(m_hat, mask, b, cfg.adversarial_sign), wrt="input", leading=d)
+    dx_bar = (d_input_grad * (1.0 - mask)
               + cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return d_grads.flat.copy(), g_grads.flat.copy(), m_hat, x_bar
@@ -434,10 +437,12 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b):
 @given(n=st.integers(1, 12), d=st.integers(1, 5), m=st.integers(1, 3), conditional=st.booleans(),
        sign=st.sampled_from(ADV_SIGNS), binary=st.lists(st.booleans(), min_size=5, max_size=5),
        push=st.sampled_from([0.0, 12.0, -12.0, 40.0, -40.0]), seed=st.integers(0, 2 ** 16))
+@example(n=64, d=16, m=3, conditional=True, sign="gain", binary=[False] * 16, push=0.0, seed=0)
 def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, conditional, sign, binary,
                                                                     push, seed):
     # push shifts the discriminator's output bias until its float32 sigmoid
-    # saturates at 0 or 1
+    # saturates at 0 or 1; the explicit example is a shape where the input
+    # gradient over w1[:d] rounds unlike a slice of the full product
     kinds = ["binary" if binary[j] else CONTINUOUS for j in range(d)]
     cfg = TrainConfig(alpha=7.5, adversarial_sign=sign, conditional=conditional, hidden_multiplier=2)
     model = build_model(d, m, kinds, cfg, make_rng(seed))
@@ -455,9 +460,11 @@ def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, cond
 
 
 def test_training_draws_equal_uniform_and_the_hint_functions():
-    # train's draws consume the stream as the row draw, uniform and
-    # sample_hint_b do, and its hint and flags are hint_from_b's and
-    # sample_hint_b's, -0.0 mask cells included
+    # an iteration's draws consume the stream as one row draw for both
+    # halves, uniform for the D half's noise, then the G half's, and one
+    # sample_hint_b for both halves' flags; the D half takes the first 16
+    # of each, and the hints and flags are hint_from_b's and sample_hint_b's,
+    # -0.0 mask cells included
     rng = make_rng(6)
     features = rng.random((30, 4))
     mask = (rng.random((30, 4)) >= 0.3).astype(float)
@@ -465,13 +472,16 @@ def test_training_draws_equal_uniform_and_the_hint_functions():
     labels = np.eye(3)[rng.integers(0, 3, 30)]
     draws, replay = make_rng(7), make_rng(7)
     for _ in range(3):
-        x_t, m, y, z, cols = _draw(draws, features, mask, labels, 16)
-        idx = replay.integers(0, 30, size=16)
-        want_z = uniform(replay, 0.0, NOISE_HIGH, (16, 4))
+        halves = _draw(draws, features, mask, labels, 16)
+        idx = replay.integers(0, 30, size=32)
+        want_z = [uniform(replay, 0.0, NOISE_HIGH, (16, 4)) for _ in range(2)]
         b = sample_hint_b(mask[idx], replay)
-        for got, want in ((x_t, features[idx]), (m, mask[idx]), (y, labels[idx]), (z, want_z),
-                          (hint_flags(cols, 4), b), (_hint(m, cols), hint_from_b(b, mask[idx]))):
-            assert_same_bits(got, want)
+        assert len(halves) == 2
+        for (x_t, m, y, z, cols), rows, z_h in zip(halves, (slice(0, 16), slice(16, 32)), want_z):
+            i = idx[rows]
+            for got, want in ((x_t, features[i]), (m, mask[i]), (y, labels[i]), (z, z_h),
+                              (hint_flags(cols, 4), b[rows]), (_hint(m, cols), hint_from_b(b[rows], mask[i]))):
+                assert_same_bits(got, want)
         assert draws.bit_generator.state == replay.bit_generator.state
 
 
@@ -634,8 +644,50 @@ def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch,
         return model
 
     monkeypatch.setattr(imputer_module, "build_model", poisoned)
-    with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 1$"):
+    # the D step's batch is completed through the NaN generator, and the
+    # discriminator's update on it leaves both nets non-finite
+    with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 1: first NaN in "
+                                                 r"the D step's m_hat; non-finite parameters in generator "
+                                                 r"and discriminator$"):
         train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, log_every=log_every))
+
+
+@pytest.mark.parametrize("net, when, first, nets", [
+    ("discriminator", "built", "the D step's m_hat", "generator and discriminator"),
+    ("generator", "after the D update", "the G step's x_bar", "generator"),
+    ("discriminator", "after the D update", "the G step's m_hat", "generator and discriminator"),
+], ids=["disc-built", "gen-mid-step", "disc-mid-step"])
+def test_non_finite_loss_names_the_first_output_with_a_nan_and_the_non_finite_nets(monkeypatch, net, when,
+                                                                                  first, nets):
+    # a NaN weight set when the model is built, or between the D update of
+    # iteration 3 and its G step; a NaN reaching only the G step leaves the
+    # discriminator's weights finite, since they are not updated there
+    inc = corrupt_mcar(toy_dataset(n=40, d=4, seed=80), 0.2, make_rng(81))
+    real_build, real_step = imputer_module.build_model, imputer_module.optimizer_step
+    models, steps = [], []
+
+    def poison(model):
+        getattr(model, net).w2[3, 1] = np.nan
+
+    def built(*args, **kwargs):
+        models.append(real_build(*args, **kwargs))
+        if when == "built":
+            poison(models[0])
+        return models[0]
+
+    def step(state, params, grads):
+        real_step(state, params, grads)
+        steps.append(params)
+        if when == "after the D update" and len(steps) == 5:   # iteration 3's D update
+            assert params is models[0].discriminator.params()
+            poison(models[0])
+
+    monkeypatch.setattr(imputer_module, "build_model", built)
+    monkeypatch.setattr(imputer_module, "optimizer_step", step)
+    it = 1 if when == "built" else 3
+    with pytest.raises(FloatingPointError, match=rf"^non-finite training loss at iteration {it}: first NaN "
+                                                 rf"in {first}; non-finite parameters in {nets}$"):
+        train(inc, TrainConfig(iterations=5, batch_size=8, seed=82))
 
 
 @pytest.mark.parametrize("observed", [False, True])

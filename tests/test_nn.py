@@ -275,6 +275,33 @@ def test_forward_and_backward_bits_equal_full_reference():
         assert_same_bits(dense_backward(net, cache, grad_out, wrt="input"), ref_dx)
 
 
+def test_leading_input_gradient_bits_equal_the_product_over_those_rows_of_w1():
+    rng = make_rng(32)
+    for _ in range(25):
+        n_in, width, n_out, rows = (int(v) for v in rng.integers(1, 40, size=4))
+        k = int(rng.integers(1, n_in + 1))
+        net64 = init_dense(rng, n_in, width, n_out)
+        x = rng.normal(size=(rows, n_in))
+        grad_out = rng.normal(size=(rows, n_out))
+        for net in (net64, DenseNet(*(p.astype(np.float32) for p in net64.params()))):
+            _, cache = dense_forward(net, x)
+            x_in, a1, a2, out = cache
+            # a ReLU output is positive exactly where its pre-activation is
+            _, want = ref_backward(net, (x_in, a1, a1, a2, a2, out), grad_out.astype(net.dtype), leading=k)
+            got = dense_backward(net, cache, grad_out, wrt="input", leading=k)
+            assert got.dtype == net.dtype and got.shape == (rows, k)
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("wrt, leading", [("input", 0), ("input", 4), ("input", True), ("input", 2.0),
+                                          ("params", 2)])
+def test_backward_refuses_a_leading_width_outside_the_input(wrt, leading):
+    net = init_dense(make_rng(0), 3, 4, 2)
+    _, cache = dense_forward(net, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^leading must be an integer in \[1, 3\] with wrt='input'"):
+        dense_backward(net, cache, np.zeros((2, 2)), wrt=wrt, leading=leading)
+
+
 def test_adam_bits_equal_textbook_reference_over_many_steps():
     rng = make_rng(41)
     shapes = [tuple(int(v) for v in rng.integers(1, 30, size=2)) for _ in range(4)] + [(7,), (1,)]
