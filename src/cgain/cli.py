@@ -5,6 +5,10 @@ Configuration precedence is defaults < config file (KEY=VALUE lines via
 variable as a seed fallback. Every run prints its fully resolved
 configuration first, so a run is reconstructible from its own output.
 
+A missing cell is an empty feature cell of --data. Only corrupt hides
+cells: it blanks them in a complete file and writes a mask file that
+records which it hid. train and impute read missingness from --data alone.
+
 Exit status: 0 success, 1 validation/input error (a bad flag too), 2 runtime failure.
 Errors go to stderr as one machine-parseable line:
 cgain-error: {validation|runtime}: <message>.
@@ -49,10 +53,10 @@ class RunConfig:
     the config-file key and, with '-' for '_', the command-line flag.
     Training knobs name the TrainConfig field they set and default to its value."""
 
-    data: str = _flag("", "input CSV (header row, one label column)")
+    data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)")
     label_col: str = _flag("", "label column: a header name, or else a 0-based index")
     method: str = _flag("", "cgain | gain | mean | mice_lite (comma list for benchmark)")
-    rate: str = _flag("", "missing rate, or comma list for benchmark")
+    rate: str = _flag("", "missing rate to hide (corrupt), or comma list for benchmark")
     reps: int = _flag(10, "repetitions (strict mode: fold count)")
     seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)", train="seed")
     alpha: float = _train_flag("alpha", "reconstruction loss weight")
@@ -67,7 +71,6 @@ class RunConfig:
     eval_mode: str = _flag("repetition", "benchmark evaluation mode", EVAL_MODES)
     jobs: int = _flag(0, "parallel benchmark workers (0 = the CPUs this process may use)")
     model: str = _flag("", "model file (impute input)")
-    mask: str = _flag("", "mask CSV accompanying --data")
 
 
 def _seed(text: str) -> int:
@@ -146,25 +149,9 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
-def _label_col(cfg: RunConfig) -> str:
-    _require(cfg, "label_col")
-    return cfg.label_col
-
-
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:
     return TrainConfig(conditional=conditional, **{f.metadata["train"]: getattr(cfg, f.name)
                                                    for f in fields(RunConfig) if f.metadata["train"]})
-
-
-def _corrupt_complete(cfg: RunConfig, command: str):
-    """(header, rows, incomplete dataset) of the complete file --data, read
-    once and corrupted at its one --rate with --seed."""
-    rates = _parse_floats(cfg.rate, "rate")
-    if len(rates) != 1:
-        raise ValueError(f"{command} needs exactly one --rate, got {cfg.rate!r}")
-    header, rows = read_csv_table(cfg.data)
-    dataset = load_csv(cfg.data, _label_col(cfg), table=(header, rows))
-    return header, rows, corrupt_mcar(dataset, rates[0], make_rng(cfg.seed))
 
 
 def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
@@ -180,8 +167,12 @@ def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(cfg: RunConfig) -> int:
-    _require(cfg, "data", "out")
-    header, rows, inc = _corrupt_complete(cfg, "corrupt")
+    _require(cfg, "data", "label_col", "out")
+    rates = _parse_floats(cfg.rate, "rate")
+    if len(rates) != 1:
+        raise ValueError(f"corrupt needs exactly one --rate, got {cfg.rate!r}")
+    header, rows = read_csv_table(cfg.data)
+    inc = corrupt_mcar(load_csv(cfg.data, cfg.label_col, table=(header, rows)), rates[0], make_rng(cfg.seed))
 
     _write_hidden(header, rows, inc, itertools.repeat(""))
     data_path, mask_path = f"{cfg.out}.data.csv", f"{cfg.out}.mask.csv"
@@ -196,20 +187,17 @@ def cmd_corrupt(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _require(cfg, "data", "out")
+    _require(cfg, "data", "label_col", "out")
+    if cfg.rate:
+        raise ValueError("train takes no --rate: its missing cells are the empty cells of --data; "
+                         "hide cells with cgain corrupt first")
     method = cfg.method or "cgain"
     if method not in ("cgain", "gain"):
         raise ValueError(f"train needs --method cgain or gain, got {method!r}")
     tc = _train_config(cfg, conditional=(method == "cgain"))
     tc.validate()   # fail before any file or training work
 
-    if cfg.rate:
-        if cfg.mask:
-            raise ValueError("train takes --rate (corrupt a complete file) or --mask "
-                             "(an incomplete file), not both")
-        inc = _corrupt_complete(cfg, "train")[2]
-    else:
-        inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None)
+    inc = load_incomplete_csv(cfg.data, cfg.label_col)
 
     model, trace = train(inc, tc)
     model_path, trace_path = f"{cfg.out}.model", f"{cfg.out}.trace.csv"
@@ -225,11 +213,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_impute(cfg: RunConfig) -> int:
-    _require(cfg, "data", "out", "model")
+    _require(cfg, "data", "label_col", "out", "model")
     model = load_model(cfg.model)
     header, rows = read_csv_table(cfg.data)
-    inc = load_incomplete_csv(cfg.data, _label_col(cfg), mask_path=cfg.mask or None,
-                              table=(header, rows))
+    inc = load_incomplete_csv(cfg.data, cfg.label_col, table=(header, rows))
     completed = impute(model, inc, make_rng(cfg.seed))
     raw = denormalize(inc.dataset.schema, completed.features, round_binary=True)
 
@@ -246,12 +233,12 @@ def cmd_impute(cfg: RunConfig) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig) -> int:
-    _require(cfg, "data", "out")
+    _require(cfg, "data", "label_col", "out")
     methods = [m.strip() for m in (cfg.method or DEFAULT_METHODS).split(",") if m.strip()]
     fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
     default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
     rates = _parse_floats(cfg.rate or default_rates, "rate")
-    dataset = load_csv(cfg.data, _label_col(cfg))
+    dataset = load_csv(cfg.data, cfg.label_col)
     tc = _train_config(cfg, conditional=True)   # per-method flag set by the harness
     report = run_benchmark(dataset, methods, rates, cfg.reps, root_seed=cfg.seed, train_config=tc,
                            eval_mode=cfg.eval_mode, jobs=cfg.jobs, minority_fractions=fractions)

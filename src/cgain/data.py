@@ -328,21 +328,12 @@ def parse_table(path, header: list[str], rows: list[list[str]], label_idx: int,
     return raw.reshape(shape), observed.reshape(shape).astype(np.float64), labels
 
 
-def _load_table(path, label_column, table, allow_missing: bool,
-                mask_path=None) -> tuple[Dataset, Array]:
+def _load_table(path, label_column, table, allow_missing: bool) -> tuple[Dataset, Array]:
     """(dataset, mask) of a labeled CSV, for load_csv and load_incomplete_csv."""
     header, rows = table if table is not None else read_csv_table(path)
     label_idx = resolve_name(header, label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     raw, mask, label_values = parse_table(path, header, rows, label_idx, allow_missing)
-
-    if mask_path is not None:
-        file_mask = load_mask_csv(mask_path, expected_columns=feature_names)
-        if file_mask.shape != mask.shape:
-            raise ValueError(f"mask file shape {file_mask.shape} does not match data {mask.shape}")
-        if not np.array_equal(file_mask, mask):
-            raise ValueError(f"{mask_path}: mask disagrees with the empty-cell pattern of {path}")
-
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     ds = build_dataset(raw, label_values, feature_names, label_column=header[label_idx], name=stem,
                        observed_mask=mask if allow_missing else None)
@@ -362,23 +353,21 @@ def load_csv(path, label_column, *, table: tuple[list[str], list[list[str]]] | N
     return _load_table(path, label_column, table, allow_missing=False)[0]
 
 
-def load_incomplete_csv(path, label_column, *, mask_path=None,
+def load_incomplete_csv(path, label_column, *,
                         table: tuple[list[str], list[list[str]]] | None = None) -> IncompleteDataset:
     """Load a labeled CSV where empty feature cells mean missing; the label
     column is found as for load_csv.
 
-    Column statistics come from observed entries only. If mask_path is given
-    the 0/1 mask file must agree with the empty-cell pattern. table is as
-    for load_csv.
+    The mask is the empty-cell pattern, and column statistics come from
+    observed entries only. table is as for load_csv.
     """
-    return IncompleteDataset(*_load_table(path, label_column, table, allow_missing=True,
-                                          mask_path=mask_path))
+    return IncompleteDataset(*_load_table(path, label_column, table, allow_missing=True))
 
 
-def load_mask_csv(path, expected_columns: list[str] | None = None) -> Array:
+def load_mask_csv(path) -> Array:
+    """The 0/1 array of a mask CSV, as write_mask_csv writes it; a cell that
+    is not 0 or 1 is refused with ValueError."""
     header, rows = read_csv_table(path)
-    if expected_columns is not None and header != expected_columns:
-        raise ValueError(f"{path}: mask columns {header} do not match data feature columns {expected_columns}")
     cells = list(map(str.strip, chain.from_iterable(rows)))
     ones = np.fromiter(map("1".__eq__, cells), dtype=bool, count=len(cells))
     valid = ones | np.fromiter(map("0".__eq__, cells), dtype=bool, count=len(cells))

@@ -220,6 +220,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         raise ValueError("strict fold mode needs at least 2 repetitions (folds)")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if minority_class is not None and minority_fractions is None:
+        raise ValueError("minority_class is used only by the imbalance grid; give minority_fractions too")
     train_config = train_config or TrainConfig()
     train_config.validate()
     replace(train_config, seed=root_seed).validate()   # the root seed follows the training seed's rule

@@ -18,14 +18,16 @@ from cgain.imputer import load_model
 from conftest import as_format_v1
 
 
-def write_toy_csv(path, n=40, d=3, seed=0):
+def write_toy_csv(path, n=40, d=3, seed=0, rate=0.0):
+    """A labeled table of n rows and d features; with rate, each feature cell is empty with that probability."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.0, 10.0, size=(n, d))
+    empty = rng.random((n, d)) < rate
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"c{j}" for j in range(d)] + ["y"])
         for i in range(n):
-            writer.writerow([f"{v:.6f}" for v in raw[i]] + [str(i % 2)])
+            writer.writerow(["" if e else f"{v:.6f}" for v, e in zip(raw[i], empty[i])] + [str(i % 2)])
     return path
 
 
@@ -65,14 +67,14 @@ def test_inputs_with_a_byte_order_mark_keep_their_first_column_name(tmp_path):
         assert not blob.startswith(bom)     # files the CLI writes have none
         (tmp_path / f"bom.{stem}").write_bytes(bom + blob)
     assert read_csv_table(tmp_path / "bom.c.mask.csv")[0] == ["a", "b"]
-    plain = data_module.load_incomplete_csv(tmp_path / "c.data.csv", "y", mask_path=tmp_path / "c.mask.csv")
-    marked = data_module.load_incomplete_csv(tmp_path / "bom.c.data.csv", "y",
-                                             mask_path=tmp_path / "bom.c.mask.csv")
+    plain = data_module.load_incomplete_csv(tmp_path / "c.data.csv", "y")
+    marked = data_module.load_incomplete_csv(tmp_path / "bom.c.data.csv", "y")
     assert marked.dataset.label_column == "y"
     assert np.array_equal(marked.mask, plain.mask)
+    assert np.array_equal(data_module.load_mask_csv(tmp_path / "bom.c.mask.csv"), plain.mask)
     assert np.array_equal(marked.dataset.features, plain.dataset.features)
-    assert run("train", "--data", tmp_path / "bom.c.data.csv", "--mask", tmp_path / "bom.c.mask.csv",
-               "--label-col", "y", "--iters", "2", "--batch", "8", "--out", tmp_path / "r") == 0
+    assert run("train", "--data", tmp_path / "bom.c.data.csv", "--label-col", "y",
+               "--iters", "2", "--batch", "8", "--out", tmp_path / "r") == 0
 
 
 def test_corrupt_fraction_on_breast_cancer(tmp_path):
@@ -159,9 +161,46 @@ def test_corrupt_and_impute_read_data_once(tmp_path, monkeypatch):
                "--batch", "16", "--seed", "9", "--out", tmp_path / "m") == 0
     paths.clear()
     assert run("impute", "--model", tmp_path / "m.model", "--data", corrupted, "--label-col", "y",
-               "--mask", tmp_path / "c.mask.csv", "--seed", "10", "--out", tmp_path / "i") == 0
-    assert paths.count(str(corrupted)) == 1
-    assert paths.count(str(tmp_path / "c.mask.csv")) == 1
+               "--seed", "10", "--out", tmp_path / "i") == 0
+    assert paths == [str(corrupted)]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("corrupt", ["--rate", "0.3"]),
+    ("train", []),
+    ("impute", ["--model", "absent.model"]),
+    ("benchmark", []),
+], ids=["corrupt", "train", "impute", "benchmark"])
+def test_label_col_is_required_before_any_file_work(tmp_path, capsys, monkeypatch, command, args):
+    data = write_toy_csv(tmp_path / "d.csv")
+    paths = count_reads(monkeypatch)
+    assert run(command, "--data", data, *args, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == "cgain-error: validation: --label-col is required\n"
+    assert paths == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_binary_columns_are_filled_with_0_or_1_and_given_cells_copied(tmp_path):
+    rng = np.random.default_rng(21)
+    rows = [[f"{a:.4f}", str(b), f"{c:.2f}", str(e), str(i % 2)]
+            for i, (a, b, c, e) in enumerate(zip(rng.uniform(0, 9, 60), rng.integers(0, 2, 60),
+                                                 rng.uniform(-5, 5, 60), rng.integers(0, 2, 60)))]
+    data = tmp_path / "d.csv"
+    data.write_text("u,b1,v,b2,y\n" + "".join(",".join(row) + "\n" for row in rows))
+    assert run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.3",
+               "--seed", "3", "--out", tmp_path / "c") == 0
+    assert run("train", "--data", tmp_path / "c.data.csv", "--label-col", "y", "--iters", "30",
+               "--batch", "16", "--seed", "4", "--out", tmp_path / "m") == 0
+    assert run("impute", "--model", tmp_path / "m.model", "--data", tmp_path / "c.data.csv",
+               "--label-col", "y", "--seed", "5", "--out", tmp_path / "i") == 0
+    assert load_model(tmp_path / "m.model").column_kinds == ("continuous", "binary", "continuous", "binary")
+    _, given = read_csv_table(tmp_path / "c.data.csv")
+    _, filled = read_csv_table(tmp_path / "i.imputed.csv")
+    binary_fills = [out[j] for row, out in zip(given, filled) for j in (1, 3) if row[j] == ""]
+    assert binary_fills and set(binary_fills) <= {"0", "1"}
+    for row, out in zip(given, filled):
+        assert all(a == b for a, b in zip(row, out) if a != "")
+        assert all(b != "" for b in out)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +208,9 @@ def test_corrupt_and_impute_read_data_once(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_train_records_conditioning_flag_and_batch_default(tmp_path, capsys):
-    data = write_toy_csv(tmp_path / "d.csv")
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     rc = run("train", "--data", data, "--label-col", "y", "--method", "gain",
-             "--rate", "0.3", "--iters", "20", "--batch", "16", "--seed", "2",
+             "--iters", "20", "--batch", "16", "--seed", "2",
              "--out", tmp_path / "g")
     assert rc == 0
     model = load_model(tmp_path / "g.model")
@@ -180,7 +219,7 @@ def test_train_records_conditioning_flag_and_batch_default(tmp_path, capsys):
     assert "config method=gain" in out
 
     with pytest.warns(UserWarning, match="clamping"):    # the default batch exceeds the 40 rows
-        rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
+        rc = run("train", "--data", data, "--label-col", "y",
                  "--iters", "20", "--seed", "2", "--out", tmp_path / "c2")
     assert rc == 0
     out = capsys.readouterr().out
@@ -192,15 +231,16 @@ def test_train_records_conditioning_flag_and_batch_default(tmp_path, capsys):
 def test_label_col_names_a_header_column_before_an_index(tmp_path):
     # the column named 1 has 2 classes; index 1, the column named 2020, has 3
     data = tmp_path / "years.csv"
-    data.write_text("2019,2020,1\n" + "".join(f"{i}.5,{i % 3},{i % 2}\n" for i in range(30)))
-    assert run("train", "--data", data, "--label-col", "1", "--rate", "0.3", "--iters", "2",
+    data.write_text("2019,2020,1\n" + "".join(f"{'' if i % 4 else f'{i}.5'},{i % 3},{i % 2}\n"
+                                              for i in range(30)))
+    assert run("train", "--data", data, "--label-col", "1", "--iters", "2",
                "--batch", "8", "--out", tmp_path / "m") == 0
     assert load_model(tmp_path / "m.model").n_classes == 2
 
 
 def test_trace_rows_equal_budget_over_interval(tmp_path):
-    data = write_toy_csv(tmp_path / "d.csv")
-    rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    rc = run("train", "--data", data, "--label-col", "y",
              "--iters", "200", "--batch", "16", "--seed", "3", "--out", tmp_path / "t")
     assert rc == 0
     header, rows = read_csv_table(tmp_path / "t.trace.csv")
@@ -213,36 +253,49 @@ def test_train_on_corrupted_csv_with_mask(tmp_path):
     assert run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.3",
                "--seed", "4", "--out", tmp_path / "c") == 0
     rc = run("train", "--data", tmp_path / "c.data.csv", "--label-col", "y",
-             "--mask", tmp_path / "c.mask.csv", "--iters", "20", "--batch", "16",
-             "--seed", "5", "--out", tmp_path / "m")
+             "--iters", "20", "--batch", "16", "--seed", "5", "--out", tmp_path / "m")
     assert rc == 0
     assert (tmp_path / "m.model").exists()
+    # the mask file corrupt wrote records the cells train read as missing: the empty ones
+    assert np.array_equal(data_module.load_mask_csv(tmp_path / "c.mask.csv"),
+                          data_module.load_incomplete_csv(tmp_path / "c.data.csv", "y").mask)
 
 
-def test_train_rejects_rate_with_mask(tmp_path, capsys):
+@pytest.mark.parametrize("rate", ["0.3", "0.1,0.2"])
+def test_train_refuses_rate_and_points_to_corrupt(tmp_path, capsys, rate):
     data = write_toy_csv(tmp_path / "d.csv")
-    rc = run("train", "--data", data, "--label-col", "y", "--rate", "0.3",
-             "--mask", tmp_path / "absent.mask.csv", "--out", tmp_path / "x")
+    rc = run("train", "--data", data, "--label-col", "y", "--rate", rate, "--out", tmp_path / "x")
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "cgain-error: validation" in err and "--rate" in err and "--mask" in err
-    assert not (tmp_path / "x.model").exists()
+    assert capsys.readouterr().err == ("cgain-error: validation: train takes no --rate: its missing cells "
+                                       "are the empty cells of --data; hide cells with cgain corrupt first\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
-@pytest.mark.parametrize("command", ["corrupt", "train"])
-def test_corrupt_and_train_need_exactly_one_rate(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["train", "impute"])
+def test_a_mask_flag_or_config_key_is_refused(tmp_path, capsys, command):
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    args = [command, "--data", data, "--label-col", "y", "--model", "m.model", "--out", tmp_path / "x"]
+    assert run(*args, "--mask", "m.csv") == 1
+    assert capsys.readouterr().err == "cgain-error: validation: unrecognized arguments: --mask m.csv\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mask=m.csv\n")
+    assert run(*args, "--config", cfg) == 1
+    assert capsys.readouterr().err == f"cgain-error: validation: {cfg}:1: unknown config key 'mask'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+
+
+def test_corrupt_needs_exactly_one_rate(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv")
-    rc = run(command, "--data", data, "--label-col", "y", "--rate", "0.1,0.2", "--out", tmp_path / "x")
+    rc = run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.1,0.2", "--out", tmp_path / "x")
     assert rc == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {command} needs exactly one --rate, "
-                                       "got '0.1,0.2'\n")
+    assert capsys.readouterr().err == "cgain-error: validation: corrupt needs exactly one --rate, got '0.1,0.2'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_train_rejects_untrainable_method(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv")
     rc = run("train", "--data", data, "--label-col", "y", "--method", "mean",
-             "--rate", "0.3", "--out", tmp_path / "x")
+             "--out", tmp_path / "x")
     assert rc == 1
     assert "cgain-error: validation" in capsys.readouterr().err
 
@@ -412,7 +465,7 @@ def test_benchmark_failure_lines_name_the_fraction(tmp_path, capsys, monkeypatch
     ]
 
 
-COMMAND_ARGS = {"train": ["--rate", "0.2"],
+COMMAND_ARGS = {"train": [],
                 "benchmark": ["--method", "cgain,mean", "--rate", "0.2", "--reps", "1", "--jobs", "1"]}
 
 
@@ -523,7 +576,8 @@ def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag,
     if in_file is not None:
         cfg.write_text(f"seed={in_file}\n")
         seed += ["--config", cfg]
-    rc = run(command, "--data", data, "--label-col", "y", "--rate", "0.2", "--iters", "2",
+    rate = [] if command == "train" else ["--rate", "0.2"]
+    rc = run(command, "--data", data, "--label-col", "y", *rate, "--iters", "2",
              *seed, "--out", tmp_path / "o")
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {source.format(cfg=cfg)} must be a "
@@ -538,7 +592,7 @@ SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "int | None": ("3", 3), "floa
 
 def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
     declared = list(fields(RunConfig))
-    assert len(declared) == 19
+    assert len(declared) == 18
     parser = cli.build_parser()
     expected = {}
     for f in declared:
@@ -570,8 +624,8 @@ TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12)
 
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_every_training_knob_reaches_the_saved_model(tmp_path, source):
-    data = write_toy_csv(tmp_path / "d.csv")
-    argv = ["train", "--data", data, "--label-col", "y", "--rate", "0.3", "--out", tmp_path / "m"]
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    argv = ["train", "--data", data, "--label-col", "y", "--out", tmp_path / "m"]
     if source == "flags":
         for name, (text, _, _) in TRAIN_KNOBS.items():
             argv += [f"--{name.replace('_', '-')}", text]

@@ -273,6 +273,17 @@ def test_benchmark_refuses_a_bad_minority_class_before_any_work(monkeypatch, ref
                       minority_fractions=[0.3], minority_class=ref)
 
 
+def test_minority_class_without_minority_fractions_is_refused_before_any_work(monkeypatch):
+    # only the imbalance grid reads minority_class; the rate grid would drop it unread
+    def fail(*args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(ev, "_rep_task", fail)
+    with pytest.raises(ValueError, match="^minority_class is used only by the imbalance grid; "
+                                         "give minority_fractions too$"):
+        run_benchmark(balanced_binary(), ["mean"], [0.2], repetitions=1, root_seed=0, minority_class=1)
+
+
 def test_minority_class_name_wins_over_an_index():
     rng = np.random.default_rng(3)
     from cgain.data import build_dataset

@@ -121,12 +121,12 @@ def cli_digests(name: str, text: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "in.csv").write_bytes(text.encode("utf-8"))
-        label, data, mask = ["--label-col", "label"], tmp / "c.data.csv", tmp / "c.mask.csv"
+        label, data = ["--label-col", "label"], tmp / "c.data.csv"
         for args in (["corrupt", "--data", tmp / "in.csv", *label, "--rate", "0.2", "--seed", "11",
                       "--out", tmp / "c"],
-                     ["train", "--data", data, "--mask", mask, *label, "--method", "cgain", "--iters", "100",
+                     ["train", "--data", data, *label, "--method", "cgain", "--iters", "100",
                       "--seed", "12", "--out", tmp / "r"],
-                     ["impute", "--model", tmp / "r.model", "--data", data, "--mask", mask, *label,
+                     ["impute", "--model", tmp / "r.model", "--data", data, *label,
                       "--seed", "13", "--out", tmp / "f"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main([str(a) for a in args]) == 0, f"cgain {args[0]} failed"
