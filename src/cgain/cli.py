@@ -1,9 +1,9 @@
 """Command-line driver: corrupt, train, impute, and benchmark subcommands.
 
-Configuration precedence is defaults < config file (KEY=VALUE lines via
---config) < explicit command-line flags, with the CGAIN_SEED environment
-variable as a seed fallback. Every run prints its fully resolved
-configuration first, so a run is reconstructible from its own output.
+A subcommand takes the flags and config keys of the fields it reads, no more.
+Precedence is defaults < config file (KEY=VALUE lines via --config) <
+command-line flags, with $CGAIN_SEED as a seed fallback. Every run prints its
+command's resolved fields first, so a run is reconstructible from its own output.
 
 A missing cell is an empty feature cell of --data. Only corrupt hides
 cells: it blanks them in a complete file and writes a mask file that
@@ -35,42 +35,49 @@ DEFAULT_RATES = "0.05,0.1,0.15,0.2"
 DEFAULT_METHODS = ",".join(METHODS)
 DEFAULT_IMBALANCE_RATE = "0.2"
 SEED_ENV = "CGAIN_SEED"
+_ALL = "corrupt train impute benchmark"
 
 
-def _flag(default, help: str, choices=None, train: str | None = None):
-    """A RunConfig field with the help text and choices of its --flag and the TrainConfig field it sets."""
-    return field(default=default, metadata={"help": help, "choices": choices, "train": train})
+def _flag(default, help: str, commands: str, choices=None, train: str | None = None):
+    """A RunConfig field: its --flag's help and choices, its subcommands, the TrainConfig field it sets."""
+    return field(default=default, metadata=dict(help=help, commands=commands.split(), choices=choices,
+                                                train=train))
 
 
 def _train_flag(name: str, help: str, choices=None):
     """A RunConfig field that sets TrainConfig's field name, with its default."""
-    return _flag(getattr(TrainConfig, name), help, choices, train=name)
+    return _flag(getattr(TrainConfig, name), help, "train benchmark", choices, train=name)
 
 
 @dataclass
 class RunConfig:
-    """Every knob the toolkit exposes, each declared once: the field name is
-    the config-file key and, with '-' for '_', the command-line flag.
+    """Every knob the toolkit exposes, each declared once with the subcommands that read it: the field
+    name is their config-file key and, with '-' for '_', their command-line flag.
     Training knobs name the TrainConfig field they set and default to its value."""
 
-    data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)")
-    label_col: str = _flag("", "label column: a header name, or else a 0-based index")
-    method: str = _flag("", "cgain | gain | mean | mice_lite (comma list for benchmark)")
-    rate: str = _flag("", "missing rate to hide (corrupt), or comma list for benchmark")
-    reps: int = _flag(10, "repetitions (strict mode: fold count)")
-    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)", train="seed")
+    data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)", _ALL)
+    label_col: str = _flag("", "label column: a header name, or else a 0-based index", _ALL)
+    method: str = _flag("", "cgain | gain | mean | mice_lite; a comma list for benchmark", "train benchmark")
+    rate: str = _flag("", "missing rate to hide; a comma list for benchmark", "corrupt benchmark")
+    reps: int = _flag(10, "repetitions (strict mode: fold count)", "benchmark")
+    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)", _ALL, train="seed")
     alpha: float = _train_flag("alpha", "reconstruction loss weight")
     batch: int = _train_flag("batch_size", "mini-batch size")
     iters: int = _train_flag("iterations", "training iteration budget")
     optimizer: str = _train_flag("optimizer", "optimizer kind", OPTIMIZERS)
     lr: float = _train_flag("learning_rate", "learning rate")
     hidden_mult: int = _train_flag("hidden_multiplier", "hidden width as a multiple of feature count")
-    imbalance: str = _flag("", "comma list of minority fractions (benchmark)")
-    out: str = _flag("", "output path stem")
+    imbalance: str = _flag("", "comma list of minority fractions", "benchmark")
+    out: str = _flag("", "output path stem", _ALL)
     adv_sign: str = _train_flag("adversarial_sign", "generator adversarial-term sign convention", ADV_SIGNS)
-    eval_mode: str = _flag("repetition", "benchmark evaluation mode", EVAL_MODES)
-    jobs: int = _flag(0, "parallel benchmark workers (0 = the CPUs this process may use)")
-    model: str = _flag("", "model file (impute input)")
+    eval_mode: str = _flag("repetition", "evaluation mode", "benchmark", EVAL_MODES)
+    jobs: int = _flag(0, "parallel workers (0 = the CPUs this process may use)", "benchmark")
+    model: str = _flag("", "model file", "impute")
+
+
+def command_fields(command: str) -> list:
+    """The RunConfig fields that command reads, in declaration order."""
+    return [f for f in fields(RunConfig) if command in f.metadata["commands"]]
 
 
 def _seed(text: str) -> int:
@@ -84,11 +91,11 @@ def _seed(text: str) -> int:
 _PARSERS = {"str": str, "int": int, "float": float, "int | None": _seed}
 
 
-def parse_config_file(path) -> dict:
-    """Flat KEY=VALUE pairs; '#' starts a comment; unknown keys are errors.
+def parse_config_file(path, command: str) -> dict:
+    """Flat KEY=VALUE pairs; '#' starts a comment; a key that command does not read is an error.
     A value is parsed as its --flag's value is, type and choices included.
     A leading UTF-8 byte-order mark is dropped."""
-    known, flags = {f.name for f in fields(RunConfig)}, _flags()
+    known, flags = {f.name for f in command_fields(command)}, _flags(command)
     values: dict = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -99,7 +106,7 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
             if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: {command} takes no config key {key!r}")
             try:
                 values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
             except ValueError as exc:
@@ -108,12 +115,9 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    cfg = RunConfig(**(parse_config_file(args.config, args.command) if args.config else {}))
+    for f in command_fields(args.command):
+        value = getattr(args, f.name)
         if value is not None:
             setattr(cfg, f.name, value)
     if cfg.seed is None:
@@ -128,7 +132,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def print_config(cfg: RunConfig, command: str) -> None:
     print(f"config command={command}")
-    for f in fields(RunConfig):
+    for f in command_fields(command):
         print(f"config {f.name}={getattr(cfg, f.name)}")
 
 
@@ -188,9 +192,6 @@ def cmd_corrupt(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "data", "label_col", "out")
-    if cfg.rate:
-        raise ValueError("train takes no --rate: its missing cells are the empty cells of --data; "
-                         "hide cells with cgain corrupt first")
     method = cfg.method or "cgain"
     if method not in ("cgain", "gain"):
         raise ValueError(f"train needs --method cgain or gain, got {method!r}")
@@ -238,8 +239,9 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
     default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
     rates = _parse_floats(cfg.rate or default_rates, "rate")
-    dataset = load_csv(cfg.data, cfg.label_col)
     tc = _train_config(cfg, conditional=True)   # per-method flag set by the harness
+    tc.validate()   # fail before any file or training work
+    dataset = load_csv(cfg.data, cfg.label_col)
     report = run_benchmark(dataset, methods, rates, cfg.reps, root_seed=cfg.seed, train_config=tc,
                            eval_mode=cfg.eval_mode, jobs=cfg.jobs, minority_fractions=fractions)
 
@@ -278,35 +280,32 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _flags() -> argparse.ArgumentParser:
-    """The --flag of every RunConfig field, and --config."""
+def _flags(command: str) -> argparse.ArgumentParser:
+    """The --flag of every RunConfig field that command reads, and --config."""
     flags = _Parser(add_help=False)
-    for f in fields(RunConfig):
+    for f in command_fields(command):
         flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type],
                            help=f.metadata["help"], choices=f.metadata["choices"])
     flags.add_argument("--config", help="KEY=VALUE config file; flags override it")
     return flags
 
 
+_COMMANDS = {
+    "corrupt": (cmd_corrupt, "hide cells at random, write data+mask CSVs"),
+    "train": (cmd_train, "train an imputation model"),
+    "impute": (cmd_impute, "fill an incomplete CSV with a trained model"),
+    "benchmark": (cmd_benchmark, "run the method/rate benchmark grid"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _flags()
     parser = _Parser(prog="cgain",
                      description="Missing-data imputation with class-conditional "
                                  "adversarial training, plus baselines and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("corrupt", parents=[common], help="hide cells at random, write data+mask CSVs")
-    sub.add_parser("train", parents=[common], help="train an imputation model")
-    sub.add_parser("impute", parents=[common], help="fill an incomplete CSV with a trained model")
-    sub.add_parser("benchmark", parents=[common], help="run the method/rate benchmark grid")
+    for command, (_, help) in _COMMANDS.items():
+        sub.add_parser(command, parents=[_flags(command)], help=help)
     return parser
-
-
-_COMMANDS = {
-    "corrupt": cmd_corrupt,
-    "train": cmd_train,
-    "impute": cmd_impute,
-    "benchmark": cmd_benchmark,
-}
 
 
 def main(argv=None) -> int:
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         print_config(cfg, args.command)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"cgain-error: validation: {exc}", file=sys.stderr)
         return 1

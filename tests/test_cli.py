@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,11 @@ def write_toy_csv(path, n=40, d=3, seed=0, rate=0.0):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# what each command needs besides --data, --label-col and --out
+COMMAND_NEEDS = {"corrupt": ["--rate", "0.3"], "train": [], "impute": ["--model", "absent.model"],
+                 "benchmark": ["--method", "mean", "--reps", "1", "--jobs", "1"]}
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +170,11 @@ def test_corrupt_and_impute_read_data_once(tmp_path, monkeypatch):
     assert paths == [str(corrupted)]
 
 
-@pytest.mark.parametrize("command, args", [
-    ("corrupt", ["--rate", "0.3"]),
-    ("train", []),
-    ("impute", ["--model", "absent.model"]),
-    ("benchmark", []),
-], ids=["corrupt", "train", "impute", "benchmark"])
-def test_label_col_is_required_before_any_file_work(tmp_path, capsys, monkeypatch, command, args):
+@pytest.mark.parametrize("command", COMMAND_NEEDS)
+def test_label_col_is_required_before_any_file_work(tmp_path, capsys, monkeypatch, command):
     data = write_toy_csv(tmp_path / "d.csv")
     paths = count_reads(monkeypatch)
-    assert run(command, "--data", data, *args, "--out", tmp_path / "o") == 1
+    assert run(command, "--data", data, *COMMAND_NEEDS[command], "--out", tmp_path / "o") == 1
     assert capsys.readouterr().err == "cgain-error: validation: --label-col is required\n"
     assert paths == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
@@ -266,21 +266,23 @@ def test_train_refuses_rate_and_points_to_corrupt(tmp_path, capsys, rate):
     data = write_toy_csv(tmp_path / "d.csv")
     rc = run("train", "--data", data, "--label-col", "y", "--rate", rate, "--out", tmp_path / "x")
     assert rc == 1
-    assert capsys.readouterr().err == ("cgain-error: validation: train takes no --rate: its missing cells "
-                                       "are the empty cells of --data; hide cells with cgain corrupt first\n")
+    assert capsys.readouterr().err == f"cgain-error: validation: unrecognized arguments: --rate {rate}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+    # corrupt is the command that takes --rate: it hides the cells train reads as missing
+    assert cli.build_parser().parse_args(["corrupt", "--rate", rate]).rate == rate
 
 
 @pytest.mark.parametrize("command", ["train", "impute"])
 def test_a_mask_flag_or_config_key_is_refused(tmp_path, capsys, command):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
-    args = [command, "--data", data, "--label-col", "y", "--model", "m.model", "--out", tmp_path / "x"]
+    args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "x"]
     assert run(*args, "--mask", "m.csv") == 1
     assert capsys.readouterr().err == "cgain-error: validation: unrecognized arguments: --mask m.csv\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mask=m.csv\n")
     assert run(*args, "--config", cfg) == 1
-    assert capsys.readouterr().err == f"cgain-error: validation: {cfg}:1: unknown config key 'mask'\n"
+    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:1: {command} takes no config key "
+                                       "'mask'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
 
 
@@ -475,12 +477,15 @@ COMMAND_ARGS = {"train": [],
     ("--alpha", "nan", "alpha must be positive and finite, got nan"),
     ("--lr", "inf", "learning rate must be positive and finite, got inf"),
 ], ids=["negative_alpha", "nan_alpha", "inf_lr"])
-def test_bad_train_config_is_refused_before_any_work(tmp_path, capsys, command, flag, value, message):
+def test_bad_train_config_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag, value,
+                                                     message):
     data = write_toy_csv(tmp_path / "d.csv")
+    paths = count_reads(monkeypatch)
     rc = run(command, "--data", data, "--label-col", "y", "--iters", "5", *COMMAND_ARGS[command],
              flag, value, "--out", tmp_path / "r")
     assert rc == 1
     assert capsys.readouterr().err == f"cgain-error: validation: {message}\n"
+    assert paths == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
@@ -501,15 +506,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfseed=5\nreps=3\n")
-    assert cli.parse_config_file(cfg) == {"seed": 5, "reps": 3}
+    assert cli.parse_config_file(cfg, "benchmark") == {"seed": 5, "reps": 3}
 
 
 def test_unknown_config_key_fails_loudly(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("batchsize=64\n")
-    rc = run("corrupt", "--config", cfg, "--out", tmp_path / "c")
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("batchsize", "config"):   # --config is a flag, but no config key
+        cfg.write_text(f"{key}=64\n")
+        assert run("corrupt", "--config", cfg, "--out", tmp_path / "c") == 1
+        assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:1: corrupt takes no config key "
+                                           f"{key!r}\n")
 
 
 def test_bad_flag_value_is_a_validation_error(tmp_path, capsys):
@@ -530,17 +536,21 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
 
 
 def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
-    data = write_toy_csv(tmp_path / "d.csv")
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nlabel_col=y\nrate=0.3\noptimizer=rmsprop\n")
-    rc = run("corrupt", "--config", cfg, "--out", tmp_path / "c")
-    assert rc == 1
-    # argparse words the list of choices differently across Python versions
-    err = capsys.readouterr().err
-    assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'optimizer': "
-                          "argument --optimizer: invalid choice: 'rmsprop' (choose from ")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "c.data.csv").exists()
+    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\noptimizer=rmsprop\n")
+    for command in ("train", "benchmark"):
+        assert run(command, "--config", cfg, "--out", tmp_path / "c") == 1
+        # argparse words the list of choices differently across Python versions
+        err = capsys.readouterr().err
+        assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'optimizer': "
+                              "argument --optimizer: invalid choice: 'rmsprop' (choose from ")
+        assert err.count("\n") == 1
+    # corrupt reads no optimizer, so it refuses the key before looking at its value
+    assert run("corrupt", "--config", cfg, "--out", tmp_path / "c") == 1
+    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:4: corrupt takes no config key "
+                                       "'optimizer'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -576,9 +586,8 @@ def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag,
     if in_file is not None:
         cfg.write_text(f"seed={in_file}\n")
         seed += ["--config", cfg]
-    rate = [] if command == "train" else ["--rate", "0.2"]
-    rc = run(command, "--data", data, "--label-col", "y", *rate, "--iters", "2",
-             *seed, "--out", tmp_path / "o")
+    rc = run(command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], *seed,
+             "--out", tmp_path / "o")
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {source.format(cfg=cfg)} must be a "
                                        f"non-negative integer, got {shown}\n")
@@ -590,29 +599,80 @@ def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag,
 SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "int | None": ("3", 3), "float": ("0.5", 0.5)}
 
 
+def sample(f) -> tuple:
+    """A command-line/config-file text for field f and the value it parses to."""
+    choices = f.metadata["choices"]
+    return (choices[-1], choices[-1]) if choices else SAMPLES[f.type]
+
+
 def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
     declared = list(fields(RunConfig))
     assert len(declared) == 18
+    # 39 (command, field) pairs are declared; the 33 others are refused
+    assert {c: len(cli.command_fields(c)) for c in cli._COMMANDS} == {"corrupt": 5, "train": 12,
+                                                                      "impute": 5, "benchmark": 17}
     parser = cli.build_parser()
-    expected = {}
     for f in declared:
-        choices = f.metadata["choices"]
-        text, value = (choices[-1], choices[-1]) if choices else SAMPLES[f.type]
-        expected[f.name] = (text, value)
-        flag = f"--{f.name.replace('_', '-')}"
-        assert getattr(parser.parse_args(["train", flag, text]), f.name) == value
+        (text, value), flag = sample(f), f"--{f.name.replace('_', '-')}"
+        for command in f.metadata["commands"]:
+            assert getattr(parser.parse_args([command, flag, text]), f.name) == value
 
     cfg_file = tmp_path / "all.cfg"
-    cfg_file.write_text("".join(f"{name}={text}\n" for name, (text, _) in expected.items()))
-    cfg = cli.resolve_config(parser.parse_args(["train", "--config", str(cfg_file)]))
-    for name, (_, value) in expected.items():
-        assert getattr(cfg, name) == value
+    for command in cli._COMMANDS:
+        own = cli.command_fields(command)
+        cfg_file.write_text("".join(f"{f.name}={sample(f)[0]}\n" for f in own))
+        cfg = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        for f in own:
+            assert getattr(cfg, f.name) == sample(f)[1]
+        cli.print_config(cfg, command)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"config command={command}"] + [f"config {f.name}={sample(f)[1]}" for f in own]
     assert type(cfg.batch) is int and type(cfg.lr) is float and type(cfg.adv_sign) is str
 
-    cli.print_config(cfg, "train")
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == ["config command=train"] + [f"config {name}={value}"
-                                                for name, (_, value) in expected.items()]
+
+UNDECLARED = [pytest.param(command, f, id=f"{command}-{f.name}") for command in cli._COMMANDS
+              for f in fields(RunConfig) if command not in f.metadata["commands"]]
+
+
+@pytest.mark.parametrize("command, f", UNDECLARED)
+def test_a_field_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch, command, f):
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    paths = count_reads(monkeypatch)
+    text, flag = sample(f)[0], f"--{f.name.replace('_', '-')}"
+    args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
+    assert run(*args, flag, text) == 1
+    assert capsys.readouterr() == ("", f"cgain-error: validation: unrecognized arguments: {flag} {text}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{f.name}={text}\n")
+    assert run(*args, "--config", cfg) == 1
+    assert capsys.readouterr() == ("", f"cgain-error: validation: {cfg}:1: {command} takes no config key "
+                                       f"{f.name!r}\n")
+    assert paths == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+
+
+def test_each_command_reads_exactly_the_fields_it_declares(tmp_path):
+    reads = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    data = write_toy_csv(tmp_path / "d.csv")
+    label = ["--label-col", "y"]
+    for argv in (["corrupt", "--data", data, *label, "--rate", "0.3", "--out", tmp_path / "c"],
+                 ["train", "--data", tmp_path / "c.data.csv", *label, "--iters", "2", "--batch", "8",
+                  "--out", tmp_path / "m"],
+                 ["impute", "--model", tmp_path / "m.model", "--data", tmp_path / "c.data.csv", *label,
+                  "--out", tmp_path / "i"],
+                 ["benchmark", "--data", data, *label, "--method", "mean", "--rate", "0.2", "--reps", "1",
+                  "--jobs", "1", "--out", tmp_path / "r"]):
+        command = argv[0]
+        cfg = Recording(**asdict(cli.resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))))
+        reads.clear()
+        assert cli._COMMANDS[command][0](cfg) == 0
+        assert reads & {f.name for f in fields(RunConfig)} == {f.name for f in cli.command_fields(command)}
 
 
 TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12),
