@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .nn import OPTIMIZERS, make_rng
+from .nn import make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
@@ -64,7 +64,6 @@ class RunConfig:
     alpha: float = _train_flag("alpha", "reconstruction loss weight")
     batch: int = _train_flag("batch_size", "mini-batch size")
     iters: int = _train_flag("iterations", "training iteration budget")
-    optimizer: str = _train_flag("optimizer", "optimizer kind", OPTIMIZERS)
     lr: float = _train_flag("learning_rate", "learning rate")
     hidden_mult: int = _train_flag("hidden_multiplier", "hidden width as a multiple of feature count")
     imbalance: str = _flag("", "comma list of minority fractions", "benchmark")
@@ -282,7 +281,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _flags(command: str) -> argparse.ArgumentParser:
     """The --flag of every RunConfig field that command reads, and --config."""
-    flags = _Parser(add_help=False)
+    flags = _Parser(add_help=False, allow_abbrev=False)
     for f in command_fields(command):
         flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type],
                            help=f.metadata["help"], choices=f.metadata["choices"])
@@ -299,12 +298,12 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cgain",
+    parser = _Parser(prog="cgain", allow_abbrev=False,
                      description="Missing-data imputation with class-conditional "
                                  "adversarial training, plus baselines and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help) in _COMMANDS.items():
-        sub.add_parser(command, parents=[_flags(command)], help=help)
+        sub.add_parser(command, parents=[_flags(command)], help=help, allow_abbrev=False)
     return parser
 
 

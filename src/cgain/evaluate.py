@@ -197,6 +197,9 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     grid runs on one pool of min(jobs, tasks) workers, which each receive
     every block's table once, or in this process when that is 1.
     """
+    for name, value in (("repetitions", repetitions), ("jobs", jobs)):   # TrainConfig's integer rule
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if repetitions < 1:
         raise ValueError(f"need at least 1 repetition, got {repetitions}")
     if not methods:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
-from .nn import (OPTIMIZERS, Array, DenseNet, FlatArrays, dense_backward, dense_forward,
-                 dense_shapes, init_dense, make_optimizer, make_rng, optimizer_step, uniform)
+from .nn import (Array, DenseNet, FlatArrays, dense_backward, dense_forward, dense_shapes,
+                 init_dense, make_optimizer, make_rng, optimizer_step, uniform)
 from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
 EPS = 1e-8          # log clamp inside every cross-entropy term
@@ -41,7 +41,6 @@ class TrainConfig:
     alpha: float = 100.0            # weight of the observed-cell reconstruction loss
     batch_size: int = 128
     iterations: int = 10_000        # discriminator/generator update pairs
-    optimizer: str = "adam"         # one of nn.OPTIMIZERS
     learning_rate: float = 1e-3
     hidden_multiplier: int = 3      # hidden width = multiplier * n_features
     conditional: bool = True        # False drops the label block (unconditional variant)
@@ -64,8 +63,6 @@ class TrainConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch size and iteration budget must be at least 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.hidden_multiplier < 1:
@@ -435,8 +432,8 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     rng = make_rng(config.seed)
     model = build_model(d, ds.n_classes, ds.column_kinds, config, rng)
     d_params, g_params = model.discriminator.params(), model.generator.params()
-    d_opt = make_optimizer(config.optimizer, config.learning_rate, d_params)
-    g_opt = make_optimizer(config.optimizer, config.learning_rate, g_params)
+    d_opt = make_optimizer(config.learning_rate, d_params)
+    g_opt = make_optimizer(config.learning_rate, g_params)
     columns = (ds.features, incomplete.mask, ds.labels)
 
     # m_hat and x_bar are sigmoid outputs, in [0, 1] or NaN, and m_hat enters
@@ -513,7 +510,7 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"CGAINMDL"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _PREAMBLE = struct.Struct("<IQ")          # format version, header length
 _HEADER_KEYS = {"n_classes", "column_kinds", "config"}

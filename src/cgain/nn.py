@@ -1,5 +1,5 @@
 """Minimal dense-network engine: two-hidden-layer nets, hand-derived
-backprop, SGD/Adam, and seeded random sources.
+backprop, Adam, and seeded random sources.
 
 A net computes its forward pass, backward pass and optimizer updates in
 the dtype of its parameter buffer: float32 for the nets the imputer
@@ -19,7 +19,6 @@ import numpy as np
 
 Array = np.ndarray
 
-OPTIMIZERS = ("adam", "sgd")
 FLUSH_EVERY = 64    # Adam steps between flushes of subnormal moments to zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's standard constants, as in GAIN
 
@@ -170,7 +169,7 @@ class DenseNet:
 
     def params(self) -> FlatArrays:
         """The six parameter arrays (w1, b1, w2, b2, w3, b3), the same
-        objects on every call; mutated in place by optimizers."""
+        objects on every call; mutated in place by optimizer_step."""
         return self._params
 
     def copy(self) -> "DenseNet":
@@ -261,63 +260,52 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str,
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer: Adam
 # ---------------------------------------------------------------------------
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected Adam, at the constants ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPS, over one FlatArrays layout, `shapes`.
+    """Bias-corrected Adam, at the constants ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS, over one FlatArrays layout, `m.shapes`.
 
-    For Adam, m and v hold the moments and scratch two work buffers, each a
+    m and v hold the moments and scratch two work buffers, each a
     FlatArrays of that layout in the dtype of the params, so updates
     allocate nothing and compute in that dtype.
     """
 
-    kind: str
     learning_rate: float
-    shapes: tuple[tuple[int, ...], ...]
+    m: FlatArrays
+    v: FlatArrays
+    scratch: tuple[FlatArrays, FlatArrays]
     step_count: int = 0
-    m: FlatArrays | tuple = ()
-    v: FlatArrays | tuple = ()
-    scratch: tuple[FlatArrays, ...] = ()
 
 
-def make_optimizer(kind: str, learning_rate: float, params: FlatArrays) -> OptimizerState:
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
+def make_optimizer(learning_rate: float, params: FlatArrays) -> OptimizerState:
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     if type(params) is not FlatArrays:
         raise ValueError(f"params must be FlatArrays (a net's params()), got {type(params).__name__}")
-    state = OptimizerState(kind=kind, learning_rate=learning_rate, shapes=params.shapes)
-    if kind == "adam":
-        dtype = params.flat.dtype
-        state.m, state.v = FlatArrays.zeros(params.shapes, dtype), FlatArrays.zeros(params.shapes, dtype)
-        state.scratch = (FlatArrays.zeros(params.shapes, dtype), FlatArrays.zeros(params.shapes, dtype))
-    return state
+    m, v, step, denom = (FlatArrays.zeros(params.shapes, params.flat.dtype) for _ in range(4))
+    return OptimizerState(learning_rate=learning_rate, m=m, v=v, scratch=(step, denom))
 
 
 def optimizer_step(state: OptimizerState, params: FlatArrays, grads: FlatArrays) -> None:
-    """Update params in place, one pass over the buffer per operation. SGD
-    is exactly p -= lr * g; Adam is p -= lr * (m / c1) / (sqrt(v / c2) + eps),
-    rounded in that order. params and grads must be FlatArrays of the state's
-    layout: a net's params() and the gradients dense_backward returns.
+    """Update params in place, one pass over the buffer per operation:
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded in that order.
+    params and grads must be FlatArrays of the state's layout: a net's
+    params() and the gradients dense_backward returns.
 
-    Every FLUSH_EVERY Adam steps, after the update, moment cells below the
+    Every FLUSH_EVERY steps, after the update, moment cells below the
     dtype's smallest normal magnitude are set to 0. A dead unit's first
     moment otherwise decays into the subnormal range and stays there, since
     m * 0.9 rounds a few units of the last place back to itself, and every
     later pass over a subnormal cell is slow. Such a moment moves its weight
     by at most about lr * tiny / eps (1.2e-33 in float32 at lr 1e-3), which
     rounds away against any weight above about 1e-26."""
-    if not (type(params) is type(grads) is FlatArrays and params.shapes == grads.shapes == state.shapes):
-        raise ValueError(f"params and grads must be FlatArrays with the optimizer's shapes {state.shapes}")
+    if not (type(params) is type(grads) is FlatArrays and params.shapes == grads.shapes == state.m.shapes):
+        raise ValueError(f"params and grads must be FlatArrays with the optimizer's shapes {state.m.shapes}")
     p, g = params.flat, grads.flat
     state.step_count += 1
-    if state.kind == "sgd":
-        p -= state.learning_rate * g
-        return
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t

@@ -48,10 +48,21 @@ def random_incomplete(dataset: Dataset, rate=0.3, seed=1) -> IncompleteDataset:
     return corrupt_mcar(dataset, rate, make_rng(seed))
 
 
+def as_format_v2(blob: bytes) -> bytes:
+    """A format-3 model file repacked as format 2 laid it out: version 2 and
+    the config key v3 dropped, `optimizer`, set to "adam"."""
+    (n,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + n])
+    header["config"]["optimizer"] = "adam"
+    packed = json.dumps(header, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<IQ", 2, len(packed)) + packed + blob[20 + n:]
+
+
 def as_format_v1(blob: bytes) -> bytes:
-    """A format-2 model file repacked as format 1 laid it out: version 1,
-    the header keys v2 dropped (all but the array list) and the weights
-    widened to float64."""
+    """A format-3 model file repacked as format 1 laid it out: version 1,
+    format 2's config, the header keys v2 dropped (all but the array list)
+    and the weights widened to float64."""
+    blob = as_format_v2(blob)
     (n,) = struct.unpack_from("<Q", blob, 12)
     header = json.loads(blob[20:20 + n])
     header.update(format_version=1, n_features=len(header["column_kinds"]),

@@ -371,7 +371,7 @@ def test_impute_refuses_a_format_v1_model(trained, tmp_path, capsys):
     rc = run("impute", "--model", old, "--data", corrupted, "--label-col", "y", "--out", tmp_path / "no")
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {old}: model format version 1, but this "
-                                       "cgain reads version 2; retrain the model\n")
+                                       "cgain reads version 3; retrain the model\n")
     assert not (tmp_path / "no.imputed.csv").exists()
 
 
@@ -538,18 +538,18 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
 def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\noptimizer=rmsprop\n")
+    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\nadv_sign=flipped\n")
     for command in ("train", "benchmark"):
         assert run(command, "--config", cfg, "--out", tmp_path / "c") == 1
         # argparse words the list of choices differently across Python versions
         err = capsys.readouterr().err
-        assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'optimizer': "
-                              "argument --optimizer: invalid choice: 'rmsprop' (choose from ")
+        assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'adv_sign': "
+                              "argument --adv-sign: invalid choice: 'flipped' (choose from ")
         assert err.count("\n") == 1
-    # corrupt reads no optimizer, so it refuses the key before looking at its value
+    # corrupt reads no sign convention, so it refuses the key before looking at its value
     assert run("corrupt", "--config", cfg, "--out", tmp_path / "c") == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:4: corrupt takes no config key "
-                                       "'optimizer'\n")
+                                       "'adv_sign'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
 
 
@@ -607,10 +607,10 @@ def sample(f) -> tuple:
 
 def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
     declared = list(fields(RunConfig))
-    assert len(declared) == 18
-    # 39 (command, field) pairs are declared; the 33 others are refused
-    assert {c: len(cli.command_fields(c)) for c in cli._COMMANDS} == {"corrupt": 5, "train": 12,
-                                                                      "impute": 5, "benchmark": 17}
+    assert len(declared) == 17
+    # 37 (command, field) pairs are declared; the 31 others are refused
+    assert {c: len(cli.command_fields(c)) for c in cli._COMMANDS} == {"corrupt": 5, "train": 11,
+                                                                      "impute": 5, "benchmark": 16}
     parser = cli.build_parser()
     for f in declared:
         (text, value), flag = sample(f), f"--{f.name.replace('_', '-')}"
@@ -630,25 +630,45 @@ def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_pa
     assert type(cfg.batch) is int and type(cfg.lr) is float and type(cfg.adv_sign) is str
 
 
-UNDECLARED = [pytest.param(command, f, id=f"{command}-{f.name}") for command in cli._COMMANDS
-              for f in fields(RunConfig) if command not in f.metadata["commands"]]
+UNDECLARED = [pytest.param(command, f.name, sample(f)[0], id=f"{command}-{f.name}")
+              for command in cli._COMMANDS for f in fields(RunConfig) if command not in f.metadata["commands"]]
+# the optimizer is no field any more: Adam is the only one, so no command reads one
+UNDECLARED += [pytest.param(command, "optimizer", "sgd", id=f"{command}-optimizer") for command in cli._COMMANDS]
 
 
-@pytest.mark.parametrize("command, f", UNDECLARED)
-def test_a_field_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch, command, f):
+@pytest.mark.parametrize("command, name, text", UNDECLARED)
+def test_a_field_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch, command, name, text):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     paths = count_reads(monkeypatch)
-    text, flag = sample(f)[0], f"--{f.name.replace('_', '-')}"
+    flag = f"--{name.replace('_', '-')}"
     args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
     assert run(*args, flag, text) == 1
     assert capsys.readouterr() == ("", f"cgain-error: validation: unrecognized arguments: {flag} {text}\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{f.name}={text}\n")
+    cfg.write_text(f"{name}={text}\n")
     assert run(*args, "--config", cfg) == 1
     assert capsys.readouterr() == ("", f"cgain-error: validation: {cfg}:1: {command} takes no config key "
-                                       f"{f.name!r}\n")
+                                       f"{name!r}\n")
     assert paths == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_an_abbreviated_flag_is_refused(tmp_path, capsys, monkeypatch, command):
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    paths = count_reads(monkeypatch)
+    args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
+    parser = cli.build_parser()
+    for name, text in [(f.name, sample(f)[0]) for f in cli.command_fields(command)] + [("config", "x.cfg")]:
+        flag = f"--{name.replace('_', '-')}"
+        for short in {flag[:-1], flag[:4]} - {flag}:   # as --it for --iters, --mod for --model
+            assert run(*args, short, text) == 1
+            assert capsys.readouterr() == ("", f"cgain-error: validation: unrecognized arguments: "
+                                               f"{short} {text}\n")
+        assert getattr(parser.parse_args([command, f"{flag}={text}"]), name) == getattr(
+            parser.parse_args([command, flag, text]), name)
+    assert paths == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_each_command_reads_exactly_the_fields_it_declares(tmp_path):
@@ -676,8 +696,7 @@ def test_each_command_reads_exactly_the_fields_it_declares(tmp_path):
 
 
 TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12),
-               "iters": ("15", "iterations", 15), "optimizer": ("sgd", "optimizer", "sgd"),
-               "lr": ("0.02", "learning_rate", 0.02),
+               "iters": ("15", "iterations", 15), "lr": ("0.02", "learning_rate", 0.02),
                "hidden_mult": ("2", "hidden_multiplier", 2),
                "adv_sign": ("literal", "adversarial_sign", "literal"), "seed": ("31", "seed", 31)}
 

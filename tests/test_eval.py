@@ -309,6 +309,31 @@ def test_benchmark_refuses_a_root_seed_that_is_not_a_non_negative_integer(monkey
         run_benchmark(balanced_binary(), ["mean"], [0.2], repetitions=1, root_seed=seed)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"repetitions": True}, "repetitions must be an integer, got True"),
+    ({"repetitions": 2.0}, "repetitions must be an integer, got 2.0"),
+    ({"repetitions": "2"}, "repetitions must be an integer, got '2'"),
+    ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+    ({"jobs": 2.0}, "jobs must be an integer, got 2.0"),
+    ({"jobs": False}, "jobs must be an integer, got False"),
+], ids=["bool-reps", "float-reps", "text-reps", "fraction-jobs", "float-jobs", "bool-jobs"])
+def test_benchmark_refuses_repetitions_or_jobs_that_are_not_integers_before_any_work(monkeypatch, grid,
+                                                                                      message):
+    # a bool ran as one repetition and a whole float reached range() after the subsampling
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ev, "_rep_task", fail)
+    monkeypatch.setattr(ev, "subsample_imbalance", fail)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(balanced_binary(), ["mean"], [0.2], root_seed=0, minority_fractions=[0.3],
+                      **{"repetitions": 1, **grid})
+    monkeypatch.undo()   # NumPy integers are integers
+    report = run_benchmark(balanced_binary(), ["mean"], [0.2], repetitions=np.int64(1), root_seed=0,
+                           jobs=np.int32(1))
+    assert len(report.cells[0].reps) == 1
+
+
 def test_root_seed_is_stored_as_the_integer_it_ran_with():
     ds = balanced_binary(n=40, d=3, seed=11)
     report = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=np.int64(7))

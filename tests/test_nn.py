@@ -2,14 +2,10 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cgain.nn import (FLUSH_EVERY, OPTIMIZERS, DenseNet, FlatArrays, dense_backward, dense_forward,
-                      init_dense, make_optimizer, make_rng, optimizer_step, sigmoid, uniform,
-                      xavier_uniform)
+from cgain.nn import (FLUSH_EVERY, DenseNet, FlatArrays, dense_backward, dense_forward, init_dense,
+                      make_optimizer, make_rng, optimizer_step, sigmoid, uniform, xavier_uniform)
 from conftest import assert_same_bits
 from gradcheck import (LOSS_FORMS, check_net_loss_gradients, finite_difference_gradients,
                        max_relative_error)
@@ -152,28 +148,20 @@ def test_gradients_match_finite_differences_per_loss_form(loss_form):
 # optimizers
 # ---------------------------------------------------------------------------
 
-def test_sgd_is_textbook_update():
-    p = flat(np.array([1.0]))
-    state = make_optimizer("sgd", 0.1, p)
-    optimizer_step(state, p, flat(np.array([2.0])))
-    assert p[0][0] == pytest.approx(0.8, abs=0)
-    assert state.step_count == 1
-
-
 def test_zero_gradient_leaves_parameters_unchanged():
-    for kind in ("sgd", "adam"):
-        p = flat(np.array([1.0, -2.0]), np.array([[3.0]]))
-        state = make_optimizer(kind, 0.01, p)
-        optimizer_step(state, p, flat(np.zeros(2), np.zeros((1, 1))))
-        assert_array_equal(p[0], np.array([1.0, -2.0]))
-        assert_array_equal(p[1], np.array([[3.0]]))
+    p = flat(np.array([1.0, -2.0]), np.array([[3.0]]))
+    state = make_optimizer(0.01, p)
+    optimizer_step(state, p, flat(np.zeros(2), np.zeros((1, 1))))
+    assert_array_equal(p[0], np.array([1.0, -2.0]))
+    assert_array_equal(p[1], np.array([[3.0]]))
+    assert state.step_count == 1
 
 
 def test_adam_first_step_matches_scalar_oracle():
     # frozen from a standalone bias-corrected computation with
     # lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, g=2.0, p=1.0
     p = flat(np.array([1.0]))
-    state = make_optimizer("adam", 1e-3, p)
+    state = make_optimizer(1e-3, p)
     optimizer_step(state, p, flat(np.array([2.0])))
     assert p[0][0] == pytest.approx(0.999000000005, abs=1e-15)
 
@@ -181,23 +169,21 @@ def test_adam_first_step_matches_scalar_oracle():
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
 def test_make_optimizer_refuses_a_learning_rate_that_is_not_positive_and_finite(lr):
     with pytest.raises(ValueError, match=f"learning rate must be positive and finite, got {lr}"):
-        make_optimizer("adam", lr, flat(np.zeros(3)))
+        make_optimizer(lr, flat(np.zeros(3)))
 
 
 def test_optimizer_rejects_bad_inputs():
     p = flat(np.zeros(3))
     with pytest.raises(ValueError, match="learning rate"):
-        make_optimizer("sgd", 0.0, p)
-    with pytest.raises(ValueError, match="kind"):
-        make_optimizer("rmsprop", 0.1, p)
-    state = make_optimizer("sgd", 0.1, p)
+        make_optimizer(0.0, p)
+    state = make_optimizer(0.1, p)
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(state, p, flat(np.zeros(4)))
 
 
 def test_adam_rejects_params_it_was_not_made_for():
     # a shorter state must not leave the extra parameters silently untouched
-    state = make_optimizer("adam", 0.1, flat(np.zeros(3)))
+    state = make_optimizer(0.1, flat(np.zeros(3)))
     with pytest.raises(ValueError):
         optimizer_step(state, flat(np.zeros(3), np.zeros(2)), flat(np.ones(3), np.ones(2)))
 
@@ -209,36 +195,20 @@ def test_optimizer_takes_only_flat_buffers_of_its_own_layout():
         g[...] = 1.0
     kept = net.params().flat.copy()
     plain = [p.copy() for p in net.params()]
-    for kind in OPTIMIZERS:
+    with pytest.raises(ValueError, match="FlatArrays"):
+        make_optimizer(0.1, plain)
+    state = make_optimizer(0.1, net.params())
+    for params, grads in ((plain, net.grads), (net.params(), list(net.grads)),
+                          (tuple(net.params()), net.grads)):
         with pytest.raises(ValueError, match="FlatArrays"):
-            make_optimizer(kind, 0.1, plain)
-        state = make_optimizer(kind, 0.1, net.params())
-        for params, grads in ((plain, net.grads), (net.params(), list(net.grads)),
-                              (tuple(net.params()), net.grads)):
-            with pytest.raises(ValueError, match="FlatArrays"):
-                optimizer_step(state, params, grads)
-        # a state made for another layout, and gradients of another layout
-        for params, grads in ((other.params(), other.grads), (net.params(), other.grads)):
-            with pytest.raises(ValueError, match="shapes"):
-                optimizer_step(state, params, grads)
-        assert state.step_count == 0
-        assert_same_bits(net.params().flat, kept)
-        assert_same_bits(other.params().flat, init_dense(make_rng(56), 3, 5, 2).params().flat)
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, st.integers(1, 8),
-              elements=st.floats(-1e6, 1e6, allow_nan=False)),
-       arrays(np.float64, st.integers(1, 8),
-              elements=st.floats(-1e6, 1e6, allow_nan=False)),
-       st.floats(1e-6, 10.0))
-def test_sgd_update_property(p0, g, lr):
-    if p0.shape != g.shape:
-        g = np.resize(g, p0.shape)
-    p = flat(p0)
-    state = make_optimizer("sgd", lr, p)
-    optimizer_step(state, p, flat(g))
-    assert_array_equal(p[0], p0 - lr * g)
+            optimizer_step(state, params, grads)
+    # a state made for another layout, and gradients of another layout
+    for params, grads in ((other.params(), other.grads), (net.params(), other.grads)):
+        with pytest.raises(ValueError, match="shapes"):
+            optimizer_step(state, params, grads)
+    assert state.step_count == 0
+    assert_same_bits(net.params().flat, kept)
+    assert_same_bits(other.params().flat, init_dense(make_rng(56), 3, 5, 2).params().flat)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +279,7 @@ def test_adam_bits_equal_textbook_reference_over_many_steps():
     ref_p = [p.copy() for p in params]
     ref_m = [np.zeros_like(p) for p in params]
     ref_v = [np.zeros_like(p) for p in params]
-    state = make_optimizer("adam", 1e-3, params)
+    state = make_optimizer(1e-3, params)
     for t in range(1, 31):
         grads = flat(*[rng.normal(scale=10.0 ** rng.integers(-6, 4), size=s) for s in shapes])
         kept = [g.copy() for g in grads]
@@ -328,7 +298,7 @@ def test_adam_flushes_subnormal_moments_every_64th_step(dtype):
     shapes = [(5, 3), (3,)]
     params = FlatArrays.zeros(shapes, dtype)
     params.flat[:] = rng.normal(size=params.flat.size)
-    state = make_optimizer("adam", 1e-3, params)
+    state = make_optimizer(1e-3, params)
     dead = np.arange(params.flat.size) % 3 == 0     # cells whose gradient is always 0
     subnormal = 3 * np.finfo(dtype).smallest_subnormal
     state.m.flat[dead], state.v.flat[dead] = subnormal, 400 * subnormal
@@ -384,7 +354,7 @@ def test_copy_and_pickle_own_separate_buffers():
         assert_array_equal(other.params().flat, net.params().flat)
         other.w1[0, 0] += 1.0
         assert other.w1[0, 0] != net.w1[0, 0]
-    state = make_optimizer("adam", 1e-3, net.params())
+    state = make_optimizer(1e-3, net.params())
     assert_tiles_one_buffer(pickle.loads(pickle.dumps(state.m)))
 
 
@@ -398,12 +368,10 @@ def test_float32_net_computes_forward_backward_and_updates_in_float32():
     grad_out = rng.normal(size=(6, 3))
     assert dense_backward(net, cache, grad_out, wrt="input").dtype == np.float32
     grads = dense_backward(net, cache, grad_out, wrt="params")
-    for kind in OPTIMIZERS:
-        state = make_optimizer(kind, 1e-3, net.params())
-        if kind == "adam":
-            assert all(s.flat.dtype == np.float32 for s in (state.m, state.v, *state.scratch))
-        optimizer_step(state, net.params(), grads)
-        assert net.dtype == np.float32
+    state = make_optimizer(1e-3, net.params())
+    assert all(s.flat.dtype == np.float32 for s in (state.m, state.v, *state.scratch))
+    optimizer_step(state, net.params(), grads)
+    assert net.dtype == np.float32
     # one float64 array gives a float64 net
     assert DenseNet(*net.params()[:5], np.zeros(3)).dtype == np.float64
 
@@ -432,30 +400,22 @@ def test_net_from_separate_arrays_holds_their_values():
 
 def test_optimizers_over_a_net_buffer_bit_equal_per_array_references():
     rng = make_rng(54)
-    adam_net = init_dense(rng, 6, 11, 4)
-    sgd_net = adam_net.copy()
-    ref_p = [p.copy() for p in adam_net.params()]
+    net = init_dense(rng, 6, 11, 4)
+    ref_p = [p.copy() for p in net.params()]
     ref_m = [np.zeros_like(p) for p in ref_p]
     ref_v = [np.zeros_like(p) for p in ref_p]
-    sgd_p = [p.copy() for p in ref_p]
-    adam = make_optimizer("adam", 1e-3, adam_net.params())
-    sgd = make_optimizer("sgd", 0.05, sgd_net.params())
+    adam = make_optimizer(1e-3, net.params())
     for t in range(1, 31):
-        for g in adam_net.grads:
+        for g in net.grads:
             g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 4), size=g.shape)
-        for g, h in zip(sgd_net.grads, adam_net.grads):
-            g[...] = h
-        kept = [g.copy() for g in adam_net.grads]
-        optimizer_step(adam, adam_net.params(), adam_net.grads)
-        optimizer_step(sgd, sgd_net.params(), sgd_net.grads)
+        kept = [g.copy() for g in net.grads]
+        optimizer_step(adam, net.params(), net.grads)
         for i, g in enumerate(kept):
-            assert_same_bits(adam_net.grads[i], g)
+            assert_same_bits(net.grads[i], g)
             ref_adam_step(ref_p[i], g, ref_m[i], ref_v[i], t, 1e-3)
-            assert_same_bits(adam_net.params()[i], ref_p[i])
+            assert_same_bits(net.params()[i], ref_p[i])
             assert_same_bits(adam.m[i], ref_m[i])
             assert_same_bits(adam.v[i], ref_v[i])
-            sgd_p[i] -= 0.05 * g
-            assert_same_bits(sgd_net.params()[i], sgd_p[i])
 
 
 def test_param_backward_overwrites_the_views_it_returned_before():

@@ -143,13 +143,13 @@ def digest_lines() -> list[str]:
     tables = {"2class-binary": corrupt_mcar(make_table(101, n_classes=2, n_binary=3), 0.25, make_rng(102)),
               "3class-continuous": corrupt_mcar(make_table(201, n_classes=3, n_binary=0), 0.25, make_rng(202))}
     first_models = {}
-    for (table, incomplete), conditional, optimizer, sign in itertools.product(
-            tables.items(), (True, False), ("adam", "sgd"), ("gain", "literal")):
+    for (table, incomplete), conditional, sign in itertools.product(
+            tables.items(), (True, False), ("gain", "literal")):
         config = TrainConfig(iterations=ITERATIONS, batch_size=32, log_every=LOG_EVERY, seed=7,
-                             conditional=conditional, optimizer=optimizer, adversarial_sign=sign,
-                             learning_rate=1e-3 if optimizer == "adam" else 0.05)
-        # "uniform" (the batch sampling) keeps each name as older digests printed it
-        name = f"{table} {'cgain' if conditional else 'gain'} {optimizer} {sign} uniform"
+                             conditional=conditional, adversarial_sign=sign)
+        # "adam" (the only optimizer) and "uniform" (the batch sampling) keep each name as
+        # older digests printed it
+        name = f"{table} {'cgain' if conditional else 'gain'} adam {sign} uniform"
         digest, model = train_digest(incomplete, config)
         lines.append(f"{digest}  {name}")
         first_models.setdefault(table, (name, model))
@@ -159,9 +159,7 @@ def digest_lines() -> list[str]:
         "clamped-batch cgain adam gain": (make_table(401, n_classes=2, n_binary=1, n_rows=40),
                                           TrainConfig(batch_size=64)),
         "1-feature cgain adam gain": (one_feature, TrainConfig()),
-        "1-feature gain adam literal": (one_feature, TrainConfig(conditional=False, adversarial_sign="literal")),
-        "1-feature gain sgd literal": (one_feature, TrainConfig(conditional=False, optimizer="sgd",
-                                                                learning_rate=0.05, adversarial_sign="literal"))}
+        "1-feature gain adam literal": (one_feature, TrainConfig(conditional=False, adversarial_sign="literal"))}
     for name, (table, config) in edges.items():
         incomplete = corrupt_mcar(table, 0.25, make_rng(402))
         config = dataclasses.replace(config, iterations=ITERATIONS, log_every=LOG_EVERY, seed=7)
