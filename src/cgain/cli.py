@@ -27,8 +27,8 @@ import numpy as np
 from .nn import make_rng
 from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
-from .imputer import ADV_SIGNS, TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, METHODS, report_csv_rows, run_benchmark, time_methods,
+from .imputer import TrainConfig, impute, load_model, save_model, train
+from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_benchmark, time_methods,
                        write_report_csv, write_report_json, write_timing_csv)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
@@ -44,9 +44,9 @@ def _flag(default, help: str, commands: str, choices=None, train: str | None = N
                                                 train=train))
 
 
-def _train_flag(name: str, help: str, choices=None):
+def _train_flag(name: str, help: str):
     """A RunConfig field that sets TrainConfig's field name, with its default."""
-    return _flag(getattr(TrainConfig, name), help, "train benchmark", choices, train=name)
+    return _flag(getattr(TrainConfig, name), help, "train benchmark", train=name)
 
 
 @dataclass
@@ -68,7 +68,6 @@ class RunConfig:
     hidden_mult: int = _train_flag("hidden_multiplier", "hidden width as a multiple of feature count")
     imbalance: str = _flag("", "comma list of minority fractions", "benchmark")
     out: str = _flag("", "output path stem", _ALL)
-    adv_sign: str = _train_flag("adversarial_sign", "generator adversarial-term sign convention", ADV_SIGNS)
     eval_mode: str = _flag("repetition", "evaluation mode", "benchmark", EVAL_MODES)
     jobs: int = _flag(0, "parallel workers (0 = the CPUs this process may use)", "benchmark")
     model: str = _flag("", "model file", "impute")
@@ -80,8 +79,8 @@ def command_fields(command: str) -> list:
 
 
 def _seed(text: str) -> int:
-    """A seed given as text: a non-negative decimal integer."""
-    if not text.strip().isdecimal():
+    """A seed given as text: a non-negative integer in ASCII decimal digits."""
+    if not (text.isascii() and text.strip().isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -238,11 +237,11 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
     default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
     rates = _parse_floats(cfg.rate or default_rates, "rate")
-    tc = _train_config(cfg, conditional=True)   # per-method flag set by the harness
-    tc.validate()   # fail before any file or training work
-    dataset = load_csv(cfg.data, cfg.label_col)
-    report = run_benchmark(dataset, methods, rates, cfg.reps, root_seed=cfg.seed, train_config=tc,
-                           eval_mode=cfg.eval_mode, jobs=cfg.jobs, minority_fractions=fractions)
+    grid = dict(methods=methods, missing_rates=rates, repetitions=cfg.reps, root_seed=cfg.seed,
+                train_config=_train_config(cfg, conditional=True),   # per-method flag set by the harness
+                eval_mode=cfg.eval_mode, jobs=cfg.jobs, minority_fractions=fractions)
+    check_grid(**grid)   # fail before any file or training work
+    report = run_benchmark(load_csv(cfg.data, cfg.label_col), **grid)
 
     csv_path, json_path = f"{cfg.out}.report.csv", f"{cfg.out}.report.json"
     timing_path = f"{cfg.out}.timing.csv"

@@ -176,27 +176,12 @@ def _rep_task(args) -> tuple[int, int, dict]:
     return cell_idx, rep, {**asdict(result), "seconds": seconds, "method_seed": method_seed}
 
 
-def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
-                  repetitions: int, root_seed: int, train_config: TrainConfig | None = None,
-                  eval_mode: str = "repetition", jobs: int = 1,
-                  minority_fractions: list[float] | None = None,
-                  minority_class=None) -> BenchmarkReport:
-    """Corrupt / impute / score over a (missing rate x method) grid.
-
-    Within one repetition every method sees the identical corruption mask,
-    so method comparisons are paired. In strict mode `repetitions` is the
-    fold count: each repetition trains on the other folds and scores the
-    held-out fold of a single shared corruption per rate.
-
-    Given minority_fractions, the grid runs over engineered class-imbalance
-    levels of a binary dataset at a single missing rate instead: the
-    dataset is subsampled once per fraction so that minority_class (default:
-    the rarer class) holds that share of the rows, and the fraction-f block
-    is exactly the rate grid on that subsample with root seed
-    spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
-    grid runs on one pool of min(jobs, tasks) workers, which each receive
-    every block's table once, or in this process when that is 1.
-    """
+def check_grid(methods: list[str], missing_rates: list[float], repetitions: int, root_seed: int,
+               train_config: TrainConfig | None = None, eval_mode: str = "repetition", jobs: int = 1,
+               minority_fractions: list[float] | None = None, minority_class=None) -> TrainConfig:
+    """run_benchmark's checks of its arguments that need no dataset: a
+    ValueError for the first bad one. Returns the training config, a
+    default TrainConfig when none is given."""
     for name, value in (("repetitions", repetitions), ("jobs", jobs)):   # TrainConfig's integer rule
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -225,19 +210,45 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if minority_class is not None and minority_fractions is None:
         raise ValueError("minority_class is used only by the imbalance grid; give minority_fractions too")
+    if minority_fractions is not None and not minority_fractions:
+        raise ValueError("no minority fractions given")
+    if minority_fractions is not None and len(missing_rates) != 1:
+        raise ValueError(f"the imbalance grid uses a single missing rate, got {list(missing_rates)}")
     train_config = train_config or TrainConfig()
     train_config.validate()
     replace(train_config, seed=root_seed).validate()   # the root seed follows the training seed's rule
+    return train_config
+
+
+def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[float],
+                  repetitions: int, root_seed: int, train_config: TrainConfig | None = None,
+                  eval_mode: str = "repetition", jobs: int = 1,
+                  minority_fractions: list[float] | None = None,
+                  minority_class=None) -> BenchmarkReport:
+    """Corrupt / impute / score over a (missing rate x method) grid.
+
+    Within one repetition every method sees the identical corruption mask,
+    so method comparisons are paired. In strict mode `repetitions` is the
+    fold count: each repetition trains on the other folds and scores the
+    held-out fold of a single shared corruption per rate.
+
+    Given minority_fractions, the grid runs over engineered class-imbalance
+    levels of a binary dataset at a single missing rate instead: the
+    dataset is subsampled once per fraction so that minority_class (default:
+    the rarer class) holds that share of the rows, and the fraction-f block
+    is exactly the rate grid on that subsample with root seed
+    spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
+    grid runs on one pool of min(jobs, tasks) workers, which each receive
+    every block's table once, or in this process when that is 1.
+    """
+    train_config = check_grid(methods, missing_rates, repetitions, root_seed, train_config, eval_mode, jobs,
+                              minority_fractions, minority_class)
     config = {"dataset": dataset.name, "methods": list(methods),
               "missing_rates": list(missing_rates), "repetitions": repetitions}
 
     # (minority fraction, data, root seed) per block of the grid
     blocks = [(None, dataset, root_seed)]
     if minority_fractions is not None:
-        if not minority_fractions:
-            raise ValueError("no minority fractions given")
-        if len(missing_rates) != 1:
-            raise ValueError(f"the imbalance grid uses a single missing rate, got {list(missing_rates)}")
         minority_class = (int(np.argmin(dataset.labels.sum(axis=0))) if minority_class is None
                           else dataset.class_position(minority_class))
         blocks = [(fraction,

@@ -31,7 +31,6 @@ from .data import BINARY, CONTINUOUS, Dataset, IncompleteDataset
 
 EPS = 1e-8          # log clamp inside every cross-entropy term
 NOISE_HIGH = 0.01   # generator noise ~ U(0, NOISE_HIGH), as in GAIN
-ADV_SIGNS = ("gain", "literal")
 
 
 @dataclass
@@ -44,7 +43,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     hidden_multiplier: int = 3      # hidden width = multiplier * n_features
     conditional: bool = True        # False drops the label block (unconditional variant)
-    adversarial_sign: str = "gain"  # "gain" | "literal"; see loss_generator
     seed: int = 0
     log_every: int = 100
 
@@ -67,8 +65,6 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.hidden_multiplier < 1:
             raise ValueError(f"hidden multiplier must be at least 1, got {self.hidden_multiplier}")
-        if self.adversarial_sign not in ADV_SIGNS:
-            raise ValueError(f"adversarial sign must be one of {ADV_SIGNS}, got {self.adversarial_sign!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.log_every < 1:
@@ -243,26 +239,19 @@ def _loss_d_grad(m_hat: Array, mask: Array, cols: Array) -> Array:
 
 
 def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: Array,
-                         column_kinds: list[str], sign: str = "gain") -> tuple[float, float]:
+                         column_kinds: list[str]) -> tuple[float, float]:
     """(adversarial, reconstruction) parts of the generator loss.
 
-    The adversarial part covers the hinted-out missing cells. Two sign
-    conventions ship: "literal" minimizes sum (1-m) log m_hat directly,
-    which drives the discriminator's belief at imputed cells toward
-    "missing"; the default "gain" minimizes the negation, so fooling the
-    discriminator means imputed cells classified as observed. The
-    reconstruction part sums squared error over observed continuous cells
-    and -x log x' over observed binary cells; both parts are averaged over
-    batch rows.
+    The adversarial part is GAIN's, -sum (1-m) log m_hat over the hinted-out
+    cells, so fooling the discriminator means imputed cells classified as
+    observed. The reconstruction part sums squared error over observed
+    continuous cells and -x log x' over observed binary cells; both parts
+    are averaged over batch rows.
     """
-    if sign not in ADV_SIGNS:
-        raise ValueError(f"adversarial sign must be one of {ADV_SIGNS}, got {sign!r}")
     n = m_hat.shape[0]
     p = _clamped(m_hat)
     adv_cells = (1.0 - b) * (1.0 - mask) * np.log(p)
-    adv = float(adv_cells.sum() / n)
-    if sign == "gain":
-        adv = -adv
+    adv = -float(adv_cells.sum() / n)
 
     binary_cols = _binary_columns(column_kinds, m_hat.shape[1])
     recon_cells = (x_bar - x_tilde) ** 2
@@ -275,7 +264,7 @@ def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_ti
 
 
 def loss_generator(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: Array,
-                   column_kinds: list[str], alpha: float, sign: str = "gain") -> float:
+                   column_kinds: list[str], alpha: float) -> float:
     """Adversarial part + alpha * reconstruction part."""
     if not (m_hat.shape == mask.shape == b.shape):
         raise ValueError(f"shapes differ: {m_hat.shape}, {mask.shape}, {b.shape}")
@@ -283,7 +272,7 @@ def loss_generator(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: A
         raise ValueError(f"shapes differ: {x_bar.shape}, {x_tilde.shape}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_tilde, column_kinds, sign)
+    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_tilde, column_kinds)
     return adv + alpha * recon
 
 
@@ -298,15 +287,13 @@ def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
     return row if row.any() else None
 
 
-def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array, sign: str) -> Array:
+def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array) -> Array:
     """d(adversarial part)/dm_hat, for the hint flags that blank column
     cols[i] of row i: the full formula at the hinted cells, and elsewhere
-    the zero it gives there, -0.0 with sign "gain" and +0.0 with "literal"."""
+    the zero it gives there, -0.0."""
     cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
-    g = (1.0 - mask_h) / _clamped(m_h) / m_hat.shape[0] * live   # 1 - b is 1 at a hinted cell
-    if sign == "gain":
-        g = -g
-    grad = np.full(m_hat.shape, -0.0 if sign == "gain" else 0.0)
+    g = -((1.0 - mask_h) / _clamped(m_h) / m_hat.shape[0] * live)   # 1 - b is 1 at a hinted cell
+    grad = np.full(m_hat.shape, -0.0)
     grad.put(cells, g)
     return grad
 
@@ -392,14 +379,12 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     do not depend on the generator); only that block's product, over
     w1[:d], is computed.
     """
-    cfg = model.config
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, m, cols, cfg.adversarial_sign), wrt="input",
-                                  leading=model.n_features)
+                                  _adv_grad_mhat(m_hat, m, cols), wrt="input", leading=model.n_features)
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
-    dx_bar *= cfg.alpha
+    dx_bar *= model.config.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
     dx_bar += d_input_grad * (1.0 - m)
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
@@ -462,7 +447,7 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
             raise FloatingPointError(_non_finite_report(it, model, d_m_hat, x_bar, g_m_hat))
         if logged:
             g_adv, g_recon = generator_loss_parts(g_m_hat, m, hint_flags(cols, d), x_bar, x_t,
-                                                  model.column_kinds, config.adversarial_sign)
+                                                  model.column_kinds)
             trace.iterations.append(it)
             trace.d_loss.append(d_loss)
             trace.g_adversarial.append(g_adv)
@@ -510,7 +495,7 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"CGAINMDL"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 _PREAMBLE = struct.Struct("<IQ")          # format version, header length
 _HEADER_KEYS = {"n_classes", "column_kinds", "config"}

@@ -48,18 +48,29 @@ def random_incomplete(dataset: Dataset, rate=0.3, seed=1) -> IncompleteDataset:
     return corrupt_mcar(dataset, rate, make_rng(seed))
 
 
-def as_format_v2(blob: bytes) -> bytes:
-    """A format-3 model file repacked as format 2 laid it out: version 2 and
-    the config key v3 dropped, `optimizer`, set to "adam"."""
+def _with_config_key(blob: bytes, version: int, key: str, value) -> bytes:
+    """The model file repacked as the given version, with key set in its config."""
     (n,) = struct.unpack_from("<Q", blob, 12)
     header = json.loads(blob[20:20 + n])
-    header["config"]["optimizer"] = "adam"
+    header["config"][key] = value
     packed = json.dumps(header, sort_keys=True).encode()
-    return blob[:8] + struct.pack("<IQ", 2, len(packed)) + packed + blob[20 + n:]
+    return blob[:8] + struct.pack("<IQ", version, len(packed)) + packed + blob[20 + n:]
+
+
+def as_format_v3(blob: bytes) -> bytes:
+    """A format-4 model file repacked as format 3 laid it out: version 3 and
+    the config key v4 dropped, `adversarial_sign`, set to "gain"."""
+    return _with_config_key(blob, 3, "adversarial_sign", "gain")
+
+
+def as_format_v2(blob: bytes) -> bytes:
+    """A format-4 model file repacked as format 2 laid it out: format 3's
+    layout at version 2, with the config key v3 dropped, `optimizer`, set to "adam"."""
+    return _with_config_key(as_format_v3(blob), 2, "optimizer", "adam")
 
 
 def as_format_v1(blob: bytes) -> bytes:
-    """A format-3 model file repacked as format 1 laid it out: version 1,
+    """A format-4 model file repacked as format 1 laid it out: version 1,
     format 2's config, the header keys v2 dropped (all but the array list)
     and the weights widened to float64."""
     blob = as_format_v2(blob)

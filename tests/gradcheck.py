@@ -59,20 +59,19 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
     b[np.arange(batch), cols] = 0.0
     x_t = rng.uniform(0.0, 1.0, (batch, d_out)) * mask
     kinds = ["continuous" if v else "binary" for v in rng.random(d_out) < 0.7]
-    sign = "gain" if rng.random() < 0.5 else "literal"
 
     def loss():
         out, _ = dense_forward(net, x)
         if loss_form == "d_xent":
             return loss_discriminator(out, mask, b)
-        adv, recon = generator_loss_parts(out, mask, b, out, x_t, kinds, sign)
+        adv, recon = generator_loss_parts(out, mask, b, out, x_t, kinds)
         return adv if loss_form == "g_adv" else recon
 
     out, cache = dense_forward(net, x)
     if loss_form == "d_xent":
         grad_out = _loss_d_grad(out, mask, cols)
     elif loss_form == "g_adv":
-        grad_out = _adv_grad_mhat(out, mask, cols, sign)
+        grad_out = _adv_grad_mhat(out, mask, cols)
     elif loss_form == "recon":
         grad_out = _recon_grad_xbar(out, x_t, mask, _binary_columns(kinds, d_out))
     else:

@@ -70,7 +70,7 @@ def scalar_loss_d(m_hat, mask, b):
     return -total / n
 
 
-def scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds, sign="gain"):
+def scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds):
     """(adversarial, reconstruction) generator loss parts, cell by cell."""
     n, d = len(mask), len(mask[0])
     adv = 0.0
@@ -78,9 +78,7 @@ def scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds, sign="gain"):
         for j in range(d):
             if b[i][j] == 0:
                 adv += (1 - mask[i][j]) * math.log(_clamp(m_hat[i][j]))
-    adv /= n
-    if sign == "gain":
-        adv = -adv
+    adv = -adv / n
     recon = 0.0
     for i in range(n):
         for j in range(d):
@@ -93,8 +91,8 @@ def scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds, sign="gain"):
     return adv, recon
 
 
-def scalar_loss_g(m_hat, mask, b, x_bar, x_tilde, kinds, alpha, sign="gain"):
-    adv, recon = scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds, sign)
+def scalar_loss_g(m_hat, mask, b, x_bar, x_tilde, kinds, alpha):
+    adv, recon = scalar_loss_g_parts(m_hat, mask, b, x_bar, x_tilde, kinds)
     return adv + alpha * recon
 
 
@@ -199,13 +197,13 @@ def ref_loss_d_grad(m_hat, mask, b):
     return g * live
 
 
-def ref_adv_grad(m_hat, mask, b, sign):
+def ref_adv_grad(m_hat, mask, b):
     """Gradient of the generator's adversarial part w.r.t. m_hat over the
-    full matrix, in the "gain" or "literal" sign convention."""
+    full matrix."""
     p = np.clip(m_hat, EPS, 1.0 - EPS)
     live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
     g = (1.0 - b) * (1.0 - mask) / p / m_hat.shape[0] * live
-    return -g if sign == "gain" else g
+    return -g
 
 
 def ref_recon_grad(x_bar, x_tilde, mask, kinds):

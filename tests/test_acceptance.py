@@ -1,11 +1,9 @@
 """Acceptance gate: every release-blocking criterion, one test each.
 
 Each test prints one `ACCEPTANCE n: PASS — ...` line (run with -s to see
-them live). The quantitative criteria (7-9) train real models; if an
-ordering fails under the default adversarial-sign convention it is re-run
-under the alternative convention, and the passing convention is recorded
-in the printed line. The full module is several minutes of CPU, dominated
-by criterion 7's ten full-budget training runs.
+them live). The quantitative criteria (7-9) train real models, once each,
+with GAIN's generator loss. The full module is several minutes of CPU,
+dominated by criterion 7's ten full-budget training runs.
 """
 
 import time
@@ -32,19 +30,6 @@ def ok(criterion: int, message: str, capsys=None) -> None:
     scope = capsys.disabled() if capsys is not None else nullcontext()
     with scope:
         print(f"\nACCEPTANCE {criterion}: PASS — {message}")
-
-
-def run_with_sign_fallback(criterion_fn):
-    """Run a criterion under the default sign, falling back to the literal
-    sign convention; returns (sign, detail) of the passing run."""
-    passed, detail = criterion_fn("gain")
-    if passed:
-        return "gain", detail
-    passed_alt, detail_alt = criterion_fn("literal")
-    if passed_alt:
-        return "literal", detail_alt
-    raise AssertionError(
-        f"failed under both adversarial-sign conventions — gain: {detail}; literal: {detail_alt}")
 
 
 # --------------------------------------------------------------------------
@@ -124,12 +109,11 @@ def test_acceptance_4_loss_oracle_equivalence(capsys):
         x_t = rng.uniform(0.0, 1.0, (n, d)) * mask
         kinds = ["binary" if v < 0.3 else "continuous" for v in rng.random(d)]
         alpha = float(rng.uniform(0.5, 150.0))
-        sign = "gain" if trial % 2 else "literal"
         dd = abs(loss_discriminator(m_hat, mask, b)
                  - scalar_loss_d(m_hat.tolist(), mask.tolist(), b.tolist()))
-        gg = abs(loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha, sign)
+        gg = abs(loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha)
                  - scalar_loss_g(m_hat.tolist(), mask.tolist(), b.tolist(),
-                                 x_bar.tolist(), x_t.tolist(), kinds, alpha, sign))
+                                 x_bar.tolist(), x_t.tolist(), kinds, alpha))
         worst = max(worst, dd, gg)
         assert dd <= 1e-12 and gg <= 1e-12
     ok(4, f"1000 random batches: vectorized losses equal scalar oracles "
@@ -217,22 +201,17 @@ def test_acceptance_7_breast_cancer_quality(capsys):
     ds = load_breast_cancer_dataset()
     t0 = time.perf_counter()
 
-    def criterion(sign):
-        cfg = TrainConfig(adversarial_sign=sign)   # full default budget otherwise
-        report = run_benchmark(ds, ["cgain", "mean"], [0.2], repetitions=10,
-                               root_seed=2026, train_config=cfg)
-        cells = {c.method: c for c in report.cells}
-        for cell in cells.values():
-            assert cell.error is None, cell.error
-        cgain_mean = float(np.mean([r.overall for r in cells["cgain"].reps]))
-        mean_mean = float(np.mean([r.overall for r in cells["mean"].reps]))
-        detail = f"cgain {cgain_mean:.4f} vs mean-impute {mean_mean:.4f}"
-        return (cgain_mean <= 0.12 and cgain_mean < mean_mean), detail
-
-    sign, detail = run_with_sign_fallback(criterion)
+    report = run_benchmark(ds, ["cgain", "mean"], [0.2], repetitions=10,
+                           root_seed=2026, train_config=TrainConfig())   # full default budget
+    cells = {c.method: c for c in report.cells}
+    for cell in cells.values():
+        assert cell.error is None, cell.error
+    cgain_mean = float(np.mean([r.overall for r in cells["cgain"].reps]))
+    mean_mean = float(np.mean([r.overall for r in cells["mean"].reps]))
+    detail = f"cgain {cgain_mean:.4f} vs mean-impute {mean_mean:.4f}"
+    assert cgain_mean <= 0.12 and cgain_mean < mean_mean, detail
     elapsed = time.perf_counter() - t0
-    ok(7, f"breast cancer 20% missing, 10 reps, default config ({sign} sign): "
-          f"{detail}, {elapsed:.0f}s", capsys)
+    ok(7, f"breast cancer 20% missing, 10 reps, default config: {detail}, {elapsed:.0f}s", capsys)
 
 
 # --------------------------------------------------------------------------
@@ -243,20 +222,17 @@ def test_acceptance_8_spambase_ordering(capsys):
     ds = spambase_like()
     t0 = time.perf_counter()
 
-    def criterion(sign):
-        cfg = TrainConfig(iterations=2000, adversarial_sign=sign)
-        report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=3,
-                               root_seed=2028, train_config=cfg)
-        cells = {c.method: c for c in report.cells}
-        pairs = [(c.overall, g.overall)
-                 for c, g in zip(cells["cgain"].reps, cells["gain"].reps)]
-        wins = sum(c < g for c, g in pairs)
-        detail = "; ".join(f"rep{i}: {c:.4f} vs {g:.4f}" for i, (c, g) in enumerate(pairs))
-        return wins >= 2, f"{wins}/3 paired wins ({detail})"
-
-    sign, detail = run_with_sign_fallback(criterion)
+    report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=3,
+                           root_seed=2028, train_config=TrainConfig(iterations=2000))
+    cells = {c.method: c for c in report.cells}
+    pairs = [(c.overall, g.overall)
+             for c, g in zip(cells["cgain"].reps, cells["gain"].reps)]
+    wins = sum(c < g for c, g in pairs)
+    per_rep = "; ".join(f"rep{i}: {c:.4f} vs {g:.4f}" for i, (c, g) in enumerate(pairs))
+    detail = f"{wins}/3 paired wins ({per_rep})"
+    assert wins >= 2, detail
     elapsed = time.perf_counter() - t0
-    ok(8, f"spambase-shaped 4601x57, 20% missing ({sign} sign): {detail}, {elapsed:.0f}s", capsys)
+    ok(8, f"spambase-shaped 4601x57, 20% missing: {detail}, {elapsed:.0f}s", capsys)
 
 
 # --------------------------------------------------------------------------
@@ -267,22 +243,18 @@ def test_acceptance_9_imbalance_minority_ordering(capsys):
     ds = credit_like()
     t0 = time.perf_counter()
 
-    def criterion(sign):
-        cfg = TrainConfig(iterations=600, adversarial_sign=sign)
-        report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=3,
-                               root_seed=2029, train_config=cfg,
-                               minority_fractions=[0.10], minority_class=1)
-        cells = {c.method: c for c in report.cells}
-        pairs = [(c.per_class["1"], g.per_class["1"])
-                 for c, g in zip(cells["cgain"].reps, cells["gain"].reps)]
-        wins = sum(c < g for c, g in pairs)
-        detail = "; ".join(f"rep{i}: {c:.4f} vs {g:.4f}" for i, (c, g) in enumerate(pairs))
-        return wins >= 2, f"{wins}/3 minority-class paired wins ({detail})"
-
-    sign, detail = run_with_sign_fallback(criterion)
+    report = run_benchmark(ds, ["cgain", "gain"], [0.2], repetitions=3,
+                           root_seed=2029, train_config=TrainConfig(iterations=600),
+                           minority_fractions=[0.10], minority_class=1)
+    cells = {c.method: c for c in report.cells}
+    pairs = [(c.per_class["1"], g.per_class["1"])
+             for c, g in zip(cells["cgain"].reps, cells["gain"].reps)]
+    wins = sum(c < g for c, g in pairs)
+    per_rep = "; ".join(f"rep{i}: {c:.4f} vs {g:.4f}" for i, (c, g) in enumerate(pairs))
+    detail = f"{wins}/3 minority-class paired wins ({per_rep})"
+    assert wins >= 2, detail
     elapsed = time.perf_counter() - t0
-    ok(9, f"credit-shaped table, 10% minority, 20% missing ({sign} sign): "
-          f"{detail}, {elapsed:.0f}s", capsys)
+    ok(9, f"credit-shaped table, 10% minority, 20% missing: {detail}, {elapsed:.0f}s", capsys)
 
 
 # --------------------------------------------------------------------------

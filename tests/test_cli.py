@@ -371,7 +371,7 @@ def test_impute_refuses_a_format_v1_model(trained, tmp_path, capsys):
     rc = run("impute", "--model", old, "--data", corrupted, "--label-col", "y", "--out", tmp_path / "no")
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {old}: model format version 1, but this "
-                                       "cgain reads version 3; retrain the model\n")
+                                       "cgain reads version 4; retrain the model\n")
     assert not (tmp_path / "no.imputed.csv").exists()
 
 
@@ -438,6 +438,22 @@ def test_benchmark_refuses_a_repeated_method(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "cgain-error: validation: method 'mean' is given more than once\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--reps", "0"], "need at least 1 repetition, got 0"),
+    (["--jobs", "-3"], "jobs must be at least 1, got -3"),
+    (["--method", "cgain,foo"],
+     "unknown method 'foo'; expected one of ('cgain', 'gain', 'mean', 'mice_lite')"),
+    (["--eval-mode", "strict", "--reps", "1"], "strict fold mode needs at least 2 repetitions (folds)"),
+], ids=["zero_reps", "negative_jobs", "unknown_method", "strict_one_fold"])
+def test_benchmark_refuses_a_bad_grid_before_reading_the_data(tmp_path, capsys, args, message):
+    # --data names no file, so an error about the grid shows that it came first
+    rc = run("benchmark", "--data", tmp_path / "absent.csv", "--label-col", "y", *args,
+             "--out", tmp_path / "r")
+    assert rc == 1
+    assert capsys.readouterr().err == f"cgain-error: validation: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_benchmark_imbalance_grid(tmp_path):
@@ -538,18 +554,18 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
 def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\nadv_sign=flipped\n")
-    for command in ("train", "benchmark"):
+    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\neval_mode=flipped\n")
+    assert run("benchmark", "--config", cfg, "--out", tmp_path / "c") == 1
+    # argparse words the list of choices differently across Python versions
+    err = capsys.readouterr().err
+    assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'eval_mode': "
+                          "argument --eval-mode: invalid choice: 'flipped' (choose from ")
+    assert err.count("\n") == 1
+    # the other commands read no evaluation mode, so they refuse the key before looking at its value
+    for command in ("corrupt", "train"):
         assert run(command, "--config", cfg, "--out", tmp_path / "c") == 1
-        # argparse words the list of choices differently across Python versions
-        err = capsys.readouterr().err
-        assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'adv_sign': "
-                              "argument --adv-sign: invalid choice: 'flipped' (choose from ")
-        assert err.count("\n") == 1
-    # corrupt reads no sign convention, so it refuses the key before looking at its value
-    assert run("corrupt", "--config", cfg, "--out", tmp_path / "c") == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:4: corrupt takes no config key "
-                                       "'adv_sign'\n")
+        assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:4: {command} takes no config key "
+                                           "'eval_mode'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
 
 
@@ -570,11 +586,14 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["corrupt", "train", "benchmark"])
 @pytest.mark.parametrize("flag, env, in_file, source, shown", [
     ("-1", None, None, "argument --seed:", "'-1'"),
+    ("\uff13", None, None, "argument --seed:", "'\uff13'"),
     (None, "-1", None, "$CGAIN_SEED", "'-1'"),
     (None, "abc", None, "$CGAIN_SEED", "'abc'"),
     (None, "2.5", None, "$CGAIN_SEED", "'2.5'"),
+    (None, "\u0663", None, "$CGAIN_SEED", "'\u0663'"),
     (None, None, "-1", "{cfg}:1: key 'seed': argument --seed:", "'-1'"),
-], ids=["flag_negative", "env_negative", "env_word", "env_fraction", "file_negative"])
+], ids=["flag_negative", "flag_fullwidth", "env_negative", "env_word", "env_fraction", "env_arabic_indic",
+        "file_negative"])
 def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, in_file, source,
                                    shown):
     data = write_toy_csv(tmp_path / "d.csv")
@@ -607,10 +626,10 @@ def sample(f) -> tuple:
 
 def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
     declared = list(fields(RunConfig))
-    assert len(declared) == 17
-    # 37 (command, field) pairs are declared; the 31 others are refused
-    assert {c: len(cli.command_fields(c)) for c in cli._COMMANDS} == {"corrupt": 5, "train": 11,
-                                                                      "impute": 5, "benchmark": 16}
+    assert len(declared) == 16
+    # 35 (command, field) pairs are declared; the 29 others are refused
+    assert {c: len(cli.command_fields(c)) for c in cli._COMMANDS} == {"corrupt": 5, "train": 10,
+                                                                      "impute": 5, "benchmark": 15}
     parser = cli.build_parser()
     for f in declared:
         (text, value), flag = sample(f), f"--{f.name.replace('_', '-')}"
@@ -627,13 +646,15 @@ def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_pa
         cli.print_config(cfg, command)
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"config command={command}"] + [f"config {f.name}={sample(f)[1]}" for f in own]
-    assert type(cfg.batch) is int and type(cfg.lr) is float and type(cfg.adv_sign) is str
+    assert type(cfg.batch) is int and type(cfg.lr) is float and type(cfg.eval_mode) is str
 
 
 UNDECLARED = [pytest.param(command, f.name, sample(f)[0], id=f"{command}-{f.name}")
               for command in cli._COMMANDS for f in fields(RunConfig) if command not in f.metadata["commands"]]
-# the optimizer is no field any more: Adam is the only one, so no command reads one
-UNDECLARED += [pytest.param(command, "optimizer", "sgd", id=f"{command}-optimizer") for command in cli._COMMANDS]
+# the optimizer and the adversarial sign are no fields any more: Adam and GAIN's generator loss
+# are the only ones, so no command reads either
+UNDECLARED += [pytest.param(command, name, text, id=f"{command}-{name}") for command in cli._COMMANDS
+               for name, text in (("optimizer", "sgd"), ("adv_sign", "gain"))]
 
 
 @pytest.mark.parametrize("command, name, text", UNDECLARED)
@@ -697,8 +718,7 @@ def test_each_command_reads_exactly_the_fields_it_declares(tmp_path):
 
 TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12),
                "iters": ("15", "iterations", 15), "lr": ("0.02", "learning_rate", 0.02),
-               "hidden_mult": ("2", "hidden_multiplier", 2),
-               "adv_sign": ("literal", "adversarial_sign", "literal"), "seed": ("31", "seed", 31)}
+               "hidden_mult": ("2", "hidden_multiplier", 2), "seed": ("31", "seed", 31)}
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])

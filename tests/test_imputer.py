@@ -1,7 +1,7 @@
 import json
 import re
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,13 +12,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 import cgain.imputer as imputer_module
 from cgain.data import (BINARY, CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
                          uncorrupted)
-from cgain.imputer import (ADV_SIGNS, EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_model,
+from cgain.imputer import (EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_model,
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
                            generator_loss_parts, generator_step_grads, hint_flags, hint_from_b, impute,
                            load_model, loss_discriminator, loss_generator, sample_hint_b,
                            save_model, train, _adv_grad_mhat, _draw, _hint, _loss_d_grad)
 from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
-from conftest import as_format_v1, as_format_v2, assert_same_bits, toy_dataset, random_incomplete
+from conftest import as_format_v1, as_format_v2, as_format_v3, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
 from oracles import (ref_adv_grad, ref_backward, ref_forward, ref_loss_d_grad, ref_recon_grad,
                      scalar_forward, scalar_loss_d, scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
@@ -258,12 +258,11 @@ def test_generator_adversarial_part_zero_when_all_observed():
     mask = np.ones((4, 3))
     b = sample_hint_b(mask, rng)
     x = rng.uniform(0, 1, (4, 3))
-    for sign in ("gain", "literal"):
-        adv = scalar_loss_g_parts(m_hat.tolist(), mask.tolist(), b.tolist(),
-                                  x.tolist(), x.tolist(), [CONTINUOUS] * 3, sign)[0]
-        assert adv == 0.0
-        total = loss_generator(m_hat, mask, b, x, x, [CONTINUOUS] * 3, alpha=100.0, sign=sign)
-        assert total == pytest.approx(0.0, abs=1e-12)
+    adv = scalar_loss_g_parts(m_hat.tolist(), mask.tolist(), b.tolist(), x.tolist(), x.tolist(),
+                              [CONTINUOUS] * 3)[0]
+    assert adv == 0.0
+    total = loss_generator(m_hat, mask, b, x, x, [CONTINUOUS] * 3, alpha=100.0)
+    assert total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruction_single_continuous_cell():
@@ -275,7 +274,7 @@ def test_reconstruction_single_continuous_cell():
     assert total == pytest.approx(0.09, abs=1e-12)   # (0.4 - 0.1)^2, no missing cell
 
 
-def test_generator_loss_matches_scalar_oracle_both_signs():
+def test_generator_loss_matches_scalar_oracle():
     rng = make_rng(10)
     for _ in range(50):
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
@@ -286,11 +285,10 @@ def test_generator_loss_matches_scalar_oracle_both_signs():
         x_t = rng.uniform(0.0, 1.0, (n, d)) * mask
         kinds = ["binary" if v < 0.3 else CONTINUOUS for v in rng.random(d)]
         alpha = float(rng.uniform(0.5, 150.0))
-        for sign in ("gain", "literal"):
-            expected = scalar_loss_g(m_hat.tolist(), mask.tolist(), b.tolist(),
-                                     x_bar.tolist(), x_t.tolist(), kinds, alpha, sign)
-            got = loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha, sign)
-            assert got == pytest.approx(expected, abs=1e-12)
+        expected = scalar_loss_g(m_hat.tolist(), mask.tolist(), b.tolist(),
+                                 x_bar.tolist(), x_t.tolist(), kinds, alpha)
+        got = loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha)
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
@@ -308,17 +306,14 @@ def test_loss_validation_errors():
         loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, [CONTINUOUS] * 2, alpha=0.0)
     with pytest.raises(ValueError, match="column kind"):
         loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, ["categorical"] * 2, alpha=1.0)
-    with pytest.raises(ValueError, match="sign"):
-        loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, [CONTINUOUS] * 2, alpha=1.0, sign="flip")
 
 
 # ---------------------------------------------------------------------------
 # end-to-end gradients through both networks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("sign", ["gain", "literal"])
-def test_generator_gradients_through_fixed_discriminator(sign):
-    model = as_float64(small_model(d=3, m=2, seed=14, binary=[1], alpha=7.5, adversarial_sign=sign))
+def test_generator_gradients_through_fixed_discriminator():
+    model = as_float64(small_model(d=3, m=2, seed=14, binary=[1], alpha=7.5))
     x_t, mask, y, z, b, hint = random_batch(model, n=4, seed=15)
     x_t[:, 1] = np.round(x_t[:, 1])
     cfg = model.config
@@ -326,11 +321,10 @@ def test_generator_gradients_through_fixed_discriminator(sign):
     def g_loss():
         x_bar, x_hat, _ = generator_forward(model, x_t, mask, y, z)
         m_hat, _ = discriminator_forward(model, x_hat, hint, y)
-        return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds,
-                              cfg.alpha, cfg.adversarial_sign)
+        return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.alpha)
 
     analytic, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, np.argmin(b, axis=1))
-    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.adversarial_sign)
+    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds)
     assert g_loss() == pytest.approx(adv + cfg.alpha * recon, abs=1e-12)
     numeric = finite_difference_gradients(g_loss, model.generator.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
@@ -351,16 +345,14 @@ def test_discriminator_gradients_with_fixed_generator():
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
-@pytest.mark.parametrize("sign", ["gain", "literal"])
 @pytest.mark.parametrize("binary", [False, True])
-def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
+def test_step_gradients_bits_equal_full_backward_reference(binary):
     # the generator step must take the discriminator's input gradient over
     # the x_hat block, the product over w1[:d]; both steps must match a
     # backward pass that computes every other product. At 16 features, 3
     # classes and 64 rows that product rounds unlike a slice of the full one.
     for d, m, n in ((5, 3, 9), (16, 3, 64)):
-        model = as_float64(small_model(d=d, m=m, seed=23, binary=[2] if binary else [], alpha=7.5,
-                                       adversarial_sign=sign))
+        model = as_float64(small_model(d=d, m=m, seed=23, binary=[2] if binary else [], alpha=7.5))
         x_t, mask, y, z, b, hint = random_batch(model, n=n, seed=24)
         x_t[:, 2] = np.round(x_t[:, 2])
         x_bar, g_cache = ref_forward(model.generator, np.concatenate([x_t, mask, (1.0 - mask) * z, y], axis=1))
@@ -373,8 +365,7 @@ def test_step_gradients_bits_equal_full_backward_reference(sign, binary):
         for g, ref in zip(d_grads, ref_d, strict=True):
             assert_same_bits(g, ref)
 
-        _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b, sign),
-                                       leading=d)
+        _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b), leading=d)
         dx_bar = (d_input_grad * (1.0 - mask)
                   + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
         ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
@@ -391,8 +382,8 @@ EDGE_M_HAT = [0.0, 1.0, EPS, 1.0 - EPS, np.nextafter(EPS, 0.0), np.nextafter(1.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6), sign=st.sampled_from(ADV_SIGNS))
-def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d, sign):
+@given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6))
+def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d):
     # signed zeros included: each non-hinted cell carries the zero the full formula gives it,
     # in float64 and in the float32 that dense_backward casts it to
     cell = st.one_of(st.sampled_from(EDGE_M_HAT), st.floats(0.0, 1.0))
@@ -403,7 +394,7 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
     b = np.ones((n, d))
     b[np.arange(n), cols] = 0.0
     for got, want in ((_loss_d_grad(m_hat, mask, cols), ref_loss_d_grad(m_hat, mask, b)),
-                      (_adv_grad_mhat(m_hat, mask, cols, sign), ref_adv_grad(m_hat, mask, b, sign))):
+                      (_adv_grad_mhat(m_hat, mask, cols), ref_adv_grad(m_hat, mask, b))):
         assert got.dtype == np.float64
         assert_same_bits(got, want)
         assert_same_bits(got.astype(np.float32), want.astype(np.float32))
@@ -426,7 +417,7 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b):
     m_hat = m_out.astype(np.float64)
     d_grads = dense_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b), wrt="params")
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  ref_adv_grad(m_hat, mask, b, cfg.adversarial_sign), wrt="input", leading=d)
+                                  ref_adv_grad(m_hat, mask, b), wrt="input", leading=d)
     dx_bar = (d_input_grad * (1.0 - mask)
               + cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
@@ -435,16 +426,15 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 5), m=st.integers(1, 3), conditional=st.booleans(),
-       sign=st.sampled_from(ADV_SIGNS), binary=st.lists(st.booleans(), min_size=5, max_size=5),
+       binary=st.lists(st.booleans(), min_size=5, max_size=5),
        push=st.sampled_from([0.0, 12.0, -12.0, 40.0, -40.0]), seed=st.integers(0, 2 ** 16))
-@example(n=64, d=16, m=3, conditional=True, sign="gain", binary=[False] * 16, push=0.0, seed=0)
-def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, conditional, sign, binary,
-                                                                    push, seed):
+@example(n=64, d=16, m=3, conditional=True, binary=[False] * 16, push=0.0, seed=0)
+def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, conditional, binary, push, seed):
     # push shifts the discriminator's output bias until its float32 sigmoid
     # saturates at 0 or 1; the explicit example is a shape where the input
     # gradient over w1[:d] rounds unlike a slice of the full product
     kinds = ["binary" if binary[j] else CONTINUOUS for j in range(d)]
-    cfg = TrainConfig(alpha=7.5, adversarial_sign=sign, conditional=conditional, hidden_multiplier=2)
+    cfg = TrainConfig(alpha=7.5, conditional=conditional, hidden_multiplier=2)
     model = build_model(d, m, kinds, cfg, make_rng(seed))
     model.discriminator.b3[:] += push
     x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed + 1)
@@ -615,6 +605,13 @@ def test_train_validates_config():
             train(inc, TrainConfig(**{field: value}))
     TrainConfig(alpha=np.float32(50.0), learning_rate=np.float64(1e-3)).validate()
     TrainConfig(alpha=np.int64(10), learning_rate=1).validate()
+
+
+def test_gains_generator_loss_is_the_only_one():
+    # no config field selects another sign of the adversarial term
+    assert len(fields(TrainConfig)) == 8
+    with pytest.raises(TypeError, match="adversarial_sign"):
+        TrainConfig(adversarial_sign="gain")
 
 
 def test_numpy_integer_config_trains_and_round_trips_through_a_model_file(tmp_path):
@@ -854,7 +851,7 @@ def test_model_file_layout_is_little_endian_with_version(tmp_path):
     blob = path.read_bytes()
     assert blob[:8] == MODEL_MAGIC
     version, header_len = struct.unpack("<IQ", blob[8:20])
-    assert version == 3
+    assert version == 4
     header = json.loads(blob[20:20 + header_len])
     assert header == {"n_classes": 2, "column_kinds": [CONTINUOUS] * 3, "config": asdict(model.config)}
     # the parameter buffers, generator first, and nothing after them
@@ -878,8 +875,9 @@ def with_config(**values):
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: b"NOTAMODEL" + b"\x00" * 64, "magic"),
     (lambda blob: blob[:15], "truncated preamble"),
-    (as_format_v1, "model format version 1, but this cgain reads version 3; retrain the model"),
-    (as_format_v2, "model format version 2, but this cgain reads version 3; retrain the model"),
+    (as_format_v1, "model format version 1, but this cgain reads version 4; retrain the model"),
+    (as_format_v2, "model format version 2, but this cgain reads version 4; retrain the model"),
+    (as_format_v3, "model format version 3, but this cgain reads version 4; retrain the model"),
     (lambda blob: blob + b"\x00" * 8, "1724 bytes of weights, but the header's layout needs 1716"),
     (lambda blob: blob[:-4], "1712 bytes of weights, but the header's layout needs 1716"),
     (with_header(lambda h: {**h, "column_kinds": [CONTINUOUS] * 4}), "bytes of weights"),
@@ -908,8 +906,8 @@ def with_config(**values):
     (with_config(conditional=1), "invalid config: conditional must be a bool, got 1"),
     (with_config(alpha="1"), "invalid config: alpha must be a number, got '1'"),
     (with_config(learning_rate=True), "invalid config: learning rate must be a number, got True"),
-], ids=["bad_magic", "truncated_preamble", "format_v1", "format_v2", "trailing_bytes", "short_weights",
-        "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
+], ids=["bad_magic", "truncated_preamble", "format_v1", "format_v2", "format_v3", "trailing_bytes",
+        "short_weights", "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
         "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
         "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
         "config_missing_field", "negative_alpha", "nan_alpha", "unknown_optimizer", "negative_seed",
@@ -965,12 +963,10 @@ def test_saturated_float32_discriminator_leaves_steps_and_losses_finite():
     assert np.all(np.isfinite(generator_loss_parts(g_m_hat, mask, b, x_bar, x_t, model.column_kinds)))
 
 
-@pytest.mark.parametrize("sign", ["gain", "literal"])
-def test_float32_step_gradients_match_float64_within_float32_rounding(sign):
+def test_float32_step_gradients_match_float64_within_float32_rounding():
     # same weights in both widths; the bound, 1e-4 of the largest gradient,
     # is about 840 float32 epsilons and was fixed before the first run
-    model = build_model(8, 3, ["binary"] + [CONTINUOUS] * 7, TrainConfig(alpha=7.5, adversarial_sign=sign),
-                        make_rng(12))
+    model = build_model(8, 3, ["binary"] + [CONTINUOUS] * 7, TrainConfig(alpha=7.5), make_rng(12))
     wide = as_float64(model)
     x_t, mask, y, z, b, _ = random_batch(model, n=128, seed=13)
     x_t[:, 0] = np.round(x_t[:, 0])

@@ -143,23 +143,20 @@ def digest_lines() -> list[str]:
     tables = {"2class-binary": corrupt_mcar(make_table(101, n_classes=2, n_binary=3), 0.25, make_rng(102)),
               "3class-continuous": corrupt_mcar(make_table(201, n_classes=3, n_binary=0), 0.25, make_rng(202))}
     first_models = {}
-    for (table, incomplete), conditional, sign in itertools.product(
-            tables.items(), (True, False), ("gain", "literal")):
+    for (table, incomplete), conditional in itertools.product(tables.items(), (True, False)):
         config = TrainConfig(iterations=ITERATIONS, batch_size=32, log_every=LOG_EVERY, seed=7,
-                             conditional=conditional, adversarial_sign=sign)
-        # "adam" (the only optimizer) and "uniform" (the batch sampling) keep each name as
-        # older digests printed it
-        name = f"{table} {'cgain' if conditional else 'gain'} adam {sign} uniform"
+                             conditional=conditional)
+        # "adam" (the only optimizer), "gain" (the only generator loss) and "uniform" (the batch
+        # sampling) keep each name as older digests printed it
+        name = f"{table} {'cgain' if conditional else 'gain'} adam gain uniform"
         digest, model = train_digest(incomplete, config)
         lines.append(f"{digest}  {name}")
         first_models.setdefault(table, (name, model))
 
-    one_feature = make_table(501, n_classes=3, n_binary=0, n_continuous=1)
     edges = {
         "clamped-batch cgain adam gain": (make_table(401, n_classes=2, n_binary=1, n_rows=40),
                                           TrainConfig(batch_size=64)),
-        "1-feature cgain adam gain": (one_feature, TrainConfig()),
-        "1-feature gain adam literal": (one_feature, TrainConfig(conditional=False, adversarial_sign="literal"))}
+        "1-feature cgain adam gain": (make_table(501, n_classes=3, n_binary=0, n_continuous=1), TrainConfig())}
     for name, (table, config) in edges.items():
         incomplete = corrupt_mcar(table, 0.25, make_rng(402))
         config = dataclasses.replace(config, iterations=ITERATIONS, log_every=LOG_EVERY, seed=7)
