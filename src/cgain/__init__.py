@@ -9,9 +9,9 @@ CLI (cgain.cli, installed as the `cgain` command).
 from .nn import make_rng, spawn_rng, spawn_seed
 from .data import (ColumnSpec, Dataset, IncompleteDataset, build_dataset, corrupt_mcar,
                    denormalize, load_csv, load_incomplete_csv, split_folds,
-                   subsample_imbalance, uncorrupted)
+                   subsample_imbalance)
 from .imputer import (ImputerModel, TrainConfig, TrainingTrace, generate, impute, load_model,
-                      loss_discriminator, loss_generator, save_model, train)
+                      loss_discriminator, save_model, train)
 from .baselines import MeanImputer, MiceLiteImputer
 from .evaluate import BenchmarkReport, RmseResult, rmse_missing, run_benchmark, time_methods
 

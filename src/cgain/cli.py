@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .nn import make_rng
-from .data import (BINARY, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
+from .data import (BINARY, check_missing_rate, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import TrainConfig, impute, load_model, save_model, train
 from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_benchmark, time_methods,
@@ -173,6 +173,7 @@ def cmd_corrupt(cfg: RunConfig) -> int:
     rates = _parse_floats(cfg.rate, "rate")
     if len(rates) != 1:
         raise ValueError(f"corrupt needs exactly one --rate, got {cfg.rate!r}")
+    check_missing_rate(rates[0])   # fail before any file work
     header, rows = read_csv_table(cfg.data)
     inc = corrupt_mcar(load_csv(cfg.data, cfg.label_col, table=(header, rows)), rates[0], make_rng(cfg.seed))
 

@@ -395,9 +395,10 @@ def write_mask_csv(path, mask: Array, feature_names: list[str]) -> None:
 # corruption, subsampling, folds
 # ---------------------------------------------------------------------------
 
-def uncorrupted(dataset: Dataset) -> IncompleteDataset:
-    """Wrap a complete dataset with an all-ones mask."""
-    return IncompleteDataset(dataset, np.ones_like(dataset.features))
+def check_missing_rate(missing_rate: float) -> None:
+    """corrupt_mcar's rule: a ValueError unless the rate is in (0, 1)."""
+    if not 0.0 < missing_rate < 1.0:
+        raise ValueError(f"missing rate must be in (0, 1), got {missing_rate}")
 
 
 def corrupt_mcar(dataset: Dataset, missing_rate: float, rng: np.random.Generator) -> IncompleteDataset:
@@ -406,11 +407,16 @@ def corrupt_mcar(dataset: Dataset, missing_rate: float, rng: np.random.Generator
     Labels are never corrupted. The returned features are zeroed at missing
     cells; keep the original dataset around for evaluation against truth.
     """
-    if not 0.0 < missing_rate < 1.0:
-        raise ValueError(f"missing rate must be in (0, 1), got {missing_rate}")
+    check_missing_rate(missing_rate)
     mask = (rng.random(dataset.features.shape) >= missing_rate).astype(np.float64)
     corrupted = replace(dataset, features=dataset.features * mask)
     return IncompleteDataset(corrupted, mask)
+
+
+def check_minority_fraction(minority_fraction: float) -> None:
+    """subsample_imbalance's rule: a ValueError unless the fraction is in (0, 0.5]."""
+    if not 0.0 < minority_fraction <= 0.5:
+        raise ValueError(f"minority fraction must be in (0, 0.5], got {minority_fraction}")
 
 
 def subsample_imbalance(dataset: Dataset, minority_class, minority_fraction: float,
@@ -427,8 +433,7 @@ def subsample_imbalance(dataset: Dataset, minority_class, minority_fraction: flo
     """
     if dataset.n_classes != 2:
         raise ValueError(f"imbalance subsampling needs a binary dataset, got {dataset.n_classes} classes")
-    if not 0.0 < minority_fraction <= 0.5:
-        raise ValueError(f"minority fraction must be in (0, 0.5], got {minority_fraction}")
+    check_minority_fraction(minority_fraction)
     minority_idx = dataset.class_position(minority_class)
     cls = dataset.class_index()
     minority_rows = np.flatnonzero(cls == minority_idx)

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .nn import Array, spawn_rng, spawn_seed
-from .data import (Dataset, IncompleteDataset, corrupt_mcar, split_folds, subsample_imbalance,
-                   write_csv)
+from .data import (Dataset, IncompleteDataset, check_minority_fraction, check_missing_rate, corrupt_mcar,
+                   split_folds, subsample_imbalance, write_csv)
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from .imputer import TrainConfig, impute, train
 
@@ -195,8 +195,9 @@ def check_grid(methods: list[str], missing_rates: list[float], repetitions: int,
     if not missing_rates:
         raise ValueError("no missing rates given")
     for r in missing_rates:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"missing rate must be in (0, 1), got {r}")
+        check_missing_rate(r)
+    for f in minority_fractions or []:
+        check_minority_fraction(f)
     for name, values in (("method", methods), ("missing rate", missing_rates),
                          ("minority fraction", minority_fractions or [])):
         repeats = [v for i, v in enumerate(values) if v in values[:i]]

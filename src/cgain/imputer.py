@@ -122,7 +122,8 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 
 def sample_hint_b(mask: Array, rng: np.random.Generator) -> Array:
-    """Per-row reveal flags: all ones except one uniformly chosen column."""
+    """Per-row reveal flags: all ones except one uniformly chosen column.
+    train draws through _draw; this stays because perfbench traces it by name."""
     n, d = mask.shape
     if n < 1:
         raise ValueError("empty mask batch")
@@ -137,7 +138,8 @@ def hint_flags(cols: Array, d: int) -> Array:
 
 
 def hint_from_b(b: Array, mask: Array) -> Array:
-    """Blend mask and the 0.5 placeholder: h = b*m + 0.5*(1-b)."""
+    """Blend mask and the 0.5 placeholder: h = b*m + 0.5*(1-b).
+    train builds hints with _hint; this stays because perfbench traces it by name."""
     if b.shape != mask.shape:
         raise ValueError(f"flag shape {b.shape} does not match mask {mask.shape}")
     return b * mask + 0.5 * (1.0 - b)
@@ -263,19 +265,6 @@ def generator_loss_parts(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_ti
     return adv, recon
 
 
-def loss_generator(m_hat: Array, mask: Array, b: Array, x_bar: Array, x_tilde: Array,
-                   column_kinds: list[str], alpha: float) -> float:
-    """Adversarial part + alpha * reconstruction part."""
-    if not (m_hat.shape == mask.shape == b.shape):
-        raise ValueError(f"shapes differ: {m_hat.shape}, {mask.shape}, {b.shape}")
-    if x_bar.shape != x_tilde.shape:
-        raise ValueError(f"shapes differ: {x_bar.shape}, {x_tilde.shape}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_tilde, column_kinds)
-    return adv + alpha * recon
-
-
 def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
     """(1, d) row flagging binary columns, or None when there is none."""
     if len(column_kinds) != d:
@@ -328,7 +317,7 @@ def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
           rows: int) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
     """GAIN's draws for one iteration's two half-steps, each a fresh,
     independent batch: rows uniform with replacement, noise U(0, NOISE_HIGH)
-    and one hinted column per row as sample_hint_b draws it. The stream is
+    and one hinted column per row, uniform over the d columns. The stream is
     read as the rows of both halves in one call, uniform's noise for the D
     half, then for the G half, and the hinted columns of both halves in one
     call. Returns (x_t, m, y, z, cols) for the D half, then for the G half,
@@ -348,9 +337,9 @@ def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
 
 
 def _hint(m: Array, cols: Array) -> Array:
-    """hint_from_b's hint for the flags hint_flags(cols, d) gives: the mask,
-    with 0.5 at each row's hinted column (adding 0.0 turns a -0.0 mask cell
-    into 0.0, as the blend does)."""
+    """The discriminator's hint: the mask, with 0.5 at row i's hinted column
+    cols[i], where hint_flags(cols, d) is 0 (adding 0.0 turns a -0.0 mask
+    cell into 0.0)."""
     hint = m + 0.0
     hint[np.arange(len(cols)), cols] = 0.5
     return hint

@@ -172,10 +172,6 @@ class DenseNet:
         objects on every call; mutated in place by optimizer_step."""
         return self._params
 
-    def copy(self) -> "DenseNet":
-        """An equal net of the same dtype with buffers of its own."""
-        return DenseNet(*self._params)
-
 
 def dense_shapes(n_in: int, n_hidden: int, n_out: int) -> tuple[tuple[int, ...], ...]:
     """The parameter shapes of a net of these widths, in params() order."""

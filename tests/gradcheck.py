@@ -6,7 +6,7 @@ term, observed-cell reconstruction)."""
 import numpy as np
 
 from cgain.nn import dense_backward, dense_forward, init_dense, make_rng
-from cgain.imputer import (generator_loss_parts, loss_discriminator,
+from cgain.imputer import (generator_loss_parts, hint_flags, loss_discriminator,
                            _adv_grad_mhat, _binary_columns, _loss_d_grad, _recon_grad_xbar)
 
 LOSS_FORMS = ("d_xent", "g_adv", "recon")
@@ -45,18 +45,23 @@ def max_relative_error(analytic: list, numeric: list, floor: float = 1e-6) -> fl
 
 
 def check_net_loss_gradients(seed: int, width: int, loss_form: str,
-                             batch: int = 4, step: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients
-    over every parameter of a seeded random net under one loss form."""
+                             batch: int = 4, step: float = 1e-5) -> tuple[float, list]:
+    """(worst relative error, analytic gradients): the error between analytic
+    and central-difference gradients over every parameter of a seeded random
+    net under one loss form. The g_adv form redraws the mask and the hinted
+    columns until a hinted cell is missing, since otherwise both gradients
+    are zero."""
     rng = make_rng(seed)
     d_in = int(rng.integers(2, 8))
     d_out = int(rng.integers(2, 6))
     net = init_dense(rng, d_in, width, d_out)
     x = rng.uniform(0.0, 1.0, (batch, d_in))
-    mask = (rng.random((batch, d_out)) < 0.7).astype(float)
-    cols = rng.integers(0, d_out, batch)    # each row's hinted column, where b = 0
-    b = np.ones((batch, d_out))
-    b[np.arange(batch), cols] = 0.0
+    while True:
+        mask = (rng.random((batch, d_out)) < 0.7).astype(float)
+        cols = rng.integers(0, d_out, batch)    # each row's hinted column, where b = 0
+        if loss_form != "g_adv" or not mask[np.arange(batch), cols].all():
+            break
+    b = hint_flags(cols, d_out)
     x_t = rng.uniform(0.0, 1.0, (batch, d_out)) * mask
     kinds = ["continuous" if v else "binary" for v in rng.random(d_out) < 0.7]
 
@@ -78,4 +83,4 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
         raise ValueError(loss_form)
     analytic = dense_backward(net, cache, grad_out, wrt="params")
     numeric = finite_difference_gradients(loss, net.params(), step=step)
-    return max_relative_error(analytic, numeric)
+    return max_relative_error(analytic, numeric), analytic

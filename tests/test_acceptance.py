@@ -17,8 +17,8 @@ from cgain.data import corrupt_mcar, build_dataset, Dataset
 from cgain.datasets import credit_like, letter_like, load_breast_cancer_dataset, spambase_like
 from cgain.evaluate import run_benchmark, run_method
 from cgain.imputer import (TrainConfig, build_model, discriminator_forward, generate,
-                           generator_forward, hint_from_b, impute, loss_discriminator,
-                           loss_generator, sample_hint_b, train)
+                           generator_forward, generator_loss_parts, hint_flags, impute,
+                           loss_discriminator, train, _draw, _hint)
 from cgain.nn import make_rng, spawn_rng, spawn_seed, uniform
 from conftest import toy_dataset
 from gradcheck import LOSS_FORMS, check_net_loss_gradients
@@ -42,9 +42,11 @@ def test_acceptance_1_gradient_fidelity(capsys):
     for seed in range(20):
         width = int(make_rng(1000 + seed).integers(8, 65))
         form = LOSS_FORMS[seed % len(LOSS_FORMS)]
-        err = check_net_loss_gradients(seed=seed, width=width, loss_form=form)
+        err, analytic = check_net_loss_gradients(seed=seed, width=width, loss_form=form)
         worst = max(worst, err)
         assert err < 1e-4, f"seed {seed} width {width} form {form}: rel err {err:.3e}"
+        # a config whose hinted cells are all observed would check nothing
+        assert form != "g_adv" or any(g.any() for g in analytic), f"seed {seed}: all-zero gradient"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
     ok(1, f"20/20 configs within 1e-4 (worst {worst:.2e}) in {elapsed:.1f}s", capsys)
@@ -79,16 +81,22 @@ def test_acceptance_2_merge_exactness(capsys):
 # --------------------------------------------------------------------------
 
 def test_acceptance_3_hint_law(capsys):
+    # the hints train builds: _draw's two half-batches of 50000 rows, each
+    # hinted by _hint at _draw's columns (the features enter no hint)
     rng = make_rng(303)
     d = 5
     mask = (rng.random((100_000, d)) < 0.7).astype(float)
-    hint = hint_from_b(sample_hint_b(mask, rng), mask)
+    batches = _draw(rng, mask, mask, np.ones((100_000, 1)), 50_000)
+    gathered = np.concatenate([m for _, m, _, _, _ in batches])
+    hint = np.concatenate([_hint(m, cols) for _, m, _, _, cols in batches])
+    flags = np.concatenate([hint_flags(cols, d) for _, _, _, _, cols in batches])
     halves = hint == 0.5
     assert np.array_equal(halves.sum(axis=1), np.ones(100_000))
-    assert np.array_equal(hint[~halves], mask[~halves])
+    assert np.array_equal(halves, flags == 0.0)   # where the losses are taken
+    assert np.array_equal(hint[~halves], gathered[~halves])
     freq = halves.mean(axis=0)
     assert np.all(np.abs(freq - 1.0 / d) <= 0.01), freq
-    ok(3, f"100000 hint rows: exactly one 0.5 per row, per-column frequency "
+    ok(3, f"100000 hint rows from train's draws: one 0.5 per row, at its hinted column; frequency "
           f"{freq.min():.4f}..{freq.max():.4f} within 0.2±0.01", capsys)
 
 
@@ -104,19 +112,20 @@ def test_acceptance_4_loss_oracle_equivalence(capsys):
         d = int(rng.integers(1, 7))
         m_hat = rng.uniform(1e-3, 1.0 - 1e-3, (n, d))
         mask = (rng.random((n, d)) < 0.6).astype(float)
-        b = sample_hint_b(mask, rng)
+        b = hint_flags(rng.integers(0, d, size=n), d)
         x_bar = rng.uniform(1e-3, 1.0 - 1e-3, (n, d))
         x_t = rng.uniform(0.0, 1.0, (n, d)) * mask
         kinds = ["binary" if v < 0.3 else "continuous" for v in rng.random(d)]
         alpha = float(rng.uniform(0.5, 150.0))
         dd = abs(loss_discriminator(m_hat, mask, b)
                  - scalar_loss_d(m_hat.tolist(), mask.tolist(), b.tolist()))
-        gg = abs(loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha)
+        adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, kinds)
+        gg = abs(adv + alpha * recon
                  - scalar_loss_g(m_hat.tolist(), mask.tolist(), b.tolist(),
                                  x_bar.tolist(), x_t.tolist(), kinds, alpha))
         worst = max(worst, dd, gg)
         assert dd <= 1e-12 and gg <= 1e-12
-    ok(4, f"1000 random batches: vectorized losses equal scalar oracles "
+    ok(4, f"1000 random batches: train's losses equal scalar oracles "
           f"(worst abs diff {worst:.2e})", capsys)
 
 
@@ -160,7 +169,7 @@ def test_acceptance_5_unconditional_degeneracy(capsys):
     bar_c, hat_c, _ = generator_forward(cond_model, x_t, dinc.mask, degenerate.labels, z)
     bar_g, hat_g, _ = generator_forward(gain_model, x_t, dinc.mask, degenerate.labels, z)
     assert np.array_equal(bar_c, bar_g) and np.array_equal(hat_c, hat_g)
-    hint = hint_from_b(sample_hint_b(dinc.mask, make_rng(512)), dinc.mask)
+    hint = _hint(dinc.mask, make_rng(512).integers(0, d, size=n))
     assert np.array_equal(discriminator_forward(cond_model, hat_c, hint, degenerate.labels)[0],
                           discriminator_forward(gain_model, hat_g, hint, degenerate.labels)[0])
     ok(5, "conditioning off is bit-identical to the unconditional pipeline; "

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cgain.baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
-from cgain.data import IncompleteDataset, build_dataset, corrupt_mcar, uncorrupted
+from cgain.data import IncompleteDataset, build_dataset, corrupt_mcar
 from cgain.evaluate import rmse_missing
 from cgain.nn import make_rng
 from conftest import toy_dataset
@@ -43,7 +43,7 @@ def test_mean_imputation_exact_example():
 
 
 def test_mean_identity_without_missing(dataset):
-    inc = uncorrupted(dataset)
+    inc = IncompleteDataset(dataset, np.ones_like(dataset.features))
     completed = MeanImputer().fit(inc).transform(inc)
     assert_array_equal(completed, dataset.features)
 

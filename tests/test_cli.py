@@ -446,7 +446,11 @@ def test_benchmark_refuses_a_repeated_method(tmp_path, capsys):
     (["--method", "cgain,foo"],
      "unknown method 'foo'; expected one of ('cgain', 'gain', 'mean', 'mice_lite')"),
     (["--eval-mode", "strict", "--reps", "1"], "strict fold mode needs at least 2 repetitions (folds)"),
-], ids=["zero_reps", "negative_jobs", "unknown_method", "strict_one_fold"])
+    (["--rate", "1.5"], "missing rate must be in (0, 1), got 1.5"),
+    (["--imbalance", "0.7"], "minority fraction must be in (0, 0.5], got 0.7"),
+    (["--imbalance", "0"], "minority fraction must be in (0, 0.5], got 0.0"),
+], ids=["zero_reps", "negative_jobs", "unknown_method", "strict_one_fold", "rate_above_one",
+        "fraction_above_half", "zero_fraction"])
 def test_benchmark_refuses_a_bad_grid_before_reading_the_data(tmp_path, capsys, args, message):
     # --data names no file, so an error about the grid shows that it came first
     rc = run("benchmark", "--data", tmp_path / "absent.csv", "--label-col", "y", *args,
@@ -501,6 +505,17 @@ def test_bad_train_config_is_refused_before_any_work(tmp_path, capsys, monkeypat
              flag, value, "--out", tmp_path / "r")
     assert rc == 1
     assert capsys.readouterr().err == f"cgain-error: validation: {message}\n"
+    assert paths == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_corrupt_refuses_a_bad_rate_before_reading_the_data(tmp_path, capsys, monkeypatch):
+    # corrupt_mcar's rule, checked at the door as train and benchmark check theirs
+    data = write_toy_csv(tmp_path / "d.csv")
+    paths = count_reads(monkeypatch)
+    rc = run("corrupt", "--data", data, "--label-col", "y", "--rate", "1.5", "--out", tmp_path / "r")
+    assert rc == 1
+    assert capsys.readouterr().err == "cgain-error: validation: missing rate must be in (0, 1), got 1.5\n"
     assert paths == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 

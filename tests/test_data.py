@@ -16,8 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from cgain import data
 from cgain.data import (BINARY, CONTINUOUS, Dataset, IncompleteDataset, build_dataset, corrupt_mcar,
                         denormalize, load_csv, load_incomplete_csv, load_mask_csv, normalize, parse_table,
-                        read_csv_table, split_folds, subsample_imbalance, uncorrupted,
-                        write_mask_csv)
+                        read_csv_table, split_folds, subsample_imbalance, write_mask_csv)
 from cgain.nn import make_rng
 
 from conftest import assert_same_bits, toy_dataset
@@ -466,11 +465,6 @@ def test_corrupt_rejects_out_of_range_rates(dataset):
     for rate in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="missing rate"):
             corrupt_mcar(dataset, rate, make_rng(0))
-
-
-def test_uncorrupted_mask_is_all_ones(dataset):
-    inc = uncorrupted(dataset)
-    assert_array_equal(inc.mask, np.ones_like(dataset.features))
 
 
 def test_a_value_left_at_a_missing_cell_is_refused(dataset):

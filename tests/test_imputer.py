@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import cgain
 import cgain.imputer as imputer_module
-from cgain.data import (BINARY, CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar,
-                         uncorrupted)
+from cgain.data import BINARY, CONTINUOUS, ColumnSpec, Dataset, IncompleteDataset, corrupt_mcar
 from cgain.imputer import (EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_model,
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
                            generator_loss_parts, generator_step_grads, hint_flags, hint_from_b, impute,
-                           load_model, loss_discriminator, loss_generator, sample_hint_b,
+                           load_model, loss_discriminator, sample_hint_b,
                            save_model, train, _adv_grad_mhat, _draw, _hint, _loss_d_grad)
 from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
 from conftest import as_format_v1, as_format_v2, as_format_v3, assert_same_bits, toy_dataset, random_incomplete
@@ -47,8 +47,8 @@ def random_batch(model, n=5, seed=1, rate=0.4):
     y = np.zeros((n, model.n_classes))
     y[np.arange(n), rng.integers(0, model.n_classes, n)] = 1.0
     z = uniform(rng, 0.0, 0.01, (n, model.n_features))
-    b = sample_hint_b(mask, rng)
-    return x_t, mask, y, z, b, hint_from_b(b, mask)
+    cols = rng.integers(0, model.n_features, size=n)
+    return x_t, mask, y, z, hint_flags(cols, model.n_features), _hint(mask, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_discriminator_loss_matches_scalar_oracle():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         m_hat = rng.uniform(0.001, 0.999, (n, d))
         mask = (rng.random((n, d)) < 0.6).astype(float)
-        b = sample_hint_b(mask, rng)
+        b = hint_flags(rng.integers(0, d, size=n), d)
         expected = scalar_loss_d(m_hat.tolist(), mask.tolist(), b.tolist())
         got = loss_discriminator(m_hat, mask, b)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -256,13 +256,13 @@ def test_generator_adversarial_part_zero_when_all_observed():
     rng = make_rng(9)
     m_hat = rng.uniform(0.1, 0.9, (4, 3))
     mask = np.ones((4, 3))
-    b = sample_hint_b(mask, rng)
+    b = hint_flags(rng.integers(0, 3, size=4), 3)
     x = rng.uniform(0, 1, (4, 3))
     adv = scalar_loss_g_parts(m_hat.tolist(), mask.tolist(), b.tolist(), x.tolist(), x.tolist(),
                               [CONTINUOUS] * 3)[0]
     assert adv == 0.0
-    total = loss_generator(m_hat, mask, b, x, x, [CONTINUOUS] * 3, alpha=100.0)
-    assert total == pytest.approx(0.0, abs=1e-12)
+    adv, recon = generator_loss_parts(m_hat, mask, b, x, x, [CONTINUOUS] * 3)
+    assert adv + 100.0 * recon == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reconstruction_single_continuous_cell():
@@ -270,8 +270,9 @@ def test_reconstruction_single_continuous_cell():
     mask = np.array([[1.0]])
     b = np.array([[0.0]])
     x_bar, x_t = np.array([[0.1]]), np.array([[0.4]])
-    total = loss_generator(m_hat, mask, b, x_bar, x_t, [CONTINUOUS], alpha=1.0)
-    assert total == pytest.approx(0.09, abs=1e-12)   # (0.4 - 0.1)^2, no missing cell
+    adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, [CONTINUOUS])
+    assert adv == 0.0   # no missing cell
+    assert recon == pytest.approx(0.09, abs=1e-12)   # (0.4 - 0.1)^2
 
 
 def test_generator_loss_matches_scalar_oracle():
@@ -280,32 +281,23 @@ def test_generator_loss_matches_scalar_oracle():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         m_hat = rng.uniform(0.001, 0.999, (n, d))
         mask = (rng.random((n, d)) < 0.6).astype(float)
-        b = sample_hint_b(mask, rng)
+        b = hint_flags(rng.integers(0, d, size=n), d)
         x_bar = rng.uniform(0.001, 0.999, (n, d))
         x_t = rng.uniform(0.0, 1.0, (n, d)) * mask
         kinds = ["binary" if v < 0.3 else CONTINUOUS for v in rng.random(d)]
         alpha = float(rng.uniform(0.5, 150.0))
         expected = scalar_loss_g(m_hat.tolist(), mask.tolist(), b.tolist(),
                                  x_bar.tolist(), x_t.tolist(), kinds, alpha)
-        got = loss_generator(m_hat, mask, b, x_bar, x_t, kinds, alpha)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
-def test_loss_generator_refuses_an_alpha_that_is_not_positive_and_finite(alpha):
-    ok = np.ones((2, 2))
-    with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
-        loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, [CONTINUOUS] * 2, alpha=alpha)
+        adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, kinds)
+        assert adv + alpha * recon == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_validation_errors():
     ok = np.ones((2, 2))
     with pytest.raises(ValueError, match="shapes differ"):
         loss_discriminator(ok, ok, np.ones((2, 3)))
-    with pytest.raises(ValueError, match="alpha"):
-        loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, [CONTINUOUS] * 2, alpha=0.0)
     with pytest.raises(ValueError, match="column kind"):
-        loss_generator(ok * 0.5, ok, ok, ok * 0.5, ok, ["categorical"] * 2, alpha=1.0)
+        generator_loss_parts(ok * 0.5, ok, ok, ok * 0.5, ok, ["categorical"] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +313,8 @@ def test_generator_gradients_through_fixed_discriminator():
     def g_loss():
         x_bar, x_hat, _ = generator_forward(model, x_t, mask, y, z)
         m_hat, _ = discriminator_forward(model, x_hat, hint, y)
-        return loss_generator(m_hat, mask, b, x_bar, x_t, model.column_kinds, cfg.alpha)
+        adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds)
+        return adv + cfg.alpha * recon
 
     analytic, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, np.argmin(b, axis=1))
     adv, recon = generator_loss_parts(m_hat, mask, b, x_bar, x_t, model.column_kinds)
@@ -454,7 +447,7 @@ def test_training_draws_equal_uniform_and_the_hint_functions():
     # halves, uniform for the D half's noise, then the G half's, and one
     # sample_hint_b for both halves' flags; the D half takes the first 16
     # of each, and the hints and flags are hint_from_b's and sample_hint_b's,
-    # -0.0 mask cells included
+    # -0.0 mask cells included. This ties the pair perfbench traces to train.
     rng = make_rng(6)
     features = rng.random((30, 4))
     mask = (rng.random((30, 4)) >= 0.3).astype(float)
@@ -576,7 +569,7 @@ def test_training_is_deterministic():
 
 def test_train_validates_config():
     ds = toy_dataset(n=10)
-    inc = uncorrupted(ds)
+    inc = IncompleteDataset(ds, np.ones_like(ds.features))
     with pytest.raises(ValueError, match="alpha"):
         train(inc, TrainConfig(alpha=-1.0))
     # every comparison with NaN is false, so the bounds checks must test finiteness
@@ -614,10 +607,22 @@ def test_gains_generator_loss_is_the_only_one():
         TrainConfig(adversarial_sign="gain")
 
 
+def test_loss_generator_uncorrupted_and_densenet_copy_are_gone():
+    # the generator loss is generator_loss_parts' adv + alpha * recon, a
+    # complete table is IncompleteDataset(ds, np.ones_like(ds.features)), and
+    # DenseNet(*net.params()) copies a net
+    for module in (cgain, cgain.imputer, cgain.data):
+        for name in ("loss_generator", "uncorrupted"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(DenseNet, "copy")
+    assert "sample_hint_b" not in _draw.__doc__ and "hint_from_b" not in _hint.__doc__
+
+
 def test_numpy_integer_config_trains_and_round_trips_through_a_model_file(tmp_path):
     cfg = TrainConfig(batch_size=np.int64(8), iterations=np.int32(3), hidden_multiplier=np.int64(2),
                       seed=np.uint8(4), log_every=np.int64(1))
-    model, trace = train(uncorrupted(toy_dataset(n=10)), cfg)
+    ds = toy_dataset(n=10)
+    model, trace = train(IncompleteDataset(ds, np.ones_like(ds.features)), cfg)
     assert trace.iterations == [1, 2, 3]
     save_model(tmp_path / "np.model", model)
     loaded = load_model(tmp_path / "np.model")
@@ -717,7 +722,7 @@ def test_mask_cell_other_than_zero_or_one_is_refused():
 
 def test_impute_identity_when_nothing_missing():
     ds = toy_dataset(n=25, d=4, seed=70)
-    inc = uncorrupted(ds)
+    inc = IncompleteDataset(ds, np.ones_like(ds.features))
     cfg = TrainConfig(iterations=10, batch_size=8, seed=71)
     model, _ = train(inc, cfg)
     out = impute(model, inc)
@@ -760,10 +765,10 @@ def test_impute_rejects_dimension_mismatch():
     model, _ = train(random_incomplete(ds, seed=77), TrainConfig(iterations=2, seed=78, batch_size=8))
     other = toy_dataset(n=10, d=5, seed=79)
     with pytest.raises(ValueError, match="features"):
-        impute(model, uncorrupted(other))
+        impute(model, IncompleteDataset(other, np.ones_like(other.features)))
     retyped = toy_dataset(n=10, d=4, seed=79, binary_col=False)   # last column continuous
     with pytest.raises(ValueError, match="column kinds"):
-        impute(model, uncorrupted(retyped))
+        impute(model, IncompleteDataset(retyped, np.ones_like(retyped.features)))
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +819,7 @@ def test_single_class_conditioning_equals_gain_after_weight_ablation():
     bar_g, hat_g, _ = generator_forward(gain_model, x_t, mask, y, z)
     assert np.array_equal(bar_c, bar_g)
     assert np.array_equal(hat_c, hat_g)
-    hint = hint_from_b(sample_hint_b(mask, make_rng(88)), mask)
+    hint = _hint(mask, make_rng(88).integers(0, d, size=n))
     assert np.array_equal(discriminator_forward(cond_model, hat_c, hint, y)[0],
                           discriminator_forward(gain_model, hat_g, hint, y)[0])
 
