@@ -7,7 +7,10 @@ only missing cells are ever replaced. The discriminator sees the completed
 row, a hint (the mask with exactly one column per row blanked to 0.5) and
 the labels, and predicts per cell the probability that the cell was
 observed. Losses are evaluated only at the hinted-out cells, plus a
-reconstruction term on observed cells weighted by alpha.
+reconstruction term on observed cells weighted by alpha. The generator's
+adversarial loss reads a hinted cell only where it is missing, so in the
+generator step the discriminator runs on those rows alone: every other
+row's gradient is exactly zero.
 
 With conditional=False the label block is dropped from both networks and
 the pipeline is exactly the unconditional one.
@@ -363,19 +366,30 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
 
     Returns (gradients, m_hat, x_bar); generator_loss_parts on them, m,
     hint_flags(cols, d) and x_t gives the step's loss parts. The adversarial
-    signal flows through the discriminator's input gradient at the
-    completed-data block, masked to missing cells (observed cells of x_hat
-    do not depend on the generator); only that block's product, over
-    w1[:d], is computed.
+    part reads m_hat only at a live row's hinted cell, a row whose hinted
+    cell is missing; at every other row its weight 1 - m is 0 and so is its
+    gradient. So the discriminator runs on the live rows only, and m_hat
+    holds its output there and 1.0 elsewhere. Its input gradient at the
+    completed-data block, the product over w1[:d] alone, is masked to
+    missing cells (observed cells of x_hat do not depend on the generator)
+    and added at the live rows.
     """
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
-    m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
+    live = np.flatnonzero(m[np.arange(len(cols)), cols] == 0)
+    # rows gathered by take, which is faster than fancy indexing; the
+    # indices are in range, so clipping them changes nothing
+    x_live, m_live, y_live = (a.take(live, axis=0, mode="clip") for a in (x_hat, m, y))
+    m_hat = np.ones_like(x_bar)
+    m_hat[live], d_cache = discriminator_forward(model, x_live, _hint(m_live, cols.take(live)), y_live)
     d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, m, cols), wrt="input", leading=model.n_features)
+                                  _adv_grad_mhat(m_hat, m, cols).take(live, axis=0, mode="clip"),
+                                  wrt="input", leading=model.n_features)
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= model.config.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
-    dx_bar += d_input_grad * (1.0 - m)
+    d_input_grad = d_input_grad * (1.0 - m_live)
+    d_input_grad += dx_bar.take(live, axis=0, mode="clip")
+    dx_bar[live] = d_input_grad
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
 
@@ -423,6 +437,11 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
         (x_t, m, y, z, cols), g_batch = _draw(rng, *columns, rows)
         # (A) discriminator update
         d_grads, d_m_hat = discriminator_step_grads(model, x_t, m, y, z, cols)
+        # every cell is NaN or in [0, 1], so a sum is NaN exactly when a cell
+        # is; checked before the D update, so a NaN built into one net names
+        # only that net
+        if math.isnan(d_m_hat.sum()):
+            raise FloatingPointError(_non_finite_report(it, model, ("the D step's m_hat", d_m_hat)))
         optimizer_step(d_opt, d_params, d_grads)
         if logged:
             d_loss = loss_discriminator(d_m_hat, m, hint_flags(cols, d))
@@ -431,9 +450,9 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
         x_t, m, y, z, cols = g_batch
         g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, m, y, z, cols)
         optimizer_step(g_opt, g_params, g_grads)
-        # every cell is NaN or in [0, 1], so the sum is NaN exactly when a cell is
-        if math.isnan(d_m_hat.sum() + g_m_hat.sum() + x_bar.sum()):
-            raise FloatingPointError(_non_finite_report(it, model, d_m_hat, x_bar, g_m_hat))
+        if math.isnan(x_bar.sum() + g_m_hat.sum()):
+            raise FloatingPointError(_non_finite_report(it, model, ("the G step's x_bar", x_bar),
+                                                        ("the G step's m_hat", g_m_hat)))
         if logged:
             g_adv, g_recon = generator_loss_parts(g_m_hat, m, hint_flags(cols, d), x_bar, x_t,
                                                   model.column_kinds)
@@ -446,12 +465,11 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     return model, trace
 
 
-def _non_finite_report(it: int, model: ImputerModel, d_m_hat: Array, x_bar: Array, g_m_hat: Array) -> str:
+def _non_finite_report(it: int, model: ImputerModel, *outputs: tuple[str, Array]) -> str:
     """train's error for a NaN at iteration it: the first of the step's
-    outputs, in the order they are computed, that holds one, and each net
-    whose parameters are no longer all finite."""
-    first = next(name for name, a in (("the D step's m_hat", d_m_hat), ("the G step's x_bar", x_bar),
-                                      ("the G step's m_hat", g_m_hat)) if np.isnan(a).any())
+    named outputs, in the order they are computed, that holds one, and each
+    net whose parameters are no longer all finite."""
+    first = next(name for name, a in outputs if np.isnan(a).any())
     nets = [name for name in ("generator", "discriminator")
             if not np.isfinite(getattr(model, name).params().flat).all()]
     return (f"non-finite training loss at iteration {it}: first NaN in {first}; non-finite parameters in "

@@ -358,9 +358,15 @@ def test_step_gradients_bits_equal_full_backward_reference(binary):
         for g, ref in zip(d_grads, ref_d, strict=True):
             assert_same_bits(g, ref)
 
-        _, d_input_grad = ref_backward(model.discriminator, d_cache, ref_adv_grad(m_hat, mask, b), leading=d)
-        dx_bar = (d_input_grad * (1.0 - mask)
-                  + model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
+        # the G step's discriminator pass covers the live rows, whose hinted cell is missing
+        live = np.flatnonzero(mask[np.arange(n), cols] == 0)
+        g_m_hat = np.ones_like(m_hat)
+        g_m_hat[live], live_cache = ref_forward(model.discriminator,
+                                                np.concatenate([x_hat, hint, y], axis=1)[live])
+        _, d_input_grad = ref_backward(model.discriminator, live_cache, ref_adv_grad(g_m_hat, mask, b)[live],
+                                       leading=d)
+        dx_bar = model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
+        dx_bar[live] += d_input_grad * (1.0 - mask[live])
         ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
         g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, cols)
         for g, ref in zip(g_grads, ref_g, strict=True):
@@ -393,12 +399,15 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
         assert_same_bits(got.astype(np.float32), want.astype(np.float32))
 
 
-def full_matrix_step_grads(model, x_t, mask, y, z, b):
-    """(discriminator gradients, generator gradients, the D step's m_hat, x_bar)
-    the full-matrix way: each net input concatenated in float64 and cast
-    once to the net's dtype, the merge in float64, both loss gradients over
-    every cell, and the discriminator's input gradient over the x_hat block."""
-    cfg, d = model.config, model.n_features
+def full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=False):
+    """(discriminator gradients, generator gradients, the D step's m_hat,
+    x_bar, the G step's m_hat) the full-matrix way: each net input
+    concatenated in float64 and cast once to the net's dtype, the merge in
+    float64, both loss gradients over every cell, and the discriminator's
+    input gradient over the x_hat block. The G step's discriminator pass
+    covers the live rows, whose hinted cell is missing, with 1.0 as m_hat
+    elsewhere, or every row with all_rows."""
+    cfg, d, n = model.config, model.n_features, len(x_t)
     labels = [y] if model.conditional else []
     g_in = np.concatenate([x_t, mask, (1.0 - mask) * z] + labels, axis=1, dtype=model.generator.dtype)
     out, g_cache = dense_forward(model.generator, g_in)
@@ -409,12 +418,15 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b):
     m_out, d_cache = dense_forward(model.discriminator, d_in)
     m_hat = m_out.astype(np.float64)
     d_grads = dense_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b), wrt="params")
-    d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  ref_adv_grad(m_hat, mask, b), wrt="input", leading=d)
-    dx_bar = (d_input_grad * (1.0 - mask)
-              + cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds))
+    rows = np.arange(n) if all_rows else np.flatnonzero(((1.0 - b) * (1.0 - mask)).sum(axis=1))
+    g_m_hat = np.ones((n, d))
+    g_m_hat[rows], rows_cache = dense_forward(model.discriminator, d_in[rows])
+    d_input_grad = dense_backward(model.discriminator, rows_cache,
+                                  ref_adv_grad(g_m_hat, mask, b)[rows], wrt="input", leading=d)
+    dx_bar = cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
+    dx_bar[rows] += d_input_grad * (1.0 - mask[rows])
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
-    return d_grads.flat.copy(), g_grads.flat.copy(), m_hat, x_bar
+    return d_grads.flat.copy(), g_grads.flat.copy(), m_hat, x_bar, g_m_hat
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,14 +444,75 @@ def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, cond
     model.discriminator.b3[:] += push
     x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed + 1)
     x_t[:, np.array(binary[:d])] = np.round(x_t[:, np.array(binary[:d])])
-    ref_d, ref_g, ref_m_hat, ref_x_bar = full_matrix_step_grads(model, x_t, mask, y, z, b)
+    ref_d, ref_g, ref_m_hat, ref_x_bar, ref_g_m_hat = full_matrix_step_grads(model, x_t, mask, y, z, b)
     cols = np.argmin(b, axis=1)
     d_grads, d_m_hat = discriminator_step_grads(model, x_t, mask, y, z, cols)
     assert_same_bits(d_grads.flat, ref_d)
     assert_same_bits(d_m_hat, ref_m_hat)
-    g_grads, _, x_bar = generator_step_grads(model, x_t, mask, y, z, cols)
+    g_grads, g_m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, cols)
     assert_same_bits(g_grads.flat, ref_g)
+    assert_same_bits(g_m_hat, ref_g_m_hat)
     assert_same_bits(x_bar, ref_x_bar)
+
+
+def live_rule_batch(model, n, seed, live):
+    """random_batch at a workload's rate, 0.2, with the hinted cells of
+    every row ("all"), of no row ("none") or of the rows drawn ("some")
+    missing, and the hinted columns."""
+    x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed, rate=0.2)
+    cols = np.argmin(b, axis=1)
+    if live != "some":
+        mask[np.arange(n), cols] = 0.0 if live == "all" else 1.0
+        x_t *= mask
+    return x_t, mask, y, z, b, cols
+
+
+def discriminator_row_counts(monkeypatch):
+    """The row count of each discriminator_forward call from now on."""
+    rows, real = [], imputer_module.discriminator_forward
+
+    def counted(model, x_hat, hint, labels):
+        rows.append(len(x_hat))
+        return real(model, x_hat, hint, labels)
+
+    monkeypatch.setattr(imputer_module, "discriminator_forward", counted)
+    return rows
+
+
+@pytest.mark.parametrize("wide, bound", [(True, 1e-12), (False, 1e-5)], ids=["float64", "float32"])
+def test_generator_gradients_equal_an_all_rows_discriminator_pass_within_rounding(monkeypatch, wide, bound):
+    # the rows left out give the adversarial part a zero gradient, so only
+    # the rounding of the discriminator's products over fewer rows differs;
+    # the last batch has every row live
+    for d, m, n, seed, live in ((5, 3, 9, 40, "some"), (16, 3, 64, 41, "some"), (30, 2, 128, 42, "some"),
+                                (57, 2, 128, 43, "some"), (16, 3, 64, 44, "all")):
+        model = build_model(d, m, [CONTINUOUS] * d, TrainConfig(alpha=7.5), make_rng(seed))
+        model = as_float64(model) if wide else model
+        x_t, mask, y, z, b, cols = live_rule_batch(model, n, seed, live)
+        live_rows = np.flatnonzero(mask[np.arange(n), cols] == 0)
+        assert 0 < len(live_rows) < n or live == "all"
+        _, ref_g, _, _, _ = full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=True)
+        rows = discriminator_row_counts(monkeypatch)
+        got = generator_step_grads(model, x_t, mask, y, z, cols)[0].flat
+        monkeypatch.undo()
+        assert rows == [len(live_rows)]
+        assert np.max(np.abs(got - ref_g)) <= bound * np.max(np.abs(ref_g))
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["float64", "float32"])
+def test_a_batch_without_live_rows_runs_the_discriminator_on_no_rows_and_adds_nothing(monkeypatch, wide):
+    model = small_model(d=6, m=3, seed=45, binary=[1], alpha=7.5)
+    model = as_float64(model) if wide else model
+    x_t, mask, y, z, b, cols = live_rule_batch(model, 16, 45, "none")
+    x_t[:, 1] = np.round(x_t[:, 1])
+    rows = discriminator_row_counts(monkeypatch)
+    g_grads, m_hat, x_bar = generator_step_grads(model, x_t, mask, y, z, cols)
+    assert rows == [0]
+    assert_same_bits(m_hat, np.ones_like(m_hat))
+    got = g_grads.flat.copy()
+    _, _, g_cache = generator_forward(model, x_t, mask, y, z)
+    recon = model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
+    assert_same_bits(got, dense_backward(model.generator, g_cache, recon, wrt="params").flat)
 
 
 def test_training_draws_equal_uniform_and_the_hint_functions():
@@ -470,21 +543,34 @@ def test_training_draws_equal_uniform_and_the_hint_functions():
 
 def test_training_runs_the_forward_functions_twice_per_iteration(monkeypatch):
     # both half-steps go through generator_forward and discriminator_forward,
-    # the functions the acceptance criteria check
-    calls = {"generator_forward": 0, "discriminator_forward": 0}
+    # the functions the acceptance criteria check, and the G step's
+    # discriminator pass takes exactly its batch's live rows
+    calls = {"_draw": [], "generator_forward": [], "discriminator_forward": []}
 
-    def counted(name):
+    def recorded(name):
         original = getattr(imputer_module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def wrapper(*args):
+            result = original(*args)
+            calls[name].append((args, result))
+            return result
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(imputer_module, name, counted(name))
+        monkeypatch.setattr(imputer_module, name, recorded(name))
     train(random_incomplete(toy_dataset(n=40)), TrainConfig(iterations=7, batch_size=8, hidden_multiplier=2))
-    assert calls == {"generator_forward": 14, "discriminator_forward": 14}
+    assert {name: len(c) for name, c in calls.items()} == {"_draw": 7, "generator_forward": 14,
+                                                            "discriminator_forward": 14}
+    live_counts = set()
+    for it, (_, (_, (x_t, m, y, z, cols))) in enumerate(calls["_draw"]):
+        live = np.flatnonzero(m[np.arange(8), cols] == 0)
+        live_counts.add(len(live))
+        _, (_, x_hat, _) = calls["generator_forward"][2 * it + 1]
+        (_, got_x_hat, got_hint, got_y), _ = calls["discriminator_forward"][2 * it + 1]
+        assert_same_bits(got_x_hat, x_hat[live])
+        assert_same_bits(got_hint, _hint(m, cols)[live])
+        assert_same_bits(got_y, y[live])
+    assert len(live_counts) > 1
 
 
 def test_training_draws_its_noise_through_uniform_twice_per_iteration(monkeypatch):
@@ -644,16 +730,15 @@ def test_nan_generator_weight_stops_training_at_the_first_iteration(monkeypatch,
         return model
 
     monkeypatch.setattr(imputer_module, "build_model", poisoned)
-    # the D step's batch is completed through the NaN generator, and the
-    # discriminator's update on it leaves both nets non-finite
+    # the D step's batch is completed through the NaN generator, and its
+    # m_hat is checked before the discriminator's update could spread the NaN
     with pytest.raises(FloatingPointError, match=r"^non-finite training loss at iteration 1: first NaN in "
-                                                 r"the D step's m_hat; non-finite parameters in generator "
-                                                 r"and discriminator$"):
+                                                 r"the D step's m_hat; non-finite parameters in generator$"):
         train(inc, TrainConfig(iterations=50, batch_size=8, seed=82, log_every=log_every))
 
 
 @pytest.mark.parametrize("net, when, first, nets", [
-    ("discriminator", "built", "the D step's m_hat", "generator and discriminator"),
+    ("discriminator", "built", "the D step's m_hat", "discriminator"),
     ("generator", "after the D update", "the G step's x_bar", "generator"),
     ("discriminator", "after the D update", "the G step's m_hat", "generator and discriminator"),
 ], ids=["disc-built", "gen-mid-step", "disc-mid-step"])
