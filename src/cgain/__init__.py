@@ -2,7 +2,8 @@
 
 Library surface: data ingestion and MCAR corruption (cgain.data), the
 conditional/unconditional adversarial imputer (cgain.imputer), classical
-baselines (cgain.baselines), the benchmark harness (cgain.evaluate), and a
+baselines (cgain.baselines), the benchmark harness (cgain.evaluate), the
+stand-in tables that README's library example uses (cgain.datasets), and a
 CLI (cgain.cli, installed as the `cgain` command).
 """
 

@@ -1,13 +1,19 @@
 """Command-line driver: corrupt, train, impute, and benchmark subcommands.
 
 A subcommand takes the flags and config keys of the fields it reads, no more.
-Precedence is defaults < config file (KEY=VALUE lines via --config) <
-command-line flags, with $CGAIN_SEED as a seed fallback. Every run prints its
-command's resolved fields first, so a run is reconstructible from its own output.
+Any other flag or key, and a shortened flag (--it for --iters), is refused
+before --data is read or any file is written; `cgain <command> --help` lists a
+command's own. Precedence is defaults < config file (KEY=VALUE lines via
+--config) < command-line flags, with $CGAIN_SEED as a seed fallback. A seed
+from any of the three must be a non-negative integer in ASCII digits. In a
+comma list (--method, --rate, --imbalance) spaces around items are ignored,
+and a list with no item is refused. Every run prints its command's resolved
+fields first, so a run is reconstructible from its own output.
 
 A missing cell is an empty feature cell of --data. Only corrupt hides
-cells: it blanks them in a complete file and writes a mask file that
-records which it hid. train and impute read missingness from --data alone.
+cells: it blanks them in a complete file, at exactly one --rate, and writes
+a mask file that records which it hid and that no command reads back. train
+and impute read missingness from --data alone.
 
 Exit status: 0 success, 1 validation/input error (a bad flag too), 2 runtime failure.
 Errors go to stderr as one machine-parseable line:
@@ -91,8 +97,9 @@ _PARSERS = {"str": str, "int": int, "float": float, "int | None": _seed}
 
 def parse_config_file(path, command: str) -> dict:
     """Flat KEY=VALUE pairs; '#' starts a comment; a key that command does not read is an error.
-    A value is parsed as its --flag's value is, type and choices included.
-    A leading UTF-8 byte-order mark is dropped."""
+    A value is parsed as its --flag's value is, type and choices included,
+    and an error names the file, the line and the key. A leading UTF-8
+    byte-order mark is dropped."""
     known, flags = {f.name for f in command_fields(command)}, _flags(command)
     values: dict = {}
     with open(path, encoding="utf-8-sig") as fh:

@@ -149,7 +149,8 @@ def _records(lines: list[str]):
 def read_csv_table(path) -> tuple[list[str], CsvRows]:
     """Read a headered CSV into (header, rows of raw cell strings), skipping
     blank lines; a quoted cell may span lines. A leading UTF-8 byte-order
-    mark, as Excel writes, is dropped."""
+    mark, as Excel writes, is dropped. Header names must be distinct, and
+    every row must have the header's cell count."""
     # newline="" splits lines at \r\n, \n and a lone \r, where csv.reader splits them
     with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(fh.readlines())
@@ -175,7 +176,8 @@ def read_csv_table(path) -> tuple[list[str], CsvRows]:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a header and rows of strings, byte for byte as csv.writer does.
+    """Write a header and rows of strings in UTF-8, with no byte-order mark,
+    byte for byte as csv.writer does.
 
     Rows go out in blocks. A block that holds no quote, no delimiter or line
     break inside a cell and no lone empty cell needs no quoting, so it is
@@ -492,7 +494,8 @@ def _scale(schema: list[ColumnSpec], values: Array) -> tuple[Array, Array, Array
 def denormalize(schema: list[ColumnSpec], values: Array, round_binary: bool = False) -> Array:
     """Map [0, 1] values back to raw scale: raw = lo + v * (hi - lo).
 
-    With round_binary, binary columns snap to the nearest of {0, 1}.
+    With round_binary, a binary column's cells become 1 where they are at
+    least 0.5 and 0 elsewhere.
     """
     values, lo, span = _scale(schema, values)
     out = lo + values * span

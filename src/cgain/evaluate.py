@@ -180,8 +180,11 @@ def check_grid(methods: list[str], missing_rates: list[float], repetitions: int,
                train_config: TrainConfig | None = None, eval_mode: str = "repetition", jobs: int = 1,
                minority_fractions: list[float] | None = None, minority_class=None) -> TrainConfig:
     """run_benchmark's checks of its arguments that need no dataset: a
-    ValueError for the first bad one. Returns the training config, a
-    default TrainConfig when none is given."""
+    ValueError for the first bad one. repetitions and jobs must be Python or
+    NumPy integers (not a bool), and root_seed follows TrainConfig's seed
+    rule. A method, rate or fraction given twice, and minority_class without
+    minority_fractions, are refused. Returns the training config, a default
+    TrainConfig when none is given."""
     for name, value in (("repetitions", repetitions), ("jobs", jobs)):   # TrainConfig's integer rule
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -235,8 +238,9 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
 
     Given minority_fractions, the grid runs over engineered class-imbalance
     levels of a binary dataset at a single missing rate instead: the
-    dataset is subsampled once per fraction so that minority_class (default:
-    the rarer class) holds that share of the rows, and the fraction-f block
+    dataset is subsampled once per fraction so that minority_class (a class
+    name, or else a 0-based index; default: the rarer class, named in the
+    report's config) holds that share of the rows, and the fraction-f block
     is exactly the rate grid on that subsample with root seed
     spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
     grid runs on one pool of min(jobs, tasks) workers, which each receive

@@ -50,6 +50,10 @@ class TrainConfig:
     log_every: int = 100
 
     def validate(self) -> None:
+        """ValueError unless batch_size, iterations, hidden_multiplier, seed
+        and log_every are Python or NumPy integers, alpha and learning_rate
+        Python or NumPy real numbers (a bool is neither), conditional a bool,
+        and each value is in range."""
         for names, types, what in (
                 (("batch_size", "iterations", "hidden_multiplier", "seed", "log_every"),
                  (int, np.integer), "an integer"),
@@ -154,8 +158,10 @@ def hint_from_b(b: Array, mask: Array) -> Array:
 
 def generator_forward(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
                       z: Array) -> tuple[Array, Array, tuple]:
-    """Generator pass with noise z of the mask's shape. Returns (x_bar,
-    x_hat, cache); x_bar and x_hat are float64 whatever the net's dtype."""
+    """Generator pass with noise z of the mask's shape; labels of another
+    row count are a ValueError, unless the model is unconditional and so
+    ignores them. Returns (x_bar, x_hat, cache); x_bar and x_hat are float64
+    whatever the net's dtype."""
     if z.shape != mask.shape:
         raise ValueError(f"noise shape {z.shape} does not match mask {mask.shape}")
     one_minus_m = 1.0 - mask
@@ -185,7 +191,9 @@ def generate(model: ImputerModel, x_tilde: Array, mask: Array, labels: Array,
 
 def discriminator_forward(model: ImputerModel, x_hat: Array, hint: Array,
                           labels: Array) -> tuple[Array, tuple]:
-    """Discriminator pass. Returns (m_hat, cache): per cell, P(observed),
+    """Discriminator pass; a hint of another row count than x_hat is a
+    ValueError, and so are such labels unless the model is unconditional
+    and so ignores them. Returns (m_hat, cache): per cell, P(observed),
     as float64 whatever the net's dtype.
 
     The losses need the upcast: in float32, 1 - EPS rounds to 1.0, so an
@@ -368,11 +376,11 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     hint_flags(cols, d) and x_t gives the step's loss parts. The adversarial
     part reads m_hat only at a live row's hinted cell, a row whose hinted
     cell is missing; at every other row its weight 1 - m is 0 and so is its
-    gradient. So the discriminator runs on the live rows only, and m_hat
-    holds its output there and 1.0 elsewhere. Its input gradient at the
-    completed-data block, the product over w1[:d] alone, is masked to
-    missing cells (observed cells of x_hat do not depend on the generator)
-    and added at the live rows.
+    gradient. So the discriminator runs on the live rows only (on no rows
+    when none is live), and m_hat holds its output there and 1.0 elsewhere.
+    Its input gradient at the completed-data block, the product over w1[:d]
+    alone, is masked to missing cells (observed cells of x_hat do not depend
+    on the generator) and added at the live rows.
     """
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     live = np.flatnonzero(m[np.arange(len(cols)), cols] == 0)
@@ -481,7 +489,9 @@ def impute(model: ImputerModel, incomplete: IncompleteDataset,
     """Fill the missing cells; observed cells pass through untouched.
 
     Deterministic given (model, data, noise seed); rng defaults to a fresh
-    stream seeded by the model's training seed.
+    stream seeded by the model's training seed. Data whose feature count or
+    column kinds differ from the model's, or whose class count differs from
+    a conditional model's, is a ValueError.
     """
     ds = incomplete.dataset
     if ds.n_features != model.n_features:

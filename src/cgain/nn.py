@@ -49,7 +49,8 @@ def spawn_seed(root_seed: int, *path: int) -> int:
 
 
 def uniform(rng: np.random.Generator, low: float, high: float, shape) -> Array:
-    """Uniform draws in [low, high), as rng.uniform draws them: low + (high - low) * rng.random(shape)."""
+    """Uniform draws in [low, high), as rng.uniform draws them: low + (high - low) * rng.random(shape),
+    the same bits, leaving the stream in the same state."""
     if not low < high:
         raise ValueError(f"uniform requires low < high, got [{low}, {high})")
     return low + (high - low) * rng.random(shape)
@@ -277,6 +278,8 @@ class OptimizerState:
 
 
 def make_optimizer(learning_rate: float, params: FlatArrays) -> OptimizerState:
+    """Adam's state for params, a net's params(); any other kind of params,
+    such as a list of arrays, is a ValueError."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     if type(params) is not FlatArrays:
