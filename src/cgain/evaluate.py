@@ -44,7 +44,7 @@ from .nn import Array, spawn_rng, spawn_seed
 from .data import (Dataset, IncompleteDataset, check_minority_fraction, check_missing_rate, corrupt_mcar,
                    split_folds, subsample_imbalance, write_csv)
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
-from .imputer import TrainConfig, impute, train
+from .imputer import TrainConfig, impute, json_number, train
 
 METHODS = ("cgain", "gain", "mean", "mice_lite")
 BASELINES = {"mean": MeanImputer, "mice_lite": MiceLiteImputer}
@@ -150,6 +150,27 @@ def _set_tables(tables: list[Dataset]) -> None:
     _TABLES[:] = tables
 
 
+def _start_worker(tables: list[Dataset]) -> None:
+    """A pool worker's initializer: the grid's tables, and the OpenBLAS
+    that NumPy's wheel ships set to one thread, where that library and its
+    thread-count entry point are present. A worker runs one task at a time
+    on a share of the cores, so BLAS threads of its own only contend with
+    the other workers'."""
+    import ctypes
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                                  "libscipy_openblas*"))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    setter = next((getattr(lib, symbol) for symbol in ("scipy_openblas_set_num_threads64_",
+                                                       "scipy_openblas_set_num_threads")
+                   if hasattr(lib, symbol)), None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    _set_tables(tables)
+
+
 def _rep_task(args) -> tuple[int, int, dict]:
     """One (cell, repetition) unit; top level so process pools can pickle it."""
     (cell_idx, rep, block, method, method_idx, rate, rate_idx,
@@ -244,7 +265,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     is exactly the rate grid on that subsample with root seed
     spawn_seed(root, 6, fraction_idx). Every (cell, repetition) task of the
     grid runs on one pool of min(jobs, tasks) workers, which each receive
-    every block's table once, or in this process when that is 1.
+    every block's table once and runs BLAS on one thread, or in this
+    process when that is 1.
     """
     train_config = check_grid(methods, missing_rates, repetitions, root_seed, train_config, eval_mode, jobs,
                               minority_fractions, minority_class)
@@ -282,7 +304,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     try:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor   # only a pool grid pays for its import
-            with ProcessPoolExecutor(max_workers=workers, initializer=_set_tables,
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                      initargs=(tables,)) as pool:
                 outcomes = list(pool.map(_rep_task, tasks))
         else:
@@ -372,8 +394,7 @@ def report_to_json_dict(report: BenchmarkReport) -> dict:
 
 
 def write_report_json(path, report: BenchmarkReport) -> None:
-    # a training config may hold NumPy integers, which are written as JSON integers; the
-    # text is built before the file is opened, so a value that fails leaves no partial file
-    text = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False, default=operator.index)
+    # the text is built before the file is opened, so a value that fails leaves no partial file
+    text = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False, default=json_number)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

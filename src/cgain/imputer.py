@@ -7,10 +7,12 @@ only missing cells are ever replaced. The discriminator sees the completed
 row, a hint (the mask with exactly one column per row blanked to 0.5) and
 the labels, and predicts per cell the probability that the cell was
 observed. Losses are evaluated only at the hinted-out cells, plus a
-reconstruction term on observed cells weighted by alpha. The generator's
-adversarial loss reads a hinted cell only where it is missing, so in the
-generator step the discriminator runs on those rows alone: every other
-row's gradient is exactly zero.
+reconstruction term on observed cells weighted by alpha. Loss gradients
+enter each net at its output logits z; for the cross entropies of the
+discriminator's sigmoid output, that is sigmoid(z) - target at a hinted
+cell. The generator's adversarial loss reads a hinted cell only where it
+is missing, so in the generator step the discriminator runs on those rows
+alone: every other row's gradient is exactly zero.
 
 With conditional=False the label block is dropped from both networks and
 the pipeline is exactly the unconditional one.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import struct
 import time
 import warnings
@@ -235,19 +236,14 @@ def _hinted(m_hat: Array, mask: Array, cols: Array) -> tuple[Array, Array, Array
     return cells, m_h, mask.take(cells), (m_h > EPS) & (m_h < 1.0 - EPS)
 
 
-def _loss_d_grad(m_hat: Array, mask: Array, cols: Array) -> Array:
-    """dloss_discriminator/dm_hat, for the hint flags that blank column
-    cols[i] of row i.
-
-    The full formula is computed at the hinted cells only; every other cell
-    gets the zero it gives there, -0.0 at observed cells and +0.0 at missing
-    ones."""
+def _d_head(m_hat: Array, mask: Array, cols: Array, dtype) -> Array:
+    """dloss_discriminator/dz at the discriminator's logits z, where m_hat
+    is sigmoid(z), for the hint flags that blank column cols[i] of row i:
+    (m_hat - mask) / n at each hinted cell, n the row count, and 0 where
+    the clamp saturates and at every other cell. Built in dtype, the net's."""
     cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
-    p = _clamped(m_h)
-    g = -(mask_h / p - (1.0 - mask_h) / (1.0 - p)) / m_hat.shape[0]   # 1 - b is 1 at a hinted cell
-    grad = np.subtract(0.5, mask)
-    grad *= 0.0
-    grad.put(cells, g * live)
+    grad = np.zeros(m_hat.shape, dtype)
+    grad.put(cells, (m_h - mask_h) / m_hat.shape[0] * live)
     return grad
 
 
@@ -287,14 +283,15 @@ def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
     return row if row.any() else None
 
 
-def _adv_grad_mhat(m_hat: Array, mask: Array, cols: Array) -> Array:
-    """d(adversarial part)/dm_hat, for the hint flags that blank column
-    cols[i] of row i: the full formula at the hinted cells, and elsewhere
-    the zero it gives there, -0.0."""
+def _adv_head(m_hat: Array, mask: Array, cols: Array, n: int, dtype) -> Array:
+    """d(adversarial part)/dz at the discriminator's logits z, where m_hat
+    is sigmoid(z), for rows of an n-row batch hinted at columns cols:
+    -(1 - mask)(1 - m_hat) / n at each hinted cell, which is -(1 - m_hat) / n
+    where that cell is missing, and 0 where the clamp saturates and at
+    every other cell. Built in dtype, the net's."""
     cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
-    g = -((1.0 - mask_h) / _clamped(m_h) / m_hat.shape[0] * live)   # 1 - b is 1 at a hinted cell
-    grad = np.full(m_hat.shape, -0.0)
-    grad.put(cells, g)
+    grad = np.zeros(m_hat.shape, dtype)
+    grad.put(cells, -(1.0 - mask_h) * (1.0 - m_h) / n * live)
     return grad
 
 
@@ -328,23 +325,27 @@ def _draw(rng: np.random.Generator, features: Array, mask: Array, labels: Array,
           rows: int) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
     """GAIN's draws for one iteration's two half-steps, each a fresh,
     independent batch: rows uniform with replacement, noise U(0, NOISE_HIGH)
-    and one hinted column per row, uniform over the d columns. The stream is
-    read as the rows of both halves in one call, uniform's noise for the D
-    half, then for the G half, and the hinted columns of both halves in one
-    call. Returns (x_t, m, y, z, cols) for the D half, then for the G half,
+    and one hinted column per row, uniform over the d columns.
+
+    The stream is read once, as one block of 2 * rows * (d + 2) uniforms u
+    in [0, 1) from uniform, which maps in order to both halves' rows
+    floor(u * n), their hinted columns floor(u * d) and their noise
+    NOISE_HIGH * u, the D half first each time. For a double u < 1 and an
+    integer k >= 1, u * k rounds below k, so every index is in range.
+    Returns (x_t, m, y, z, cols) for the D half, then for the G half,
     cols[i] being the one column of row i whose hint flag b is 0."""
     n, d = features.shape
-    idx = rng.integers(0, n, size=2 * rows)
-    z_d = uniform(rng, 0.0, NOISE_HIGH, (rows, d))
-    z_g = uniform(rng, 0.0, NOISE_HIGH, (rows, d))
-    cols = rng.integers(0, d, size=2 * rows)
+    u = uniform(rng, 0.0, 1.0, 2 * rows * (d + 2))
+    idx = (u[:2 * rows] * n).astype(np.intp)
+    cols = (u[2 * rows:4 * rows] * d).astype(np.intp)
+    z = (u[4 * rows:] * NOISE_HIGH).reshape(2, rows, d)
     # each half gathered on its own, so neither keeps the other's rows
     # alive; the indices are in range, so clipping them changes nothing
     d_idx, g_idx = idx[:rows], idx[rows:]
     return ((features.take(d_idx, axis=0, mode="clip"), mask.take(d_idx, axis=0, mode="clip"),
-             labels.take(d_idx, axis=0, mode="clip"), z_d, cols[:rows]),
+             labels.take(d_idx, axis=0, mode="clip"), z[0], cols[:rows]),
             (features.take(g_idx, axis=0, mode="clip"), mask.take(g_idx, axis=0, mode="clip"),
-             labels.take(g_idx, axis=0, mode="clip"), z_g, cols[rows:]))
+             labels.take(g_idx, axis=0, mode="clip"), z[1], cols[rows:]))
 
 
 def _hint(m: Array, cols: Array) -> Array:
@@ -365,7 +366,8 @@ def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array
     """
     _, x_hat, _ = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
-    return dense_backward(model.discriminator, d_cache, _loss_d_grad(m_hat, m, cols), wrt="params"), m_hat
+    head = _d_head(m_hat, m, cols, model.discriminator.dtype)
+    return dense_backward(model.discriminator, d_cache, head, wrt="params"), m_hat
 
 
 def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z: Array,
@@ -380,24 +382,27 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     when none is live), and m_hat holds its output there and 1.0 elsewhere.
     Its input gradient at the completed-data block, the product over w1[:d]
     alone, is masked to missing cells (observed cells of x_hat do not depend
-    on the generator) and added at the live rows.
+    on the generator) and added at the live rows. The summed gradient at
+    x_bar is multiplied by x_bar * (1 - x_bar) to give the generator's
+    gradient at its logits.
     """
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     live = np.flatnonzero(m[np.arange(len(cols)), cols] == 0)
     # rows gathered by take, which is faster than fancy indexing; the
     # indices are in range, so clipping them changes nothing
-    x_live, m_live, y_live = (a.take(live, axis=0, mode="clip") for a in (x_hat, m, y))
+    x_live, m_live, y_live, cols_live = (a.take(live, axis=0, mode="clip") for a in (x_hat, m, y, cols))
     m_hat = np.ones_like(x_bar)
-    m_hat[live], d_cache = discriminator_forward(model, x_live, _hint(m_live, cols.take(live)), y_live)
-    d_input_grad = dense_backward(model.discriminator, d_cache,
-                                  _adv_grad_mhat(m_hat, m, cols).take(live, axis=0, mode="clip"),
-                                  wrt="input", leading=model.n_features)
+    m_hat_live, d_cache = discriminator_forward(model, x_live, _hint(m_live, cols_live), y_live)
+    m_hat[live] = m_hat_live
+    head = _adv_head(m_hat_live, m_live, cols_live, len(cols), model.discriminator.dtype)
+    d_input_grad = dense_backward(model.discriminator, d_cache, head, wrt="input", leading=model.n_features)
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= model.config.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
     d_input_grad = d_input_grad * (1.0 - m_live)
     d_input_grad += dx_bar.take(live, axis=0, mode="clip")
     dx_bar[live] = d_input_grad
+    dx_bar *= x_bar * (1.0 - x_bar)
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
 
@@ -406,9 +411,10 @@ def train(incomplete: IncompleteDataset, config: TrainConfig) -> tuple[ImputerMo
     """Alternate one discriminator and one generator update per iteration,
     for exactly config.iterations iterations.
 
-    Each step draws a fresh mini-batch (rows uniform with replacement),
-    fresh noise and fresh hint flags, in _draw's stream order. Fully
-    determined by (config.seed, data, config). A feature or mask cell
+    Each step takes a fresh mini-batch (rows uniform with replacement),
+    fresh noise and fresh hint flags, which _draw maps from one block of
+    uniforms per iteration; each net's backward pass starts at its output
+    logits. Fully determined by (config.seed, data, config). A feature or mask cell
     outside [0, 1] is a ValueError naming its column and row; a non-finite
     loss is a FloatingPointError naming its iteration, the first step
     output that held a NaN and each net whose parameters are non-finite.
@@ -519,6 +525,17 @@ _HEADER_KEYS = {"n_classes", "column_kinds", "config"}
 _CONFIG_KEYS = {f.name for f in fields(TrainConfig)}
 
 
+def json_number(value):
+    """json's default for the NumPy scalars a validated TrainConfig may
+    hold: an integer becomes a JSON integer and a real a JSON number, the
+    float64 value that holds it exactly. Anything else is a TypeError."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_model(path, model: ImputerModel) -> None:
     """Magic, version, a JSON header of n_classes, column_kinds and config,
     then the generator's and the discriminator's parameter buffers as
@@ -528,8 +545,7 @@ def save_model(path, model: ImputerModel) -> None:
         if net.dtype != np.float32:
             raise ValueError(f"{name} is {net.dtype}; only float32 nets, as build_model makes, are saved")
     header = {"n_classes": model.n_classes, "column_kinds": model.column_kinds, "config": asdict(model.config)}
-    # a config may hold NumPy integers, which are written as JSON integers
-    blob = json.dumps(header, sort_keys=True, default=operator.index).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, default=json_number).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(_PREAMBLE.pack(MODEL_FORMAT_VERSION, len(blob)))

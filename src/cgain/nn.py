@@ -210,13 +210,17 @@ def dense_forward(net: DenseNet, x: Array) -> tuple[Array, tuple]:
 BACKWARD_TARGETS = ("params", "input")
 
 
-def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str,
+def dense_backward(net: DenseNet, cache: tuple, grad_z: Array, *, wrt: str,
                    leading: int | None = None) -> FlatArrays | Array:
     """Backprop through a cached forward pass.
 
-    grad_out is dLoss/dOutput, cast to the net's dtype. wrt="params" writes the parameter gradients,
-    in params() order, into net.grads and returns it: the views it holds
-    are overwritten by the net's next wrt="params" call. wrt="input" returns
+    grad_z is dLoss/dz at the output layer's pre-activation z, the
+    sigmoid's input, cast to the net's dtype. For a cross entropy of the
+    sigmoid output that is sigmoid(z) - target, with no sigmoid derivative
+    in it; a loss gradient at the output is multiplied by out * (1 - out)
+    by the caller. wrt="params" writes the parameter gradients, in params()
+    order, into net.grads and returns it: the views it holds are
+    overwritten by the net's next wrt="params" call. wrt="input" returns
     the gradient w.r.t. the input batch as a new array; with leading=k, only
     its first k columns, as the product over w1[:k] alone (which rounds
     unlike a slice of the full product). Only the requested products are
@@ -232,12 +236,10 @@ def dense_backward(net: DenseNet, cache: tuple, grad_out: Array, *, wrt: str,
     if cache is None:
         raise ValueError("missing forward cache")
     x, a1, a2, out = cache
-    grad_out = np.asarray(grad_out, dtype=net.dtype)
-    if grad_out.shape != out.shape:
-        raise ValueError(f"grad shape {grad_out.shape} does not match output {out.shape}")
+    dz3 = np.asarray(grad_z, dtype=net.dtype)
+    if dz3.shape != out.shape:
+        raise ValueError(f"grad shape {dz3.shape} does not match output {out.shape}")
     w1, _, w2, _, w3, _ = net.params()
-    dz3 = grad_out * out
-    dz3 *= 1.0 - out
     # a relu unit is active exactly where its output is positive; the 0/1
     # masks are in the net's dtype, so the products cast nothing
     dz2 = dz3 @ w3.T

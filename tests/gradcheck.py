@@ -7,7 +7,7 @@ import numpy as np
 
 from cgain.nn import dense_backward, dense_forward, init_dense, make_rng
 from cgain.imputer import (generator_loss_parts, hint_flags, loss_discriminator,
-                           _adv_grad_mhat, _binary_columns, _loss_d_grad, _recon_grad_xbar)
+                           _adv_head, _binary_columns, _d_head, _recon_grad_xbar)
 
 LOSS_FORMS = ("d_xent", "g_adv", "recon")
 
@@ -72,15 +72,17 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
         adv, recon = generator_loss_parts(out, mask, b, out, x_t, kinds)
         return adv if loss_form == "g_adv" else recon
 
+    # the gradient at the output logits: the cross entropies' heads, and
+    # the reconstruction gradient at the output times the sigmoid's derivative
     out, cache = dense_forward(net, x)
     if loss_form == "d_xent":
-        grad_out = _loss_d_grad(out, mask, cols)
+        grad_z = _d_head(out, mask, cols, net.dtype)
     elif loss_form == "g_adv":
-        grad_out = _adv_grad_mhat(out, mask, cols)
+        grad_z = _adv_head(out, mask, cols, batch, net.dtype)
     elif loss_form == "recon":
-        grad_out = _recon_grad_xbar(out, x_t, mask, _binary_columns(kinds, d_out))
+        grad_z = _recon_grad_xbar(out, x_t, mask, _binary_columns(kinds, d_out)) * out * (1.0 - out)
     else:
         raise ValueError(loss_form)
-    analytic = dense_backward(net, cache, grad_out, wrt="params")
+    analytic = dense_backward(net, cache, grad_z, wrt="params")
     numeric = finite_difference_gradients(loss, net.params(), step=step)
     return max_relative_error(analytic, numeric), analytic

@@ -150,11 +150,16 @@ def ref_forward(net, x):
 
 
 def ref_backward(net, cache, grad_out, leading=None):
-    """Full backward pass: (parameter gradients in params() order, input
-    gradient); with leading=k, the input gradient of the first k input
-    columns only, as the product over w1[:k]."""
+    """Full backward pass by the chain rule from dLoss/dOutput: (parameter
+    gradients in params() order, input gradient); with leading=k, the input
+    gradient of the first k input columns only, as the product over w1[:k]."""
+    out = cache[-1]
+    return ref_logit_backward(net, cache, grad_out * out * (1.0 - out), leading)
+
+
+def ref_logit_backward(net, cache, dz3, leading=None):
+    """ref_backward from dLoss/dz at the output pre-activation z."""
     x, z1, a1, z2, a2, out = cache
-    dz3 = grad_out * out * (1.0 - out)
     dz2 = (dz3 @ net.w3.T) * (z2 > 0)
     dz1 = (dz2 @ net.w2.T) * (z1 > 0)
     grads = [x.T @ dz1, dz1.sum(axis=0), a1.T @ dz2, dz2.sum(axis=0), a2.T @ dz3, dz3.sum(axis=0)]
@@ -204,6 +209,22 @@ def ref_adv_grad(m_hat, mask, b):
     live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
     g = (1.0 - b) * (1.0 - mask) / p / m_hat.shape[0] * live
     return -g
+
+
+def ref_d_head(m_hat, mask, b):
+    """Gradient of the discriminator loss w.r.t. the discriminator's logits
+    over the full matrix: (m_hat - mask) / n where b = 0 and the clamp
+    leaves a gradient, else 0."""
+    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
+    return np.where(b == 0, (m_hat - mask) / m_hat.shape[0] * live, 0.0)
+
+
+def ref_adv_head(m_hat, mask, b):
+    """Gradient of the generator's adversarial part w.r.t. the
+    discriminator's logits over the full matrix: -(1 - mask)(1 - m_hat) / n
+    where b = 0 and the clamp leaves a gradient, else 0."""
+    live = (m_hat > EPS) & (m_hat < 1.0 - EPS)
+    return np.where(b == 0, -(1.0 - mask) * (1.0 - m_hat) / m_hat.shape[0] * live, 0.0)
 
 
 def ref_recon_grad(x_bar, x_tilde, mask, kinds):

@@ -19,6 +19,7 @@ from cgain.imputer import TrainConfig
 from cgain.nn import make_rng, spawn_rng, spawn_seed
 from conftest import toy_dataset, random_incomplete
 from oracles import scalar_rmse
+from test_same_bytes import openblas
 
 FAST = TrainConfig(iterations=30, batch_size=16)
 
@@ -352,6 +353,39 @@ def test_numpy_class_index_is_stored_as_the_class_name(tmp_path):
     by_index = run_benchmark(ds, ["mean"], [0.2], repetitions=1, root_seed=33,
                              minority_fractions=[0.3], minority_class=1)
     assert report_csv_rows(report) == report_csv_rows(by_index)
+
+
+def test_numpy_real_config_values_are_written_as_json_numbers(tmp_path):
+    # a config that validate accepts may hold NumPy reals that json cannot
+    # write itself; each is written as the float64 that holds it exactly
+    cfg = TrainConfig(iterations=5, batch_size=16, alpha=np.float16(10), learning_rate=np.float32(1e-3))
+    report = run_benchmark(balanced_binary(n=40, d=3, seed=34), ["mean"], [0.2], repetitions=1, root_seed=35,
+                           train_config=cfg)
+    ev.write_report_json(tmp_path / "r.json", report)
+    train = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["config"]["train"]
+    assert type(train["alpha"]) is type(train["learning_rate"]) is float
+    assert (train["alpha"], train["learning_rate"]) == (10.0, float(np.float32(1e-3)))
+
+
+def blas_threads_task(args):
+    """A stand-in for _rep_task that reports its process's OpenBLAS thread count as its error."""
+    return args[0], args[1], {"error": f"threads {openblas().scipy_openblas_get_num_threads64_()}"}
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # the parent runs BLAS on two threads, which forked workers would inherit
+    lib = openblas()
+    if lib is None:
+        pytest.skip("NumPy's OpenBLAS with a thread-count entry point is not present")
+    before = lib.scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(ev, "_rep_task", blas_threads_task)
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        report = run_benchmark(balanced_binary(), ["mean", "mice_lite"], [0.2], repetitions=1, root_seed=0, jobs=2)
+        assert lib.scipy_openblas_get_num_threads64_() == 2   # the parent keeps its own
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert [cell.error for cell in report.cells] == ["rep 0: threads 1"] * 2
 
 
 def test_strict_mode_trains_on_other_folds():

@@ -16,12 +16,13 @@ from cgain.imputer import (EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_mode
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
                            generator_loss_parts, generator_step_grads, hint_flags, hint_from_b, impute,
                            load_model, loss_discriminator, sample_hint_b,
-                           save_model, train, _adv_grad_mhat, _draw, _hint, _loss_d_grad)
+                           save_model, train, _adv_head, _d_head, _draw, _hint)
 from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
 from conftest import as_format_v1, as_format_v2, as_format_v3, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
-from oracles import (ref_adv_grad, ref_backward, ref_forward, ref_loss_d_grad, ref_recon_grad,
-                     scalar_forward, scalar_loss_d, scalar_loss_g, scalar_loss_g_parts, scalar_recombine)
+from oracles import (ref_adv_grad, ref_adv_head, ref_d_head, ref_forward, ref_logit_backward,
+                     ref_loss_d_grad, ref_recon_grad, scalar_forward, scalar_loss_d, scalar_loss_g,
+                     scalar_loss_g_parts, scalar_recombine)
 
 
 def small_model(d=3, m=2, seed=0, conditional=True, binary=(), **cfg_kwargs):
@@ -342,8 +343,9 @@ def test_discriminator_gradients_with_fixed_generator():
 def test_step_gradients_bits_equal_full_backward_reference(binary):
     # the generator step must take the discriminator's input gradient over
     # the x_hat block, the product over w1[:d]; both steps must match a
-    # backward pass that computes every other product. At 16 features, 3
-    # classes and 64 rows that product rounds unlike a slice of the full one.
+    # backward pass from the logits that computes every other product. At
+    # 16 features, 3 classes and 64 rows that product rounds unlike a slice
+    # of the full one.
     for d, m, n in ((5, 3, 9), (16, 3, 64)):
         model = as_float64(small_model(d=d, m=m, seed=23, binary=[2] if binary else [], alpha=7.5))
         x_t, mask, y, z, b, hint = random_batch(model, n=n, seed=24)
@@ -353,7 +355,7 @@ def test_step_gradients_bits_equal_full_backward_reference(binary):
         m_hat, d_cache = ref_forward(model.discriminator, np.concatenate([x_hat, hint, y], axis=1))
 
         cols = np.argmin(b, axis=1)
-        ref_d, _ = ref_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b))
+        ref_d, _ = ref_logit_backward(model.discriminator, d_cache, ref_d_head(m_hat, mask, b))
         d_grads, _ = discriminator_step_grads(model, x_t, mask, y, z, cols)
         for g, ref in zip(d_grads, ref_d, strict=True):
             assert_same_bits(g, ref)
@@ -363,11 +365,11 @@ def test_step_gradients_bits_equal_full_backward_reference(binary):
         g_m_hat = np.ones_like(m_hat)
         g_m_hat[live], live_cache = ref_forward(model.discriminator,
                                                 np.concatenate([x_hat, hint, y], axis=1)[live])
-        _, d_input_grad = ref_backward(model.discriminator, live_cache, ref_adv_grad(g_m_hat, mask, b)[live],
-                                       leading=d)
+        _, d_input_grad = ref_logit_backward(model.discriminator, live_cache,
+                                             ref_adv_head(g_m_hat, mask, b)[live], leading=d)
         dx_bar = model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
         dx_bar[live] += d_input_grad * (1.0 - mask[live])
-        ref_g, _ = ref_backward(model.generator, g_cache, dx_bar)
+        ref_g, _ = ref_logit_backward(model.generator, g_cache, dx_bar * (x_bar * (1.0 - x_bar)))
         g_grads, _, _ = generator_step_grads(model, x_t, mask, y, z, cols)
         for g, ref in zip(g_grads, ref_g, strict=True):
             assert_same_bits(g, ref)
@@ -383,8 +385,10 @@ EDGE_M_HAT = [0.0, 1.0, EPS, 1.0 - EPS, np.nextafter(EPS, 0.0), np.nextafter(1.0
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 9), d=st.integers(1, 6))
 def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, n, d):
-    # signed zeros included: each non-hinted cell carries the zero the full formula gives it,
-    # in float64 and in the float32 that dense_backward casts it to
+    # signed zeros included: each non-hinted cell carries the zero the full
+    # formula gives it, in float64 and rounded once to float32; and at a
+    # cell the clamp leaves live, each head is the chain-rule gradient at
+    # m_hat times the sigmoid's derivative there, within rounding
     cell = st.one_of(st.sampled_from(EDGE_M_HAT), st.floats(0.0, 1.0))
     m_hat = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
     mask = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d),
@@ -392,22 +396,36 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
     cols = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
     b = np.ones((n, d))
     b[np.arange(n), cols] = 0.0
-    for got, want in ((_loss_d_grad(m_hat, mask, cols), ref_loss_d_grad(m_hat, mask, b)),
-                      (_adv_grad_mhat(m_hat, mask, cols), ref_adv_grad(m_hat, mask, b))):
-        assert got.dtype == np.float64
-        assert_same_bits(got, want)
-        assert_same_bits(got.astype(np.float32), want.astype(np.float32))
+    for head, want, chain in ((lambda dt: _d_head(m_hat, mask, cols, dt), ref_d_head(m_hat, mask, b),
+                               ref_loss_d_grad(m_hat, mask, b)),
+                              (lambda dt: _adv_head(m_hat, mask, cols, n, dt), ref_adv_head(m_hat, mask, b),
+                               ref_adv_grad(m_hat, mask, b))):
+        for dtype in (np.float64, np.float32):
+            got = head(dtype)
+            assert got.dtype == dtype
+            assert_same_bits(got, want.astype(dtype))
+        assert_allclose(want, chain * m_hat * (1.0 - m_hat), rtol=1e-12, atol=0)
 
 
-def full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=False):
+def full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=False, chain_rule=False):
     """(discriminator gradients, generator gradients, the D step's m_hat,
     x_bar, the G step's m_hat) the full-matrix way: each net input
     concatenated in float64 and cast once to the net's dtype, the merge in
     float64, both loss gradients over every cell, and the discriminator's
     input gradient over the x_hat block. The G step's discriminator pass
     covers the live rows, whose hinted cell is missing, with 1.0 as m_hat
-    elsewhere, or every row with all_rows."""
+    elsewhere, or every row with all_rows.
+
+    The loss gradients enter each net at its logits: the heads, and the
+    gradient at x_bar times x_bar * (1 - x_bar). With chain_rule, they are
+    instead the gradients at the outputs, cast to the net's dtype and
+    multiplied there by out * (1 - out), as backward passes from the
+    outputs compute them."""
     cfg, d, n = model.config, model.n_features, len(x_t)
+
+    def at_logits(grad, out, head):
+        return grad.astype(out.dtype) * out * (1.0 - out) if chain_rule else head
+
     labels = [y] if model.conditional else []
     g_in = np.concatenate([x_t, mask, (1.0 - mask) * z] + labels, axis=1, dtype=model.generator.dtype)
     out, g_cache = dense_forward(model.generator, g_in)
@@ -417,15 +435,21 @@ def full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=False):
                           dtype=model.discriminator.dtype)
     m_out, d_cache = dense_forward(model.discriminator, d_in)
     m_hat = m_out.astype(np.float64)
-    d_grads = dense_backward(model.discriminator, d_cache, ref_loss_d_grad(m_hat, mask, b), wrt="params")
+    d_grads = dense_backward(model.discriminator, d_cache,
+                             at_logits(ref_loss_d_grad(m_hat, mask, b), m_out, ref_d_head(m_hat, mask, b)),
+                             wrt="params")
     rows = np.arange(n) if all_rows else np.flatnonzero(((1.0 - b) * (1.0 - mask)).sum(axis=1))
     g_m_hat = np.ones((n, d))
-    g_m_hat[rows], rows_cache = dense_forward(model.discriminator, d_in[rows])
+    rows_out, rows_cache = dense_forward(model.discriminator, d_in[rows])
+    g_m_hat[rows] = rows_out
     d_input_grad = dense_backward(model.discriminator, rows_cache,
-                                  ref_adv_grad(g_m_hat, mask, b)[rows], wrt="input", leading=d)
+                                  at_logits(ref_adv_grad(g_m_hat, mask, b)[rows], rows_out,
+                                            ref_adv_head(g_m_hat, mask, b)[rows]),
+                                  wrt="input", leading=d)
     dx_bar = cfg.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
     dx_bar[rows] += d_input_grad * (1.0 - mask[rows])
-    g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
+    g_grads = dense_backward(model.generator, g_cache, at_logits(dx_bar, out, dx_bar * (x_bar * (1.0 - x_bar))),
+                             wrt="params")
     return d_grads.flat.copy(), g_grads.flat.copy(), m_hat, x_bar, g_m_hat
 
 
@@ -453,6 +477,24 @@ def test_float32_steps_equal_the_full_matrix_reference_bit_for_bit(n, d, m, cond
     assert_same_bits(g_grads.flat, ref_g)
     assert_same_bits(g_m_hat, ref_g_m_hat)
     assert_same_bits(x_bar, ref_x_bar)
+
+
+@pytest.mark.parametrize("wide, bound", [(True, 1e-12), (False, 1e-5)], ids=["float64", "float32"])
+def test_step_gradients_from_the_logits_equal_the_chain_rule_within_rounding(wide, bound):
+    # the heads are the loss gradients at m_hat times the sigmoid's
+    # derivative, the factor that backward passes from the outputs multiply
+    # in; push saturates the discriminator's float32 sigmoid
+    for d, m, n, seed, push in ((5, 3, 9, 60, 0.0), (16, 3, 64, 61, 0.0), (30, 2, 128, 62, 0.0),
+                                (57, 2, 128, 63, 0.0), (8, 3, 32, 64, 12.0), (8, 3, 32, 65, -12.0)):
+        model = build_model(d, m, ["binary"] + [CONTINUOUS] * (d - 1), TrainConfig(alpha=7.5), make_rng(seed))
+        model = as_float64(model) if wide else model
+        model.discriminator.b3[:] += push
+        x_t, mask, y, z, b, _ = random_batch(model, n=n, seed=seed, rate=0.2)
+        x_t[:, 0] = np.round(x_t[:, 0])
+        logit_d, logit_g, *_ = full_matrix_step_grads(model, x_t, mask, y, z, b)
+        chain_d, chain_g, *_ = full_matrix_step_grads(model, x_t, mask, y, z, b, chain_rule=True)
+        for got, want in ((logit_d, chain_d), (logit_g, chain_g)):
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 def live_rule_batch(model, n, seed, live):
@@ -512,15 +554,16 @@ def test_a_batch_without_live_rows_runs_the_discriminator_on_no_rows_and_adds_no
     got = g_grads.flat.copy()
     _, _, g_cache = generator_forward(model, x_t, mask, y, z)
     recon = model.config.alpha * ref_recon_grad(x_bar, x_t, mask, model.column_kinds)
-    assert_same_bits(got, dense_backward(model.generator, g_cache, recon, wrt="params").flat)
+    assert_same_bits(got, dense_backward(model.generator, g_cache, recon * (x_bar * (1.0 - x_bar)),
+                                         wrt="params").flat)
 
 
 def test_training_draws_equal_uniform_and_the_hint_functions():
-    # an iteration's draws consume the stream as one row draw for both
-    # halves, uniform for the D half's noise, then the G half's, and one
-    # sample_hint_b for both halves' flags; the D half takes the first 16
-    # of each, and the hints and flags are hint_from_b's and sample_hint_b's,
-    # -0.0 mask cells included. This ties the pair perfbench traces to train.
+    # an iteration's draws consume the stream as one block of rng.random's
+    # uniforms u: both halves' rows floor(30u), then their hinted columns
+    # floor(4u), then their noise NOISE_HIGH * u, the D half first each
+    # time; the hints are hint_from_b's at the flags of those columns,
+    # -0.0 mask cells included. This ties the function perfbench traces to train.
     rng = make_rng(6)
     features = rng.random((30, 4))
     mask = (rng.random((30, 4)) >= 0.3).astype(float)
@@ -529,16 +572,33 @@ def test_training_draws_equal_uniform_and_the_hint_functions():
     draws, replay = make_rng(7), make_rng(7)
     for _ in range(3):
         halves = _draw(draws, features, mask, labels, 16)
-        idx = replay.integers(0, 30, size=32)
-        want_z = [uniform(replay, 0.0, NOISE_HIGH, (16, 4)) for _ in range(2)]
-        b = sample_hint_b(mask[idx], replay)
+        u = replay.random(2 * 16 * (4 + 2))
+        idx, want_cols = np.floor(u[:32] * 30).astype(int), np.floor(u[32:64] * 4).astype(int)
+        want_z = NOISE_HIGH * u[64:].reshape(2, 16, 4)
         assert len(halves) == 2
         for (x_t, m, y, z, cols), rows, z_h in zip(halves, (slice(0, 16), slice(16, 32)), want_z):
             i = idx[rows]
+            b = hint_flags(want_cols[rows], 4)
+            assert_array_equal(cols, want_cols[rows])
             for got, want in ((x_t, features[i]), (m, mask[i]), (y, labels[i]), (z, z_h),
-                              (hint_flags(cols, 4), b[rows]), (_hint(m, cols), hint_from_b(b[rows], mask[i]))):
+                              (_hint(m, cols), hint_from_b(b, mask[i]))):
                 assert_same_bits(got, want)
         assert draws.bit_generator.state == replay.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.one_of(st.integers(1, 2 ** 53), st.integers(0, 53).map(lambda e: 2 ** e)), data=st.data())
+@example(k=1, data=None)
+@example(k=2 ** 53, data=None)
+def test_an_index_drawn_from_a_uniform_below_one_is_in_range(k, data):
+    # _draw maps u in [0, 1) to floor(u * k); the largest double below 1
+    # times any integer k >= 1 rounds below k, and so does every smaller u
+    top = np.nextafter(1.0, 0.0)
+    u = np.array([0.0, top] + ([] if data is None else [data.draw(st.floats(0.0, top))]))
+    got = (u * k).astype(np.intp)
+    assert got[0] == 0 and got[1] == k - 1 and np.all((got >= 0) & (got < k))
+    below = np.arange(1, 100_001)
+    assert np.all((top * below).astype(np.intp) == below - 1)
 
 
 def test_training_runs_the_forward_functions_twice_per_iteration(monkeypatch):
@@ -573,12 +633,21 @@ def test_training_runs_the_forward_functions_twice_per_iteration(monkeypatch):
     assert len(live_counts) > 1
 
 
-def test_training_draws_its_noise_through_uniform_twice_per_iteration(monkeypatch):
-    calls = []
-    real = imputer_module.uniform
-    monkeypatch.setattr(imputer_module, "uniform", lambda *args: calls.append(args[1:]) or real(*args))
-    train(random_incomplete(toy_dataset(n=40)), TrainConfig(iterations=7, batch_size=8, hidden_multiplier=2))
-    assert calls == [(0.0, NOISE_HIGH, (8, 4))] * 14
+def test_training_reads_one_uniform_block_per_iteration(monkeypatch):
+    # after the weights, the stream is read only by uniform, once per
+    # iteration, for both halves' 8 rows, 8 hinted columns and 8 x 4 noise cells
+    calls, rngs = [], []
+    real_uniform, real_make_rng = imputer_module.uniform, imputer_module.make_rng
+    monkeypatch.setattr(imputer_module, "uniform", lambda *args: calls.append(args[1:]) or real_uniform(*args))
+    monkeypatch.setattr(imputer_module, "make_rng", lambda seed: rngs.append(real_make_rng(seed)) or rngs[-1])
+    inc = random_incomplete(toy_dataset(n=40))
+    cfg = TrainConfig(iterations=7, batch_size=8, hidden_multiplier=2)
+    train(inc, cfg)
+    assert calls == [(0.0, 1.0, 2 * 8 * (4 + 2))] * 7
+    replay = real_make_rng(cfg.seed)
+    build_model(4, inc.dataset.n_classes, inc.dataset.column_kinds, cfg, replay)
+    replay.random(7 * 2 * 8 * (4 + 2))
+    assert rngs[0].bit_generator.state == replay.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +783,18 @@ def test_numpy_integer_config_trains_and_round_trips_through_a_model_file(tmp_pa
     loaded = load_model(tmp_path / "np.model")
     assert asdict(loaded.config) == asdict(cfg)
     assert_array_equal(loaded.generator.params().flat, model.generator.params().flat)
+
+
+def test_numpy_real_config_round_trips_through_a_model_file(tmp_path):
+    # validate accepts NumPy reals; the file holds each as the float64 that holds it exactly
+    cfg = TrainConfig(iterations=2, batch_size=8, hidden_multiplier=2, alpha=np.float16(10),
+                      learning_rate=np.float32(1e-3))
+    ds = toy_dataset(n=10)
+    model, _ = train(IncompleteDataset(ds, np.ones_like(ds.features)), cfg)
+    save_model(tmp_path / "np.model", model)
+    loaded = load_model(tmp_path / "np.model")
+    assert asdict(loaded.config) == asdict(cfg)
+    assert type(loaded.config.alpha) is type(loaded.config.learning_rate) is float
 
 
 @pytest.mark.parametrize("log_every", [1, TrainConfig.log_every])

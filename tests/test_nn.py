@@ -9,7 +9,7 @@ from cgain.nn import (FLUSH_EVERY, DenseNet, FlatArrays, dense_backward, dense_f
 from conftest import assert_same_bits
 from gradcheck import (LOSS_FORMS, check_net_loss_gradients, finite_difference_gradients,
                        max_relative_error)
-from oracles import ref_adam_step, ref_backward, ref_forward, ref_sigmoid, scalar_forward
+from oracles import ref_adam_step, ref_backward, ref_forward, ref_logit_backward, ref_sigmoid, scalar_forward
 
 
 def flat(*arrays) -> FlatArrays:
@@ -109,7 +109,7 @@ def test_backward_matches_finite_differences_on_3_9_9_1_net():
         return float(((out - y) ** 2).sum())
 
     out, cache = dense_forward(net, x)
-    analytic = dense_backward(net, cache, 2.0 * (out - y), wrt="params")
+    analytic = dense_backward(net, cache, 2.0 * (out - y) * out * (1.0 - out), wrt="params")
     numeric = finite_difference_gradients(loss, net.params(), step=1e-5)
     assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -124,7 +124,7 @@ def test_single_linear_neuron_squared_error_gradient():
     x, y = np.array([[2.0]]), 0.5
     out, cache = dense_forward(net, x)
     s = out[0, 0]
-    grads = dense_backward(net, cache, 2.0 * (out - y), wrt="params")
+    grads = dense_backward(net, cache, 2.0 * (out - y) * out * (1.0 - out), wrt="params")
     assert_allclose(grads[0][0, 0], 2.0 * (s - y) * s * (1.0 - s) * w3 * w2 * 2.0, rtol=1e-12)
 
 
@@ -228,6 +228,8 @@ def test_sigmoid_bits_equal_two_branch_reference():
 
 
 def test_forward_and_backward_bits_equal_full_reference():
+    # the backward pass starts at the logits; from an output gradient times
+    # the sigmoid's derivative it is the chain-rule reference, bit for bit
     rng = make_rng(31)
     for _ in range(25):
         n_in, width, n_out, rows = (int(v) for v in rng.integers(1, 40, size=4))
@@ -239,10 +241,12 @@ def test_forward_and_backward_bits_equal_full_reference():
         out, cache = dense_forward(net, x)
         ref_out, ref_cache = ref_forward(net, x)
         assert_same_bits(out, ref_out)
-        ref_grads, ref_dx = ref_backward(net, ref_cache, grad_out)
-        for g, ref in zip(dense_backward(net, cache, grad_out, wrt="params"), ref_grads, strict=True):
-            assert_same_bits(g, ref)
-        assert_same_bits(dense_backward(net, cache, grad_out, wrt="input"), ref_dx)
+        grad_z = grad_out * out * (1.0 - out)
+        for ref_grads, ref_dx in (ref_logit_backward(net, ref_cache, grad_z),
+                                  ref_backward(net, ref_cache, grad_out)):
+            for g, ref in zip(dense_backward(net, cache, grad_z, wrt="params"), ref_grads, strict=True):
+                assert_same_bits(g, ref)
+            assert_same_bits(dense_backward(net, cache, grad_z, wrt="input"), ref_dx)
 
 
 def test_leading_input_gradient_bits_equal_the_product_over_those_rows_of_w1():
@@ -252,13 +256,13 @@ def test_leading_input_gradient_bits_equal_the_product_over_those_rows_of_w1():
         k = int(rng.integers(1, n_in + 1))
         net64 = init_dense(rng, n_in, width, n_out)
         x = rng.normal(size=(rows, n_in))
-        grad_out = rng.normal(size=(rows, n_out))
+        grad_z = rng.normal(size=(rows, n_out))
         for net in (net64, DenseNet(*(p.astype(np.float32) for p in net64.params()))):
             _, cache = dense_forward(net, x)
             x_in, a1, a2, out = cache
             # a ReLU output is positive exactly where its pre-activation is
-            _, want = ref_backward(net, (x_in, a1, a1, a2, a2, out), grad_out.astype(net.dtype), leading=k)
-            got = dense_backward(net, cache, grad_out, wrt="input", leading=k)
+            _, want = ref_logit_backward(net, (x_in, a1, a1, a2, a2, out), grad_z.astype(net.dtype), leading=k)
+            got = dense_backward(net, cache, grad_z, wrt="input", leading=k)
             assert got.dtype == net.dtype and got.shape == (rows, k)
             assert_same_bits(got, want)
 
@@ -365,9 +369,9 @@ def test_float32_net_computes_forward_backward_and_updates_in_float32():
         assert other.dtype == other.grads.flat.dtype == np.float32
     out, cache = dense_forward(net, rng.uniform(size=(6, 5)))   # a float64 batch is cast
     assert out.dtype == np.float32 and all(a.dtype == np.float32 for a in cache)
-    grad_out = rng.normal(size=(6, 3))
-    assert dense_backward(net, cache, grad_out, wrt="input").dtype == np.float32
-    grads = dense_backward(net, cache, grad_out, wrt="params")
+    grad_z = rng.normal(size=(6, 3))
+    assert dense_backward(net, cache, grad_z, wrt="input").dtype == np.float32
+    grads = dense_backward(net, cache, grad_z, wrt="params")
     state = make_optimizer(1e-3, net.params())
     assert all(s.flat.dtype == np.float32 for s in (state.m, state.v, *state.scratch))
     optimizer_step(state, net.params(), grads)
@@ -428,11 +432,11 @@ def test_param_backward_overwrites_the_views_it_returned_before():
     first = dense_backward(net, cache, first_out, wrt="params")
     assert first is net.grads
     dense_backward(net, cache, second_out, wrt="input")   # leaves the gradient buffer alone
-    for g, ref in zip(first, ref_backward(net, ref_cache, first_out)[0], strict=True):
+    for g, ref in zip(first, ref_logit_backward(net, ref_cache, first_out)[0], strict=True):
         assert_same_bits(g, ref)
     second = dense_backward(net, cache, second_out, wrt="params")
     assert second is first
-    for g, ref in zip(first, ref_backward(net, ref_cache, second_out)[0], strict=True):
+    for g, ref in zip(first, ref_logit_backward(net, ref_cache, second_out)[0], strict=True):
         assert_same_bits(g, ref)
 
 
@@ -453,13 +457,16 @@ def test_uniform_bounds_and_errors():
         uniform(make_rng(1), 1.0, 1.0, (3,))
 
 
-@pytest.mark.parametrize("low, high", [(0.0, 0.01), (0.25, 0.75), (-1.0, 2.0), (-3.5, -0.25), (-1e-3, 1e3)])
+@pytest.mark.parametrize("low, high", [(0.0, 0.01), (0.25, 0.75), (-1.0, 2.0), (-3.5, -0.25), (-1e-3, 1e3),
+                                       (0.0, 1.0), (-0.0, 1.0), (1.0, 2.0)])
 @pytest.mark.parametrize("shape", [7, (4, 5), (2, 3, 2)])
 def test_uniform_bits_and_stream_state_equal_rng_uniform(low, high, shape):
     ours, theirs = make_rng(5), make_rng(5)
     for _ in range(2):
         assert_same_bits(uniform(ours, low, high, shape), theirs.uniform(low, high, size=shape))
         assert ours.bit_generator.state == theirs.bit_generator.state
+    if (low, high) == (0.0, 1.0):
+        assert_same_bits(uniform(ours, low, high, shape), theirs.random(shape))
 
 
 def test_xavier_bounds():
