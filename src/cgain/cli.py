@@ -4,11 +4,11 @@ A subcommand takes the flags and config keys of the fields it reads, no more.
 Any other flag or key, and a shortened flag (--it for --iters), is refused
 before --data is read or any file is written; `cgain <command> --help` lists a
 command's own. Precedence is defaults < config file (KEY=VALUE lines via
---config) < command-line flags, with $CGAIN_SEED as a seed fallback. A seed
-from any of the three must be a non-negative integer in ASCII digits. In a
-comma list (--method, --rate, --imbalance) spaces around items are ignored,
-and a list with no item is refused. Every run prints its command's resolved
-fields first, so a run is reconstructible from its own output.
+--config) < command-line flags; nothing comes from the environment. An int
+value (--reps, --seed, --batch, --iters, --hidden-mult, --jobs) is ASCII
+digits alone. In a comma list (--method, --rate, --imbalance) spaces around
+items are ignored, and a list with no item is refused. Every run first
+prints its command's resolved fields, so it can be rebuilt from its output.
 
 A missing cell is an empty feature cell of --data. Only corrupt hides
 cells: it blanks them in a complete file, at exactly one --rate, and writes
@@ -40,7 +40,6 @@ from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_ben
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
 DEFAULT_METHODS = ",".join(METHODS)
 DEFAULT_IMBALANCE_RATE = "0.2"
-SEED_ENV = "CGAIN_SEED"
 _ALL = "corrupt train impute benchmark"
 
 
@@ -66,7 +65,7 @@ class RunConfig:
     method: str = _flag("", "cgain | gain | mean | mice_lite; a comma list for benchmark", "train benchmark")
     rate: str = _flag("", "missing rate to hide; a comma list for benchmark", "corrupt benchmark")
     reps: int = _flag(10, "repetitions (strict mode: fold count)", "benchmark")
-    seed: int | None = _flag(None, f"root seed (fallback: ${SEED_ENV}, then 0)", _ALL, train="seed")
+    seed: int = _flag(TrainConfig.seed, "root seed", _ALL, train="seed")
     alpha: float = _train_flag("alpha", "reconstruction loss weight")
     batch: int = _train_flag("batch_size", "mini-batch size")
     iters: int = _train_flag("iterations", "training iteration budget")
@@ -84,15 +83,15 @@ def command_fields(command: str) -> list:
     return [f for f in fields(RunConfig) if command in f.metadata["commands"]]
 
 
-def _seed(text: str) -> int:
-    """A seed given as text: a non-negative integer in ASCII decimal digits."""
-    if not (text.isascii() and text.strip().isdecimal()):
+def _natural(text: str) -> int:
+    """An int field's value given as text: a non-negative integer in ASCII decimal digits alone."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
 # parses a --flag value, given on the command line or in a config file, by its field's annotation
-_PARSERS = {"str": str, "int": int, "float": float, "int | None": _seed}
+_PARSERS = {"str": str, "int": _natural, "float": float}
 
 
 def parse_config_file(path, command: str) -> dict:
@@ -125,11 +124,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name)
         if value is not None:
             setattr(cfg, f.name, value)
-    if cfg.seed is None:
-        try:
-            cfg.seed = _seed(os.environ.get(SEED_ENV) or "0")
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"${SEED_ENV} {exc}") from None
     if cfg.jobs == 0:   # the CPUs this process may run on
         cfg.jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cfg

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .nn import Array, spawn_rng, spawn_seed
+from .nn import Array, openblas_function, spawn_rng, spawn_seed
 from .data import (Dataset, IncompleteDataset, check_minority_fraction, check_missing_rate, corrupt_mcar,
                    split_folds, subsample_imbalance, write_csv)
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
@@ -142,33 +142,18 @@ class BenchmarkReport:
 
 
 # The running grid's block tables. A task names its block by index, so each pool
-# worker receives every table once, through _set_tables, and no task carries one.
+# worker receives every table once, through _start_worker, and no task carries one.
 _TABLES: list[Dataset] = []
 
 
-def _set_tables(tables: list[Dataset]) -> None:
-    _TABLES[:] = tables
-
-
 def _start_worker(tables: list[Dataset]) -> None:
-    """A pool worker's initializer: the grid's tables, and the OpenBLAS
-    that NumPy's wheel ships set to one thread, where that library and its
-    thread-count entry point are present. A worker runs one task at a time
-    on a share of the cores, so BLAS threads of its own only contend with
-    the other workers'."""
-    import ctypes
-    import glob
-    import os
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
-                                  "libscipy_openblas*"))
-    lib = ctypes.CDLL(libs[0]) if libs else None
-    setter = next((getattr(lib, symbol) for symbol in ("scipy_openblas_set_num_threads64_",
-                                                       "scipy_openblas_set_num_threads")
-                   if hasattr(lib, symbol)), None)
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-    _set_tables(tables)
+    """A pool worker's initializer: the grid's tables, and NumPy's OpenBLAS, where present, on one
+    thread. A worker runs one task at a time on a share of the cores, so BLAS threads of its own
+    only contend with the other workers'."""
+    set_threads = openblas_function("set_num_threads", ("int",))
+    if set_threads is not None:
+        set_threads(1)
+    _TABLES[:] = tables
 
 
 def _rep_task(args) -> tuple[int, int, dict]:
@@ -308,7 +293,7 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
                                      initargs=(tables,)) as pool:
                 outcomes = list(pool.map(_rep_task, tasks))
         else:
-            _set_tables(tables)
+            _TABLES[:] = tables
             outcomes = [_rep_task(t) for t in tasks]
     finally:
         _TABLES.clear()

@@ -53,7 +53,24 @@ def uniform(rng: np.random.Generator, low: float, high: float, shape) -> Array:
     the same bits, leaving the stream in the same state."""
     if not low < high:
         raise ValueError(f"uniform requires low < high, got [{low}, {high})")
-    return low + (high - low) * rng.random(shape)
+    u = rng.random(shape)
+    u *= high - low
+    u += low
+    return u
+
+
+def openblas_function(name: str, argtypes: tuple[str, ...] = (), restype: str | None = None):
+    """Entry point scipy_openblas_<name>, 64_-suffixed or not, of the OpenBLAS that NumPy's wheel ships,
+    typed by ctypes type names ("int" is c_int); None where absent. Only a call imports ctypes and glob."""
+    import ctypes
+    import glob
+    libs = glob.glob(f"{np.__path__[0]}/../numpy.libs/libscipy_openblas*")
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    function = getattr(lib, f"scipy_openblas_{name}64_", None) or getattr(lib, f"scipy_openblas_{name}", None)
+    if function is not None:
+        function.argtypes = [getattr(ctypes, f"c_{t}") for t in argtypes]
+        function.restype = restype and getattr(ctypes, f"c_{restype}")
+    return function
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -442,7 +443,7 @@ def test_benchmark_refuses_a_repeated_method(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["--reps", "0"], "need at least 1 repetition, got 0"),
-    (["--jobs", "-3"], "jobs must be at least 1, got -3"),
+    (["--jobs", "-3"], "argument --jobs: must be a non-negative integer, got '-3'"),
     (["--method", "cgain,foo"],
      "unknown method 'foo'; expected one of ('cgain', 'gain', 'mean', 'mice_lite')"),
     (["--eval-mode", "strict", "--reps", "1"], "strict fold mode needs at least 2 repetitions (folds)"),
@@ -554,7 +555,7 @@ def test_bad_flag_value_is_a_validation_error(tmp_path, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "cgain-error: validation: argument --batch: invalid int value: 'x'\n"
+    assert captured.err == "cgain-error: validation: argument --batch: must be a non-negative integer, got 'x'\n"
 
 
 def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
@@ -563,7 +564,7 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     rc = run("train", "--config", cfg, "--out", tmp_path / "m")
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:3: key 'batch': "
-                                       "argument --batch: invalid int value: 'x'\n")
+                                       "argument --batch: must be a non-negative integer, got 'x'\n")
 
 
 def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
@@ -584,38 +585,15 @@ def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    data = write_toy_csv(tmp_path / "d.csv")
-    monkeypatch.setenv("CGAIN_SEED", "777")
-    rc = run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.2",
-             "--out", tmp_path / "env")
-    assert rc == 0
-    assert "config seed=777" in capsys.readouterr().out
-    monkeypatch.delenv("CGAIN_SEED")
-    rc = run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.2",
-             "--seed", "777", "--out", tmp_path / "flag")
-    assert rc == 0
-    assert (tmp_path / "env.data.csv").read_bytes() == (tmp_path / "flag.data.csv").read_bytes()
-
-
 @pytest.mark.parametrize("command", ["corrupt", "train", "benchmark"])
-@pytest.mark.parametrize("flag, env, in_file, source, shown", [
-    ("-1", None, None, "argument --seed:", "'-1'"),
-    ("\uff13", None, None, "argument --seed:", "'\uff13'"),
-    (None, "-1", None, "$CGAIN_SEED", "'-1'"),
-    (None, "abc", None, "$CGAIN_SEED", "'abc'"),
-    (None, "2.5", None, "$CGAIN_SEED", "'2.5'"),
-    (None, "\u0663", None, "$CGAIN_SEED", "'\u0663'"),
-    (None, None, "-1", "{cfg}:1: key 'seed': argument --seed:", "'-1'"),
-], ids=["flag_negative", "flag_fullwidth", "env_negative", "env_word", "env_fraction", "env_arabic_indic",
-        "file_negative"])
-def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, in_file, source,
-                                   shown):
+@pytest.mark.parametrize("flag, in_file, source, shown", [
+    ("-1", None, "argument --seed:", "'-1'"),
+    ("\uff13", None, "argument --seed:", "'\uff13'"),
+    (None, "-1", "{cfg}:1: key 'seed': argument --seed:", "'-1'"),
+], ids=["flag_negative", "flag_fullwidth", "file_negative"])
+def test_bad_seed_names_its_source(tmp_path, capsys, command, flag, in_file, source, shown):
     data = write_toy_csv(tmp_path / "d.csv")
     cfg = tmp_path / "s.cfg"
-    monkeypatch.delenv("CGAIN_SEED", raising=False)
-    if env is not None:
-        monkeypatch.setenv("CGAIN_SEED", env)
     seed = ["--seed", flag] if flag is not None else []
     if in_file is not None:
         cfg.write_text(f"seed={in_file}\n")
@@ -629,8 +607,79 @@ def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag,
     assert set(tmp_path.iterdir()) == written   # refused before any file is written
 
 
+# every (command, int field) pair, and texts that int() would read but the one integer rule refuses
+INT_PAIRS = [pytest.param(command, f.name, id=f"{command}-{f.name}")
+             for f in fields(RunConfig) if f.type == "int" for command in f.metadata["commands"]]
+NOT_ASCII_DIGITS = {"arabic_indic": "\u0663", "fullwidth": "\uff13", "plus": "+5", "underscore": "1_0",
+                    "space": " 7", "negative": "-1", "word": "x"}
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_DIGITS.values(), ids=NOT_ASCII_DIGITS.keys())
+@pytest.mark.parametrize("command, name", INT_PAIRS)
+def test_an_int_field_is_refused_unless_ascii_digits_by_flag_and_by_key(tmp_path, capsys, monkeypatch,
+                                                                        command, name, text):
+    data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
+    paths = count_reads(monkeypatch)
+    flag = f"--{name.replace('_', '-')}"
+    args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
+    refusal = f"argument {flag}: must be a non-negative integer, got {text!r}\n"
+    assert run(*args, flag, text) == 1
+    assert capsys.readouterr() == ("", f"cgain-error: validation: {refusal}")
+    # spaces around '=' are the config file's syntax, so a key's value cannot carry them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name}={text}\n")
+    if text.strip() == text:
+        assert run(*args, "--config", cfg) == 1
+        assert capsys.readouterr() == ("", f"cgain-error: validation: {cfg}:1: key {name!r}: {refusal}")
+    else:
+        assert cli.parse_config_file(cfg, command) == {name: int(text)}
+    assert paths == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("command, name", INT_PAIRS)
+def test_an_int_field_takes_ascii_digits_by_flag_and_by_key(tmp_path, command, name):
+    parser, cfg = cli.build_parser(), tmp_path / "run.cfg"
+    for text in ("0", "7"):
+        assert getattr(parser.parse_args([command, f"--{name.replace('_', '-')}", text]), name) == int(text)
+        cfg.write_text(f"{name}={text}\n")
+        assert cli.parse_config_file(cfg, command) == {name: int(text)}
+
+
+def test_a_set_cgain_seed_changes_nothing(tmp_path, capsys, monkeypatch):
+    # a run is named by its flags and config file alone
+    data = write_toy_csv(tmp_path / "d.csv")
+    outputs = {}
+    for env in (None, "41"):
+        if env is None:
+            monkeypatch.delenv("CGAIN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CGAIN_SEED", env)
+        out = tmp_path / f"env{env}"
+        assert run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.3", "--out", out) == 0
+        assert run("train", "--data", f"{out}.data.csv", "--label-col", "y", "--iters", "5", "--batch", "8",
+                   "--out", out) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        assert printed.count("config seed=0\n") == 2
+        outputs[env] = printed, *(Path(f"{out}.{suffix}").read_bytes() for suffix in ("data.csv", "mask.csv", "model"))
+    assert outputs[None] == outputs["41"]
+
+
+def test_the_package_reads_no_environment_variable():
+    reads = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    and node.attr in ("environ", "getenv")):
+                reads.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}: from os import {alias.name}" for alias in node.names
+                          if alias.name in ("environ", "getenv")]
+    assert reads == []
+
+
 # one sample command-line/config-file value per field annotation
-SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "int | None": ("3", 3), "float": ("0.5", 0.5)}
+SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "float": ("0.5", 0.5)}
 
 
 def sample(f) -> tuple:

@@ -16,10 +16,9 @@ from cgain.data import corrupt_mcar, subsample_imbalance
 from cgain.evaluate import (BenchmarkCell, BenchmarkReport, mean_std, report_csv_rows,
                             report_to_json_dict, rmse_missing, run_benchmark, time_methods)
 from cgain.imputer import TrainConfig
-from cgain.nn import make_rng, spawn_rng, spawn_seed
+from cgain.nn import make_rng, openblas_function, spawn_rng, spawn_seed
 from conftest import toy_dataset, random_incomplete
 from oracles import scalar_rmse
-from test_same_bytes import openblas
 
 FAST = TrainConfig(iterations=30, batch_size=16)
 
@@ -369,22 +368,23 @@ def test_numpy_real_config_values_are_written_as_json_numbers(tmp_path):
 
 def blas_threads_task(args):
     """A stand-in for _rep_task that reports its process's OpenBLAS thread count as its error."""
-    return args[0], args[1], {"error": f"threads {openblas().scipy_openblas_get_num_threads64_()}"}
+    return args[0], args[1], {"error": f"threads {openblas_function('get_num_threads', restype='int')()}"}
 
 
 def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     # the parent runs BLAS on two threads, which forked workers would inherit
-    lib = openblas()
-    if lib is None:
-        pytest.skip("NumPy's OpenBLAS with a thread-count entry point is not present")
-    before = lib.scipy_openblas_get_num_threads64_()
+    get_threads = openblas_function("get_num_threads", restype="int")
+    set_threads = openblas_function("set_num_threads", ("int",))
+    if get_threads is None or set_threads is None:
+        pytest.skip("NumPy's OpenBLAS with thread-count entry points is not present")
+    before = get_threads()
     monkeypatch.setattr(ev, "_rep_task", blas_threads_task)
-    lib.scipy_openblas_set_num_threads64_(2)
+    set_threads(2)
     try:
         report = run_benchmark(balanced_binary(), ["mean", "mice_lite"], [0.2], repetitions=1, root_seed=0, jobs=2)
-        assert lib.scipy_openblas_get_num_threads64_() == 2   # the parent keeps its own
+        assert get_threads() == 2   # the parent keeps its own
     finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+        set_threads(before)
     assert [cell.error for cell in report.cells] == ["rep 0: threads 1"] * 2
 
 

@@ -9,9 +9,7 @@ regenerates the file and names every moved line:
 
 import contextlib
 import csv
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import io
 import itertools
@@ -19,6 +17,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from cgain.data import build_dataset, corrupt_mcar, denormalize, normalize
 from cgain.datasets import credit_like, letter_like, spambase_like
 from cgain.evaluate import METHODS, report_csv_rows, report_to_json_dict, run_benchmark
 from cgain.imputer import TrainConfig, impute, save_model, train
-from cgain.nn import make_rng
+from cgain.nn import make_rng, openblas_function
 
 EXPECTED = Path(__file__).with_name("same_bytes.txt")
 REGENERATE = "PYTHONPATH=src python tests/test_same_bytes.py > tests/same_bytes.txt"
@@ -39,23 +38,17 @@ GRID_TRAIN = TrainConfig(iterations=60, batch_size=32)
 
 
 def openblas():
-    """NumPy's OpenBLAS, if it has the core-name and thread-count entry points, else None."""
-    libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*"))
-    lib = ctypes.CDLL(libs[0]) if libs else None
-    signatures = {"get_corename": ([], ctypes.c_char_p), "get_num_threads": ([], ctypes.c_int),
-                  "set_num_threads": ([ctypes.c_int], None)}
-    if lib is None or not all(hasattr(lib, f"scipy_openblas_{name}64_") for name in signatures):
-        return None
-    for name, (args, result) in signatures.items():
-        function = getattr(lib, f"scipy_openblas_{name}64_")
-        function.argtypes, function.restype = args, result
-    return lib
+    """NumPy's OpenBLAS core-name and thread-count entry points, or None without all three."""
+    blas = SimpleNamespace(corename=openblas_function("get_corename", restype="char_p"),
+                           get_threads=openblas_function("get_num_threads", restype="int"),
+                           set_threads=openblas_function("set_num_threads", ("int",)))
+    return None if None in vars(blas).values() else blas
 
 
 def fingerprint(lib) -> str:
     """NumPy version, BLAS build and the OpenBLAS core running (not the one it was built on)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    core = lib.scipy_openblas_get_corename64_().decode() if lib is not None else "unknown"
+    core = lib.corename().decode() if lib is not None else "unknown"
     return f"numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}, core {core}"
 
 
@@ -199,17 +192,17 @@ def check_same_bytes(expected: str, lines, lib) -> None:
     if lib is None or have_print != want_print:
         pytest.skip(f"bytes not compared: this environment is '{have_print}', the expected file's is "
                     f"'{want_print}'; regenerate it here with {REGENERATE}")
-    before = lib.scipy_openblas_get_num_threads64_()
+    before = lib.get_threads()
     try:
         for threads in THREAD_COUNTS:
-            lib.scipy_openblas_set_num_threads64_(threads)
+            lib.set_threads(threads)
             have = lines()
             old, new = (dict(line.split("  ", 1)[::-1] for line in side) for side in (want, have))
             moved = [name for name in {**old, **new} if old.get(name) != new.get(name)]
             assert have == want, (f"at {threads} BLAS thread(s), {len(moved)} line(s) moved "
                                   f"from {EXPECTED.name}: " + "; ".join(moved or ["(order)"]))
     finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+        lib.set_threads(before)
 
 
 def test_same_bytes():
@@ -218,7 +211,7 @@ def test_same_bytes():
 
 def test_gate_names_a_moved_line_and_the_thread_count_and_restores_the_count():
     lib = openblas() or pytest.skip("no OpenBLAS thread control")
-    threads = lib.scipy_openblas_get_num_threads64_
+    threads = lib.get_threads
     before, expected, seen = threads(), f"{fingerprint(lib)}\naa  first\nbb  second\n", []
 
     def fake(second):
@@ -244,5 +237,5 @@ def test_gate_skips_in_another_environment_and_names_both():
 if __name__ == "__main__":
     blas = openblas()
     if blas is not None:
-        blas.scipy_openblas_set_num_threads64_(THREAD_COUNTS[0])
+        blas.set_threads(THREAD_COUNTS[0])
     print(fingerprint(blas), *digest_lines(), sep="\n")
