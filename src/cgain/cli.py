@@ -34,8 +34,8 @@ from .nn import make_rng
 from .data import (BINARY, check_missing_rate, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_benchmark, time_methods,
-                       write_report_csv, write_report_json, write_timing_csv)
+from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_benchmark, write_report_csv,
+                       write_report_json)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
 DEFAULT_METHODS = ",".join(METHODS)
@@ -198,7 +198,7 @@ def cmd_train(cfg: RunConfig) -> int:
     tc = _train_config(cfg, conditional=(method == "cgain"))
     tc.validate()   # fail before any file or training work
 
-    inc = load_incomplete_csv(cfg.data, cfg.label_col)
+    inc = load_incomplete_csv(cfg.data, cfg.label_col, table=read_csv_table(cfg.data))
 
     model, trace = train(inc, tc)
     model_path, trace_path = f"{cfg.out}.model", f"{cfg.out}.trace.csv"
@@ -246,12 +246,10 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     report = run_benchmark(load_csv(cfg.data, cfg.label_col), **grid)
 
     csv_path, json_path = f"{cfg.out}.report.csv", f"{cfg.out}.report.json"
-    timing_path = f"{cfg.out}.timing.csv"
     write_report_csv(csv_path, report)
     write_report_json(json_path, report)
-    write_timing_csv(timing_path, report)
-    for path in (csv_path, json_path, timing_path):
-        print(f"wrote {path}")
+    print(f"wrote {csv_path}")
+    print(f"wrote {json_path}")
     failures = []
     # each cell's rows are its 'all' row, then one per class
     all_rows = report_csv_rows(report)[1::1 + len(report.class_names)]
@@ -260,10 +258,6 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         print(f"result {where} rmse_mean={mean} rmse_std={std} reps={reps}")
         if cell.error:
             failures.append(f"cgain-error: runtime: cell {where}: {cell.error}")
-    for method, entry in time_methods(report).items():
-        print(f"timing method={method} total_seconds={entry['total_seconds']!r} "
-              f"mean_seconds={entry['mean_seconds']!r}")
-
     for failure in failures:
         print(failure, file=sys.stderr)
     return 2 if failures else 0

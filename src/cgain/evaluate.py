@@ -1,7 +1,6 @@
 """Imputation quality measurement: missing-cell RMSE (overall and per
 class), one multi-repetition benchmark grid with paired corruption masks
-over missing rates or engineered class-imbalance levels, and wall-clock
-summaries.
+over missing rates or engineered class-imbalance levels.
 
 Seed discipline: every random draw in a benchmark comes from a stream
 derived from the root seed via nn.spawn_rng with a fixed integer path, so
@@ -27,8 +26,7 @@ cell. Each repetition records method_seed, its training seed (path 3).
 Masks are not stored: path 1 redraws each one.
 
 Wall-clock seconds are recorded per repetition but are kept out of the
-results CSV (they cannot be reproducible); they live in the JSON and the
-separate timing summary.
+results CSV (they cannot be reproducible); the JSON is their one home.
 """
 
 from __future__ import annotations
@@ -322,19 +320,6 @@ def mean_std(values: list[float]) -> tuple[float, float | None]:
     return mean, std
 
 
-def time_methods(report: BenchmarkReport) -> dict[str, dict[str, float]]:
-    """Per-method wall-clock totals; totals are exact sums of the parts."""
-    summary: dict[str, dict[str, float]] = {}
-    for cell in report.cells:
-        entry = summary.setdefault(cell.method, {"total_seconds": 0.0, "reps": 0})
-        for rep in cell.reps:
-            entry["total_seconds"] += rep.seconds
-            entry["reps"] += 1
-    for entry in summary.values():
-        entry["mean_seconds"] = entry["total_seconds"] / entry["reps"] if entry["reps"] else 0.0
-    return summary
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -360,12 +345,6 @@ def report_csv_rows(report: BenchmarkReport) -> list[list[str]]:
 def write_report_csv(path, report: BenchmarkReport) -> None:
     header, *rows = report_csv_rows(report)
     write_csv(path, header, rows)
-
-
-def write_timing_csv(path, report: BenchmarkReport) -> None:
-    write_csv(path, ["method", "reps", "total_seconds", "mean_seconds"],
-              ([method, str(entry["reps"]), _fmt(entry["total_seconds"]), _fmt(entry["mean_seconds"])]
-               for method, entry in time_methods(report).items()))
 
 
 def report_to_json_dict(report: BenchmarkReport) -> dict:

@@ -50,12 +50,15 @@ def spawn_seed(root_seed: int, *path: int) -> int:
 
 def uniform(rng: np.random.Generator, low: float, high: float, shape) -> Array:
     """Uniform draws in [low, high), as rng.uniform draws them: low + (high - low) * rng.random(shape),
-    the same bits, leaving the stream in the same state."""
+    the same bits, leaving the stream in the same state. A scale of 1 and a shift of 0 are skipped:
+    on draws >= +0 they change no bit."""
     if not low < high:
         raise ValueError(f"uniform requires low < high, got [{low}, {high})")
     u = rng.random(shape)
-    u *= high - low
-    u += low
+    if high - low != 1.0:
+        u *= high - low
+    if low != 0.0:
+        u += low
     return u
 
 

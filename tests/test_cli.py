@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cgain
 from cgain import cli, data as data_module, evaluate
 from cgain.cli import DEFAULT_METHODS, DEFAULT_RATES, RunConfig, main
 from cgain.data import load_csv, read_csv_table
@@ -163,12 +164,31 @@ def test_corrupt_and_impute_read_data_once(tmp_path, monkeypatch):
                "--seed", "8", "--out", tmp_path / "c") == 0
     assert paths == [str(data)]
     corrupted = tmp_path / "c.data.csv"
+    paths.clear()
     assert run("train", "--data", corrupted, "--label-col", "y", "--iters", "10",
                "--batch", "16", "--seed", "9", "--out", tmp_path / "m") == 0
+    assert paths == [str(corrupted)]
     paths.clear()
     assert run("impute", "--model", tmp_path / "m.model", "--data", corrupted, "--label-col", "y",
                "--seed", "10", "--out", tmp_path / "i") == 0
     assert paths == [str(corrupted)]
+
+
+def test_corrupt_train_and_impute_read_their_data_in_cli(tmp_path, monkeypatch):
+    # each hands the table to the data loader, so no loader reads a file of its own
+    data = write_toy_csv(tmp_path / "d.csv", n=50, seed=7)
+
+    def refuse(path):
+        raise AssertionError(f"a data loader read {path}")
+
+    monkeypatch.setattr(data_module, "read_csv_table", refuse)
+    assert run("corrupt", "--data", data, "--label-col", "y", "--rate", "0.3",
+               "--seed", "8", "--out", tmp_path / "c") == 0
+    corrupted = tmp_path / "c.data.csv"
+    assert run("train", "--data", corrupted, "--label-col", "y", "--iters", "10",
+               "--batch", "16", "--seed", "9", "--out", tmp_path / "m") == 0
+    assert run("impute", "--model", tmp_path / "m.model", "--data", corrupted, "--label-col", "y",
+               "--seed", "10", "--out", tmp_path / "i") == 0
 
 
 @pytest.mark.parametrize("command", COMMAND_NEEDS)
@@ -398,7 +418,9 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
              "--out", tmp_path / "r")
     assert rc == 0
     out = capsys.readouterr().out
-    assert "result method=mean" in out and "timing method=mean" in out
+    assert "result method=mean" in out
+    assert not [line for line in out.splitlines() if line.startswith("timing")]
+    assert sorted(p.name for p in tmp_path.glob("r.*")) == ["r.report.csv", "r.report.json"]
     payload = json.loads((tmp_path / "r.report.json").read_text())
     with open(tmp_path / "r.report.csv", newline="") as fh:
         all_rows = [row for row in csv.reader(fh) if row[4] == "all"]
@@ -408,7 +430,6 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
         mean, std = mean_std([rep["overall"] for rep in cell["reps"]])
         assert row[1:8] == [cell["method"], repr(cell["missing_rate"]), "", "all",
                             repr(mean), repr(std), "2"]
-    assert (tmp_path / "r.timing.csv").exists()
     assert payload["config"]["train"]["batch_size"] == 128
     # spaces around method names are ignored, as they are around rates
     rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean, mice_lite",
@@ -416,6 +437,21 @@ def test_benchmark_writes_report_files(tmp_path, capsys):
              "--out", tmp_path / "s")
     assert rc == 0
     assert (tmp_path / "s.report.csv").read_bytes() == (tmp_path / "r.report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_grid_keeps_its_timings_in_the_report_json_alone(tmp_path, capsys, jobs):
+    data = write_toy_csv(tmp_path / "d.csv", n=60, d=3, seed=12)
+    assert run("benchmark", "--data", data, "--label-col", "y", "--method", "mean,mice_lite",
+               "--rate", "0.2", "--reps", "2", "--seed", "13", "--jobs", jobs, "--out", tmp_path / "g") == 0
+    out = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "g.report.csv", "g.report.json"]
+    assert [line for line in out.splitlines() if line.startswith(("wrote", "timing"))] == [
+        f"wrote {tmp_path / 'g.report.csv'}", f"wrote {tmp_path / 'g.report.json'}"]
+    payload = json.loads((tmp_path / "g.report.json").read_text())
+    assert all(rep["seconds"] >= 0.0 for cell in payload["cells"] for rep in cell["reps"])
+    assert not hasattr(cgain, "time_methods") and not hasattr(evaluate, "time_methods")
+    assert not hasattr(evaluate, "write_timing_csv")
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -676,6 +712,41 @@ def test_the_package_reads_no_environment_variable():
                 reads += [f"{path.name}:{node.lineno}: from os import {alias.name}" for alias in node.names
                           if alias.name in ("environ", "getenv")]
     assert reads == []
+
+
+def _references(node: ast.AST) -> set[str]:
+    """The names node refers to: names, attributes, import aliases and string constants."""
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):   # perfbench wraps by name
+            names.add(sub.value)
+    return names
+
+
+def test_every_top_level_definition_is_used_outside_tests():
+    # code that only tests reach is code the program does not need
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "cgain").glob("*.py"))
+    corpus = package + sorted((root / "scripts").glob("*.py")) + sorted(
+        p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+    defined, used_by = [], {}   # used_by: name -> the (file, top-level definition) holding a reference
+    for path in corpus:
+        file = str(path.relative_to(root))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and path in package:
+                defined.append((file, owner))
+            for name in _references(top):
+                used_by.setdefault(name, set()).add((file, owner))
+    unused = [f"{file}: {name}" for file, name in defined if not used_by.get(name, set()) - {(file, name)}]
+    assert len(defined) > 100   # the scan found the package
+    assert unused == []
 
 
 # one sample command-line/config-file value per field annotation

@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import cgain.evaluate as ev
 from cgain.baselines import MeanImputer
 from cgain.data import corrupt_mcar, subsample_imbalance
-from cgain.evaluate import (BenchmarkCell, BenchmarkReport, mean_std, report_csv_rows,
-                            report_to_json_dict, rmse_missing, run_benchmark, time_methods)
+from cgain.evaluate import mean_std, report_csv_rows, report_to_json_dict, rmse_missing, run_benchmark
 from cgain.imputer import TrainConfig
 from cgain.nn import make_rng, openblas_function, spawn_rng, spawn_seed
 from conftest import toy_dataset, random_incomplete
@@ -452,25 +451,8 @@ def test_imbalance_reference_fraction_grid():
 
 
 # ---------------------------------------------------------------------------
-# timing and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def test_time_methods_totals_are_exact_sums():
-    ds = balanced_binary(n=40, d=3, seed=22)
-    report = run_benchmark(ds, ["mean", "mice_lite"], [0.2], repetitions=3, root_seed=23)
-    summary = time_methods(report)
-    for cell in report.cells:
-        entry = summary[cell.method]
-        assert entry["total_seconds"] == sum(r.seconds for r in cell.reps)
-        assert entry["reps"] == len(cell.reps)
-        assert entry["mean_seconds"] == entry["total_seconds"] / entry["reps"]
-
-
-def test_time_methods_empty_reps_give_zero():
-    report = BenchmarkReport({}, ["0", "1"], [BenchmarkCell("mean", 0.2)])
-    summary = time_methods(report)
-    assert summary["mean"] == {"total_seconds": 0.0, "reps": 0, "mean_seconds": 0.0}
-
 
 def test_report_json_is_strict_with_null_for_a_class_without_missing_cells(tmp_path):
     # two rows of class "b" at rate 0.05 leave it without a missing cell in some repetitions
