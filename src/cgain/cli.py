@@ -34,7 +34,7 @@ from .nn import make_rng
 from .data import (BINARY, check_missing_rate, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, METHODS, check_grid, report_csv_rows, run_benchmark, write_report_csv,
+from .evaluate import (EVAL_MODES, GANS, METHODS, check_grid, report_csv_rows, run_benchmark, write_report_csv,
                        write_report_json)
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
@@ -193,9 +193,9 @@ def cmd_corrupt(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "data", "label_col", "out")
     method = cfg.method or "cgain"
-    if method not in ("cgain", "gain"):
-        raise ValueError(f"train needs --method cgain or gain, got {method!r}")
-    tc = _train_config(cfg, conditional=(method == "cgain"))
+    if method not in GANS:
+        raise ValueError(f"train needs --method {' or '.join(GANS)}, got {method!r}")
+    tc = _train_config(cfg, conditional=GANS[method])
     tc.validate()   # fail before any file or training work
 
     inc = load_incomplete_csv(cfg.data, cfg.label_col, table=read_csv_table(cfg.data))

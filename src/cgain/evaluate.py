@@ -44,8 +44,9 @@ from .data import (Dataset, IncompleteDataset, check_minority_fraction, check_mi
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from .imputer import TrainConfig, impute, json_number, train
 
-METHODS = ("cgain", "gain", "mean", "mice_lite")
+GANS = {"cgain": True, "gain": False}     # each adversarial method: do its nets take the labels?
 BASELINES = {"mean": MeanImputer, "mice_lite": MiceLiteImputer}
+METHODS = (*GANS, *BASELINES)
 EVAL_MODES = ("repetition", "strict")
 
 
@@ -104,8 +105,8 @@ def run_method(method: str, train_inc: IncompleteDataset, eval_inc: IncompleteDa
     strict mode."""
     if method in BASELINES:
         return BASELINES[method]().fit(train_inc).transform(eval_inc)
-    if method in ("cgain", "gain"):
-        cfg = replace(train_config, conditional=(method == "cgain"), seed=method_seed)
+    if method in GANS:
+        cfg = replace(train_config, conditional=GANS[method], seed=method_seed)
         model, _ = train(train_inc, cfg)
         return impute(model, eval_inc, impute_rng).features
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

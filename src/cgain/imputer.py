@@ -10,9 +10,11 @@ observed. Losses are evaluated only at the hinted-out cells, plus a
 reconstruction term on observed cells weighted by alpha. Loss gradients
 enter each net at its output logits z; for the cross entropies of the
 discriminator's sigmoid output, that is sigmoid(z) - target at a hinted
-cell. The generator's adversarial loss reads a hinted cell only where it
-is missing, so in the generator step the discriminator runs on those rows
-alone: every other row's gradient is exactly zero.
+cell, one head for both nets. The discriminator's target is the mask. The
+generator's adversarial loss reads a hinted cell only where it is missing,
+so in the generator step the discriminator runs on those live rows alone
+(every other row's gradient is exactly zero), and there the loss is the
+discriminator's cross entropy with the target flipped to 1 - mask.
 
 With conditional=False the label block is dropped from both networks and
 the pipeline is exactly the unconditional one.
@@ -225,25 +227,18 @@ def loss_discriminator(m_hat: Array, mask: Array, b: Array) -> float:
     return float(-cells.sum() / m_hat.shape[0])
 
 
-def _hinted(m_hat: Array, mask: Array, cols: Array) -> tuple[Array, Array, Array, Array]:
-    """(cells, m_hat, mask, live) at each row's hinted cell, row i's column
-    cols[i], the cells where a loss gradient can be nonzero: cells are
-    their flat indices, and live is false where the clamp saturates the
-    gradient."""
-    n, d = m_hat.shape
-    cells = np.arange(0, n * d, d) + cols
+def _head(m_hat: Array, target: Array, cols: Array, n: int, dtype) -> Array:
+    """The gradient at the discriminator's logits z, where m_hat is
+    sigmoid(z), of -[t log m_hat + (1-t) log(1-m_hat)] with t = target,
+    summed over row i's hinted cell, column cols[i], and divided by n:
+    (m_hat - target) / n at each hinted cell, and 0 where the clamp
+    saturates and at every other cell. Built in dtype, the net's."""
+    rows, d = m_hat.shape
+    cells = np.arange(0, rows * d, d) + cols
     m_h = m_hat.take(cells)
-    return cells, m_h, mask.take(cells), (m_h > EPS) & (m_h < 1.0 - EPS)
-
-
-def _d_head(m_hat: Array, mask: Array, cols: Array, dtype) -> Array:
-    """dloss_discriminator/dz at the discriminator's logits z, where m_hat
-    is sigmoid(z), for the hint flags that blank column cols[i] of row i:
-    (m_hat - mask) / n at each hinted cell, n the row count, and 0 where
-    the clamp saturates and at every other cell. Built in dtype, the net's."""
-    cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
+    live = (m_h > EPS) & (m_h < 1.0 - EPS)
     grad = np.zeros(m_hat.shape, dtype)
-    grad.put(cells, (m_h - mask_h) / m_hat.shape[0] * live)
+    grad.put(cells, (m_h - target.take(cells)) / n * live)
     return grad
 
 
@@ -281,18 +276,6 @@ def _binary_columns(column_kinds: list[str], d: int) -> Array | None:
             raise ValueError(f"unknown column kind {k!r}")
     row = np.array([k == BINARY for k in column_kinds])[None, :]
     return row if row.any() else None
-
-
-def _adv_head(m_hat: Array, mask: Array, cols: Array, n: int, dtype) -> Array:
-    """d(adversarial part)/dz at the discriminator's logits z, where m_hat
-    is sigmoid(z), for rows of an n-row batch hinted at columns cols:
-    -(1 - mask)(1 - m_hat) / n at each hinted cell, which is -(1 - m_hat) / n
-    where that cell is missing, and 0 where the clamp saturates and at
-    every other cell. Built in dtype, the net's."""
-    cells, m_h, mask_h, live = _hinted(m_hat, mask, cols)
-    grad = np.zeros(m_hat.shape, dtype)
-    grad.put(cells, -(1.0 - mask_h) * (1.0 - m_h) / n * live)
-    return grad
 
 
 def _recon_grad_xbar(x_bar: Array, x_tilde: Array, mask: Array, binary_cols: Array | None) -> Array:
@@ -362,11 +345,11 @@ def discriminator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array
     """Discriminator gradients on one batch hinted at columns cols, generator held fixed.
 
     Returns (gradients, m_hat); loss_discriminator(m_hat, m,
-    hint_flags(cols, d)) is the step's loss.
+    hint_flags(cols, d)) is the step's loss, whose head targets the mask.
     """
     _, x_hat, _ = generator_forward(model, x_t, m, y, z)
     m_hat, d_cache = discriminator_forward(model, x_hat, _hint(m, cols), y)
-    head = _d_head(m_hat, m, cols, model.discriminator.dtype)
+    head = _head(m_hat, m, cols, len(cols), model.discriminator.dtype)
     return dense_backward(model.discriminator, d_cache, head, wrt="params"), m_hat
 
 
@@ -380,11 +363,13 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     cell is missing; at every other row its weight 1 - m is 0 and so is its
     gradient. So the discriminator runs on the live rows only (on no rows
     when none is live), and m_hat holds its output there and 1.0 elsewhere.
-    Its input gradient at the completed-data block, the product over w1[:d]
-    alone, is masked to missing cells (observed cells of x_hat do not depend
-    on the generator) and added at the live rows. The summed gradient at
-    x_bar is multiplied by x_bar * (1 - x_bar) to give the generator's
-    gradient at its logits.
+    On those rows the part is the discriminator's cross entropy with the
+    target flipped, so its head targets 1 - m. The discriminator's input
+    gradient at the completed-data block, the product over w1[:d] alone, is
+    masked by that same 1 - m to missing cells (observed cells of x_hat do
+    not depend on the generator) and added at the live rows. The summed
+    gradient at x_bar is multiplied by x_bar * (1 - x_bar) to give the
+    generator's gradient at its logits.
     """
     x_bar, x_hat, g_cache = generator_forward(model, x_t, m, y, z)
     live = np.flatnonzero(m[np.arange(len(cols)), cols] == 0)
@@ -394,12 +379,13 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     m_hat = np.ones_like(x_bar)
     m_hat_live, d_cache = discriminator_forward(model, x_live, _hint(m_live, cols_live), y_live)
     m_hat[live] = m_hat_live
-    head = _adv_head(m_hat_live, m_live, cols_live, len(cols), model.discriminator.dtype)
+    flipped = 1.0 - m_live
+    head = _head(m_hat_live, flipped, cols_live, len(cols), model.discriminator.dtype)
     d_input_grad = dense_backward(model.discriminator, d_cache, head, wrt="input", leading=model.n_features)
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= model.config.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
-    d_input_grad = d_input_grad * (1.0 - m_live)
+    d_input_grad = d_input_grad * flipped
     d_input_grad += dx_bar.take(live, axis=0, mode="clip")
     dx_bar[live] = d_input_grad
     dx_bar *= x_bar * (1.0 - x_bar)

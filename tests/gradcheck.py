@@ -7,7 +7,7 @@ import numpy as np
 
 from cgain.nn import dense_backward, dense_forward, init_dense, make_rng
 from cgain.imputer import (generator_loss_parts, hint_flags, loss_discriminator,
-                           _adv_head, _binary_columns, _d_head, _recon_grad_xbar)
+                           _binary_columns, _head, _recon_grad_xbar)
 
 LOSS_FORMS = ("d_xent", "g_adv", "recon")
 
@@ -72,13 +72,17 @@ def check_net_loss_gradients(seed: int, width: int, loss_form: str,
         adv, recon = generator_loss_parts(out, mask, b, out, x_t, kinds)
         return adv if loss_form == "g_adv" else recon
 
-    # the gradient at the output logits: the cross entropies' heads, and
-    # the reconstruction gradient at the output times the sigmoid's derivative
+    # the gradient at the output logits: the cross entropies' head, with
+    # the target flipped to 1 - mask on the live rows (hinted cell missing)
+    # for g_adv, and the reconstruction gradient at the output times the
+    # sigmoid's derivative
     out, cache = dense_forward(net, x)
     if loss_form == "d_xent":
-        grad_z = _d_head(out, mask, cols, net.dtype)
+        grad_z = _head(out, mask, cols, batch, net.dtype)
     elif loss_form == "g_adv":
-        grad_z = _adv_head(out, mask, cols, batch, net.dtype)
+        live = mask[np.arange(batch), cols] == 0
+        grad_z = np.zeros(out.shape, net.dtype)
+        grad_z[live] = _head(out[live], 1.0 - mask[live], cols[live], batch, net.dtype)
     elif loss_form == "recon":
         grad_z = _recon_grad_xbar(out, x_t, mask, _binary_columns(kinds, d_out)) * out * (1.0 - out)
     else:

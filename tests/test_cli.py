@@ -315,12 +315,15 @@ def test_corrupt_needs_exactly_one_rate(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
-def test_train_rejects_untrainable_method(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["mean", "mice_lite"])
+def test_train_rejects_untrainable_method(tmp_path, capsys, method):
     data = write_toy_csv(tmp_path / "d.csv")
-    rc = run("train", "--data", data, "--label-col", "y", "--method", "mean",
+    rc = run("train", "--data", data, "--label-col", "y", "--method", method,
              "--out", tmp_path / "x")
     assert rc == 1
-    assert "cgain-error: validation" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"cgain-error: validation: train needs --method cgain or gain, "
+                                       f"got {method!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from cgain.imputer import (EPS, MODEL_MAGIC, NOISE_HIGH, TrainConfig, build_mode
                            discriminator_forward, discriminator_step_grads, generate, generator_forward,
                            generator_loss_parts, generator_step_grads, hint_flags, hint_from_b, impute,
                            load_model, loss_discriminator, sample_hint_b,
-                           save_model, train, _adv_head, _d_head, _draw, _hint)
+                           save_model, train, _draw, _head, _hint)
 from cgain.nn import DenseNet, dense_backward, dense_forward, init_dense, make_rng, uniform
 from conftest import as_format_v1, as_format_v2, as_format_v3, assert_same_bits, toy_dataset, random_incomplete
 from gradcheck import finite_difference_gradients, max_relative_error
@@ -388,7 +388,9 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
     # signed zeros included: each non-hinted cell carries the zero the full
     # formula gives it, in float64 and rounded once to float32; and at a
     # cell the clamp leaves live, each head is the chain-rule gradient at
-    # m_hat times the sigmoid's derivative there, within rounding
+    # m_hat times the sigmoid's derivative there, within rounding. The
+    # generator's head is the discriminator's with the target flipped to
+    # 1 - mask, on the live rows, whose hinted cell is missing
     cell = st.one_of(st.sampled_from(EDGE_M_HAT), st.floats(0.0, 1.0))
     m_hat = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
     mask = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d),
@@ -396,15 +398,20 @@ def test_hinted_cell_gradients_equal_the_full_matrix_formulas_bit_for_bit(data, 
     cols = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
     b = np.ones((n, d))
     b[np.arange(n), cols] = 0.0
-    for head, want, chain in ((lambda dt: _d_head(m_hat, mask, cols, dt), ref_d_head(m_hat, mask, b),
-                               ref_loss_d_grad(m_hat, mask, b)),
-                              (lambda dt: _adv_head(m_hat, mask, cols, n, dt), ref_adv_head(m_hat, mask, b),
-                               ref_adv_grad(m_hat, mask, b))):
+    live = mask[np.arange(n), cols] == 0
+    flipped, slope = 1.0 - mask, m_hat * (1.0 - m_hat)
+    for args, want, chain in (((m_hat, mask, cols), ref_d_head(m_hat, mask, b),
+                               ref_loss_d_grad(m_hat, mask, b) * slope),
+                              ((m_hat[live], flipped[live], cols[live]), ref_d_head(m_hat, flipped, b)[live],
+                               (ref_adv_grad(m_hat, mask, b) * slope)[live])):
         for dtype in (np.float64, np.float32):
-            got = head(dtype)
+            got = _head(*args, n, dtype)
             assert got.dtype == dtype
             assert_same_bits(got, want.astype(dtype))
-        assert_allclose(want, chain * m_hat * (1.0 - m_hat), rtol=1e-12, atol=0)
+        assert_allclose(want, chain, rtol=1e-12, atol=0)
+    # GAIN's adversarial head, -(1 - mask)(1 - m_hat) / n, up to the sign of a zero
+    assert_array_equal(_head(m_hat[live], flipped[live], cols[live], n, np.float64),
+                       ref_adv_head(m_hat, mask, b)[live])
 
 
 def full_matrix_step_grads(model, x_t, mask, y, z, b, all_rows=False, chain_rule=False):
