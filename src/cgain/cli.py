@@ -3,12 +3,14 @@
 A subcommand takes the flags and config keys of the fields it reads, no more.
 Any other flag or key, and a shortened flag (--it for --iters), is refused
 before --data is read or any file is written; `cgain <command> --help` lists a
-command's own. Precedence is defaults < config file (KEY=VALUE lines via
---config) < command-line flags; nothing comes from the environment. An int
-value (--reps, --seed, --batch, --iters, --hidden-mult, --jobs) is ASCII
-digits alone. In a comma list (--method, --rate, --imbalance) spaces around
-items are ignored, and a list with no item is refused. Every run first
-prints its command's resolved fields, so it can be rebuilt from its output.
+command's own. Every command requires --data, --label-col and --out, and
+impute --model too; --help marks each (required). Precedence is defaults <
+config file (KEY=VALUE lines via --config) < command-line flags; nothing comes
+from the environment. An int value (--reps, --seed, --batch, --iters,
+--hidden-mult, --jobs) is ASCII digits alone. In a comma list (--method,
+--rate, --imbalance) spaces around items are ignored, and a list with no item
+is refused. Every run first prints its command's resolved fields, so it can be
+rebuilt from its output.
 
 A missing cell is an empty feature cell of --data. Only corrupt hides
 cells: it blanks them in a complete file, at exactly one --rate, and writes
@@ -34,8 +36,7 @@ from .nn import make_rng
 from .data import (BINARY, check_missing_rate, corrupt_mcar, denormalize, load_csv, load_incomplete_csv,
                    read_csv_table, write_csv, write_mask_csv)
 from .imputer import TrainConfig, impute, load_model, save_model, train
-from .evaluate import (EVAL_MODES, GANS, METHODS, check_grid, report_csv_rows, run_benchmark, write_report_csv,
-                       write_report_json)
+from .evaluate import EVAL_MODES, GANS, METHODS, check_grid, report_csv_rows, run_benchmark, write_report_json
 
 DEFAULT_RATES = "0.05,0.1,0.15,0.2"
 DEFAULT_METHODS = ",".join(METHODS)
@@ -43,10 +44,11 @@ DEFAULT_IMBALANCE_RATE = "0.2"
 _ALL = "corrupt train impute benchmark"
 
 
-def _flag(default, help: str, commands: str, choices=None, train: str | None = None):
-    """A RunConfig field: its --flag's help and choices, its subcommands, the TrainConfig field it sets."""
+def _flag(default, help: str, commands: str, choices=None, train: str | None = None, required: bool = False):
+    """A RunConfig field: its --flag's help and choices, its subcommands, the TrainConfig field it sets,
+    and whether a command that reads it refuses to run while it is empty."""
     return field(default=default, metadata=dict(help=help, commands=commands.split(), choices=choices,
-                                                train=train))
+                                                train=train, required=required))
 
 
 def _train_flag(name: str, help: str):
@@ -60,8 +62,9 @@ class RunConfig:
     name is their config-file key and, with '-' for '_', their command-line flag.
     Training knobs name the TrainConfig field they set and default to its value."""
 
-    data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)", _ALL)
-    label_col: str = _flag("", "label column: a header name, or else a 0-based index", _ALL)
+    data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)", _ALL,
+                      required=True)
+    label_col: str = _flag("", "label column: a header name, or else a 0-based index", _ALL, required=True)
     method: str = _flag("", "cgain | gain | mean | mice_lite; a comma list for benchmark", "train benchmark")
     rate: str = _flag("", "missing rate to hide; a comma list for benchmark", "corrupt benchmark")
     reps: int = _flag(10, "repetitions (strict mode: fold count)", "benchmark")
@@ -72,10 +75,10 @@ class RunConfig:
     lr: float = _train_flag("learning_rate", "learning rate")
     hidden_mult: int = _train_flag("hidden_multiplier", "hidden width as a multiple of feature count")
     imbalance: str = _flag("", "comma list of minority fractions", "benchmark")
-    out: str = _flag("", "output path stem", _ALL)
+    out: str = _flag("", "output path stem", _ALL, required=True)
     eval_mode: str = _flag("repetition", "evaluation mode", "benchmark", EVAL_MODES)
     jobs: int = _flag(0, "parallel workers (0 = the CPUs this process may use)", "benchmark")
-    model: str = _flag("", "model file", "impute")
+    model: str = _flag("", "model file", "impute", required=True)
 
 
 def command_fields(command: str) -> list:
@@ -146,12 +149,6 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) == "":
-            raise ValueError(f"--{name.replace('_', '-')} is required")
-
-
 def _train_config(cfg: RunConfig, conditional: bool) -> TrainConfig:
     return TrainConfig(conditional=conditional, **{f.metadata["train"]: getattr(cfg, f.name)
                                                    for f in fields(RunConfig) if f.metadata["train"]})
@@ -170,7 +167,6 @@ def _write_hidden(header: list[str], rows: list[list[str]], inc, texts) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(cfg: RunConfig) -> int:
-    _require(cfg, "data", "label_col", "out")
     rates = _parse_floats(cfg.rate, "rate")
     if len(rates) != 1:
         raise ValueError(f"corrupt needs exactly one --rate, got {cfg.rate!r}")
@@ -191,7 +187,6 @@ def cmd_corrupt(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _require(cfg, "data", "label_col", "out")
     method = cfg.method or "cgain"
     if method not in GANS:
         raise ValueError(f"train needs --method {' or '.join(GANS)}, got {method!r}")
@@ -214,7 +209,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_impute(cfg: RunConfig) -> int:
-    _require(cfg, "data", "label_col", "out", "model")
     model = load_model(cfg.model)
     header, rows = read_csv_table(cfg.data)
     inc = load_incomplete_csv(cfg.data, cfg.label_col, table=(header, rows))
@@ -234,7 +228,6 @@ def cmd_impute(cfg: RunConfig) -> int:
 
 
 def cmd_benchmark(cfg: RunConfig) -> int:
-    _require(cfg, "data", "label_col", "out")
     methods = [m.strip() for m in (cfg.method or DEFAULT_METHODS).split(",") if m.strip()]
     fractions = _parse_floats(cfg.imbalance, "imbalance") if cfg.imbalance else None
     default_rates = DEFAULT_RATES if fractions is None else DEFAULT_IMBALANCE_RATE
@@ -246,13 +239,14 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     report = run_benchmark(load_csv(cfg.data, cfg.label_col), **grid)
 
     csv_path, json_path = f"{cfg.out}.report.csv", f"{cfg.out}.report.json"
-    write_report_csv(csv_path, report)
+    rows = report_csv_rows(report)
+    write_csv(csv_path, rows[0], rows[1:])
     write_report_json(json_path, report)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     failures = []
     # each cell's rows are its 'all' row, then one per class
-    all_rows = report_csv_rows(report)[1::1 + len(report.class_names)]
+    all_rows = rows[1::1 + len(report.class_names)]
     for cell, (_, method, rate, fraction, _, mean, std, reps) in zip(report.cells, all_rows):
         where = f"method={method} rate={rate}" + (f" fraction={fraction}" if fraction else "")
         print(f"result {where} rmse_mean={mean} rmse_std={std} reps={reps}")
@@ -279,7 +273,8 @@ def _flags(command: str) -> argparse.ArgumentParser:
     flags = _Parser(add_help=False, allow_abbrev=False)
     for f in command_fields(command):
         flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type],
-                           help=f.metadata["help"], choices=f.metadata["choices"])
+                           help=f.metadata["help"] + (" (required)" if f.metadata["required"] else ""),
+                           choices=f.metadata["choices"])
     flags.add_argument("--config", help="KEY=VALUE config file; flags override it")
     return flags
 
@@ -307,6 +302,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         print_config(cfg, args.command)
+        for f in command_fields(args.command):   # before any file work
+            if f.metadata["required"] and getattr(cfg, f.name) == "":
+                raise ValueError(f"--{f.name.replace('_', '-')} is required")
         return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"cgain-error: validation: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .nn import Array, openblas_function, spawn_rng, spawn_seed
 from .data import (Dataset, IncompleteDataset, check_minority_fraction, check_missing_rate, corrupt_mcar,
-                   split_folds, subsample_imbalance, write_csv)
+                   split_folds, subsample_imbalance)
 from .baselines import MICE_LITE_SWEEPS, MeanImputer, MiceLiteImputer
 from .imputer import TrainConfig, impute, json_number, train
 
@@ -341,11 +341,6 @@ def report_csv_rows(report: BenchmarkReport) -> list[list[str]]:
             rows.append([report.config["dataset"], cell.method, _fmt(cell.missing_rate), frac,
                          class_name, mean_s, std_s, str(len(cell.reps))])
     return rows
-
-
-def write_report_csv(path, report: BenchmarkReport) -> None:
-    header, *rows = report_csv_rows(report)
-    write_csv(path, header, rows)
 
 
 def report_to_json_dict(report: BenchmarkReport) -> dict:

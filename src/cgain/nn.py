@@ -92,13 +92,10 @@ def sigmoid(z: Array) -> Array:
     """Numerically stable sigmoid: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z))
     below, both evaluated on exp(-|z|) without branching.
 
-    Computes in float32 for float32 input and in float64 otherwise. In
-    float64 it rounds to exactly 1.0 above z of about 37 and to 0.0 below
-    about -745; in float32 it rounds to 1.0 above z of about 17 and to 0.0
-    below about -104."""
-    if type(z) is not np.ndarray or z.dtype not in (np.float32, np.float64):   # else use it as it is
-        z = np.asarray(z)
-        z = z.astype(np.float32 if z.dtype == np.float32 else np.float64)
+    z is a float32 or float64 ndarray, as dense_forward gives it, and the
+    result has its dtype. In float64 it rounds to exactly 1.0 above z of
+    about 37 and to 0.0 below about -745; in float32 it rounds to 1.0 above
+    z of about 17 and to 0.0 below about -104."""
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)

@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -191,14 +192,33 @@ def test_corrupt_train_and_impute_read_their_data_in_cli(tmp_path, monkeypatch):
                "--seed", "10", "--out", tmp_path / "i") == 0
 
 
-@pytest.mark.parametrize("command", COMMAND_NEEDS)
-def test_label_col_is_required_before_any_file_work(tmp_path, capsys, monkeypatch, command):
+# every (command, required flag) pair: --data, --label-col and --out for each command, --model for impute
+REQUIRED = [(command, flag) for command in COMMAND_NEEDS for flag in ("--data", "--label-col", "--out")]
+REQUIRED.append(("impute", "--model"))
+
+
+@pytest.mark.parametrize("command, flag", REQUIRED)
+def test_each_required_flag_is_required_before_any_file_work(tmp_path, capsys, monkeypatch, command, flag):
     data = write_toy_csv(tmp_path / "d.csv")
     paths = count_reads(monkeypatch)
-    assert run(command, "--data", data, *COMMAND_NEEDS[command], "--out", tmp_path / "o") == 1
-    assert capsys.readouterr().err == "cgain-error: validation: --label-col is required\n"
+    args = ["--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
+    del args[args.index(flag):args.index(flag) + 2]
+    assert run(command, *args) == 1
+    assert capsys.readouterr().err == f"cgain-error: validation: {flag} is required\n"
     assert paths == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_help_marks_the_required_flags(capsys):
+    with pytest.raises(SystemExit) as done:
+        run("impute", "--help")
+    assert done.value.code == 0
+    # one entry per option: its flags, metavar and help, whitespace collapsed
+    entries = [" ".join(entry.split()) for entry in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]]
+    helps = {entry.split()[0]: entry for entry in entries}
+    assert {flag for flag, entry in helps.items() if entry.endswith(" (required)")} == {
+        "--data", "--label-col", "--out", "--model"}
+    assert "(required)" not in helps["--seed"]
 
 
 def test_binary_columns_are_filled_with_0_or_1_and_given_cells_copied(tmp_path):
