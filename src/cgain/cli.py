@@ -1,16 +1,15 @@
 """Command-line driver: corrupt, train, impute, and benchmark subcommands.
 
-A subcommand takes the flags and config keys of the fields it reads, no more.
-Any other flag or key, and a shortened flag (--it for --iters), is refused
-before --data is read or any file is written; `cgain <command> --help` lists a
-command's own. Every command requires --data, --label-col and --out, and
-impute --model too; --help marks each (required). Precedence is defaults <
-config file (KEY=VALUE lines via --config) < command-line flags; nothing comes
-from the environment. An int value (--reps, --seed, --batch, --iters,
---hidden-mult, --jobs) is ASCII digits alone. In a comma list (--method,
---rate, --imbalance) spaces around items are ignored, and a list with no item
-is refused. Every run first prints its command's resolved fields, so it can be
-rebuilt from its output.
+A subcommand takes the flags of the fields it reads, no more. Any other
+flag, and a shortened flag (--it for --iters), is refused before --data is
+read or any file is written; `cgain <command> --help` lists a command's own.
+Every command requires --data, --label-col and --out, and impute --model too;
+--help marks each (required). A field not given keeps its default; nothing is
+read from a file or the environment. An int value (--reps, --seed, --batch,
+--iters, --hidden-mult, --jobs) is ASCII digits alone. In a comma list
+(--method, --rate, --imbalance) spaces around items are ignored, and a list
+with no item is refused. Every run first prints its command's resolved
+fields, so it can be rebuilt from its output.
 
 A missing cell is an empty feature cell of --data. Only corrupt hides
 cells: it blanks them in a complete file, at exactly one --rate, and writes
@@ -59,7 +58,7 @@ def _train_flag(name: str, help: str):
 @dataclass
 class RunConfig:
     """Every knob the toolkit exposes, each declared once with the subcommands that read it: the field
-    name is their config-file key and, with '-' for '_', their command-line flag.
+    name, with '-' for '_', is their command-line flag.
     Training knobs name the TrainConfig field they set and default to its value."""
 
     data: str = _flag("", "input CSV (header row, one label column; empty feature cells are missing)", _ALL,
@@ -93,40 +92,12 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-# parses a --flag value, given on the command line or in a config file, by its field's annotation
+# parses a --flag value by its field's annotation
 _PARSERS = {"str": str, "int": _natural, "float": float}
 
 
-def parse_config_file(path, command: str) -> dict:
-    """Flat KEY=VALUE pairs; '#' starts a comment; a key that command does not read is an error.
-    A value is parsed as its --flag's value is, type and choices included,
-    and an error names the file, the line and the key. A leading UTF-8
-    byte-order mark is dropped."""
-    known, flags = {f.name for f in command_fields(command)}, _flags(command)
-    values: dict = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {text!r}")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: {command} takes no config key {key!r}")
-            try:
-                values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**(parse_config_file(args.config, args.command) if args.config else {}))
-    for f in command_fields(args.command):
-        value = getattr(args, f.name)
-        if value is not None:
-            setattr(cfg, f.name, value)
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in command_fields(args.command)})
     if cfg.jobs == 0:   # the CPUs this process may run on
         cfg.jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cfg
@@ -269,13 +240,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flags(command: str) -> argparse.ArgumentParser:
-    """The --flag of every RunConfig field that command reads, and --config."""
+    """The --flag of every RunConfig field that command reads, defaulting to the field's default."""
     flags = _Parser(add_help=False, allow_abbrev=False)
     for f in command_fields(command):
-        flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type],
+        flags.add_argument(f"--{f.name.replace('_', '-')}", type=_PARSERS[f.type], default=f.default,
                            help=f.metadata["help"] + (" (required)" if f.metadata["required"] else ""),
                            choices=f.metadata["choices"])
-    flags.add_argument("--config", help="KEY=VALUE config file; flags override it")
     return flags
 
 

@@ -239,7 +239,8 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
     Within one repetition every method sees the identical corruption mask,
     so method comparisons are paired. In strict mode `repetitions` is the
     fold count: each repetition trains on the other folds and scores the
-    held-out fold of a single shared corruption per rate.
+    held-out fold of a single shared corruption per rate, and a block with
+    a class of fewer rows than folds is a ValueError before any task runs.
 
     Given minority_fractions, the grid runs over engineered class-imbalance
     levels of a binary dataset at a single missing rate instead: the
@@ -268,6 +269,9 @@ def run_benchmark(dataset: Dataset, methods: list[str], missing_rates: list[floa
                   for fidx, fraction in enumerate(minority_fractions)]
         config["minority_fractions"] = list(minority_fractions)
         config["minority_class"] = dataset.class_names[minority_class]
+    if eval_mode == "strict":   # split_folds' own check; the draw is thrown away
+        for _, data, root in blocks:
+            split_folds(data, repetitions, spawn_rng(root, 4, 0))
     config.update(eval_mode=eval_mode, root_seed=operator.index(root_seed), mice_sweeps=MICE_LITE_SWEEPS,
                   train={k: v for k, v in asdict(train_config).items()
                          if k not in ("conditional", "seed")})   # run_method sets both per cell

@@ -385,9 +385,7 @@ def generator_step_grads(model: ImputerModel, x_t: Array, m: Array, y: Array, z:
     dx_bar = _recon_grad_xbar(x_bar, x_t, m, model.binary_cols)
     dx_bar *= model.config.alpha
     # masking by 0 or 1 is exact; the sum is rounded in float64
-    d_input_grad = d_input_grad * flipped
-    d_input_grad += dx_bar.take(live, axis=0, mode="clip")
-    dx_bar[live] = d_input_grad
+    dx_bar[live] = dx_bar.take(live, axis=0, mode="clip") + d_input_grad * flipped
     dx_bar *= x_bar * (1.0 - x_bar)
     g_grads = dense_backward(model.generator, g_cache, dx_bar, wrt="params")
     return g_grads, m_hat, x_bar
@@ -543,8 +541,8 @@ def save_model(path, model: ImputerModel) -> None:
 def load_model(path) -> ImputerModel:
     """Read a save_model file into float32 nets of build_model's layout. A
     file that is not one, of another version, with other header keys or bad
-    values, or with other than the layout's weight bytes is a ValueError
-    that names the path."""
+    values, with other than the layout's weight bytes, or with a weight that
+    is not finite is a ValueError that names the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:len(MODEL_MAGIC)]
@@ -586,4 +584,8 @@ def load_model(path) -> ImputerModel:
                          f"needs {4 * sum(sizes)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=pos).astype(np.float32, copy=False)
     arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes[:-1])), shapes)]
-    return ImputerModel(DenseNet(*arrays[:6]), DenseNet(*arrays[6:]), n_classes, kinds, config)
+    nets = DenseNet(*arrays[:6]), DenseNet(*arrays[6:])
+    for name, net in zip(("generator", "discriminator"), nets):
+        if not np.isfinite(net.params().flat).all():
+            raise ValueError(f"{path}: {name} weights are not all finite")
+    return ImputerModel(*nets, n_classes, kinds, config)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -314,17 +315,12 @@ def test_train_refuses_rate_and_points_to_corrupt(tmp_path, capsys, rate):
 
 
 @pytest.mark.parametrize("command", ["train", "impute"])
-def test_a_mask_flag_or_config_key_is_refused(tmp_path, capsys, command):
+def test_a_mask_flag_is_refused(tmp_path, capsys, command):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "x"]
     assert run(*args, "--mask", "m.csv") == 1
     assert capsys.readouterr().err == "cgain-error: validation: unrecognized arguments: --mask m.csv\n"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mask=m.csv\n")
-    assert run(*args, "--config", cfg) == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:1: {command} takes no config key "
-                                       "'mask'\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_corrupt_needs_exactly_one_rate(tmp_path, capsys):
@@ -416,6 +412,19 @@ def test_impute_refuses_a_format_v1_model(trained, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (f"cgain-error: validation: {old}: model format version 1, but this "
                                        "cgain reads version 4; retrain the model\n")
+    assert not (tmp_path / "no.imputed.csv").exists()
+
+
+def test_impute_refuses_a_model_whose_weights_are_not_all_finite(trained, tmp_path, capsys):
+    _, corrupted, model = trained
+    blob = bytearray(model.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    struct.pack_into("<f", blob, 20 + header_len, float("nan"))   # the generator's first weight
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(blob)
+    rc = run("impute", "--model", bad, "--data", corrupted, "--label-col", "y", "--out", tmp_path / "no")
+    assert rc == 1
+    assert capsys.readouterr().err == f"cgain-error: validation: {bad}: generator weights are not all finite\n"
     assert not (tmp_path / "no.imputed.csv").exists()
 
 
@@ -520,6 +529,20 @@ def test_benchmark_refuses_a_bad_grid_before_reading_the_data(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_strict_grid_that_cannot_be_split_into_folds_is_refused(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,y\n" + "".join(f"{i}.5,{i % 7},{int(i < 4)}\n" for i in range(30)))
+
+    def refuse(args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(evaluate, "_rep_task", refuse)
+    assert run("benchmark", "--data", data, "--label-col", "y", "--method", "mean", "--eval-mode", "strict",
+               "--reps", "10", "--jobs", "1", "--out", tmp_path / "r") == 1
+    assert capsys.readouterr().err == "cgain-error: validation: class '1' has 4 rows, fewer than k=10\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 def test_benchmark_imbalance_grid(tmp_path):
     data = write_toy_csv(tmp_path / "d.csv", n=80, d=3, seed=14)
     rc = run("benchmark", "--data", data, "--label-col", "y", "--method", "mean",
@@ -581,33 +604,8 @@ def test_corrupt_refuses_a_bad_rate_before_reading_the_data(tmp_path, capsys, mo
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# flag handling
 # ---------------------------------------------------------------------------
-
-def test_config_file_with_flag_override(tmp_path, capsys):
-    data = write_toy_csv(tmp_path / "d.csv")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nlabel_col=y\nrate=0.3\nseed=21\n# comment\n")
-    rc = run("corrupt", "--config", cfg, "--seed", "22", "--out", tmp_path / "c")
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "config seed=22" in out   # flag wins over file
-
-
-def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"\xef\xbb\xbfseed=5\nreps=3\n")
-    assert cli.parse_config_file(cfg, "benchmark") == {"seed": 5, "reps": 3}
-
-
-def test_unknown_config_key_fails_loudly(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    for key in ("batchsize", "config"):   # --config is a flag, but no config key
-        cfg.write_text(f"{key}=64\n")
-        assert run("corrupt", "--config", cfg, "--out", tmp_path / "c") == 1
-        assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:1: corrupt takes no config key "
-                                           f"{key!r}\n")
-
 
 def test_bad_flag_value_is_a_validation_error(tmp_path, capsys):
     rc = run("train", "--batch", "x", "--out", tmp_path / "m")
@@ -617,53 +615,28 @@ def test_bad_flag_value_is_a_validation_error(tmp_path, capsys):
     assert captured.err == "cgain-error: validation: argument --batch: must be a non-negative integer, got 'x'\n"
 
 
-def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# training\niters=5\nbatch=x\n")
-    rc = run("train", "--config", cfg, "--out", tmp_path / "m")
-    assert rc == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:3: key 'batch': "
-                                       "argument --batch: must be a non-negative integer, got 'x'\n")
-
-
-def test_config_value_outside_choices_is_refused_by_every_command(tmp_path, capsys):
+def test_a_value_outside_choices_is_refused(tmp_path, capsys):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nlabel_col=y\nseed=3\neval_mode=flipped\n")
-    assert run("benchmark", "--config", cfg, "--out", tmp_path / "c") == 1
+    assert run("benchmark", "--data", data, "--label-col", "y", "--seed", "3", "--eval-mode", "flipped",
+               "--out", tmp_path / "c") == 1
     # argparse words the list of choices differently across Python versions
     err = capsys.readouterr().err
-    assert err.startswith(f"cgain-error: validation: {cfg}:4: key 'eval_mode': "
-                          "argument --eval-mode: invalid choice: 'flipped' (choose from ")
+    assert err.startswith("cgain-error: validation: argument --eval-mode: invalid choice: 'flipped' "
+                          "(choose from ")
     assert err.count("\n") == 1
-    # the other commands read no evaluation mode, so they refuse the key before looking at its value
-    for command in ("corrupt", "train"):
-        assert run(command, "--config", cfg, "--out", tmp_path / "c") == 1
-        assert capsys.readouterr().err == (f"cgain-error: validation: {cfg}:4: {command} takes no config key "
-                                           "'eval_mode'\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("command", ["corrupt", "train", "benchmark"])
-@pytest.mark.parametrize("flag, in_file, source, shown", [
-    ("-1", None, "argument --seed:", "'-1'"),
-    ("\uff13", None, "argument --seed:", "'\uff13'"),
-    (None, "-1", "{cfg}:1: key 'seed': argument --seed:", "'-1'"),
-], ids=["flag_negative", "flag_fullwidth", "file_negative"])
-def test_bad_seed_names_its_source(tmp_path, capsys, command, flag, in_file, source, shown):
+@pytest.mark.parametrize("flag", ["-1", "\uff13"], ids=["flag_negative", "flag_fullwidth"])
+def test_bad_seed_names_its_source(tmp_path, capsys, command, flag):
     data = write_toy_csv(tmp_path / "d.csv")
-    cfg = tmp_path / "s.cfg"
-    seed = ["--seed", flag] if flag is not None else []
-    if in_file is not None:
-        cfg.write_text(f"seed={in_file}\n")
-        seed += ["--config", cfg]
-    rc = run(command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], *seed,
+    rc = run(command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--seed", flag,
              "--out", tmp_path / "o")
     assert rc == 1
-    assert capsys.readouterr().err == (f"cgain-error: validation: {source.format(cfg=cfg)} must be a "
-                                       f"non-negative integer, got {shown}\n")
-    written = {data, cfg} if in_file is not None else {data}
-    assert set(tmp_path.iterdir()) == written   # refused before any file is written
+    assert capsys.readouterr().err == ("cgain-error: validation: argument --seed: must be a "
+                                       f"non-negative integer, got {flag!r}\n")
+    assert set(tmp_path.iterdir()) == {data}   # refused before any file is written
 
 
 # every (command, int field) pair, and texts that int() would read but the one integer rule refuses
@@ -675,38 +648,27 @@ NOT_ASCII_DIGITS = {"arabic_indic": "\u0663", "fullwidth": "\uff13", "plus": "+5
 
 @pytest.mark.parametrize("text", NOT_ASCII_DIGITS.values(), ids=NOT_ASCII_DIGITS.keys())
 @pytest.mark.parametrize("command, name", INT_PAIRS)
-def test_an_int_field_is_refused_unless_ascii_digits_by_flag_and_by_key(tmp_path, capsys, monkeypatch,
-                                                                        command, name, text):
+def test_an_int_field_is_refused_unless_ascii_digits(tmp_path, capsys, monkeypatch, command, name, text):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     paths = count_reads(monkeypatch)
     flag = f"--{name.replace('_', '-')}"
     args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
-    refusal = f"argument {flag}: must be a non-negative integer, got {text!r}\n"
     assert run(*args, flag, text) == 1
-    assert capsys.readouterr() == ("", f"cgain-error: validation: {refusal}")
-    # spaces around '=' are the config file's syntax, so a key's value cannot carry them
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{name}={text}\n")
-    if text.strip() == text:
-        assert run(*args, "--config", cfg) == 1
-        assert capsys.readouterr() == ("", f"cgain-error: validation: {cfg}:1: key {name!r}: {refusal}")
-    else:
-        assert cli.parse_config_file(cfg, command) == {name: int(text)}
+    assert capsys.readouterr() == ("", "cgain-error: validation: "
+                                       f"argument {flag}: must be a non-negative integer, got {text!r}\n")
     assert paths == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("command, name", INT_PAIRS)
-def test_an_int_field_takes_ascii_digits_by_flag_and_by_key(tmp_path, command, name):
-    parser, cfg = cli.build_parser(), tmp_path / "run.cfg"
+def test_an_int_field_takes_ascii_digits(command, name):
+    parser = cli.build_parser()
     for text in ("0", "7"):
         assert getattr(parser.parse_args([command, f"--{name.replace('_', '-')}", text]), name) == int(text)
-        cfg.write_text(f"{name}={text}\n")
-        assert cli.parse_config_file(cfg, command) == {name: int(text)}
 
 
 def test_a_set_cgain_seed_changes_nothing(tmp_path, capsys, monkeypatch):
-    # a run is named by its flags and config file alone
+    # a run is named by its flags alone
     data = write_toy_csv(tmp_path / "d.csv")
     outputs = {}
     for env in (None, "41"):
@@ -772,17 +734,17 @@ def test_every_top_level_definition_is_used_outside_tests():
     assert unused == []
 
 
-# one sample command-line/config-file value per field annotation
+# one sample command-line value per field annotation
 SAMPLES = {"str": ("abc", "abc"), "int": ("3", 3), "float": ("0.5", 0.5)}
 
 
 def sample(f) -> tuple:
-    """A command-line/config-file text for field f and the value it parses to."""
+    """A command-line text for field f and the value it parses to."""
     choices = f.metadata["choices"]
     return (choices[-1], choices[-1]) if choices else SAMPLES[f.type]
 
 
-def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_path, capsys):
+def test_every_run_config_field_is_a_flag_and_a_printed_line(capsys):
     declared = list(fields(RunConfig))
     assert len(declared) == 16
     # 35 (command, field) pairs are declared; the 29 others are refused
@@ -794,11 +756,10 @@ def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_pa
         for command in f.metadata["commands"]:
             assert getattr(parser.parse_args([command, flag, text]), f.name) == value
 
-    cfg_file = tmp_path / "all.cfg"
     for command in cli._COMMANDS:
         own = cli.command_fields(command)
-        cfg_file.write_text("".join(f"{f.name}={sample(f)[0]}\n" for f in own))
-        cfg = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        argv = [command] + [text for f in own for text in (f"--{f.name.replace('_', '-')}", sample(f)[0])]
+        cfg = cli.resolve_config(parser.parse_args(argv))
         for f in own:
             assert getattr(cfg, f.name) == sample(f)[1]
         cli.print_config(cfg, command)
@@ -810,9 +771,10 @@ def test_every_run_config_field_is_a_flag_a_config_key_and_a_printed_line(tmp_pa
 UNDECLARED = [pytest.param(command, f.name, sample(f)[0], id=f"{command}-{f.name}")
               for command in cli._COMMANDS for f in fields(RunConfig) if command not in f.metadata["commands"]]
 # the optimizer and the adversarial sign are no fields any more: Adam and GAIN's generator loss
-# are the only ones, so no command reads either
+# are the only ones, so no command reads either; and flags are the one way to set a run, so no
+# command takes a --config file
 UNDECLARED += [pytest.param(command, name, text, id=f"{command}-{name}") for command in cli._COMMANDS
-               for name, text in (("optimizer", "sgd"), ("adv_sign", "gain"))]
+               for name, text in (("optimizer", "sgd"), ("adv_sign", "gain"), ("config", "run.cfg"))]
 
 
 @pytest.mark.parametrize("command, name, text", UNDECLARED)
@@ -823,13 +785,8 @@ def test_a_field_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypa
     args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
     assert run(*args, flag, text) == 1
     assert capsys.readouterr() == ("", f"cgain-error: validation: unrecognized arguments: {flag} {text}\n")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{name}={text}\n")
-    assert run(*args, "--config", cfg) == 1
-    assert capsys.readouterr() == ("", f"cgain-error: validation: {cfg}:1: {command} takes no config key "
-                                       f"{name!r}\n")
     assert paths == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -838,7 +795,7 @@ def test_an_abbreviated_flag_is_refused(tmp_path, capsys, monkeypatch, command):
     paths = count_reads(monkeypatch)
     args = [command, "--data", data, "--label-col", "y", *COMMAND_NEEDS[command], "--out", tmp_path / "o"]
     parser = cli.build_parser()
-    for name, text in [(f.name, sample(f)[0]) for f in cli.command_fields(command)] + [("config", "x.cfg")]:
+    for name, text in [(f.name, sample(f)[0]) for f in cli.command_fields(command)]:
         flag = f"--{name.replace('_', '-')}"
         for short in {flag[:-1], flag[:4]} - {flag}:   # as --it for --iters, --mod for --model
             assert run(*args, short, text) == 1
@@ -879,17 +836,11 @@ TRAIN_KNOBS = {"alpha": ("7.5", "alpha", 7.5), "batch": ("12", "batch_size", 12)
                "hidden_mult": ("2", "hidden_multiplier", 2), "seed": ("31", "seed", 31)}
 
 
-@pytest.mark.parametrize("source", ["flags", "config"])
-def test_every_training_knob_reaches_the_saved_model(tmp_path, source):
+def test_every_training_knob_reaches_the_saved_model(tmp_path):
     data = write_toy_csv(tmp_path / "d.csv", rate=0.3)
     argv = ["train", "--data", data, "--label-col", "y", "--out", tmp_path / "m"]
-    if source == "flags":
-        for name, (text, _, _) in TRAIN_KNOBS.items():
-            argv += [f"--{name.replace('_', '-')}", text]
-    else:
-        cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text("".join(f"{name}={text}\n" for name, (text, _, _) in TRAIN_KNOBS.items()))
-        argv += ["--config", cfg_file]
+    for name, (text, _, _) in TRAIN_KNOBS.items():
+        argv += [f"--{name.replace('_', '-')}", text]
     assert run(*argv) == 0
     config = load_model(tmp_path / "m.model").config
     for _, train_name, value in TRAIN_KNOBS.values():

@@ -387,6 +387,29 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     assert [cell.error for cell in report.cells] == ["rep 0: threads 1"] * 2
 
 
+def four_row_class():
+    """A binary table whose class '1' has 4 of its 30 rows."""
+    from cgain.data import build_dataset
+    raw = np.random.default_rng(5).uniform(0.0, 2.0, size=(30, 3))
+    return build_dataset(raw, [str(int(i < 4)) for i in range(30)], ["c0", "c1", "c2"], name="four")
+
+
+@pytest.mark.parametrize("dataset, repetitions, grid, message", [
+    (four_row_class(), 10, {}, "class '1' has 4 rows, fewer than k=10"),
+    # 30 rows in each class of the table, but the 0.1 block keeps 3 of class '0'
+    (balanced_binary(), 5, {"minority_fractions": [0.5, 0.1]}, "class '0' has 3 rows, fewer than k=5"),
+], ids=["rate_grid", "imbalance_block"])
+def test_a_strict_grid_that_cannot_be_split_into_folds_is_refused_before_any_task(monkeypatch, dataset,
+                                                                                 repetitions, grid, message):
+    def refuse(args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(ev, "_rep_task", refuse)
+    with pytest.raises(ValueError) as info:
+        run_benchmark(dataset, ["mean"], [0.2], repetitions, 0, eval_mode="strict", **grid)
+    assert str(info.value) == message
+
+
 def test_strict_mode_trains_on_other_folds():
     ds = balanced_binary(n=60, d=3, seed=17)
     report = run_benchmark(ds, ["mean"], [0.25], repetitions=3, root_seed=18,

@@ -1084,13 +1084,17 @@ def with_config(**values):
     (with_config(conditional=1), "invalid config: conditional must be a bool, got 1"),
     (with_config(alpha="1"), "invalid config: alpha must be a number, got '1'"),
     (with_config(learning_rate=True), "invalid config: learning rate must be a number, got True"),
+    (lambda blob: blob[:-1716] + struct.pack("<f", float("nan")) + blob[-1712:],
+     "generator weights are not all finite"),
+    (lambda blob: blob[:-4] + struct.pack("<f", float("inf")), "discriminator weights are not all finite"),
 ], ids=["bad_magic", "truncated_preamble", "format_v1", "format_v2", "format_v3", "trailing_bytes",
         "short_weights", "more_column_kinds", "missing_key", "extra_n_features_key", "header_not_object",
         "string_n_classes", "zero_n_classes", "bool_n_classes", "number_column_kinds",
         "unknown_column_kinds", "empty_column_kinds", "unknown_config_key", "older_config_key",
         "config_missing_field", "negative_alpha", "nan_alpha", "unknown_optimizer", "negative_seed",
         "string_batch_size", "float_hidden_multiplier", "float_batch_size", "float_seed", "bool_log_every",
-        "int_conditional", "string_alpha", "bool_learning_rate"])
+        "int_conditional", "string_alpha", "bool_learning_rate", "nan_generator_weight",
+        "inf_discriminator_weight"])
 def test_load_model_rejects_garbage(tmp_path, corrupt, message):
     path = tmp_path / "bad.model"
     save_model(path, build_model(3, 2, [CONTINUOUS] * 3, TrainConfig(), make_rng(0)))

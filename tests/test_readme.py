@@ -119,7 +119,7 @@ def test_flag_table_lists_each_commands_flags():
     assert table.keys() == cli._COMMANDS.keys()
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
     for command, flags in table.items():
-        declared = [f"--{f.name.replace('_', '-')}" for f in cli.command_fields(command)] + ["--config"]
+        declared = [f"--{f.name.replace('_', '-')}" for f in cli.command_fields(command)]
         assert backticked(flags) == declared, command
         parsed = [s for a in subparsers[command]._actions for s in a.option_strings if s.startswith("--")]
         assert sorted(parsed) == sorted(declared + ["--help"]), command
